@@ -63,20 +63,24 @@ class TrivialBackend(RankOracle):
         return len({self.key(x) for x in elems})
 
     def basis_builder(self) -> BasisBuilder:
-        return _SetBuilder(self)
+        return _SetBuilder(lambda elem: True)
 
 
 class _SetBuilder(BasisBuilder):
-    def __init__(self, oracle: RankOracle):
-        self.oracle = oracle
+    """Rank of a set matroid: the number of distinct elements that count.
+
+    Serves every oracle whose canonical key is the element itself.
+    """
+
+    def __init__(self, counts: Callable[[object], bool]):
+        self.counts = counts
         self.seen = set()
 
     def add(self, elem) -> bool:
-        k = self.oracle.key(elem)
-        if k in self.seen:
+        if elem in self.seen:
             return False
-        self.seen.add(k)
-        return True
+        self.seen.add(elem)
+        return self.counts(elem)
 
 
 def as_vector(x, dimension: int | None = None) -> Tuple[int, ...]:
@@ -168,19 +172,7 @@ class IdealCountBackend(RankOracle):
         return len({x for x in elems if self.contains(x)})
 
     def basis_builder(self) -> BasisBuilder:
-        return _IdealBuilder(self)
-
-
-class _IdealBuilder(BasisBuilder):
-    def __init__(self, oracle: IdealCountBackend):
-        self.oracle = oracle
-        self.seen = set()
-
-    def add(self, elem) -> bool:
-        if elem in self.seen:
-            return False
-        self.seen.add(elem)
-        return self.oracle.contains(elem)
+        return _SetBuilder(self.contains)
 
 
 def coordinate_increment(i: int) -> Callable:
@@ -593,19 +585,7 @@ class ChainFreeOracle(RankOracle):
         return len({x for x in elems if x != ZERO_CHAIN})
 
     def basis_builder(self) -> BasisBuilder:
-        return _FreeChainBuilder(self)
-
-
-class _FreeChainBuilder(BasisBuilder):
-    def __init__(self, oracle):
-        self.oracle = oracle
-        self.seen = set()
-
-    def add(self, elem) -> bool:
-        if elem == ZERO_CHAIN or elem in self.seen:
-            return False
-        self.seen.add(elem)
-        return True
+        return _SetBuilder(lambda elem: elem != ZERO_CHAIN)
 
 
 class ChainBoundaryOracle(RankOracle):
@@ -832,10 +812,7 @@ def make_circuit_backend(
                 f"circuit family failed a sampled matroid axiom: {failures[0]}"
             )
         for idx, op in enumerate(maps):
-            part = next(
-                i for i in range(partition.k)
-                if partition.breakpoints[i] <= idx < partition.breakpoints[i + 1]
-            )
+            part = partition.part_of(idx)
             for e in sample:
                 img = op(e)
                 want = tuple(

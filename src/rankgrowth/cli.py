@@ -2,8 +2,9 @@
 
 Exit codes partition the outcomes: 0 for a certified result, 2 for a
 box-truncated or inconclusive result (the document is still written),
-1 for an input error, 3 for a hypothesis failure (a concrete witness
-against a declared triangular/quasi-triangular part or commutation).
+1 for an input or usage error, 3 for a hypothesis failure (a concrete
+witness against a declared triangular/quasi-triangular part or
+commutation).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import hashlib
 import json
 import sys as _sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -276,13 +278,7 @@ def _build_circuit(config: dict):
 
         return op
 
-    maps = []
-    for idx, pm in enumerate(payload_maps):
-        part_index = next(
-            i for i in range(part.k)
-            if part.breakpoints[i] <= idx < part.breakpoints[i + 1]
-        )
-        maps.append(make_op(pm, part_index))
+    maps = [make_op(pm, part.part_of(idx)) for idx, pm in enumerate(payload_maps)]
     sys = make_circuit_backend(
         partition, circuits, maps, A + B, config.get("part_flags")
     )
@@ -345,7 +341,6 @@ def _stab_config(config: dict) -> StabilizationConfig:
     return StabilizationConfig(
         box=tuple(box) if isinstance(box, (list, tuple)) else None,
         window=int(config.get("window", 2)),
-        threads=int(config.get("threads", 1)),
     )
 
 
@@ -378,11 +373,7 @@ def execute(config: dict) -> Tuple[int, dict]:
             complex_, vmaps, partition, A = _build_chain(config)
             n = int(config.get("dimension", 0))
             if box_scalar is not None:
-                cfg = StabilizationConfig(
-                    box=(box_scalar,) * len(vmaps),
-                    window=cfg.window,
-                    threads=cfg.threads,
-                )
+                cfg = replace(cfg, box=(box_scalar,) * len(vmaps))
             closure = SimplicialComplex(A).simplices if A else set()
             br = betti_polynomials(
                 complex_,
@@ -421,9 +412,7 @@ def execute(config: dict) -> Tuple[int, dict]:
 
         if box_scalar is not None:
             # length-m boxes are expanded per part by the cumulative pipeline
-            cfg = StabilizationConfig(
-                box=(box_scalar,) * sys.m, window=cfg.window, threads=cfg.threads
-            )
+            cfg = replace(cfg, box=(box_scalar,) * sys.m)
 
         if mode == "check":
             depth = int(config.get("depth", 3))
@@ -460,13 +449,6 @@ def execute(config: dict) -> Tuple[int, dict]:
             result = analyze_cumulative(sys, A, B, cfg)
         else:
             result = analyze_graded(sys, A, B, cfg)
-        if want_rank and cumulative:
-            # naturality of the augmented-system rank
-            value = result.phi_rank_value
-            if value.denominator != 1 or value < 0:
-                raise RankGrowthError(
-                    f"augmented-system rank must be a natural number, got {value}"
-                )
         doc.update(_result_doc(result, want_rank))
         doc["status"] = result.status
         return finish(
@@ -515,8 +497,29 @@ def _emit(doc: dict, out_path: Optional[str]) -> None:
         _sys.stdout.write(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser that raises usage errors as InputError.
+
+    argparse itself would exit with status 2, which the exit-code
+    contract reserves for box-truncated results.
+    """
+
+    def error(self, message):
+        raise InputError(message)
+
+
+def _box_arg(text: str):
+    try:
+        parts = [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected integers separated by commas, got {text!r}"
+        ) from None
+    return parts[0] if len(parts) == 1 else parts
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rankgrowth",
         description="Growth polynomials of matroid ranks under commuting operators",
     )
@@ -524,11 +527,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     runp = sub.add_parser("run", help="execute a JSON problem config")
     runp.add_argument("config", help="path to the JSON problem description")
-    runp.add_argument("--box", help="per-coordinate bound, e.g. 8 or 8,8,8")
+    runp.add_argument(
+        "--box", type=_box_arg, help="per-coordinate bound, e.g. 8 or 8,8,8"
+    )
     runp.add_argument("--window", type=int, help="certification window width")
     runp.add_argument("--mode", choices=MODES, help="override the config mode")
     runp.add_argument("--out", help="write the result document to this path")
-    runp.add_argument("--threads", type=int, help="tabulation parallelism hint")
     runp.add_argument(
         "--seed-sample", type=int, dest="seed_sample",
         help="number of sampled subset pairs in check mode",
@@ -536,7 +540,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     sub.add_parser("selfcheck", help="run the built-in golden corpus")
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except InputError as exc:
+        print(f"error: {exc}", file=_sys.stderr)
+        return EXIT_INPUT_ERROR
     if args.command == "selfcheck":
         from .selfcheck import selfcheck
 
@@ -544,15 +552,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0 if report.ok else 1
 
     overrides: Dict[str, object] = {}
-    if args.box:
-        parts = [int(x) for x in str(args.box).split(",")]
-        overrides["box"] = parts[0] if len(parts) == 1 else parts
+    if args.box is not None:
+        overrides["box"] = args.box
     if args.window is not None:
         overrides["window"] = args.window
     if args.mode:
         overrides["mode"] = args.mode
-    if args.threads is not None:
-        overrides["threads"] = args.threads
     if args.seed_sample is not None:
         overrides["seed_sample"] = args.seed_sample
 

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -26,7 +25,6 @@ from .errors import ContractError, HypothesisError, InputError, RankGrowthError
 from .operators import (
     MultiIndex,
     OperatorSystem,
-    OrbitCache,
     Partition,
     TRIANGULAR,
     augment,
@@ -53,11 +51,10 @@ def default_box(m: int) -> Tuple[int, ...]:
 
 @dataclass
 class StabilizationConfig:
-    """Exploration box, certification window width, parallelism hint."""
+    """Exploration box and certification window width."""
 
     box: Optional[Tuple[int, ...]] = None
     window: int = 2
-    threads: int = 1
 
     def __post_init__(self):
         if self.window < 1:
@@ -66,8 +63,6 @@ class StabilizationConfig:
             self.box = tuple(int(b) for b in self.box)
             if any(b < 0 for b in self.box):
                 raise InputError("box bounds must be nonnegative")
-        if self.threads < 1:
-            raise InputError("threads must be >= 1")
 
     def resolved_box(self, m: int) -> Tuple[int, ...]:
         if self.box is None:
@@ -77,9 +72,29 @@ class StabilizationConfig:
         return self.box
 
 
-def word_count(p: Partition, s: MultiIndex, mode: str = "graded") -> int:
-    """Number of operator words at part degree s (or below, cumulatively)."""
-    return p.word_count(tuple(s), mode)
+def _slice_marginals(
+    sys: OperatorSystem,
+    A_sorted: List,
+    B,
+    s: MultiIndex,
+    cache: dict,
+    cache_b: dict,
+    context_sys: OperatorSystem | None,
+):
+    """Yield (word, marginal rank) for every word of part degree s.
+
+    A fresh builder is seeded with the graded orbit of B at s, taken in
+    the context system when one is supplied; words then arrive in
+    ascending lex order, and each one's marginal is the number of its
+    images of A that raise the rank over everything fed before.  Summing
+    over the slice telescopes to the relative rank of the graded orbits.
+    ``cache`` memoizes words on A, ``cache_b`` on B in the base system.
+    """
+    builder = sys.backend.basis_builder()
+    base_sys = context_sys if context_sys is not None else sys
+    builder.add_all(graded_orbit(base_sys, B, s, cache_b))
+    for r in sys.partition.words_of_part_degree(s):
+        yield r, sum(1 for a in A_sorted if builder.add(apply_word(sys, a, r, cache)))
 
 
 def eval_f(
@@ -87,33 +102,24 @@ def eval_f(
     A,
     B,
     u: MultiIndex,
-    cache: OrbitCache | None = None,
+    cache: dict | None = None,
     context_sys: OperatorSystem | None = None,
 ):
     """Marginal rank of the word ``u`` applied to A.
 
     The base is every lex-earlier word of the same part degree applied to
     A, together with the full graded orbit of B (taken in the context
-    system when one is supplied).  Summing over a whole part-degree slice
-    telescopes to the relative rank of the graded orbits.
+    system when one is supplied).
     """
     u = tuple(int(x) for x in u)
-    if len(u) != sys.m:
-        raise InputError(f"word length {len(u)} != m = {sys.m}")
-    if cache is None:
-        cache = OrbitCache()
-    backend = sys.backend
+    if len(u) != sys.m or min(u) < 0:
+        raise InputError(f"not a word of {sys.m} natural numbers: {u}")
+    A_sorted = sys.backend.sorted_elems(A)
     s = sys.partition.part_degree(u)
-    builder = backend.basis_builder()
-    base_sys = context_sys if context_sys is not None else sys
-    builder.add_all(graded_orbit(base_sys, B, s))
-    A_sorted = backend.sorted_elems(A)
-    for r in sys.partition.words_of_part_degree(s):
-        if lex_key(r) >= lex_key(u):
-            break
-        for a in A_sorted:
-            builder.add(apply_word(sys, a, r, cache))
-    return sum(1 for a in A_sorted if builder.add(apply_word(sys, a, u, cache)))
+    cache = {} if cache is None else cache
+    for r, value in _slice_marginals(sys, A_sorted, B, s, cache, {}, context_sys):
+        if r == u:
+            return value
 
 
 @dataclass
@@ -181,10 +187,9 @@ def tabulate_f(
 ) -> DecreasingTable:
     """Tabulate the marginal rank function over every slice under the box.
 
-    Slices (part-degree classes) are independent units of work: each gets
-    a fresh basis builder seeded with the orbit of B, then consumes its
-    words in ascending lex order.  Worker scheduling cannot change any
-    value, so the threads hint only affects wall time.
+    Slices (part-degree classes) are independent: each gets a fresh basis
+    builder seeded with the orbit of B, then consumes its words in
+    ascending lex order.
     """
     cfg = cfg or StabilizationConfig()
     box = tuple(box) if box is not None else cfg.resolved_box(sys.m)
@@ -196,34 +201,13 @@ def tabulate_f(
     for x in A_sorted + B_list:
         backend.validate(x)
     cap = sys.partition.part_degree(box)
-    cache = OrbitCache()
-    cache_b = OrbitCache()
-
-    def slice_values(s: MultiIndex) -> Dict[MultiIndex, int]:
-        builder = backend.basis_builder()
-        base_sys = context_sys if context_sys is not None else sys
-        builder.add_all(graded_orbit(base_sys, B_list, s, cache_b))
-        vals = {}
-        for r in sys.partition.words_of_part_degree(s):
-            gain = 0
-            for a in A_sorted:
-                if builder.add(apply_word(sys, a, r, cache)):
-                    gain += 1
-            vals[r] = gain
-        return vals
-
-    slices = list(degrees_below(cap))
+    cache, cache_b = {}, {}
     values: Dict[MultiIndex, int] = {}
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            for vals in pool.map(slice_values, slices):
-                values.update(vals)
-    else:
-        for s in slices:
-            values.update(slice_values(s))
-
+    for s in degrees_below(cap):
+        values.update(
+            _slice_marginals(sys, A_sorted, B_list, s, cache, cache_b, context_sys)
+        )
     table = DecreasingTable(box, sys.partition, values, [], cap, len(A_sorted))
-    assert all(0 <= v <= len(A_sorted) for v in values.values())
     table.violations = table._scan_violations()
     return table
 
@@ -589,9 +573,9 @@ def _direct_rank(
     B,
     s: MultiIndex,
     context_sys: OperatorSystem | None = None,
-    caches: Tuple[OrbitCache, OrbitCache] | None = None,
+    caches: Tuple[dict, dict] | None = None,
 ) -> int:
-    cache_a, cache_b = caches if caches else (OrbitCache(), OrbitCache())
+    cache_a, cache_b = caches if caches else ({}, {})
     base_sys = context_sys if context_sys is not None else sys
     builder = sys.backend.basis_builder()
     builder.add_all(graded_orbit(base_sys, B, s, cache_b))
@@ -614,7 +598,7 @@ def verify_fit(
         raise ContractError(
             f"window start {lo} is below the stabilization threshold {P.threshold}"
         )
-    caches = (OrbitCache(), OrbitCache())
+    caches = ({}, {})
     points, mismatches = [], []
     for s in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
         direct = _direct_rank(sys, A, B, s, context_sys, caches)
@@ -640,7 +624,13 @@ class PipelineResult:
 
     @property
     def phi_rank_value(self) -> Fraction:
-        return Fraction(self.numerator.at_ones())
+        """The numerator at (1, ..., 1); a natural number on an augmented system."""
+        value = Fraction(self.numerator.at_ones())
+        if self.system.augmented and (value.denominator != 1 or value < 0):
+            raise RankGrowthError(
+                f"augmented-system rank must be a natural number, got {value}"
+            )
+        return value
 
 
 def _require_triangular(sys: OperatorSystem, what: str):
@@ -749,11 +739,7 @@ def analyze_cumulative(
     cfg = cfg or StabilizationConfig()
     aug = augment(sys)
     if cfg.box is not None and len(cfg.box) == sys.m:
-        cfg = StabilizationConfig(
-            box=_augment_box(cfg.box, sys.partition),
-            window=cfg.window,
-            threads=cfg.threads,
-        )
+        cfg = replace(cfg, box=_augment_box(cfg.box, sys.partition))
     return analyze_graded(aug, A, B, cfg)
 
 
@@ -794,10 +780,10 @@ def phi_rank(
     factor = math.prod(
         math.factorial(d - 1) for d in sys.partition.part_sizes
     )
-    assert lead * factor == value
-    if sys.augmented and (value.denominator != 1 or value < 0):
-        raise RankGrowthError(
-            f"augmented-system rank must be a natural number, got {value}"
+    if lead * factor != value:
+        raise ContractError(
+            f"leading coefficient {lead} times {factor} differs from the "
+            f"numerator at ones {value}"
         )
     return value
 

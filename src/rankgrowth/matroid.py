@@ -1,8 +1,8 @@
 """Finitary-matroid rank oracles.
 
 A backend exposes a single pure function ``rank`` on finite element sets.
-Everything else (relative rank, localization, independence, closure
-membership) is derived here, so backends stay minimal.  Elements are
+Everything else (relative rank, localization, basis extension) is
+derived here, so backends stay minimal.  Elements are
 identified by a canonical key: two elements are the same point of the
 ground set iff their keys are equal, and keys are orderable so that every
 enumeration in the engine is deterministic.
@@ -87,10 +87,6 @@ class RankOracle(ABC):
         """The matroid with the finite set ``C`` absorbed into every rank."""
         return LocalizedOracle(self, list(C))
 
-    def in_closure(self, elem, B: Iterable) -> bool:
-        """Closure membership, derived: rank(elem over B) = 0."""
-        return self.relative_rank([elem], B) == 0
-
 
 class _GenericBuilder(BasisBuilder):
     """Quadratic fallback: keeps the accepted list, re-asks the oracle."""
@@ -129,32 +125,11 @@ class LocalizedOracle(RankOracle):
     def basis_builder(self) -> BasisBuilder:
         builder = self.base.basis_builder()
         builder.add_all(self.C)
-        return _OffsetBuilder(builder)
+        return builder
 
     def localize(self, C) -> "RankOracle":
         # flatten nested localizations
         return LocalizedOracle(self.base, list(self.C) + list(C))
-
-
-class _OffsetBuilder(BasisBuilder):
-    def __init__(self, inner: BasisBuilder):
-        self.inner = inner
-
-    def add(self, elem) -> bool:
-        return self.inner.add(elem)
-
-
-def rank(oracle: RankOracle, S: Iterable) -> int:
-    """Function-style alias for ``oracle.rank``."""
-    return oracle.rank(S)
-
-
-def relative_rank(oracle: RankOracle, A: Iterable, B: Iterable) -> int:
-    return oracle.relative_rank(A, B)
-
-
-def localize(oracle: RankOracle, C: Iterable) -> RankOracle:
-    return oracle.localize(C)
 
 
 def extend_basis(oracle: RankOracle, basis: Iterable, candidates: Iterable) -> List:

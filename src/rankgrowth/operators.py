@@ -9,6 +9,7 @@ and the sampled hypothesis checks all live here.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -67,6 +68,12 @@ class Partition:
     def part_slice(self, i: int) -> slice:
         return slice(self.breakpoints[i], self.breakpoints[i + 1])
 
+    def part_of(self, slot: int) -> int:
+        """Index of the part that owns operator slot ``slot``."""
+        if not 0 <= slot < self.m:
+            raise InputError(f"operator slot {slot} outside 0..{self.m - 1}")
+        return bisect.bisect_right(self.breakpoints, slot) - 1
+
     def part_degree(self, r: MultiIndex) -> MultiIndex:
         if len(r) != self.m:
             raise InputError(f"multi-index length {len(r)} != m = {self.m}")
@@ -107,10 +114,6 @@ class Partition:
         return f"Partition({list(self.part_sizes)})"
 
 
-def part_degree(r: MultiIndex, p: Partition) -> MultiIndex:
-    return p.part_degree(r)
-
-
 def compositions(total: int, parts: int):
     """All tuples of ``parts`` naturals summing to ``total``."""
     if parts == 1:
@@ -128,20 +131,6 @@ def degrees_below(cap: MultiIndex):
 
 def identity_map(x):
     return x
-
-
-class OrbitCache:
-    """Memo of (seed key, word) -> element.
-
-    The cached value at r + e_i is always the i-th map applied to the
-    value at r, so a populated cache witnesses path independence.
-    """
-
-    def __init__(self):
-        self.data = {}
-
-    def __len__(self):
-        return len(self.data)
 
 
 class OperatorSystem:
@@ -202,26 +191,28 @@ class OperatorSystem:
         )
 
 
-def apply_word(sys: OperatorSystem, a, r: MultiIndex, cache: OrbitCache | None = None):
+def apply_word(sys: OperatorSystem, a, r: MultiIndex, cache: dict | None = None):
     """Apply the word with multiplicities ``r`` to ``a``, memoized.
 
-    Descends one coordinate at a time from the nearest cached ancestor,
-    always decrementing the highest nonzero coordinate, so identical
-    prefixes are shared across the whole run.
+    ``cache`` maps (seed key, word) to element.  Descends one coordinate
+    at a time from the nearest cached ancestor, always decrementing the
+    highest nonzero coordinate, so identical prefixes are shared across
+    the whole run.  The cached value at r + e_i is always the i-th map
+    applied to the value at r, so a populated cache witnesses path
+    independence.
     """
     if len(r) != sys.m:
         raise InputError(f"word length {len(r)} != m = {sys.m}")
     if cache is None:
-        cache = OrbitCache()
+        cache = {}
     seed = sys.backend.key(a)
-    data = cache.data
     pending = []
     cur = tuple(r)
-    while any(cur) and (seed, cur) not in data:
+    while any(cur) and (seed, cur) not in cache:
         i = max(j for j, c in enumerate(cur) if c)
         pending.append((cur, i))
         cur = cur[:i] + (cur[i] - 1,) + cur[i + 1 :]
-    val = a if not any(cur) else data[(seed, cur)]
+    val = a if not any(cur) else cache[(seed, cur)]
     for word, i in reversed(pending):
         try:
             val = sys.maps[i](val)
@@ -229,12 +220,12 @@ def apply_word(sys: OperatorSystem, a, r: MultiIndex, cache: OrbitCache | None =
             raise OperatorError(
                 f"map {i + 1} failed while applying word {word}: {exc}"
             ) from exc
-        data[(seed, word)] = val
+        cache[(seed, word)] = val
     return val
 
 
 def graded_orbit(
-    sys: OperatorSystem, A, s: MultiIndex, cache: OrbitCache | None = None
+    sys: OperatorSystem, A, s: MultiIndex, cache: dict | None = None
 ) -> List:
     """Deduplicated set of all word images of A at part degree exactly s.
 
@@ -242,7 +233,7 @@ def graded_orbit(
     words ascending in the lex order.
     """
     if cache is None:
-        cache = OrbitCache()
+        cache = {}
     words = sys.partition.words_of_part_degree(s)
     out, seen = [], set()
     for a in sys.backend.sorted_elems(A):
@@ -256,11 +247,11 @@ def graded_orbit(
 
 
 def cumulative_orbit(
-    sys: OperatorSystem, A, s: MultiIndex, cache: OrbitCache | None = None
+    sys: OperatorSystem, A, s: MultiIndex, cache: dict | None = None
 ) -> List:
     """Deduplicated set of all word images of A at part degree <= s."""
     if cache is None:
-        cache = OrbitCache()
+        cache = {}
     out, seen = [], set()
     for t in degrees_below(tuple(s)):
         for x in graded_orbit(sys, A, t, cache):
@@ -370,7 +361,7 @@ def check_system(
     rng = random.Random(seed)
     report = SystemCheckReport()
 
-    cache = OrbitCache()
+    cache = {}
     pts = []
     seen = set()
     for a in backend.sorted_elems(sample):

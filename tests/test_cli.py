@@ -1,16 +1,21 @@
 """CLI contract: config parsing, exit codes, result-document invariants."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
+import rankgrowth
 from rankgrowth.cli import (
     EXIT_CERTIFIED,
     EXIT_HYPOTHESIS,
     EXIT_INPUT_ERROR,
     EXIT_TRUNCATED,
     execute,
+    main,
     run,
 )
 from rankgrowth.selfcheck import selfcheck
@@ -259,7 +264,8 @@ def test_machine_output_deterministic_modulo_timing():
 
 def test_run_reads_config_and_applies_overrides(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(SUMSET))
+    # a key the program no longer reads, such as "threads", is ignored
+    path.write_text(json.dumps(dict(SUMSET, threads=4)))
     code, doc = run(str(path), {"window": 3})
     assert code == EXIT_CERTIFIED
     hi = doc["verification"]["window"][1]
@@ -288,3 +294,52 @@ def test_cli_subprocess_end_to_end(tmp_path):
 def test_selfcheck_all_green():
     report = selfcheck(verbose=False)
     assert report.ok, report.failed
+
+
+@pytest.mark.parametrize(
+    "flags", [["--threads", "2"], ["--bogus"], ["--window", "abc"], ["--box", "8,x"]]
+)
+def test_usage_errors_exit_input_error(tmp_path, capsys, flags):
+    # argparse's own status 2 would read as "box-truncated, document written"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(SUMSET))
+    assert main(["run", str(cfg)] + flags) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+DRIFTED_SELFCHECK = """
+from rankgrowth import engine
+from rankgrowth.engine import GrowthPolynomial
+
+honest = engine.interpolate
+
+def drifted(numerator, d):
+    P = honest(numerator, d)
+    bumped = {e: c + 1 for e, c in P.coeffs.items()}
+    return GrowthPolynomial(bumped, P.degree_bound, P.threshold)
+
+engine.interpolate = drifted
+from rankgrowth.selfcheck import selfcheck
+print(len(selfcheck(verbose=False).failed))
+"""
+
+
+def test_selfcheck_catches_drift_under_optimize():
+    # python -O strips assert statements; the golden corpus must not rely on them
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rankgrowth.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    failures = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", DRIFTED_SELFCHECK],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        failures.append(int(proc.stdout))
+    assert failures[0] > 0
+    assert failures[1] == failures[0]

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rankgrowth import (
     BOX_TRUNCATED,
@@ -14,6 +14,7 @@ from rankgrowth import (
     DecreasingTable,
     GrowthPolynomial,
     HypothesisError,
+    InputError,
     OperatorSystem,
     Partition,
     StabilizationConfig,
@@ -33,6 +34,7 @@ from rankgrowth import (
     tabulate_f,
     verify_fit,
 )
+from rankgrowth import engine
 from rankgrowth.engine import GeneratingNumerator
 from rankgrowth.backends import (
     TrivialBackend,
@@ -42,7 +44,7 @@ from rankgrowth.backends import (
     make_sumset_system,
     translation,
 )
-from rankgrowth.operators import graded_orbit
+from rankgrowth.operators import graded_orbit, product_leq
 
 
 # ---------------------------------------------------------------------------
@@ -58,29 +60,85 @@ def test_eval_f_single_variable_has_empty_lex_base():
 def test_eval_f_fresh_monomial():
     sys, seeds = make_polynomial_ring_system(2)
     assert eval_f(sys, seeds, [], (0, 1)) == 1
+    for bad in [(1,), (1, -1)]:
+        with pytest.raises(InputError):
+            eval_f(sys, seeds, [], bad)
 
 
-def test_eval_f_agrees_with_tabulation():
-    sys = make_sumset_system([0, 2, 3])
-    A, B = [(0,)], [(1,)]
-    table = tabulate_f(sys, A, B, box=(3, 3, 3))
+def _with_extra_translations(sys, extra):
+    """Context system: each part of a sumset system plus one more shift."""
+    maps, sizes = [], []
+    for i, v in enumerate(extra):
+        part = list(sys.part_maps(i)) + [translation((v,))]
+        maps.extend(part)
+        sizes.append(len(part))
+    return OperatorSystem(maps, Partition(sizes), sys.backend)
+
+
+@st.composite
+def small_problems(draw):
+    """(system, A, B, box, context system or None) on sumsets or lattice ideals."""
+    context_sys = None
+    if draw(st.booleans()):
+        summand = st.lists(st.integers(0, 5), min_size=1, max_size=2, unique=True)
+        sys = make_sumset_system(*draw(st.lists(summand, min_size=1, max_size=2)))
+        point = st.tuples(st.integers(0, 6))
+        if draw(st.booleans()):
+            extra = draw(st.lists(st.integers(-3, 3), min_size=sys.k, max_size=sys.k))
+            context_sys = _with_extra_translations(sys, extra)
+        A = draw(st.lists(point, max_size=2))
+    else:
+        sizes = draw(st.sampled_from([[1], [2], [1, 1], [1, 2]]))
+        point = st.tuples(*[st.integers(0, 3)] * sum(sizes))
+        pts = set(draw(st.lists(point, max_size=3)))
+        antichain = [
+            p for p in pts if not any(q != p and product_leq(q, p) for q in pts)
+        ]
+        sys, origin = make_ideal_system(antichain, sizes)
+        A = draw(st.lists(point, max_size=2)) or origin
+    B = draw(st.lists(point, max_size=2))
+    box = (draw(st.integers(0, 2)),) * sys.m
+    return sys, A, B, box, context_sys
+
+
+def _context_example():
+    # the context's shift -1 carries B = {1} onto the seed 0, which the
+    # primary shifts never do, so ignoring the context changes the values
+    sys = make_sumset_system([0, 1])
+    return sys, [(0,)], [(1,)], (3, 3), _with_extra_translations(sys, [-1])
+
+
+@given(small_problems())
+@example((make_sumset_system([0, 2, 3]), [(0,)], [(1,)], (3, 3, 3), None))
+@example(_context_example())
+@settings(max_examples=30, deadline=None)
+def test_eval_f_agrees_with_tabulation(problem):
+    sys, A, B, box, context_sys = problem
+    table = tabulate_f(sys, A, B, box=box, context_sys=context_sys)
     rng = random.Random(0)
-    words = rng.sample(sorted(table.values), 25)
+    words = rng.sample(sorted(table.values), min(25, len(table.values)))
     for u in words:
-        assert eval_f(sys, A, B, u) == table.values[u]
+        assert eval_f(sys, A, B, u, context_sys=context_sys) == table.values[u]
 
 
-def test_graded_sum_identity():
-    # summing marginals over a slice telescopes to the orbit's relative rank
-    sys = make_sumset_system([0, 1, 5], [2])
-    A, B = [(0,), (3,)], [(1,)]
-    table = tabulate_f(sys, A, B, box=(3, 3, 3, 3))
-    backend = sys.backend
-    for s in itertools.product(range(4), repeat=2):
-        direct = backend.relative_rank(
-            graded_orbit(sys, A, s), graded_orbit(sys, B, s)
+@given(small_problems())
+@example((make_sumset_system([0, 1, 5], [2]), [(0,), (3,)], [(1,)], (3,) * 4, None))
+@example(_context_example())
+@settings(max_examples=30, deadline=None)
+def test_graded_sum_identity(problem):
+    # summing marginals over a slice telescopes to the orbit's relative rank,
+    # which verify_fit computes directly as its pointwise evidence
+    sys, A, B, box, context_sys = problem
+    table = tabulate_f(sys, A, B, box=box, context_sys=context_sys)
+    zero = (0,) * sys.k
+    silent = GrowthPolynomial({}, zero, zero)
+    report = verify_fit(silent, sys, A, B, (zero, table.slice_cap), context_sys)
+    base_sys = context_sys or sys
+    for s, direct, _ in report.points:
+        orbit_rank = sys.backend.relative_rank(
+            graded_orbit(sys, A, s), graded_orbit(base_sys, B, s)
         )
-        assert table.graded_sum(s) == direct
+        assert table.graded_sum(s) == direct == orbit_rank
 
 
 def test_tabulate_sumset_is_decreasing_all_ones():
@@ -110,15 +168,6 @@ def test_tabulate_values_bounded_by_seed_size():
     A = [(0,), (1,)]
     table = tabulate_f(sys, A, [], box=(3, 3, 3))
     assert all(0 <= v <= len(A) for v in table.values.values())
-
-
-def test_tabulate_threads_deterministic():
-    sys = make_sumset_system([0, 1, 4])
-    one = tabulate_f(sys, [(0,)], [], box=(4, 4, 4), cfg=StabilizationConfig())
-    four = tabulate_f(
-        sys, [(0,)], [], box=(4, 4, 4), cfg=StabilizationConfig(threads=4)
-    )
-    assert one.values == four.values
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +458,19 @@ def test_phi_rank_equals_numerator_at_ones():
     assert val == res.numerator.at_ones()
     factor = math.factorial(sys.partition.part_sizes[0] - 1)
     assert res.polynomial.leading_coefficient() * factor == val
+
+
+def test_phi_rank_drifted_interpolation_is_contract_error(monkeypatch):
+    honest = engine.interpolate
+
+    def drifted(numerator, d):
+        P = honest(numerator, d)
+        bumped = {e: c + 1 for e, c in P.coeffs.items()}
+        return GrowthPolynomial(bumped, P.degree_bound, P.threshold)
+
+    monkeypatch.setattr(engine, "interpolate", drifted)
+    with pytest.raises(ContractError):
+        phi_rank(make_sumset_system([0, 1]), [(0,)])
 
 
 def test_phi_closure_trichotomy():

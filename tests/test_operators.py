@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from rankgrowth import (
     InputError,
     OperatorSystem,
-    OrbitCache,
     Partition,
     QUASI_TRIANGULAR,
     apply_word,
@@ -18,7 +17,6 @@ from rankgrowth import (
     cumulative_orbit,
     graded_orbit,
     lex_compare,
-    part_degree,
     total_degree,
 )
 from rankgrowth.backends import (
@@ -31,12 +29,17 @@ from rankgrowth.backends import (
 
 def test_part_degree_examples():
     p = Partition([2, 1])
-    assert part_degree((2, 0, 1), p) == (2, 1)
-    assert part_degree((0, 0, 0), p) == (0, 0)
+    assert p.part_degree((2, 0, 1)) == (2, 1)
+    assert p.part_degree((0, 0, 0)) == (0, 0)
     assert total_degree((2, 0, 1)) == 3
-    assert part_degree((4, 1), Partition([2])) == (5,)
+    assert Partition([2]).part_degree((4, 1)) == (5,)
     with pytest.raises(InputError):
-        part_degree((1, 2), p)
+        p.part_degree((1, 2))
+    assert [p.part_of(i) for i in range(3)] == [0, 0, 1]
+    assert [Partition([1, 3, 2]).part_of(i) for i in range(6)] == [0, 1, 1, 1, 2, 2]
+    for slot in (-1, 3):
+        with pytest.raises(InputError):
+            p.part_of(slot)
 
 
 def test_lex_compare_last_coordinate_rules():
@@ -81,18 +84,18 @@ def test_apply_word_multiplication_map():
 def test_apply_word_cache_path_independence():
     # the cached value at r + e_i is map i applied to the value at r
     sys = make_sumset_system([1, 3, 5])
-    cache = OrbitCache()
+    cache = {}
     rng = random.Random(2)
     for _ in range(40):
         r = tuple(rng.randint(0, 3) for _ in range(3))
         expect = (sum(c * v for c, v in zip(r, (1, 3, 5))),)
         assert apply_word(sys, (0,), r, cache) == expect
-    for (seed, word), val in cache.data.items():
+    for (seed, word), val in cache.items():
         for i in range(3):
             if word[i]:
                 prev = word[:i] + (word[i] - 1,) + word[i + 1 :]
-                if (seed, prev) in cache.data:
-                    assert sys.maps[i](cache.data[(seed, prev)]) == val
+                if (seed, prev) in cache:
+                    assert sys.maps[i](cache[(seed, prev)]) == val
 
 
 def test_apply_word_random_descent_orders_agree():
