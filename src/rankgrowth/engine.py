@@ -93,8 +93,13 @@ def _slice_marginals(
     builder = sys.backend.basis_builder()
     base_sys = context_sys if context_sys is not None else sys
     builder.add_all(graded_orbit(base_sys, B, s, cache_b))
+    add = builder.add
     for r in sys.partition.words_of_part_degree(s):
-        yield r, sum(1 for a in A_sorted if builder.add(apply_word(sys, a, r, cache)))
+        accepted = 0
+        for a in A_sorted:
+            if add(apply_word(sys, a, r, cache)):
+                accepted += 1
+        yield r, accepted
 
 
 def eval_f(
@@ -129,16 +134,55 @@ class DecreasingTable:
     ``values`` holds every word whose part degree fits under the box's
     part degree (a superset of the nominal box: lex-earlier words of the
     same degree are needed for correct marginals, so they come for free).
-    ``violations`` lists comparable pairs where the value increases; any
-    entry contradicts a declared triangular part.
+    Its domain must be downward closed, so that every word ``u`` in it
+    also holds each predecessor ``u - e_i``; a table that misses one is
+    an ``InputError``.
+
+    One scan over those unit steps fills the metadata.  ``violations``
+    lists the pairs ``(u - e_i, u)`` where the value increases, ordered
+    by the lower word's degree and lex key, then the upper word's; any
+    entry contradicts a declared triangular part.  ``corners`` lists the
+    triples ``(u, f(u), hi(u))`` with ``f(u) < hi(u)``, where ``hi(u)``
+    is the least value over the predecessors (``f(0) + 1`` for the zero
+    word): on a decreasing table ``u`` is a minimal word of the level set
+    ``{f <= n}`` exactly when ``f(u) <= n < hi(u)``.
     """
 
     box: Tuple[int, ...]
     partition: Partition
     values: Dict[MultiIndex, int]
-    violations: List[Tuple[MultiIndex, MultiIndex]]
     slice_cap: Tuple[int, ...]
     seed_size: int
+    violations: List[Tuple[MultiIndex, MultiIndex]] = field(init=False)
+    corners: List[Tuple[MultiIndex, int, int]] = field(init=False)
+
+    def __post_init__(self):
+        values = self.values
+        violations, corners = [], []
+        for u, fu in values.items():
+            hi = None
+            for i, c in enumerate(u):
+                if not c:
+                    continue
+                down = u[:i] + (c - 1,) + u[i + 1 :]
+                fd = values.get(down)
+                if fd is None:
+                    raise InputError(
+                        f"table does not cover {down}, a predecessor of {u}"
+                    )
+                if fu > fd:
+                    violations.append((down, u))
+                if hi is None or fd < hi:
+                    hi = fd
+            if hi is None:
+                hi = fu + 1
+            if fu < hi:
+                corners.append((u, fu, hi))
+        violations.sort(
+            key=lambda pair: (sum(pair[0]), lex_key(pair[0]), lex_key(pair[1]))
+        )
+        self.violations = violations
+        self.corners = corners
 
     @classmethod
     def from_function(cls, f, box: Sequence[int], partition: Partition, seed_size=None):
@@ -151,21 +195,7 @@ class DecreasingTable:
                 values[r] = int(f(r))
         if seed_size is None:
             seed_size = max(values.values(), default=0)
-        table = cls(box, partition, values, [], cap, seed_size)
-        table.violations = table._scan_violations()
-        return table
-
-    def _scan_violations(self):
-        out = []
-        m = self.partition.m
-        for u, fu in self.values.items():
-            for i in range(m):
-                up = u[:i] + (u[i] + 1,) + u[i + 1 :]
-                fup = self.values.get(up)
-                if fup is not None and fup > fu:
-                    out.append((u, up))
-        out.sort(key=lambda pair: (sum(pair[0]), lex_key(pair[0])))
-        return out
+        return cls(box, partition, values, cap, seed_size)
 
     @property
     def is_decreasing(self) -> bool:
@@ -207,9 +237,7 @@ def tabulate_f(
         values.update(
             _slice_marginals(sys, A_sorted, B_list, s, cache, cache_b, context_sys)
         )
-    table = DecreasingTable(box, sys.partition, values, [], cap, len(A_sorted))
-    table.violations = table._scan_violations()
-    return table
+    return DecreasingTable(box, sys.partition, values, cap, len(A_sorted))
 
 
 @dataclass
@@ -248,18 +276,17 @@ def detect_stabilization(
     if f0 is None:
         raise InputError("table does not cover the zero word")
 
-    by_value = sorted(table.values.items(), key=lambda kv: (sum(kv[0]), lex_key(kv[0])))
-    levels: Dict[int, Tuple[MultiIndex, ...]] = {}
-    m_bar = list(zero)
-    for n in range(f0 + 1):
-        antichain: List[MultiIndex] = []
-        for u, fu in by_value:
-            if fu <= n and not any(product_leq(v, u) for v in antichain):
-                antichain.append(u)
-        levels[n] = tuple(antichain)
-        for u in antichain:
-            m_bar = [max(a, b) for a, b in zip(m_bar, u)]
-    m_bar = tuple(m_bar)
+    # the minimal words of {f <= n} are the corners with f(u) <= n < hi(u)
+    antichains: Dict[int, List[MultiIndex]] = {n: [] for n in range(f0 + 1)}
+    m_bar = zero
+    corners = sorted(table.corners, key=lambda c: (sum(c[0]), lex_key(c[0])))
+    for u, fu, hi in corners:
+        placed = range(max(fu, 0), hi)
+        for n in placed:
+            antichains[n].append(u)
+        if placed:
+            m_bar = tuple(max(a, b) for a, b in zip(m_bar, u))
+    levels = {n: tuple(words) for n, words in antichains.items()}
 
     w = cfg.window
     band_cap = tuple(c + w for c in m_bar)
@@ -530,16 +557,22 @@ def realize_monomial_module(table: DecreasingTable) -> MonomialModuleRealization
         raise ContractError(
             f"table is not decreasing; first violation {table.violations[0]!r}"
         )
-    zero = (0,) * table.partition.m
-    f0 = table.values[zero]
+    values = table.values
+    m = table.partition.m
+    f0 = values[(0,) * m]
     ideals = []
     for n in range(1, f0 + 1):
-        members = [u for u, fu in table.values.items() if fu >= n]
-        members.sort(key=lambda u: (sum(u), lex_key(u)), reverse=True)
-        frontier: List[MultiIndex] = []
-        for u in members:
-            if not any(product_leq(u, v) for v in frontier):
-                frontier.append(u)
+        members = [u for u, fu in values.items() if fu >= n]
+        # the domain is downward closed and f decreasing, so u is maximal
+        # in I_n exactly when no successor u + e_i reaches n
+        frontier = [
+            u
+            for u in members
+            if all(
+                values.get(u[:i] + (u[i] + 1,) + u[i + 1 :], n - 1) < n
+                for i in range(m)
+            )
+        ]
         counts: Dict[MultiIndex, int] = {}
         for u in members:
             s = table.partition.part_degree(u)
@@ -676,6 +709,18 @@ def analyze_graded(
     if context_sys is not None:
         _check_context(sys, context_sys)
     table = tabulate_f(sys, A, B, None, cfg, context_sys)
+    return _analyze_table(sys, A, B, table, cfg, context_sys)
+
+
+def _analyze_table(
+    sys: OperatorSystem,
+    A,
+    B,
+    table: DecreasingTable,
+    cfg: StabilizationConfig,
+    context_sys: OperatorSystem | None,
+) -> PipelineResult:
+    """The graded pipeline after tabulation: stabilize, interpolate, verify."""
     if table.violations:
         u, up = table.violations[0]
         raise HypothesisError(
@@ -837,7 +882,7 @@ def phi_closure_member(
             "triangular, so the limit dichotomy does not apply",
         )
     try:
-        result = analyze_graded(sys, [a], B, cfg)
+        result = _analyze_table(sys, [a], B, table, cfg, None)
     except HypothesisError as exc:
         return ClosureDecision("inconclusive", detail=str(exc))
     if result.status == CERTIFIED:

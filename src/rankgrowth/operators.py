@@ -83,15 +83,16 @@ class Partition:
         """All words r with part degree s, ascending in the lex order."""
         if len(s) != self.k:
             raise InputError(f"part-degree length {len(s)} != k = {self.k}")
+        # the lex order compares the last part first, so the product runs
+        # with the last part outermost over each part's lex-ordered blocks
         per_part = [
-            list(compositions(s[i], self.part_sizes[i])) for i in range(self.k)
+            list(compositions(s[i], self.part_sizes[i]))
+            for i in reversed(range(self.k))
         ]
-        words = [
-            tuple(itertools.chain.from_iterable(combo))
+        return [
+            tuple(itertools.chain.from_iterable(reversed(combo)))
             for combo in itertools.product(*per_part)
         ]
-        words.sort(key=lex_key)
-        return words
 
     def word_count(self, s: MultiIndex, mode: str = "graded") -> int:
         """Number of words of part degree s (graded) or part degree <= s (cumulative)."""
@@ -115,13 +116,13 @@ class Partition:
 
 
 def compositions(total: int, parts: int):
-    """All tuples of ``parts`` naturals summing to ``total``."""
+    """All tuples of ``parts`` naturals summing to ``total``, ascending in lex order."""
     if parts == 1:
         yield (total,)
         return
-    for head in range(total + 1):
-        for rest in compositions(total - head, parts - 1):
-            yield (head,) + rest
+    for last in range(total + 1):
+        for rest in compositions(total - last, parts - 1):
+            yield rest + (last,)
 
 
 def degrees_below(cap: MultiIndex):
@@ -191,6 +192,9 @@ class OperatorSystem:
         )
 
 
+_MISSING = object()
+
+
 def apply_word(sys: OperatorSystem, a, r: MultiIndex, cache: dict | None = None):
     """Apply the word with multiplicities ``r`` to ``a``, memoized.
 
@@ -208,11 +212,20 @@ def apply_word(sys: OperatorSystem, a, r: MultiIndex, cache: dict | None = None)
     seed = sys.backend.key(a)
     pending = []
     cur = tuple(r)
-    while any(cur) and (seed, cur) not in cache:
-        i = max(j for j, c in enumerate(cur) if c)
+    # decrementing the highest nonzero coordinate never raises a higher
+    # one, so the index only walks down
+    i = len(cur) - 1
+    while True:
+        while i >= 0 and not cur[i]:
+            i -= 1
+        if i < 0:
+            val = a
+            break
+        val = cache.get((seed, cur), _MISSING)
+        if val is not _MISSING:
+            break
         pending.append((cur, i))
         cur = cur[:i] + (cur[i] - 1,) + cur[i + 1 :]
-    val = a if not any(cur) else cache[(seed, cur)]
     for word, i in reversed(pending):
         try:
             val = sys.maps[i](val)
@@ -366,7 +379,7 @@ def check_system(
     seen = set()
     for a in backend.sorted_elems(sample):
         for t in range(max(1, depth - 1)):
-            for r in _words_of_total_degree(sys.m, t):
+            for r in compositions(t, sys.m):
                 try:
                     x = apply_word(sys, a, r, cache)
                 except OperatorError:
@@ -411,7 +424,3 @@ def check_system(
     report.parts_triangular = tuple(tri)
     report.parts_quasi_triangular = tuple(quasi)
     return report
-
-
-def _words_of_total_degree(m: int, t: int):
-    return sorted(compositions(t, m), key=lex_key)

@@ -1,9 +1,10 @@
 """Independent brute-force oracles used to pin expected test values.
 
 Deliberately separate from the package internals: plain Fraction row
-reduction, a five-line union-find, direct sumset iteration and lattice
-point counting.  Tests freeze values computed here and compare the
-package's answers against them.
+reduction, a five-line union-find, direct sumset iteration, lattice
+point counting, and quadratic greedy sweeps for the staircase, the
+violations and the level frontiers of a table.  Tests freeze values
+computed here and compare the package's answers against them.
 """
 
 from fractions import Fraction
@@ -122,3 +123,87 @@ def subcomplex_betti(simplices, n):
 
     n_simps = len([x for x in closed if len(x) == n + 1])
     return n_simps - boundary_rank(n) - boundary_rank(n + 1)
+
+
+def _lex_key(u):
+    return tuple(reversed(u))
+
+
+def _leq(v, u):
+    return all(a <= b for a, b in zip(v, u))
+
+
+def successor_violations(values):
+    """Pairs (u, u + e_i) of a table where the value increases.
+
+    Scans every word's successors; ordered by the lower word's total
+    degree, then its last-coordinate-first lex key, then the axis.
+    """
+    out = []
+    for u, fu in values.items():
+        for i in range(len(u)):
+            up = u[:i] + (u[i] + 1,) + u[i + 1 :]
+            fup = values.get(up)
+            if fup is not None and fup > fu:
+                out.append((u, up))
+    out.sort(key=lambda pair: (sum(pair[0]), _lex_key(pair[0])))
+    return out
+
+
+def greedy_staircase(values, part_sizes, slice_cap, window):
+    """(levels, m_bar, status, failure) of a decreasing table, greedily.
+
+    For each n = 0..f(0), sweeps every word by total degree and lex key
+    and keeps those with f <= n that no kept word lies below: the minimal
+    words of {f <= n}.  ``m_bar`` joins them all; the window check then
+    compares every word of the band beyond ``m_bar`` with its clamp.
+    """
+    m = sum(part_sizes)
+    zero = (0,) * m
+    f0 = values[zero]
+    by_degree = sorted(values.items(), key=lambda kv: (sum(kv[0]), _lex_key(kv[0])))
+    levels = {}
+    m_bar = list(zero)
+    for n in range(f0 + 1):
+        antichain = []
+        for u, fu in by_degree:
+            if fu <= n and not any(_leq(v, u) for v in antichain):
+                antichain.append(u)
+        levels[n] = tuple(antichain)
+        for u in antichain:
+            m_bar = [max(a, b) for a, b in zip(m_bar, u)]
+    m_bar = tuple(m_bar)
+
+    def part_degree(r):
+        out, start = [], 0
+        for d in part_sizes:
+            out.append(sum(r[start : start + d]))
+            start += d
+        return tuple(out)
+
+    band_cap = tuple(c + window for c in m_bar)
+    if not _leq(part_degree(band_cap), slice_cap):
+        failure = f"window {band_cap} exceeds tabulated part degrees {slice_cap}"
+        return levels, m_bar, "box-truncated", failure
+    for u in product(*(range(c + 1) for c in band_cap)):
+        if _leq(u, m_bar):
+            continue
+        clamped = tuple(min(a, b) for a, b in zip(u, m_bar))
+        if values[u] != values[clamped]:
+            failure = f"value changes beyond candidate bound at {u}"
+            return levels, m_bar, "box-truncated", failure
+    return levels, m_bar, "window-certified", None
+
+
+def greedy_frontier(values, n):
+    """Maximal words of {f >= n}, by a greedy sweep from the top, sorted."""
+    members = sorted(
+        (u for u, fu in values.items() if fu >= n),
+        key=lambda u: (sum(u), _lex_key(u)),
+        reverse=True,
+    )
+    frontier = []
+    for u in members:
+        if not any(_leq(u, v) for v in frontier):
+            frontier.append(u)
+    return tuple(sorted(frontier))

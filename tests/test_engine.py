@@ -45,6 +45,7 @@ from rankgrowth.backends import (
     translation,
 )
 from rankgrowth.operators import graded_orbit, product_leq
+from oracles import greedy_frontier, greedy_staircase, successor_violations
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +206,58 @@ def test_detect_requires_decreasing():
     table = DecreasingTable.from_function(lambda u: u[0], (4,), Partition([1]))
     with pytest.raises(ContractError):
         detect_stabilization(table)
+
+
+@st.composite
+def staircase_tables(draw):
+    """from_function tables with m <= 3, parts [m] or [1, m - 1]; some not decreasing."""
+    m = draw(st.integers(1, 3))
+    parts = draw(st.sampled_from([[m], [1, m - 1]] if m > 1 else [[1]]))
+    box = tuple(draw(st.lists(st.integers(0, 4), min_size=m, max_size=m)))
+    point = st.tuples(*[st.integers(0, 4)] * m)
+    if draw(st.booleans()):
+        # a sum of ideal indicators is decreasing
+        ideals = draw(st.lists(st.lists(point, max_size=3), max_size=4))
+
+        def f(u):
+            return sum(not any(product_leq(p, u) for p in gens) for gens in ideals)
+
+    else:
+        noise = draw(st.dictionaries(point, st.integers(0, 3), max_size=6))
+
+        def f(u):
+            return noise.get(u, 1)
+
+    return DecreasingTable.from_function(f, box, Partition(parts))
+
+
+@given(staircase_tables(), st.integers(1, 3))
+@settings(max_examples=80, deadline=None)
+def test_one_pass_staircase_matches_greedy_reference(table, window):
+    assert table.violations == successor_violations(table.values)
+    cfg = StabilizationConfig(window=window)
+    if table.violations:
+        with pytest.raises(ContractError):
+            detect_stabilization(table, cfg)
+        return
+    cert = detect_stabilization(table, cfg)
+    got = (cert.levels, cert.m_bar, cert.status, cert.failure)
+    p = table.partition
+    assert got == greedy_staircase(
+        table.values, p.part_sizes, table.slice_cap, window
+    )
+    assert list(cert.levels) == list(range(table.values[(0,) * p.m] + 1))
+    for level in realize_monomial_module(table).ideals:
+        assert level.frontier == greedy_frontier(table.values, level.n)
+
+
+def test_table_without_a_predecessor_is_input_error():
+    p = Partition([2])
+    values = {(0, 0): 2, (1, 0): 1, (0, 1): 1, (1, 1): 0}
+    assert DecreasingTable((1, 1), p, values, (2,), 2).corners
+    del values[(0, 1)]
+    with pytest.raises(InputError, match=r"\(0, 1\)"):
+        DecreasingTable((1, 1), p, values, (2,), 2)
 
 
 def test_joint_staircase_bound_beyond_slices_degrades_gracefully():
@@ -479,6 +532,20 @@ def test_phi_closure_trichotomy():
     assert phi_closure_member(sys, (0,), []).decision == "non-member"
     tiny = StabilizationConfig(box=(0, 0))
     assert phi_closure_member(sys, (0,), [], tiny).decision == "inconclusive"
+
+
+def test_phi_closure_non_member_tabulates_once(monkeypatch):
+    calls = []
+    honest = engine.tabulate_f
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return honest(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "tabulate_f", counting)
+    sys = make_sumset_system([0, 1])
+    assert phi_closure_member(sys, (0,), []).decision == "non-member"
+    assert len(calls) == 1
 
 
 def test_phi_closure_dependency_beyond_box_is_inconclusive():

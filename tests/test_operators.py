@@ -1,10 +1,11 @@
 """Multi-index orders, orbits, augmentation, and the sampled system checks."""
 
+import itertools
 import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rankgrowth import (
     InputError,
@@ -168,13 +169,30 @@ def test_augment_shapes_and_idempotence_of_effect():
     assert aug.augmented
 
 
-def test_word_enumeration_is_lex_sorted():
-    p = Partition([2, 1])
-    words = p.words_of_part_degree((2, 1))
-    assert words[0] == (2, 0, 1)
-    keys = [tuple(reversed(w)) for w in words]
-    assert keys == sorted(keys)
-    assert len(words) == p.word_count((2, 1))
+@st.composite
+def sizes_and_degrees(draw):
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    degrees = draw(st.lists(st.integers(0, 5), min_size=len(sizes), max_size=len(sizes)))
+    return sizes, tuple(degrees)
+
+
+@given(sizes_and_degrees())
+@example(([2, 1], (2, 1)))
+@settings(max_examples=60, deadline=None)
+def test_word_enumeration_is_lex_sorted(case):
+    sizes, s = case
+    p = Partition(sizes)
+    words = p.words_of_part_degree(s)
+    blocks = [
+        [c for c in itertools.product(range(t + 1), repeat=d) if sum(c) == t]
+        for t, d in zip(s, sizes)
+    ]
+    expect = sorted(
+        (tuple(itertools.chain.from_iterable(combo)) for combo in itertools.product(*blocks)),
+        key=lambda w: tuple(reversed(w)),
+    )
+    assert words == expect
+    assert len(words) == p.word_count(s)
 
 
 def test_word_count_closed_forms():
