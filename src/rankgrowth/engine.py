@@ -15,11 +15,16 @@ values.  No floating point is used anywhere.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import compress, repeat
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ContractError, HypothesisError, InputError, RankGrowthError
 from .operators import (
@@ -30,8 +35,9 @@ from .operators import (
     augment,
     degrees_below,
     graded_orbit,
-    apply_word,
+    identity_map,
     lex_key,
+    map_failure,
     product_leq,
 )
 
@@ -72,34 +78,113 @@ class StabilizationConfig:
         return self.box
 
 
-def _slice_marginals(
-    sys: OperatorSystem,
-    A_sorted: List,
-    B,
-    s: MultiIndex,
-    cache: dict,
-    cache_b: dict,
-    context_sys: OperatorSystem | None,
-):
-    """Yield (word, marginal rank) for every word of part degree s.
+MAX_WORDS = 2_000_000
+"""Work budget: the most words one table may hold (37 times the 53,856 of
+the largest default-box tables)."""
 
-    A fresh builder is seeded with the graded orbit of B at s, taken in
-    the context system when one is supplied; words then arrive in
-    ascending lex order, and each one's marginal is the number of its
-    images of A that raise the rank over everything fed before.  Summing
-    over the slice telescopes to the relative rank of the graded orbits.
-    ``cache`` memoizes words on A, ``cache_b`` on B in the base system.
+
+class _WordLattice(NamedTuple):
+    """Every word of N^m whose part degree is at most a cap, indexed once.
+
+    ``words`` lists them in table order: slices (part-degree classes) in
+    ``degrees_below`` order, ascending lex order inside each; ``slices``
+    holds each slice's ``(s, start, stop)`` index range.  Word ``n`` is map
+    ``top[n]`` (its highest nonzero coordinate) applied to word ``up[n]``,
+    the step ``apply_word`` takes; the zero word has top -1 and up 0, the
+    identity on itself.  ``down[i][n]`` is the index of word ``n`` minus
+    ``e_i``, or -1 when coordinate ``i`` is zero.  Every predecessor comes
+    before its word.  Shared by every caller, so read-only.
     """
-    builder = sys.backend.basis_builder()
+
+    words: List[MultiIndex]
+    slices: List[Tuple[MultiIndex, int, int]]
+    top: array
+    up: array
+    down: Tuple[array, ...]
+
+
+@functools.lru_cache(maxsize=1)  # an unbounded cache grows peak memory
+def _word_lattice(part_sizes: Tuple[int, ...], cap: MultiIndex) -> _WordLattice:
+    """The lattice of words under ``cap``; beyond ``MAX_WORDS`` an ``InputError``.
+
+    The size has a closed form, so the budget is checked before any word
+    is built.
+    """
+    partition = Partition(part_sizes)
+    size = partition.word_count(cap, "cumulative")
+    if size > MAX_WORDS:
+        raise InputError(
+            f"tabulating part degrees up to {cap} needs {size:,} words, over the "
+            f"limit of {MAX_WORDS:,}; use a smaller box (--box)"
+        )
+    words: List[MultiIndex] = []
+    slices = []
+    for s in degrees_below(cap):
+        start = len(words)
+        words.extend(partition.words_of_part_degree(s))
+        slices.append((s, start, len(words)))
+    # word w has key sum(w_i * radix**i), so w - e_i has key(w) - radix**i;
+    # when w_i = 0 the borrow leaves a digit radix - 1, which no word has
+    radix = max(cap) + 2
+    powers = [radix**i for i in range(partition.m)]
+    keys = [sum(map(operator.mul, w, powers)) for w in words]
+    index = dict(zip(keys, range(len(keys))))
+    sub = operator.sub
+    top = array("i", map(sub, map(bisect_right, repeat(powers), keys), repeat(1)))
+    up = array(
+        "i", map(index.get, map(sub, keys, map(powers.__getitem__, top)), repeat(0))
+    )
+    down = tuple(
+        array("i", map(index.get, map(sub, keys, repeat(p)), repeat(-1)))
+        for p in powers
+    )
+    return _WordLattice(words, slices, top, up, down)
+
+
+def _marginals(
+    sys: OperatorSystem,
+    lattice: _WordLattice,
+    A_sorted: List,
+    B: List,
+    context_sys: OperatorSystem | None,
+) -> List[int]:
+    """Marginal rank of every word of the lattice, in its order.
+
+    Each slice gets a fresh builder, seeded with the graded orbit of B at
+    that slice (taken in the context system when one is supplied) when B
+    is nonempty; its words then arrive in ascending lex order, and each
+    one's marginal is the number of its images of A that raise the rank
+    over everything fed before.  Summing over a slice telescopes to the
+    relative rank of the graded orbits.  Each seed keeps one flat list of
+    images, and word n's image is map ``top[n]`` applied to word
+    ``up[n]``'s, so every image is the one ``apply_word`` gives.  A map
+    that raises becomes the ``OperatorError`` ``apply_word`` raises.
+    """
+    words, top, up = lattice.words, lattice.top, lattice.up
+    maps = sys.maps + (identity_map,)  # top -1 keeps the seed at the zero word
     base_sys = context_sys if context_sys is not None else sys
-    builder.add_all(graded_orbit(base_sys, B, s, cache_b))
-    add = builder.add
-    for r in sys.partition.words_of_part_degree(s):
-        accepted = 0
-        for a in A_sorted:
-            if add(apply_word(sys, a, r, cache)):
-                accepted += 1
-        yield r, accepted
+    cache_b: dict = {}
+    images = [[a] * len(words) for a in A_sorted]
+    marginals = []
+    for s, start, stop in lattice.slices:
+        builder = sys.backend.basis_builder()
+        if B:
+            builder.add_all(graded_orbit(base_sys, B, s, cache_b))
+        add = builder.add
+        for n in range(start, stop):
+            i, prev = top[n], up[n]
+            phi = maps[i]
+            accepted = 0
+            for img in images:
+                try:
+                    x = phi(img[prev])
+                except Exception as exc:  # noqa: BLE001 - rewrapped as apply_word does
+                    raise map_failure(i, words[n], exc) from exc
+                img[n] = x
+                if add(x):
+                    accepted += 1
+            marginals.append(accepted)
+    return marginals
 
 
 def eval_f(
@@ -107,7 +192,6 @@ def eval_f(
     A,
     B,
     u: MultiIndex,
-    cache: dict | None = None,
     context_sys: OperatorSystem | None = None,
 ):
     """Marginal rank of the word ``u`` applied to A.
@@ -120,11 +204,10 @@ def eval_f(
     if len(u) != sys.m or min(u) < 0:
         raise InputError(f"not a word of {sys.m} natural numbers: {u}")
     A_sorted = sys.backend.sorted_elems(A)
-    s = sys.partition.part_degree(u)
-    cache = {} if cache is None else cache
-    for r, value in _slice_marginals(sys, A_sorted, B, s, cache, {}, context_sys):
-        if r == u:
-            return value
+    lattice = _word_lattice(sys.partition.part_sizes, sys.partition.part_degree(u))
+    marginals = _marginals(sys, lattice, A_sorted, list(B), context_sys)
+    _, start, _ = lattice.slices[-1]  # u's slice is the cap, the last one
+    return marginals[lattice.words.index(u, start)]
 
 
 @dataclass
@@ -135,17 +218,20 @@ class DecreasingTable:
     part degree (a superset of the nominal box: lex-earlier words of the
     same degree are needed for correct marginals, so they come for free).
     Its domain must be downward closed, so that every word ``u`` in it
-    also holds each predecessor ``u - e_i``; a table that misses one is
-    an ``InputError``.
+    also holds each predecessor ``u - e_i``, and lie under ``slice_cap``;
+    a table that breaks either is an ``InputError``.
 
     One scan over those unit steps fills the metadata.  ``violations``
     lists the pairs ``(u - e_i, u)`` where the value increases, ordered
     by the lower word's degree and lex key, then the upper word's; any
     entry contradicts a declared triangular part.  ``corners`` lists the
-    triples ``(u, f(u), hi(u))`` with ``f(u) < hi(u)``, where ``hi(u)``
-    is the least value over the predecessors (``f(0) + 1`` for the zero
-    word): on a decreasing table ``u`` is a minimal word of the level set
-    ``{f <= n}`` exactly when ``f(u) <= n < hi(u)``.
+    triples ``(u, f(u), hi(u))`` with ``f(u) < hi(u)`` in table order,
+    where ``hi(u)`` is the least value over the predecessors (``f(0) + 1``
+    for the zero word): on a decreasing table ``u`` is a minimal word of
+    the level set ``{f <= n}`` exactly when ``f(u) <= n < hi(u)``.  A
+    table that holds the words of the slice-cap lattice in lattice order
+    (every tabulated or ``from_function`` table) is scanned by the
+    lattice's predecessor indices; any other is indexed first.
     """
 
     box: Tuple[int, ...]
@@ -157,42 +243,66 @@ class DecreasingTable:
     corners: List[Tuple[MultiIndex, int, int]] = field(init=False)
 
     def __post_init__(self):
-        values = self.values
-        violations, corners = [], []
-        for u, fu in values.items():
-            hi = None
-            for i, c in enumerate(u):
-                if not c:
-                    continue
-                down = u[:i] + (c - 1,) + u[i + 1 :]
-                fd = values.get(down)
-                if fd is None:
-                    raise InputError(
-                        f"table does not cover {down}, a predecessor of {u}"
-                    )
-                if fu > fd:
-                    violations.append((down, u))
-                if hi is None or fd < hi:
-                    hi = fd
-            if hi is None:
-                hi = fu + 1
-            if fu < hi:
-                corners.append((u, fu, hi))
+        words = list(self.values)
+        f = list(self.values.values())
+        downs = self._predecessors(words)
+        ceiling = max(f, default=0) + 1
+        f.append(ceiling)  # read at position -1, which stands for no predecessor
+        # preds[i][n] is the value at word n minus e_i
+        preds = [list(map(f.__getitem__, down)) for down in downs]
+        hi = list(map(min, *preds)) if len(preds) > 1 else preds[0]
+        positions = range(len(words))
+        # a value above some predecessor's is above the least of them
+        violations = [
+            (words[down[n]], words[n])
+            for n in compress(positions, map(operator.gt, f, hi))
+            for down, pred in zip(downs, preds)
+            if f[n] > pred[n]
+        ]
         violations.sort(
             key=lambda pair: (sum(pair[0]), lex_key(pair[0]), lex_key(pair[1]))
         )
         self.violations = violations
-        self.corners = corners
+        # only the zero word has no predecessor, so only its hi is the ceiling
+        self.corners = [
+            (words[n], f[n], hi[n] if hi[n] < ceiling else f[n] + 1)
+            for n in compress(positions, map(operator.lt, f, hi))
+        ]
+
+    def _predecessors(self, words: List[MultiIndex]) -> Sequence[array]:
+        """Per coordinate i, the position in ``words`` of each word minus e_i, or -1."""
+        p, cap = self.partition, tuple(self.slice_cap)
+        if len(cap) != p.k:
+            raise InputError(
+                f"slice cap {cap} has {len(cap)} entries, partition has {p.k}"
+            )
+        if len(words) == p.word_count(cap, "cumulative"):
+            lattice = _word_lattice(p.part_sizes, cap)
+            if words == lattice.words:
+                return lattice.down
+        position = {u: n for n, u in enumerate(words)}
+        downs = [array("i", [-1]) * len(words) for _ in range(p.m)]
+        for n, u in enumerate(words):
+            if not product_leq(p.part_degree(u), cap):
+                raise InputError(f"table word {u} lies beyond the slice cap {cap}")
+            for i, c in enumerate(u):
+                if not c:
+                    continue
+                down = u[:i] + (c - 1,) + u[i + 1 :]
+                d = position.get(down)
+                if d is None:
+                    raise InputError(
+                        f"table does not cover {down}, a predecessor of {u}"
+                    )
+                downs[i][n] = d
+        return downs
 
     @classmethod
     def from_function(cls, f, box: Sequence[int], partition: Partition, seed_size=None):
         """Synthetic table from an explicit function on multi-indices."""
         box = tuple(int(b) for b in box)
         cap = partition.part_degree(box)
-        values = {}
-        for s in degrees_below(cap):
-            for r in partition.words_of_part_degree(s):
-                values[r] = int(f(r))
+        values = {r: int(f(r)) for r in _word_lattice(partition.part_sizes, cap).words}
         if seed_size is None:
             seed_size = max(values.values(), default=0)
         return cls(box, partition, values, cap, seed_size)
@@ -218,8 +328,10 @@ def tabulate_f(
     """Tabulate the marginal rank function over every slice under the box.
 
     Slices (part-degree classes) are independent: each gets a fresh basis
-    builder seeded with the orbit of B, then consumes its words in
-    ascending lex order.
+    builder, seeded with the orbit of B when B is nonempty, then consumes
+    its words in ascending lex order.  The words come from the lattice of
+    the box's part degree, whose size is checked against ``MAX_WORDS``
+    before any word is built or any map applied.
     """
     cfg = cfg or StabilizationConfig()
     box = tuple(box) if box is not None else cfg.resolved_box(sys.m)
@@ -231,12 +343,9 @@ def tabulate_f(
     for x in A_sorted + B_list:
         backend.validate(x)
     cap = sys.partition.part_degree(box)
-    cache, cache_b = {}, {}
-    values: Dict[MultiIndex, int] = {}
-    for s in degrees_below(cap):
-        values.update(
-            _slice_marginals(sys, A_sorted, B_list, s, cache, cache_b, context_sys)
-        )
+    lattice = _word_lattice(sys.partition.part_sizes, cap)
+    marginals = _marginals(sys, lattice, A_sorted, B_list, context_sys)
+    values = dict(zip(lattice.words, marginals))
     return DecreasingTable(box, sys.partition, values, cap, len(A_sorted))
 
 

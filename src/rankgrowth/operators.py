@@ -83,16 +83,12 @@ class Partition:
         """All words r with part degree s, ascending in the lex order."""
         if len(s) != self.k:
             raise InputError(f"part-degree length {len(s)} != k = {self.k}")
-        # the lex order compares the last part first, so the product runs
-        # with the last part outermost over each part's lex-ordered blocks
-        per_part = [
-            list(compositions(s[i], self.part_sizes[i]))
-            for i in reversed(range(self.k))
-        ]
-        return [
-            tuple(itertools.chain.from_iterable(reversed(combo)))
-            for combo in itertools.product(*per_part)
-        ]
+        # the lex order compares the last part first, so each part's
+        # lex-ordered blocks run outside the words of the parts before it
+        words: List[MultiIndex] = [()]
+        for t, d in zip(s, self.part_sizes):
+            words = [w + block for block in compositions(t, d) for w in words]
+        return words
 
     def word_count(self, s: MultiIndex, mode: str = "graded") -> int:
         """Number of words of part degree s (graded) or part degree <= s (cumulative)."""
@@ -195,6 +191,11 @@ class OperatorSystem:
 _MISSING = object()
 
 
+def map_failure(i: int, word: MultiIndex, exc: Exception) -> OperatorError:
+    """The error for map ``i`` (0-based) raising while it applies ``word``."""
+    return OperatorError(f"map {i + 1} failed while applying word {word}: {exc}")
+
+
 def apply_word(sys: OperatorSystem, a, r: MultiIndex, cache: dict | None = None):
     """Apply the word with multiplicities ``r`` to ``a``, memoized.
 
@@ -203,7 +204,10 @@ def apply_word(sys: OperatorSystem, a, r: MultiIndex, cache: dict | None = None)
     highest nonzero coordinate, so identical prefixes are shared across
     the whole run.  The cached value at r + e_i is always the i-th map
     applied to the value at r, so a populated cache witnesses path
-    independence.
+    independence.  A map that raises becomes an ``OperatorError`` naming
+    the map and the word it was applying.  Tabulation takes the same
+    steps over its word lattice without this cache; ``graded_orbit``,
+    ``verify_fit`` and ``check_system`` come through here.
     """
     if len(r) != sys.m:
         raise InputError(f"word length {len(r)} != m = {sys.m}")
@@ -230,9 +234,7 @@ def apply_word(sys: OperatorSystem, a, r: MultiIndex, cache: dict | None = None)
         try:
             val = sys.maps[i](val)
         except Exception as exc:  # noqa: BLE001 - rewrap with the word for context
-            raise OperatorError(
-                f"map {i + 1} failed while applying word {word}: {exc}"
-            ) from exc
+            raise map_failure(i, word, exc) from exc
         cache[(seed, word)] = val
     return val
 
@@ -243,13 +245,16 @@ def graded_orbit(
     """Deduplicated set of all word images of A at part degree exactly s.
 
     Enumeration order is deterministic: seeds sorted by canonical key,
-    words ascending in the lex order.
+    words ascending in the lex order.  No seeds means no words are built.
     """
+    seeds = sys.backend.sorted_elems(A)
+    if not seeds:
+        return []
     if cache is None:
         cache = {}
     words = sys.partition.words_of_part_degree(s)
     out, seen = [], set()
-    for a in sys.backend.sorted_elems(A):
+    for a in seeds:
         for r in words:
             x = apply_word(sys, a, r, cache)
             k = sys.backend.key(x)

@@ -4,7 +4,10 @@ Deliberately separate from the package internals: plain Fraction row
 reduction, a five-line union-find, direct sumset iteration, lattice
 point counting, and quadratic greedy sweeps for the staircase, the
 violations and the level frontiers of a table.  Tests freeze values
-computed here and compare the package's answers against them.
+computed here and compare the package's answers against them.  The one
+exception is ``reference_tabulate``, the per-slice tabulation kernel
+built from the package's ``apply_word`` and basis builders, which pins
+the word-lattice kernel to it.
 """
 
 from fractions import Fraction
@@ -207,3 +210,53 @@ def greedy_frontier(values, n):
         if not any(_leq(u, v) for v in frontier):
             frontier.append(u)
     return tuple(sorted(frontier))
+
+
+def reference_tabulate(sys, A, B, box, context_sys=None):
+    """(values, violations, corners) of a tabulation, slice by slice.
+
+    Every slice gets a fresh builder seeded with the graded orbit of B
+    (in the context system when one is given), then each word's images
+    of A through ``apply_word`` with one (seed key, word) cache for the
+    run; ``reference_scan`` gives the rest.
+    """
+    from rankgrowth.operators import apply_word, degrees_below, graded_orbit
+
+    backend, p = sys.backend, sys.partition
+    A_sorted = backend.sorted_elems(A)
+    B_list = backend.dedupe(B)
+    base = context_sys if context_sys is not None else sys
+    cache, cache_b = {}, {}
+    values = {}
+    for s in degrees_below(p.part_degree(tuple(box))):
+        builder = backend.basis_builder()
+        builder.add_all(graded_orbit(base, B_list, s, cache_b))
+        for r in p.words_of_part_degree(s):
+            values[r] = sum(
+                1 for a in A_sorted if builder.add(apply_word(sys, a, r, cache))
+            )
+    return (values, *reference_scan(values))
+
+
+def reference_scan(values):
+    """(violations, corners) of a table, building each ``u - e_i`` as a tuple.
+
+    Words are visited in the table's order; violations are then sorted by
+    the lower word's degree and lex key, then the upper word's.
+    """
+    violations, corners = [], []
+    for u, fu in values.items():
+        preds = []
+        for i, c in enumerate(u):
+            if c:
+                down = u[:i] + (c - 1,) + u[i + 1 :]
+                preds.append(values[down])
+                if fu > values[down]:
+                    violations.append((down, u))
+        hi = min(preds) if preds else fu + 1
+        if fu < hi:
+            corners.append((u, fu, hi))
+    violations.sort(
+        key=lambda pair: (sum(pair[0]), _lex_key(pair[0]), _lex_key(pair[1]))
+    )
+    return violations, corners

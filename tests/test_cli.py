@@ -9,6 +9,8 @@ from fractions import Fraction
 import pytest
 
 import rankgrowth
+from rankgrowth import OperatorError, apply_word, augment
+from rankgrowth.backends import make_counterexample_graph
 from rankgrowth.cli import (
     EXIT_CERTIFIED,
     EXIT_HYPOTHESIS,
@@ -270,6 +272,36 @@ def test_run_reads_config_and_applies_overrides(tmp_path):
     assert code == EXIT_CERTIFIED
     hi = doc["verification"]["window"][1]
     assert hi == [3]
+
+
+def test_map_failure_exits_input_error_naming_map_and_word(tmp_path):
+    # a gadget generated to depth 3 cannot shift edge index 3 any further;
+    # the augmented system's second map is that shift
+    path = tmp_path / "cfg.json"
+    config = {
+        "mode": "cumulative",
+        "backend": "graphic",
+        "backend_data": "counterexample",
+        "depth": 3,
+    }
+    path.write_text(json.dumps(config))
+    code, doc = run(str(path))
+    assert code == EXIT_INPUT_ERROR
+    assert doc["status"] == "input-error"
+    sys_, seeds = make_counterexample_graph(3)
+    with pytest.raises(OperatorError) as direct:
+        apply_word(augment(sys_), seeds[0], (0, 4))
+    assert doc["error"] == str(direct.value)
+    assert doc["error"].startswith("map 2 failed while applying word (0, 4): ")
+
+
+def test_work_budget_exits_input_error(tmp_path):
+    path = tmp_path / "cfg.json"
+    six_shifts = {"mode": "sumset", "backend_data": {"summands": [[0, 1, 2, 3, 4, 5]]}}
+    path.write_text(json.dumps(dict(six_shifts, A=[[0]])))
+    code, doc = run(str(path), {"box": 20})
+    assert code == EXIT_INPUT_ERROR
+    assert "4,925,156,775 words" in doc["error"] and "--box" in doc["error"]
 
 
 def test_run_missing_file():

@@ -15,6 +15,7 @@ from rankgrowth import (
     GrowthPolynomial,
     HypothesisError,
     InputError,
+    OperatorError,
     OperatorSystem,
     Partition,
     StabilizationConfig,
@@ -44,8 +45,14 @@ from rankgrowth.backends import (
     make_sumset_system,
     translation,
 )
-from rankgrowth.operators import graded_orbit, product_leq
-from oracles import greedy_frontier, greedy_staircase, successor_violations
+from rankgrowth.operators import apply_word, graded_orbit, product_leq
+from oracles import (
+    greedy_frontier,
+    greedy_staircase,
+    reference_scan,
+    reference_tabulate,
+    successor_violations,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +149,98 @@ def test_graded_sum_identity(problem):
         assert table.graded_sum(s) == direct == orbit_rank
 
 
+def _noncommuting_example():
+    # +1 and doubling do not commute, so every image depends on the path
+    # apply_word takes: it always decrements the highest nonzero coordinate
+    def double(x):
+        return (2 * x[0],)
+
+    sys = OperatorSystem([translation((1,)), double], Partition([2]), TrivialBackend(1))
+    return sys, [(1,), (3,)], [(4,)], (3, 3), None
+
+
+def _forced_counterexample():
+    sys, seed = make_counterexample_graph()
+    return sys.with_flags(["triangular"]), seed, [], (8,), None
+
+
+@given(small_problems())
+@example((make_sumset_system([0, 1, 5], [2]), [(0,), (3,)], [(1,)], (3,) * 4, None))
+@example(_context_example())
+@example(_noncommuting_example())
+@example(_forced_counterexample())
+@settings(max_examples=40, deadline=None)
+def test_tabulation_matches_reference_kernel(problem):
+    sys, A, B, box, context_sys = problem
+    table = tabulate_f(sys, A, B, box=box, context_sys=context_sys)
+    values, violations, corners = reference_tabulate(sys, A, B, box, context_sys)
+    assert list(table.values.items()) == list(values.items())
+    assert table.violations == violations
+    assert table.corners == corners
+
+
+def test_tabulation_orbits_b_only_when_b_is_nonempty(monkeypatch):
+    slices = []
+    honest = engine.graded_orbit
+
+    def counting(sys, A, s, cache=None):
+        slices.append(s)
+        return honest(sys, A, s, cache)
+
+    monkeypatch.setattr(engine, "graded_orbit", counting)
+    sys = make_sumset_system([0, 1])
+    tabulate_f(sys, [(0,)], [], box=(2, 2))
+    assert slices == []
+    tabulate_f(sys, [(0,)], [(5,)], box=(2, 2))
+    assert slices == [(0,), (1,), (2,), (3,), (4,)]
+
+
+def test_map_failure_during_tabulation_names_map_and_word():
+    def shift(x):
+        if x[0] >= 3:
+            raise ValueError(f"no image of {x[0]}")
+        return (x[0] + 1,)
+
+    sys = OperatorSystem([translation((0,)), shift], Partition([2]), TrivialBackend(1))
+    with pytest.raises(OperatorError) as direct:
+        apply_word(sys, (0,), (0, 4))
+    with pytest.raises(OperatorError) as tabulated:
+        tabulate_f(sys, [(0,)], [], box=(4, 4))
+    assert str(tabulated.value) == str(direct.value)
+    assert "map 2 failed while applying word (0, 4)" in str(tabulated.value)
+    assert isinstance(tabulated.value.__cause__, ValueError)
+
+
+def test_builder_failure_during_tabulation_is_not_rewrapped():
+    class Broken(TrivialBackend):
+        def basis_builder(self):
+            builder = super().basis_builder()
+
+            def add(elem):
+                raise ContractError(f"refused {elem}")
+
+            builder.add = add
+            return builder
+
+    sys = OperatorSystem([translation((1,))], Partition([1]), Broken(1))
+    with pytest.raises(ContractError, match="refused"):
+        tabulate_f(sys, [(0,)], [], box=(2,))
+
+
+def test_work_budget_rejects_a_huge_box_before_any_word():
+    def never(x):
+        raise AssertionError("no map may run")
+
+    sys = OperatorSystem([never] * 6, Partition([6]), TrivialBackend(1))
+    words = math.comb(126, 6)  # part degrees up to 120 over 6 slots
+    assert words > 4_000_000_000
+    budget = rf"{words:,} words.*{engine.MAX_WORDS:,}.*--box"
+    with pytest.raises(InputError, match=budget):
+        tabulate_f(sys, [(0,)], [], box=(20,) * 6)
+    with pytest.raises(InputError, match=rf"{words:,} words"):
+        DecreasingTable.from_function(never, (20,) * 6, Partition([6]))
+
+
 def test_tabulate_sumset_is_decreasing_all_ones():
     sys = make_sumset_system([0, 1])
     table = tabulate_f(sys, [(0,)], [], box=(5, 5))
@@ -231,10 +330,17 @@ def staircase_tables(draw):
     return DecreasingTable.from_function(f, box, Partition(parts))
 
 
-@given(staircase_tables(), st.integers(1, 3))
+@given(staircase_tables(), st.integers(1, 3), st.randoms(use_true_random=False))
 @settings(max_examples=80, deadline=None)
-def test_one_pass_staircase_matches_greedy_reference(table, window):
+def test_one_pass_staircase_matches_greedy_reference(table, window, rng):
     assert table.violations == successor_violations(table.values)
+    # the same table in another order is indexed from its own words
+    items = list(table.values.items())
+    rng.shuffle(items)
+    shuffled = dict(items)
+    p = table.partition
+    hand = DecreasingTable(table.box, p, shuffled, table.slice_cap, table.seed_size)
+    assert (hand.violations, hand.corners) == reference_scan(shuffled)
     cfg = StabilizationConfig(window=window)
     if table.violations:
         with pytest.raises(ContractError):
@@ -242,7 +348,6 @@ def test_one_pass_staircase_matches_greedy_reference(table, window):
         return
     cert = detect_stabilization(table, cfg)
     got = (cert.levels, cert.m_bar, cert.status, cert.failure)
-    p = table.partition
     assert got == greedy_staircase(
         table.values, p.part_sizes, table.slice_cap, window
     )
@@ -258,6 +363,15 @@ def test_table_without_a_predecessor_is_input_error():
     del values[(0, 1)]
     with pytest.raises(InputError, match=r"\(0, 1\)"):
         DecreasingTable((1, 1), p, values, (2,), 2)
+
+
+def test_table_word_beyond_slice_cap_is_input_error():
+    p = Partition([1])
+    values = {(0,): 2, (1,): 1, (2,): 1}
+    table = DecreasingTable((1,), p, values, (2,), 2)
+    assert table.corners == [((0,), 2, 3), ((1,), 1, 2)]
+    with pytest.raises(InputError, match=r"\(2,\) lies beyond the slice cap \(1,\)"):
+        DecreasingTable((1,), p, values, (1,), 2)
 
 
 def test_joint_staircase_bound_beyond_slices_degrades_gracefully():

@@ -121,6 +121,22 @@ def test_graded_orbit_examples():
     assert graded_orbit(sys, [], (3,)) == []
 
 
+def test_graded_orbit_of_no_seeds_builds_no_words(monkeypatch):
+    calls = []
+    honest = Partition.words_of_part_degree
+
+    def counting(self, s):
+        calls.append(s)
+        return honest(self, s)
+
+    monkeypatch.setattr(Partition, "words_of_part_degree", counting)
+    sys = make_sumset_system([0, 1])
+    assert graded_orbit(sys, [], (3,)) == []
+    assert calls == []
+    assert graded_orbit(sys, [(0,)], (3,)) == [(0,), (1,), (2,), (3,)]
+    assert calls == [(3,)]
+
+
 def test_graded_orbit_monotone_in_seed():
     sys = make_sumset_system([0, 2], [1])
     small = set(graded_orbit(sys, [(0,)], (2, 1)))
