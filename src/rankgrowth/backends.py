@@ -56,12 +56,6 @@ class TrivialBackend(RankOracle):
                 f"got {elem!r}"
             )
 
-    def rank(self, elems) -> int:
-        elems = list(elems)
-        for x in elems:
-            self.validate(x)
-        return len({self.key(x) for x in elems})
-
     def basis_builder(self) -> BasisBuilder:
         return _SetBuilder(lambda elem: True)
 
@@ -165,12 +159,6 @@ class IdealCountBackend(RankOracle):
     def contains(self, point: Tuple[int, ...]) -> bool:
         return not any(product_leq(a, point) for a in self.antichain)
 
-    def rank(self, elems) -> int:
-        elems = self.dedupe(elems)
-        for x in elems:
-            self.validate(x)
-        return len({x for x in elems if self.contains(x)})
-
     def basis_builder(self) -> BasisBuilder:
         return _SetBuilder(self.contains)
 
@@ -237,12 +225,6 @@ class LinearBackend(RankOracle):
 
     def key(self, elem):
         return tuple((k, (c.numerator, c.denominator)) for k, c in elem)
-
-    def rank(self, elems) -> int:
-        elems = list(elems)
-        for x in elems:
-            self.validate(x)
-        return self.basis_builder().add_all(elems)
 
     def basis_builder(self) -> BasisBuilder:
         return _EchelonBuilder()
@@ -378,10 +360,6 @@ class GraphicBackend(RankOracle):
 
     def validate(self, elem):
         self.endpoints(elem)
-
-    def rank(self, elems) -> int:
-        builder = self.basis_builder()
-        return builder.add_all(elems)
 
     def basis_builder(self) -> BasisBuilder:
         return _ForestBuilder(self)
@@ -578,29 +556,17 @@ class ChainFreeOracle(RankOracle):
         if elem[1] not in self.complex.simplices:
             raise InputError(f"simplex {elem[1]} is not in the complex")
 
-    def rank(self, elems) -> int:
-        elems = self.dedupe(elems)
-        for x in elems:
-            self.validate(x)
-        return len({x for x in elems if x != ZERO_CHAIN})
-
     def basis_builder(self) -> BasisBuilder:
         return _SetBuilder(lambda elem: elem != ZERO_CHAIN)
 
 
-class ChainBoundaryOracle(RankOracle):
+class ChainBoundaryOracle(ChainFreeOracle):
     """Rank of boundary images of n-simplices, by exact elimination.
 
     Simplices are oriented by sorted vertex order with alternating signs;
-    the collapsed chain element has boundary zero.
+    the collapsed chain element has boundary zero.  The elements, and
+    their validation, are the free oracle's.
     """
-
-    def __init__(self, complex_: SimplicialComplex, n: int):
-        self.complex = complex_
-        self.n = n
-
-    def validate(self, elem):
-        ChainFreeOracle(self.complex, self.n).validate(elem)
 
     def boundary(self, elem) -> Dict[Tuple, int]:
         if elem == ZERO_CHAIN or self.n == 0:
@@ -611,12 +577,6 @@ class ChainBoundaryOracle(RankOracle):
             face = verts[:j] + verts[j + 1 :]
             out[face] = out.get(face, 0) + (-1) ** j
         return {k: v for k, v in out.items() if v}
-
-    def rank(self, elems) -> int:
-        elems = list(elems)
-        for x in elems:
-            self.validate(x)
-        return self.basis_builder().add_all(elems)
 
     def basis_builder(self) -> BasisBuilder:
         return _BoundaryBuilder(self)
@@ -750,12 +710,6 @@ class CircuitBackend(RankOracle):
 
     def degree(self, elem) -> Tuple[int, ...]:
         return tuple(elem[0])
-
-    def rank(self, elems) -> int:
-        elems = list(elems)
-        for x in elems:
-            self.validate(x)
-        return self.basis_builder().add_all(elems)
 
     def basis_builder(self) -> BasisBuilder:
         return _GreedyCircuitBuilder(self)

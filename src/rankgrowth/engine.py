@@ -141,52 +141,6 @@ def _word_lattice(part_sizes: Tuple[int, ...], cap: MultiIndex) -> _WordLattice:
     return _WordLattice(words, slices, top, up, down)
 
 
-def _marginals(
-    sys: OperatorSystem,
-    lattice: _WordLattice,
-    A_sorted: List,
-    B: List,
-    context_sys: OperatorSystem | None,
-) -> List[int]:
-    """Marginal rank of every word of the lattice, in its order.
-
-    Each slice gets a fresh builder, seeded with the graded orbit of B at
-    that slice (taken in the context system when one is supplied) when B
-    is nonempty; its words then arrive in ascending lex order, and each
-    one's marginal is the number of its images of A that raise the rank
-    over everything fed before.  Summing over a slice telescopes to the
-    relative rank of the graded orbits.  Each seed keeps one flat list of
-    images, and word n's image is map ``top[n]`` applied to word
-    ``up[n]``'s, so every image is the one ``apply_word`` gives.  A map
-    that raises becomes the ``OperatorError`` ``apply_word`` raises.
-    """
-    words, top, up = lattice.words, lattice.top, lattice.up
-    maps = sys.maps + (identity_map,)  # top -1 keeps the seed at the zero word
-    base_sys = context_sys if context_sys is not None else sys
-    cache_b: dict = {}
-    images = [[a] * len(words) for a in A_sorted]
-    marginals = []
-    for s, start, stop in lattice.slices:
-        builder = sys.backend.basis_builder()
-        if B:
-            builder.add_all(graded_orbit(base_sys, B, s, cache_b))
-        add = builder.add
-        for n in range(start, stop):
-            i, prev = top[n], up[n]
-            phi = maps[i]
-            accepted = 0
-            for img in images:
-                try:
-                    x = phi(img[prev])
-                except Exception as exc:  # noqa: BLE001 - rewrapped as apply_word does
-                    raise map_failure(i, words[n], exc) from exc
-                img[n] = x
-                if add(x):
-                    accepted += 1
-            marginals.append(accepted)
-    return marginals
-
-
 def eval_f(
     sys: OperatorSystem,
     A,
@@ -198,16 +152,14 @@ def eval_f(
 
     The base is every lex-earlier word of the same part degree applied to
     A, together with the full graded orbit of B (taken in the context
-    system when one is supplied).
+    system when one is supplied).  The value is read from the table that
+    ``tabulate_f`` builds with ``u`` as its box, so it ranks every slice up
+    to ``u``'s part degree.
     """
     u = tuple(int(x) for x in u)
     if len(u) != sys.m or min(u) < 0:
         raise InputError(f"not a word of {sys.m} natural numbers: {u}")
-    A_sorted = sys.backend.sorted_elems(A)
-    lattice = _word_lattice(sys.partition.part_sizes, sys.partition.part_degree(u))
-    marginals = _marginals(sys, lattice, A_sorted, list(B), context_sys)
-    _, start, _ = lattice.slices[-1]  # u's slice is the cap, the last one
-    return marginals[lattice.words.index(u, start)]
+    return tabulate_f(sys, A, B, u, None, context_sys).values[u]
 
 
 @dataclass
@@ -327,16 +279,26 @@ def tabulate_f(
 ) -> DecreasingTable:
     """Tabulate the marginal rank function over every slice under the box.
 
-    Slices (part-degree classes) are independent: each gets a fresh basis
-    builder, seeded with the orbit of B when B is nonempty, then consumes
-    its words in ascending lex order.  The words come from the lattice of
-    the box's part degree, whose size is checked against ``MAX_WORDS``
-    before any word is built or any map applied.
+    An explicit ``box`` replaces the config's and is validated as one.
+    The words come from the lattice of the box's part degree, whose size
+    is checked against ``MAX_WORDS`` before any word is built or any map
+    applied.
+
+    Each slice (part-degree class) gets a fresh basis builder, seeded with
+    the graded orbit of B at that slice (taken in the context system when
+    one is supplied) when B is nonempty; its words then arrive in
+    ascending lex order, and each one's marginal is the number of its
+    images of A that raise the rank over everything fed before.  Summing
+    over a slice telescopes to the relative rank of the graded orbits.
+    Each seed keeps one flat list of images, and word n's image is map
+    ``top[n]`` applied to word ``up[n]``'s, so every image is the one
+    ``apply_word`` gives.  A map that raises becomes the ``OperatorError``
+    ``apply_word`` raises.
     """
     cfg = cfg or StabilizationConfig()
-    box = tuple(box) if box is not None else cfg.resolved_box(sys.m)
-    if len(box) != sys.m:
-        raise InputError(f"box has {len(box)} coordinates, system has {sys.m}")
+    if box is not None:
+        cfg = replace(cfg, box=box)
+    box = cfg.resolved_box(sys.m)
     backend = sys.backend
     A_sorted = backend.sorted_elems(A)
     B_list = backend.dedupe(B)
@@ -344,8 +306,31 @@ def tabulate_f(
         backend.validate(x)
     cap = sys.partition.part_degree(box)
     lattice = _word_lattice(sys.partition.part_sizes, cap)
-    marginals = _marginals(sys, lattice, A_sorted, B_list, context_sys)
-    values = dict(zip(lattice.words, marginals))
+    words, top, up = lattice.words, lattice.top, lattice.up
+    maps = sys.maps + (identity_map,)  # top -1 keeps the seed at the zero word
+    base_sys = context_sys if context_sys is not None else sys
+    cache_b: dict = {}
+    images = [[a] * len(words) for a in A_sorted]
+    marginals = []
+    for s, start, stop in lattice.slices:
+        builder = backend.basis_builder()
+        if B_list:
+            builder.add_all(graded_orbit(base_sys, B_list, s, cache_b))
+        add = builder.add
+        for n in range(start, stop):
+            i, prev = top[n], up[n]
+            phi = maps[i]
+            accepted = 0
+            for img in images:
+                try:
+                    x = phi(img[prev])
+                except Exception as exc:  # noqa: BLE001 - rewrapped as apply_word does
+                    raise map_failure(i, words[n], exc) from exc
+                img[n] = x
+                if add(x):
+                    accepted += 1
+            marginals.append(accepted)
+    values = dict(zip(words, marginals))
     return DecreasingTable(box, sys.partition, values, cap, len(A_sorted))
 
 
@@ -894,6 +879,8 @@ def analyze_cumulative(
     aug = augment(sys)
     if cfg.box is not None and len(cfg.box) == sys.m:
         cfg = replace(cfg, box=_augment_box(cfg.box, sys.partition))
+    elif cfg.box is not None and len(cfg.box) != aug.m:
+        raise InputError(f"box has {len(cfg.box)} coordinates, system has {sys.m}")
     return analyze_graded(aug, A, B, cfg)
 
 

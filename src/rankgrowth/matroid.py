@@ -1,11 +1,12 @@
 """Finitary-matroid rank oracles.
 
-A backend exposes a single pure function ``rank`` on finite element sets.
-Everything else (relative rank, localization, basis extension) is
-derived here, so backends stay minimal.  Elements are
-identified by a canonical key: two elements are the same point of the
-ground set iff their keys are equal, and keys are orderable so that every
-enumeration in the engine is deterministic.
+A backend exposes a single primitive, ``basis_builder``: a fresh
+incremental builder whose ``add`` says whether an element raises the rank
+of everything fed before it.  Everything else (rank, relative rank,
+localization, basis extension) is derived here, so backends stay
+minimal.  Elements are identified by a canonical key: two elements are
+the same point of the ground set iff their keys are equal, and keys are
+orderable so that every enumeration in the engine is deterministic.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ class BasisBuilder(ABC):
 class RankOracle(ABC):
     """A deterministic rank function satisfying the matroid axioms.
 
+    A backend implements ``basis_builder``, and optionally ``key`` and
+    ``validate``; ``rank`` is the number of elements its builder accepts.
     Required axioms, exact over the integers:
       rank({}) = 0
       rank(S + x) - rank(S) in {0, 1}
@@ -47,8 +50,8 @@ class RankOracle(ABC):
     """
 
     @abstractmethod
-    def rank(self, elems: Iterable) -> int:
-        ...
+    def basis_builder(self) -> BasisBuilder:
+        """Fresh incremental builder for an empty set."""
 
     def key(self, elem):
         """Canonical, orderable identity of an element. Default: the element."""
@@ -57,9 +60,12 @@ class RankOracle(ABC):
     def validate(self, elem) -> None:
         """Raise InputError if the element is not interpretable. Default: accept."""
 
-    def basis_builder(self) -> BasisBuilder:
-        """Fresh incremental builder.  Generic fallback re-queries ``rank``."""
-        return _GenericBuilder(self)
+    def rank(self, elems: Iterable) -> int:
+        """Rank of a finite set; every element is validated first."""
+        elems = list(elems)
+        for x in elems:
+            self.validate(x)
+        return self.basis_builder().add_all(elems)
 
     def dedupe(self, elems) -> List:
         """Distinct elements of ``elems`` in first-seen order (by canonical key)."""
@@ -88,33 +94,15 @@ class RankOracle(ABC):
         return LocalizedOracle(self, list(C))
 
 
-class _GenericBuilder(BasisBuilder):
-    """Quadratic fallback: keeps the accepted list, re-asks the oracle."""
-
-    def __init__(self, oracle: RankOracle):
-        self.oracle = oracle
-        self.accepted = []
-        self._rank = 0
-
-    def add(self, elem) -> bool:
-        r = self.oracle.rank(self.accepted + [elem])
-        if r > self._rank:
-            self.accepted.append(elem)
-            self._rank = r
-            return True
-        return False
-
-
 class LocalizedOracle(RankOracle):
     """rank_C(S) = rank(S | C) - rank(C) for a frozen finite C."""
 
     def __init__(self, base: RankOracle, C):
+        C = list(C)
+        for x in C:
+            base.validate(x)
         self.base = base
         self.C = base.dedupe(C)
-        self._rank_C = base.rank(self.C)
-
-    def rank(self, elems) -> int:
-        return self.base.rank(list(self.C) + list(elems)) - self._rank_C
 
     def key(self, elem):
         return self.base.key(elem)

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to pin expected test values.
 
 Deliberately separate from the package internals: plain Fraction row
-reduction, a five-line union-find, direct sumset iteration, lattice
+reduction, a five-line union-find, the set-count ranks of the trivial,
+ideal-count and free-chain backends, direct sumset iteration, lattice
 point counting, and quadratic greedy sweeps for the staircase, the
 violations and the level frontiers of a table.  Tests freeze values
 computed here and compare the package's answers against them.  The one
@@ -54,6 +55,21 @@ def forest_rank(edges):
             parent[rv] = ru
             r += 1
     return r
+
+
+def distinct_count(elems):
+    """Trivial-backend rank: the number of distinct elements."""
+    return len(set(elems))
+
+
+def ideal_count(elems, antichain):
+    """Ideal-count rank: distinct points with no antichain point below them."""
+    return len({p for p in elems if not any(_leq(q, p) for q in antichain)})
+
+
+def nonzero_chain_count(elems, zero):
+    """Free chain rank: distinct chain elements other than ``zero``."""
+    return len(set(elems) - {zero})
 
 
 def sumset_sizes(A, B, t_max):

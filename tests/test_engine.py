@@ -71,6 +71,8 @@ def test_eval_f_fresh_monomial():
     for bad in [(1,), (1, -1)]:
         with pytest.raises(InputError):
             eval_f(sys, seeds, [], bad)
+    with pytest.raises(InputError):
+        eval_f(make_sumset_system([0, 1]), [(0, 0)], [], (1, 1))
 
 
 def _with_extra_translations(sys, extra):
@@ -225,6 +227,16 @@ def test_builder_failure_during_tabulation_is_not_rewrapped():
     sys = OperatorSystem([translation((1,))], Partition([1]), Broken(1))
     with pytest.raises(ContractError, match="refused"):
         tabulate_f(sys, [(0,)], [], box=(2,))
+
+
+def test_tabulate_validates_an_explicit_box():
+    sys = make_sumset_system([0, 1])
+    with pytest.raises(InputError, match="nonnegative"):
+        tabulate_f(sys, [(0,)], [], box=(-1, 3))
+    with pytest.raises(InputError, match="box has 1 coordinates, system has 2"):
+        tabulate_f(sys, [(0,)], [], box=(3,))
+    cfg = StabilizationConfig(box=(1, 1), window=3)
+    assert tabulate_f(sys, [(0,)], [], box=(2, 2), cfg=cfg).box == (2, 2)
 
 
 def test_work_budget_rejects_a_huge_box_before_any_word():
@@ -576,6 +588,16 @@ def test_cumulative_box_expansion_accepts_original_length():
     cfg = StabilizationConfig(box=(4, 4))
     Q = cumulative_polynomial(sys, [(0,)], cfg=cfg)
     assert Q.evaluate((3,)) == 7  # |{0..2*3}| cumulative of shifts {1,2} from 0
+
+
+def test_cumulative_box_length_names_the_callers_m():
+    sys = make_sumset_system([1, 2])
+    with pytest.raises(InputError, match="box has 1 coordinates, system has 2$"):
+        analyze_cumulative(sys, [(0,)], cfg=StabilizationConfig(box=(4,)))
+    short = analyze_cumulative(sys, [(0,)], cfg=StabilizationConfig(box=(4, 4)))
+    full = analyze_cumulative(sys, [(0,)], cfg=StabilizationConfig(box=(4, 4, 4)))
+    assert short.table.box == full.table.box == (4, 4, 4)
+    assert short.polynomial == full.polynomial
 
 
 def test_context_polynomial_matches_plain_when_equal():

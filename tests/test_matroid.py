@@ -9,13 +9,20 @@ from rankgrowth import (
     ContractError,
     InputError,
     LinearBackend,
+    RankOracle,
     TrivialBackend,
     check_rank_axioms,
     extend_basis,
 )
-from rankgrowth.backends import GraphicBackend, IdealCountBackend
+from rankgrowth.backends import (
+    ZERO_CHAIN,
+    ChainFreeOracle,
+    GraphicBackend,
+    IdealCountBackend,
+    SimplicialComplex,
+)
 
-from oracles import matrix_rank
+from oracles import distinct_count, ideal_count, matrix_rank, nonzero_chain_count
 
 
 def test_rank_is_cardinality_on_trivial():
@@ -41,6 +48,47 @@ def test_rank_rejects_bad_element():
         backend.validate((1,))
     with pytest.raises(InputError):
         IdealCountBackend(2).validate((1, -1))
+    # rank validates before it hashes, so a list is an input error
+    with pytest.raises(InputError):
+        IdealCountBackend(2).rank([[0, 0]])
+    with pytest.raises(InputError):
+        ChainFreeOracle(SimplicialComplex([(0, 1)]), 1).rank([["s", (0, 1)]])
+
+
+def test_an_oracle_must_implement_basis_builder():
+    class RankOnly(RankOracle):
+        def rank(self, elems):
+            return len(set(elems))
+
+    with pytest.raises(TypeError):
+        RankOnly()
+
+
+_TRIANGLE_AND_TAIL = SimplicialComplex([(0, 1, 2), (2, 3)])
+_POINTS = st.tuples(st.integers(0, 4), st.integers(0, 4))
+
+
+@given(
+    pts=st.lists(_POINTS, max_size=8),
+    cut=st.lists(_POINTS, max_size=3),
+    chains=st.lists(
+        st.sampled_from(
+            [("s", e) for e in _TRIANGLE_AND_TAIL.of_dimension(1)] + [ZERO_CHAIN]
+        ),
+        max_size=6,
+    ),
+)
+@settings(max_examples=80, deadline=None)
+def test_derived_rank_matches_set_count_references(pts, cut, chains):
+    assert TrivialBackend(2).rank(pts) == distinct_count(pts)
+    cut = set(cut)
+    antichain = [
+        p for p in cut if not any(q != p and q[0] <= p[0] and q[1] <= p[1] for q in cut)
+    ]
+    ideal = IdealCountBackend(2, antichain)
+    assert ideal.rank(pts) == ideal_count(pts, antichain)
+    free = ChainFreeOracle(_TRIANGLE_AND_TAIL, 1)
+    assert free.rank(chains) == nonzero_chain_count(chains, ZERO_CHAIN)
 
 
 def test_relative_rank_examples():
@@ -60,6 +108,13 @@ def test_localize_identity_and_membership():
         assert local0.rank(S) == backend.rank(S)
     local5 = backend.localize([(5,)])
     assert local5.rank([(5,), (6,)]) == 1
+
+
+def test_localize_validates_c_at_construction():
+    with pytest.raises(InputError):
+        TrivialBackend(1).localize([(1, 2)])
+    with pytest.raises(InputError):
+        TrivialBackend(1).localize([[1]])
 
 
 def test_localize_spanning_tree_kills_component_edges():
@@ -159,6 +214,15 @@ def test_axiom_sampling_per_backend(backend, pool):
     rng = random.Random(13)
     sets = _random_sets(pool, rng, 60, 5)
     assert check_rank_axioms(backend, sets, rng) == []
+
+
+@pytest.mark.parametrize("backend,pool", list(_pools()))
+def test_localized_rank_is_rank_over_c_per_backend(backend, pool):
+    rng = random.Random(19)
+    sets = _random_sets(pool, rng, 60, 4)
+    for C, S in zip(sets[::2], sets[1::2]):
+        want = backend.rank(C + S) - backend.rank(C)
+        assert backend.localize(C).rank(S) == want
 
 
 @given(
