@@ -13,6 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .engine import (
@@ -198,29 +199,46 @@ Vector = Tuple[Tuple[object, Fraction], ...]
 class LinearBackend(RankOracle):
     """Finitely supported exact-rational vectors; rank is span dimension.
 
-    An element is a canonical sorted tuple of (basis key, coefficient)
-    pairs with zero coefficients dropped; basis keys must be mutually
-    orderable.  Rank is computed by sparse Gaussian elimination over the
-    rationals, incremental in the basis builder.
+    An element is a canonical tuple of (basis key, coefficient) pairs:
+    keys strictly increasing, coefficients nonzero ``Fraction``s; basis
+    keys must be mutually orderable.  Rank is computed by sparse
+    fraction-free elimination over the integers, incremental in the basis
+    builder.
     """
 
     def vector(self, items) -> Vector:
-        acc: Dict[object, Fraction] = {}
+        """Canonical vector of (key, int or Fraction) pairs or a dict."""
+        acc: Dict[object, int | Fraction] = {}
         pairs = items.items() if isinstance(items, dict) else items
         for k, c in pairs:
-            acc[k] = acc.get(k, Fraction(0)) + Fraction(c)
-        return tuple(sorted((k, c) for k, c in acc.items() if c != 0))
+            if not isinstance(c, (int, Fraction)):
+                raise InputError(
+                    f"coefficient {c!r} of basis key {k!r} is not an int or a Fraction"
+                )
+            acc[k] = acc.get(k, 0) + c
+        return tuple(sorted((k, Fraction(c)) for k, c in acc.items() if c))
 
     def monomial(self, key, coeff=1) -> Vector:
-        return self.vector([(key, Fraction(coeff))])
+        return self.vector([(key, coeff)])
 
     zero: Vector = ()
 
     def validate(self, elem):
-        if not isinstance(elem, tuple) or not all(
-            isinstance(p, tuple) and len(p) == 2 and isinstance(p[1], Fraction)
-            for p in elem
-        ):
+        try:
+            canonical = (
+                isinstance(elem, tuple)
+                and all(
+                    isinstance(p, tuple)
+                    and len(p) == 2
+                    and isinstance(p[1], Fraction)
+                    and p[1] != 0
+                    for p in elem
+                )
+                and all(p[0] < q[0] for p, q in zip(elem, elem[1:]))
+            )
+        except TypeError:  # keys that do not order
+            canonical = False
+        if not canonical:
             raise InputError(f"not a canonical vector: {elem!r}")
 
     def key(self, elem):
@@ -231,45 +249,89 @@ class LinearBackend(RankOracle):
 
 
 class _EchelonBuilder(BasisBuilder):
-    """Sparse reduced echelon state keyed by pivot basis index."""
+    """Sparse echelon rows of primitive integers, keyed by pivot basis key.
+
+    Fraction-free (the integer-preserving elimination of Bareiss 1968): an
+    incoming vector is scaled to integers by the lcm of its denominators,
+    and each step replaces it by ``b*v - a*row`` with ``a/b`` the ratio of
+    the pivot entries in lowest terms, then divides out its content.  The
+    pivot is always the least key, so every step is a nonzero multiple of
+    the rational one and every accept or reject the same.  Stored rows are
+    primitive with a positive pivot entry.
+    """
 
     def __init__(self):
-        self.pivots: Dict[object, Dict[object, Fraction]] = {}
+        self.pivots: Dict[object, Dict[object, int]] = {}
 
     def add(self, elem) -> bool:
-        v = {k: c for k, c in elem}
+        den = lcm(*[c.denominator for _, c in elem])
+        # a zero entry (a map may return a non-canonical vector) must never
+        # become a pivot
+        return self._reduce(
+            {k: n for k, c in elem if (n := c.numerator * (den // c.denominator))}
+        )
+
+    def _reduce(self, v: Dict[object, int]) -> bool:
+        """``add`` for a dict of nonzero ints, which it takes over."""
+        pivots = self.pivots
         while v:
             p = min(v)
-            row = self.pivots.get(p)
+            row = pivots.get(p)
             if row is None:
-                inv = 1 / v[p]
-                self.pivots[p] = {k: c * inv for k, c in v.items()}
+                g = gcd(*v.values())
+                if v[p] < 0:
+                    g = -g
+                if g != 1:
+                    for k in v:
+                        v[k] //= g
+                pivots[p] = v
                 return True
-            coef = v.pop(p)
+            a, b = v.pop(p), row[p]
+            g = gcd(a, b)
+            if g != 1:
+                a //= g
+                b //= g
+            if b != 1:
+                for k in v:
+                    v[k] *= b
             for k, c in row.items():
-                if k == p:
-                    continue
-                nc = v.get(k, Fraction(0)) - coef * c
-                if nc:
-                    v[k] = nc
-                else:
-                    v.pop(k, None)
+                if k != p:
+                    nc = v.get(k, 0) - a * c
+                    if nc:
+                        v[k] = nc
+                    else:
+                        del v[k]
+            g = gcd(*v.values())
+            if g > 1:
+                for k in v:
+                    v[k] //= g
         return False
 
 
 def linear_operator(backend: LinearBackend, image_fn: Callable) -> Callable:
     """Extend a basis-key map linearly to vectors.
 
-    ``image_fn`` sends a basis key to an iterable of (key, coeff) pairs;
-    an empty iterable annihilates the basis vector.
+    ``image_fn`` sends a basis key to an iterable of (key, coeff) pairs,
+    each coefficient an int or a ``Fraction``; an empty iterable
+    annihilates the basis vector.  The input is scaled to integers over
+    one common denominator, so each output coefficient becomes one
+    ``Fraction``; any other coefficient is an ``InputError``.
     """
 
     def op(elem):
-        acc: Dict[object, Fraction] = {}
-        for k, c in elem:
-            for k2, c2 in image_fn(k):
-                acc[k2] = acc.get(k2, Fraction(0)) + c * Fraction(c2)
-        return backend.vector(acc)
+        den = lcm(*[c.denominator for _, c in elem])
+        acc: Dict[object, int | Fraction] = {}
+        try:
+            for k, c in elem:
+                n = c.numerator * (den // c.denominator)
+                for k2, c2 in image_fn(k):
+                    acc[k2] = acc.get(k2, 0) + n * c2
+            out = [(k, Fraction(c, den)) for k, c in acc.items()]
+        except TypeError as exc:
+            raise InputError(
+                f"linear map coefficients must be ints or Fractions: {exc}"
+            ) from exc
+        return tuple(sorted(p for p in out if p[1]))
 
     return op
 
@@ -582,16 +644,15 @@ class ChainBoundaryOracle(ChainFreeOracle):
         return _BoundaryBuilder(self)
 
 
-class _BoundaryBuilder(BasisBuilder):
+class _BoundaryBuilder(_EchelonBuilder):
+    """Eliminates each chain's integer boundary."""
+
     def __init__(self, oracle: ChainBoundaryOracle):
+        super().__init__()
         self.oracle = oracle
-        self.inner = _EchelonBuilder()
 
     def add(self, elem) -> bool:
-        b = self.oracle.boundary(elem)
-        if not b:
-            return False
-        return self.inner.add(tuple(sorted((k, Fraction(v)) for k, v in b.items())))
+        return self._reduce(self.oracle.boundary(elem))
 
 
 def simplicial_operator(complex_: SimplicialComplex, vmap, n: int) -> Callable:

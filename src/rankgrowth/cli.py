@@ -28,6 +28,7 @@ from .engine import (
     analyze_cumulative,
     analyze_graded,
     dominant_terms,
+    is_int,
 )
 from .errors import HypothesisError, InputError, RankGrowthError
 from .operators import OperatorSystem, Partition, check_system
@@ -336,12 +337,16 @@ def _build_context(config: dict, sys: OperatorSystem):
 # execution
 # ---------------------------------------------------------------------------
 
-def _stab_config(config: dict) -> StabilizationConfig:
-    box = config.get("box")  # scalar boxes are broadcast once m is known
-    return StabilizationConfig(
-        box=tuple(box) if isinstance(box, (list, tuple)) else None,
-        window=int(config.get("window", 2)),
+def _stab_config(config: dict) -> Tuple[StabilizationConfig, Optional[int]]:
+    """The validated config, and the box when it is one integer, which is
+    broadcast to every coordinate once m is known."""
+    box = config.get("box")
+    scalar = box if is_int(box) else None
+    cfg = StabilizationConfig(
+        box=(box,) if scalar is not None else box,
+        window=config.get("window", 2),
     )
+    return cfg, scalar
 
 
 def execute(config: dict) -> Tuple[int, dict]:
@@ -364,10 +369,7 @@ def execute(config: dict) -> Tuple[int, dict]:
         mode = config.get("mode")
         if mode not in MODES:
             raise InputError(f"unknown mode {mode!r}; expected one of {MODES}")
-        cfg = _stab_config(config)
-        box_scalar = config.get("box") if isinstance(config.get("box"), int) else None
-        if box_scalar is not None and box_scalar < 0:
-            raise InputError("box bounds must be nonnegative")
+        cfg, box_scalar = _stab_config(config)
 
         if mode == "betti":
             complex_, vmaps, partition, A = _build_chain(config)

@@ -55,6 +55,11 @@ def default_box(m: int) -> Tuple[int, ...]:
     return (3,) * m
 
 
+def is_int(x) -> bool:
+    """Whether ``x`` is an integer proper: ``bool`` and floats are not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass
 class StabilizationConfig:
     """Exploration box and certification window width."""
@@ -63,10 +68,16 @@ class StabilizationConfig:
     window: int = 2
 
     def __post_init__(self):
+        if not is_int(self.window):
+            raise InputError(f"window width must be an integer, got {self.window!r}")
         if self.window < 1:
             raise InputError("window width must be >= 1")
         if self.box is not None:
-            self.box = tuple(int(b) for b in self.box)
+            if not isinstance(self.box, (list, tuple)) or not all(
+                is_int(b) for b in self.box
+            ):
+                raise InputError(f"box must be integers, got {self.box!r}")
+            self.box = tuple(self.box)
             if any(b < 0 for b in self.box):
                 raise InputError("box bounds must be nonnegative")
 

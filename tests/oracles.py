@@ -8,7 +8,10 @@ violations and the level frontiers of a table.  Tests freeze values
 computed here and compare the package's answers against them.  The one
 exception is ``reference_tabulate``, the per-slice tabulation kernel
 built from the package's ``apply_word`` and basis builders, which pins
-the word-lattice kernel to it.
+the word-lattice kernel to it.  ``FractionEchelonBuilder`` and
+``fraction_linear_operator`` are the linear backend's elimination and
+linear maps in plain ``Fraction`` arithmetic, which pin its integer
+kernel.
 """
 
 from fractions import Fraction
@@ -35,6 +38,55 @@ def matrix_rank(rows):
         if rank == len(rows):
             break
     return rank
+
+
+class FractionEchelonBuilder:
+    """Incremental sparse elimination over the rationals.
+
+    ``add`` takes a canonical (key, Fraction) vector and says whether it
+    raises the rank; ``pivots`` maps each pivot key to its row scaled to
+    pivot coefficient 1.  The pivot is always the least key of the
+    remainder.
+    """
+
+    def __init__(self):
+        self.pivots = {}
+
+    def add(self, elem):
+        v = {k: c for k, c in elem}
+        while v:
+            p = min(v)
+            row = self.pivots.get(p)
+            if row is None:
+                inv = 1 / v[p]
+                self.pivots[p] = {k: c * inv for k, c in v.items()}
+                return True
+            coef = v.pop(p)
+            for k, c in row.items():
+                if k == p:
+                    continue
+                nc = v.get(k, Fraction(0)) - coef * c
+                if nc:
+                    v[k] = nc
+                else:
+                    v.pop(k, None)
+        return False
+
+
+def fraction_linear_operator(image_fn):
+    """The linear extension of a basis-key map, term by term in Fractions.
+
+    Returns canonical vectors: sorted (key, Fraction) pairs, zeros dropped.
+    """
+
+    def op(elem):
+        acc = {}
+        for k, c in elem:
+            for k2, c2 in image_fn(k):
+                acc[k2] = acc.get(k2, Fraction(0)) + c * Fraction(c2)
+        return tuple(sorted((k, c) for k, c in acc.items() if c != 0))
+
+    return op
 
 
 def forest_rank(edges):

@@ -1,20 +1,27 @@
 """Backend behavior: each rank structure against an independent oracle."""
 
 import itertools
+import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankgrowth import (
     InputError,
     InvalidMatroidError,
+    OperatorError,
+    OperatorSystem,
     OutOfBoxError,
+    Partition,
     SimplicialComplex,
     analyze_cumulative,
     betti_polynomials,
     dimension_polynomial,
     graded_orbit,
+    tabulate_f,
 )
 from rankgrowth.backends import (
     ChainBoundaryOracle,
@@ -26,6 +33,8 @@ from rankgrowth.backends import (
     LinearBackend,
     TrivialBackend,
     ZERO_CHAIN,
+    _EchelonBuilder,
+    linear_operator,
     make_circuit_backend,
     make_counterexample_graph,
     make_graphic_system,
@@ -38,7 +47,14 @@ from rankgrowth.backends import (
     vertex_map_edge_operator,
 )
 
-from oracles import forest_rank, ideal_points_of_degree, matrix_rank, subcomplex_betti
+from oracles import (
+    FractionEchelonBuilder,
+    forest_rank,
+    fraction_linear_operator,
+    ideal_points_of_degree,
+    matrix_rank,
+    subcomplex_betti,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +188,114 @@ def test_linear_backend_canonicalization():
     assert v == ((0, Fraction(2)),)
     assert lb.vector([]) == lb.zero
     assert lb.rank([lb.zero]) == 0
+
+
+# the integer kernel against the Fraction references: small key pools of
+# int or tuple keys, signed coefficients with denominators up to 12
+
+_KEY_POOLS = [list(range(5)), [(i, j) for i in range(2) for j in range(3)]]
+_FRACTIONS = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 12))
+
+
+@st.composite
+def _linear_vectors(draw, pool):
+    """Vectors over ``pool``, some of them combinations of earlier ones."""
+    lb = LinearBackend()
+    entry = st.tuples(st.sampled_from(pool), _FRACTIONS)
+    vector = st.lists(entry, max_size=5).map(lb.vector)
+    vs = draw(st.lists(vector, min_size=1, max_size=7))
+    for _ in range(draw(st.integers(0, 3))):
+        combo = {}
+        terms = st.tuples(st.sampled_from(vs), _FRACTIONS)
+        for v, c in draw(st.lists(terms, min_size=1, max_size=3)):
+            for k, x in v:
+                combo[k] = combo.get(k, 0) + c * x
+        vs.insert(draw(st.integers(0, len(vs))), lb.vector(combo))
+    return vs
+
+
+def _fraction_rank(vs):
+    ref = FractionEchelonBuilder()
+    return sum(ref.add(v) for v in vs)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_echelon_builder_matches_fraction_reference(data):
+    pool = data.draw(st.sampled_from(_KEY_POOLS))
+    vs = data.draw(_linear_vectors(pool))
+    ours, ref = _EchelonBuilder(), FractionEchelonBuilder()
+    assert [ours.add(v) for v in vs] == [ref.add(v) for v in vs]
+    assert ours.pivots.keys() == ref.pivots.keys()
+    for p, row in ours.pivots.items():
+        # primitive integers, positive at the pivot, a multiple of the rational row
+        assert row[p] > 0 and math.gcd(*row.values()) == 1
+        assert {k: Fraction(c, row[p]) for k, c in row.items()} == ref.pivots[p]
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_linear_rank_and_localized_rank_match_fraction_reference(data):
+    pool = data.draw(st.sampled_from(_KEY_POOLS))
+    vs = data.draw(_linear_vectors(pool))
+    cut = data.draw(st.integers(0, len(vs)))
+    C, S = vs[:cut], vs[cut:]
+    lb = LinearBackend()
+    dense = [[dict(v).get(k, 0) for k in pool] for v in vs]
+    assert lb.rank(vs) == _fraction_rank(vs) == matrix_rank(dense)
+    assert lb.localize(C).rank(S) == _fraction_rank(vs) - _fraction_rank(C)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_linear_operator_matches_fraction_reference(data):
+    pool = data.draw(st.sampled_from(_KEY_POOLS))
+    coeff = st.one_of(st.integers(-6, 6), _FRACTIONS)
+    term = st.tuples(st.sampled_from(pool), coeff)
+    images = {k: data.draw(st.lists(term, max_size=3)) for k in pool}
+    lb = LinearBackend()
+    op = linear_operator(lb, images.__getitem__)
+    ref = fraction_linear_operator(images.__getitem__)
+    for v in data.draw(_linear_vectors(pool)):
+        once = op(v)
+        assert once == ref(v)
+        lb.validate(once)
+        assert all(type(c) is Fraction for _, c in once)
+        assert op(once) == ref(ref(v))
+
+
+def test_echelon_builder_skips_zero_entries_of_a_map_image():
+    # maps are not validated, so an image may carry a zero coefficient;
+    # it must never become a pivot
+    builder = _EchelonBuilder()
+    assert builder.add(((0, Fraction(0)), (1, Fraction(2))))
+    assert not builder.add(((0, Fraction(0)),))
+    assert not builder.add(((1, Fraction(-1, 3)),))
+    assert builder.pivots == {1: {1: 1}}
+
+
+def test_linear_coefficients_must_be_ints_or_fractions():
+    lb = LinearBackend()
+    half = Fraction(1, 2)
+    assert lb.vector([(0, 1), (1, half)]) == ((0, Fraction(1)), (1, half))
+    for bad in [0.1, 1.0, None, "1", Decimal(1)]:
+        with pytest.raises(InputError, match="not an int or a Fraction"):
+            lb.vector([(0, bad)])
+        with pytest.raises(InputError, match="not an int or a Fraction"):
+            lb.monomial(0, bad)
+        op = linear_operator(lb, lambda k, bad=bad: [(k + 1, bad)])
+        with pytest.raises(InputError, match="ints or Fractions"):
+            op(lb.monomial(0))
+    # floats that cancel are refused too
+    cancel = linear_operator(lb, lambda k: [(k + 1, 0.5), (k + 1, -0.5)])
+    with pytest.raises(InputError):
+        cancel(lb.monomial(0))
+    # through tabulation the refusal is the map failure naming map and word
+    halve = linear_operator(lb, lambda k: [(k + 1, 0.5)])
+    sys = OperatorSystem([halve], Partition([1]), lb)
+    failure = r"map 1 failed while applying word \(1,\): "
+    with pytest.raises(OperatorError, match=failure):
+        tabulate_f(sys, [lb.monomial(0)], [], box=(2,))
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,21 @@ def test_work_budget_exits_input_error(tmp_path):
     assert "4,925,156,775 words" in doc["error"] and "--box" in doc["error"]
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [{"box": 2.5}, {"box": True}, {"box": [2, "x"]}, {"window": 1.8}, {"window": "2"}],
+)
+def test_non_integer_box_or_window_exits_input_error(tmp_path, bad):
+    # a float box used to fall back to the default box, a float window to
+    # be truncated, and both exited 0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(SUMSET, **bad)))
+    code, doc = run(str(path))
+    assert code == EXIT_INPUT_ERROR
+    assert doc["status"] == "input-error"
+    assert "must be" in doc["error"] and "integer" in doc["error"]
+
+
 def test_run_missing_file():
     code, doc = run("/nonexistent/nowhere.json")
     assert code == EXIT_INPUT_ERROR

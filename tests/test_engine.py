@@ -237,6 +237,13 @@ def test_tabulate_validates_an_explicit_box():
         tabulate_f(sys, [(0,)], [], box=(3,))
     cfg = StabilizationConfig(box=(1, 1), window=3)
     assert tabulate_f(sys, [(0,)], [], box=(2, 2), cfg=cfg).box == (2, 2)
+    # only integers proper: no truncated floats, strings or bools
+    for box in [(1.9, 1.9), ("x", 1), (True, 1), 3]:
+        with pytest.raises(InputError, match="box must be integers"):
+            tabulate_f(sys, [(0,)], [], box=box)
+    for window in ["2", 1.8, True, None]:
+        with pytest.raises(InputError, match="window width must be an integer"):
+            StabilizationConfig(window=window)
 
 
 def test_work_budget_rejects_a_huge_box_before_any_word():

@@ -1,6 +1,7 @@
 """Rank-oracle contract: derived operations and exact matroid axioms."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,6 +54,18 @@ def test_rank_rejects_bad_element():
         IdealCountBackend(2).rank([[0, 0]])
     with pytest.raises(InputError):
         ChainFreeOracle(SimplicialComplex([(0, 1)]), 1).rank([["s", (0, 1)]])
+    # a canonical linear vector has nonzero Fraction coefficients and
+    # strictly increasing keys
+    lb = LinearBackend()
+    for bad in [
+        ((0, Fraction(0)),),
+        ((0, Fraction(1)), (0, Fraction(-1))),
+        ((1, Fraction(1)), (0, Fraction(1))),
+        ((0, Fraction(1)), ("x", Fraction(1))),
+        ((0, 1),),
+    ]:
+        with pytest.raises(InputError):
+            lb.rank([bad])
 
 
 def test_an_oracle_must_implement_basis_builder():
