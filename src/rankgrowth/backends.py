@@ -10,6 +10,7 @@ natural way to build commuting operator systems on top of it.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +30,8 @@ from .operators import (
     OperatorSystem,
     Partition,
     QUASI_TRIANGULAR,
+    StabilizationBound,
+    is_int,
     product_leq,
 )
 
@@ -79,11 +82,11 @@ class _SetBuilder(BasisBuilder):
 
 
 def as_vector(x, dimension: int | None = None) -> Tuple[int, ...]:
-    """Normalize ints / sequences to integer tuples."""
-    if isinstance(x, int):
-        v = (x,)
-    else:
-        v = tuple(int(c) for c in x)
+    """Normalize ints / sequences of ints to integer tuples; anything else
+    (a float, a bool, a string) is an ``InputError``."""
+    v = (x,) if is_int(x) else tuple(x)
+    if not all(map(is_int, v)):
+        raise InputError(f"vector {x!r} has a coordinate that is not an integer")
     if dimension is not None and len(v) != dimension:
         raise InputError(f"vector {v} does not have dimension {dimension}")
     return v
@@ -158,7 +161,11 @@ class IdealCountBackend(RankOracle):
             )
 
     def contains(self, point: Tuple[int, ...]) -> bool:
-        return not any(product_leq(a, point) for a in self.antichain)
+        le = operator.le
+        for a in self.antichain:
+            if all(map(le, a, point)):
+                return False
+        return True
 
     def basis_builder(self) -> BasisBuilder:
         return _SetBuilder(self.contains)
@@ -171,6 +178,25 @@ def coordinate_increment(i: int) -> Callable:
     return op
 
 
+def _join_bound(seed: List, points: Sequence, partition: Partition):
+    """The stabilization bound of a one-element seed with 0/1 marginals.
+
+    It holds when the seed's word images are distinct within each slice
+    and the image of word u counts exactly when u lies above none of some
+    words, each under the join of ``points``: the table's corners are then
+    the zero word and the minimal ones of those words, all under the join.
+    In cumulative mode the identity coordinates get 0, because the images
+    ignore them and stay distinct within a slice, so the marginal does
+    not depend on them.
+    """
+    join = tuple(max((p[i] for p in points), default=0) for i in range(partition.m))
+    cumulative: List[int] = []
+    for i in range(partition.k):
+        cumulative.append(0)
+        cumulative.extend(join[partition.part_slice(i)])
+    return StabilizationBound(tuple(seed), join, tuple(cumulative))
+
+
 def make_ideal_system(
     complement_antichain: Sequence, part_sizes: Sequence[int]
 ) -> Tuple[OperatorSystem, List]:
@@ -179,14 +205,18 @@ def make_ideal_system(
     Returns the system together with its canonical seed, the origin: the
     graded orbit of the origin at part degree s is every point of that
     degree, so its rank counts the ideal's points of degree s, and the
-    cumulative orbit counts points of degree at most s.
+    cumulative orbit counts points of degree at most s.  The system
+    declares the join of the complement antichain as its stabilization
+    bound for the origin.
     """
     partition = Partition(part_sizes)
     m = partition.m
     backend = IdealCountBackend(m, complement_antichain)
     maps = [coordinate_increment(i) for i in range(m)]
-    sys = OperatorSystem(maps, partition, backend)
-    return sys, [(0,) * m]
+    seed = [(0,) * m]
+    bound = _join_bound(seed, backend.antichain, partition)
+    sys = OperatorSystem(maps, partition, backend, bound=bound)
+    return sys, seed
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +392,8 @@ def make_monomial_module_system(
     ideal generated by ``relations``; monomials stay a canonical basis,
     so elimination remains sparse.  Returns the system and the seed
     vectors for ``generators``.  Non-monomial relations are rejected.
+    With one generator the system declares the join of the relation
+    exponents as its stabilization bound for that seed.
     """
     partition = Partition(part_sizes)
     if partition.m != num_vars:
@@ -373,7 +405,9 @@ def make_monomial_module_system(
         try:
             mono = as_vector(x, num_vars)
         except InputError as exc:
-            raise InputError(f"unsupported {what}: {x!r} is not a monomial") from exc
+            raise InputError(
+                f"unsupported {what}: {x!r} is not a monomial: {exc}"
+            ) from exc
         if any(e < 0 for e in mono):
             raise InputError(f"unsupported {what}: {x!r} has negative exponents")
         return mono
@@ -391,11 +425,14 @@ def make_monomial_module_system(
         )
         for i in range(num_vars)
     ]
-    sys = OperatorSystem(maps, partition, backend)
     seeds = []
     for g in generators:
         mono = as_monomial(g, "generator")
         seeds.append(backend.zero if killed(mono) else backend.monomial(mono))
+    # word u sends generator g to x^(g+u), killed once g + u lies above a
+    # relation, that is once u lies above (r - g) clamped at 0, under r
+    bound = _join_bound(seeds, rel, partition) if len(seeds) == 1 else None
+    sys = OperatorSystem(maps, partition, backend, bound=bound)
     return sys, seeds
 
 

@@ -28,10 +28,9 @@ from .engine import (
     analyze_cumulative,
     analyze_graded,
     dominant_terms,
-    is_int,
 )
 from .errors import HypothesisError, InputError, RankGrowthError
-from .operators import OperatorSystem, Partition, check_system
+from .operators import OperatorSystem, Partition, check_system, is_int
 from .backends import (
     SimplicialComplex,
     TrivialBackend,
@@ -112,6 +111,8 @@ def _result_doc(result: PipelineResult, want_rank: bool = False) -> dict:
         "staircase": {
             "bound": list(result.certificate.m_bar),
             "status": result.certificate.status,
+            "evidence": result.evidence,
+            "box": list(result.table.box),
         },
         "verification": _verify_doc(result),
         "warnings": list(result.warnings),
@@ -129,9 +130,16 @@ def _vectors(items, dimension=None) -> List[Tuple[int, ...]]:
     return [as_vector(x, dimension) for x in items]
 
 
+def _int(value, what: str) -> int:
+    """A config value that must be an integer proper; else ``InputError``."""
+    if not is_int(value):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _build_trivial(config: dict):
     data = config.get("backend_data") or {}
-    dim = int(data.get("dimension", 1))
+    dim = _int(data.get("dimension", 1), "backend_data.dimension")
     ops = config.get("operators")
     if not ops:
         raise InputError("trivial backend requires translation vectors in 'operators'")
@@ -176,7 +184,7 @@ def _build_ideal(config: dict):
 
 def _build_linear(config: dict):
     data = config.get("backend_data") or {}
-    num_vars = int(data.get("num_vars", 0))
+    num_vars = _int(data.get("num_vars", 0), "backend_data.num_vars")
     if num_vars < 1:
         raise InputError("linear backend requires 'backend_data.num_vars'")
     partition = config.get("partition") or [num_vars]
@@ -200,13 +208,13 @@ def _edge(e) -> tuple:
 def _build_graphic(config: dict):
     data = config.get("backend_data")
     if data == "counterexample":
-        depth = int(config.get("depth", 64))
+        depth = _int(config.get("depth", 64), "depth")
         sys, seed = make_counterexample_graph(depth)
         if config.get("part_flags"):
             sys = sys.with_flags(config["part_flags"])
-        A = [tuple([str(k), int(i)]) for k, i in config.get("A", [])] or seed
-        B = [tuple([str(k), int(i)]) for k, i in config.get("B", [])]
-        return sys, A, B
+        A = [(str(k), _int(i, "gadget edge index")) for k, i in config.get("A", [])]
+        B = [(str(k), _int(i, "gadget edge index")) for k, i in config.get("B", [])]
+        return sys, A or seed, B
     data = data or {}
     edges = [_edge(e) for e in data.get("edges", [])]
     ops = config.get("operators") or []
@@ -250,7 +258,7 @@ def _build_circuit(config: dict):
     data = config.get("backend_data") or {}
     circuits = {}
     for entry in data.get("circuits", []):
-        deg = tuple(int(x) for x in entry["degree"])
+        deg = tuple(_int(x, "circuit degree") for x in entry["degree"])
         circuits[deg] = [frozenset(str(p) for p in c) for c in entry.get("sets", [])]
     partition = config.get("partition")
     if not partition:
@@ -264,7 +272,7 @@ def _build_circuit(config: dict):
 
     def elem(x):
         deg, payload = x
-        return (tuple(int(d) for d in deg), str(payload))
+        return (tuple(_int(d, "circuit degree") for d in deg), str(payload))
 
     A = [elem(x) for x in config.get("A", [])]
     B = [elem(x) for x in config.get("B", [])]
@@ -373,7 +381,7 @@ def execute(config: dict) -> Tuple[int, dict]:
 
         if mode == "betti":
             complex_, vmaps, partition, A = _build_chain(config)
-            n = int(config.get("dimension", 0))
+            n = _int(config.get("dimension", 0), "dimension")
             if box_scalar is not None:
                 cfg = replace(cfg, box=(box_scalar,) * len(vmaps))
             closure = SimplicialComplex(A).simplices if A else set()
@@ -417,8 +425,8 @@ def execute(config: dict) -> Tuple[int, dict]:
             cfg = replace(cfg, box=(box_scalar,) * sys.m)
 
         if mode == "check":
-            depth = int(config.get("depth", 3))
-            pair_count = int(config.get("seed_sample", 40))
+            depth = _int(config.get("depth", 3), "depth")
+            pair_count = _int(config.get("seed_sample", 40), "seed_sample")
             report = check_system(sys, A + B, depth, pair_count)
             ok = report.supports_declaration(sys)
             doc.update(

@@ -15,12 +15,12 @@ values.  No floating point is used anywhere.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
 from array import array
 from bisect import bisect_right
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import compress, repeat
@@ -36,6 +36,7 @@ from .operators import (
     degrees_below,
     graded_orbit,
     identity_map,
+    is_int,
     lex_key,
     map_failure,
     product_leq,
@@ -53,11 +54,6 @@ def default_box(m: int) -> Tuple[int, ...]:
     if m <= 5:
         return (5,) * m
     return (3,) * m
-
-
-def is_int(x) -> bool:
-    """Whether ``x`` is an integer proper: ``bool`` and floats are not."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass
@@ -93,6 +89,12 @@ MAX_WORDS = 2_000_000
 """Work budget: the most words one table may hold (37 times the 53,856 of
 the largest default-box tables)."""
 
+LATTICE_CACHE_WORDS = 250_000
+"""The most words the word-lattice cache keeps, summed over its lattices."""
+
+BOUND_EVIDENCE = "bound"
+WINDOW_EVIDENCE = "window"
+
 
 class _WordLattice(NamedTuple):
     """Every word of N^m whose part degree is at most a cap, indexed once.
@@ -114,8 +116,7 @@ class _WordLattice(NamedTuple):
     down: Tuple[array, ...]
 
 
-@functools.lru_cache(maxsize=1)  # an unbounded cache grows peak memory
-def _word_lattice(part_sizes: Tuple[int, ...], cap: MultiIndex) -> _WordLattice:
+def _build_word_lattice(part_sizes: Tuple[int, ...], cap: MultiIndex) -> _WordLattice:
     """The lattice of words under ``cap``; beyond ``MAX_WORDS`` an ``InputError``.
 
     The size has a closed form, so the budget is checked before any word
@@ -152,6 +153,39 @@ def _word_lattice(part_sizes: Tuple[int, ...], cap: MultiIndex) -> _WordLattice:
     return _WordLattice(words, slices, top, up, down)
 
 
+class _LatticeCache:
+    """Least-recently-used word lattices, bounded by their total words.
+
+    Solves of different boxes reuse each other's lattices while the sum
+    stays within ``budget``; the least recently used go first.  A lattice
+    larger than the whole budget is built and returned but not kept.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.lattices: OrderedDict = OrderedDict()
+        self.words = 0
+
+    def __call__(self, part_sizes: Tuple[int, ...], cap: MultiIndex) -> _WordLattice:
+        key = (part_sizes, cap)
+        lattice = self.lattices.get(key)
+        if lattice is not None:
+            self.lattices.move_to_end(key)
+            return lattice
+        lattice = _build_word_lattice(part_sizes, cap)
+        size = len(lattice.words)
+        if size <= self.budget:
+            while self.words + size > self.budget:
+                _, old = self.lattices.popitem(last=False)
+                self.words -= len(old.words)
+            self.lattices[key] = lattice
+            self.words += size
+        return lattice
+
+
+_word_lattice = _LatticeCache(LATTICE_CACHE_WORDS)
+
+
 def eval_f(
     sys: OperatorSystem,
     A,
@@ -167,8 +201,8 @@ def eval_f(
     ``tabulate_f`` builds with ``u`` as its box, so it ranks every slice up
     to ``u``'s part degree.
     """
-    u = tuple(int(x) for x in u)
-    if len(u) != sys.m or min(u) < 0:
+    u = tuple(u)
+    if len(u) != sys.m or not all(is_int(x) and x >= 0 for x in u):
         raise InputError(f"not a word of {sys.m} natural numbers: {u}")
     return tabulate_f(sys, A, B, u, None, context_sys).values[u]
 
@@ -263,7 +297,9 @@ class DecreasingTable:
     @classmethod
     def from_function(cls, f, box: Sequence[int], partition: Partition, seed_size=None):
         """Synthetic table from an explicit function on multi-indices."""
-        box = tuple(int(b) for b in box)
+        box = tuple(box)
+        if not all(is_int(b) and b >= 0 for b in box):
+            raise InputError(f"box must be natural numbers, got {box!r}")
         cap = partition.part_degree(box)
         values = {r: int(f(r)) for r in _word_lattice(partition.part_sizes, cap).words}
         if seed_size is None:
@@ -749,7 +785,13 @@ def verify_fit(
 
 @dataclass
 class PipelineResult:
-    """Everything the pipeline produced for one system and seed pair."""
+    """Everything the pipeline produced for one system and seed pair.
+
+    ``evidence`` says where the table's box came from: ``"bound"`` when
+    it is the system's proven stabilization bound plus the window, so a
+    certified result is proved, and ``"window"`` otherwise (an explicit
+    or default box, whose window check is evidence only).
+    """
 
     system: OperatorSystem
     table: DecreasingTable
@@ -759,6 +801,7 @@ class PipelineResult:
     verification: VerifyReport
     status: str
     warnings: List[str] = field(default_factory=list)
+    evidence: str = WINDOW_EVIDENCE
 
     @property
     def phi_rank_value(self) -> Fraction:
@@ -813,8 +856,40 @@ def analyze_graded(
     _require_triangular(sys, "the graded pipeline")
     if context_sys is not None:
         _check_context(sys, context_sys)
-    table = tabulate_f(sys, A, B, None, cfg, context_sys)
-    return _analyze_table(sys, A, B, table, cfg, context_sys)
+    box, warnings = _bound_box(sys, A, B, cfg, context_sys)
+    table = tabulate_f(sys, A, B, box, cfg, context_sys)
+    result = _analyze_table(sys, A, B, table, cfg, context_sys)
+    result.warnings[:0] = warnings
+    if box is not None:
+        result.evidence = BOUND_EVIDENCE
+    return result
+
+
+def _bound_box(
+    sys: OperatorSystem, A, B, cfg: StabilizationConfig, context_sys
+) -> Tuple[Optional[Tuple[int, ...]], List[str]]:
+    """The declared stabilization bound plus the window, when it applies,
+    and the warnings of that choice.
+
+    It applies only without an explicit box or a context system, with B
+    empty and A, deduplicated, exactly the seed the bound was declared
+    for.  A bound box over ``MAX_WORDS`` is never clipped: the default
+    box is used instead, with a warning.  ``None`` means the config's box.
+    """
+    bound = sys.bound
+    if bound is None or cfg.box is not None or context_sys is not None or B:
+        return None, []
+    key = sys.backend.key
+    if {key(a) for a in A} != {key(a) for a in bound.seed}:
+        return None, []
+    box = tuple(c + cfg.window for c in bound.graded)
+    size = sys.partition.word_count(sys.partition.part_degree(box), "cumulative")
+    if size > MAX_WORDS:
+        return None, [
+            f"stabilization bound box {box} needs {size:,} words, over the "
+            f"limit of {MAX_WORDS:,}; tabulated the default box instead"
+        ]
+    return box, []
 
 
 def _analyze_table(

@@ -14,7 +14,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InputError, OperatorError
 from .matroid import RankOracle
@@ -23,6 +23,11 @@ MultiIndex = Tuple[int, ...]
 
 TRIANGULAR = "triangular"
 QUASI_TRIANGULAR = "quasi-triangular"
+
+
+def is_int(x) -> bool:
+    """Whether ``x`` is an integer proper: ``bool`` and floats are not."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def total_degree(r: MultiIndex) -> int:
@@ -57,9 +62,9 @@ class Partition:
     """Consecutive grouping of m operator slots into k blocks of sizes d_i."""
 
     def __init__(self, part_sizes: Sequence[int]):
-        sizes = tuple(int(d) for d in part_sizes)
-        if not sizes or any(d < 1 for d in sizes):
-            raise InputError(f"part sizes must be positive, got {sizes!r}")
+        sizes = tuple(part_sizes)
+        if not sizes or not all(is_int(d) and d >= 1 for d in sizes):
+            raise InputError(f"part sizes must be positive integers, got {sizes!r}")
         self.part_sizes = sizes
         self.k = len(sizes)
         self.m = sum(sizes)
@@ -130,6 +135,25 @@ def identity_map(x):
     return x
 
 
+class StabilizationBound(NamedTuple):
+    """A proven bound on the staircase of the marginal rank function.
+
+    Declared by a system constructor for one seed set ``seed`` and an
+    empty B: every minimal word of every level set of the marginal
+    function lies coordinatewise under ``graded`` in graded mode, and
+    under ``cumulative`` (a word of the augmented system, identity
+    coordinate first in each part) in cumulative mode.  By the
+    stabilization theorem the function is polynomial beyond that join, so
+    a table reaching the bound plus the window proves its certificate.
+    ``cumulative`` is ``None`` when nothing is declared for that mode, as
+    on an augmented system.
+    """
+
+    seed: Tuple
+    graded: MultiIndex
+    cumulative: Optional[MultiIndex]
+
+
 class OperatorSystem:
     """m commuting self-maps of a matroid ground set plus a partition.
 
@@ -137,7 +161,8 @@ class OperatorSystem:
     constructor is willing to declare (``triangular`` or
     ``quasi-triangular``).  Declarations are trusted by the engine but
     double-checked against tabulated evidence; see ``check_system`` for
-    the sampled test.
+    the sampled test.  ``bound``, when a constructor can prove one, is the
+    system's ``StabilizationBound``; the pipeline sizes its box from it.
     """
 
     def __init__(
@@ -147,6 +172,7 @@ class OperatorSystem:
         backend: RankOracle,
         part_flags: Sequence[str] | None = None,
         augmented: bool = False,
+        bound: StabilizationBound | None = None,
     ):
         self.maps = tuple(maps)
         self.partition = partition
@@ -164,6 +190,14 @@ class OperatorSystem:
             if f not in (TRIANGULAR, QUASI_TRIANGULAR):
                 raise InputError(f"unknown part flag {f!r}")
         self.augmented = augmented
+        if bound is not None:
+            lengths = (self.m, self.m + self.k)
+            for word, m in zip((bound.graded, bound.cumulative), lengths):
+                if word is not None and (
+                    len(word) != m or not all(is_int(c) and c >= 0 for c in word)
+                ):
+                    raise InputError(f"stabilization bound {word} is not in N^{m}")
+        self.bound = bound
 
     @property
     def m(self) -> int:
@@ -184,7 +218,8 @@ class OperatorSystem:
 
     def with_flags(self, part_flags: Sequence[str]) -> "OperatorSystem":
         return OperatorSystem(
-            self.maps, self.partition, self.backend, part_flags, self.augmented
+            self.maps, self.partition, self.backend, part_flags, self.augmented,
+            self.bound,
         )
 
 
@@ -284,7 +319,9 @@ def augment(sys: OperatorSystem) -> OperatorSystem:
     """Prepend the identity map to every part; part sizes become d_i + 1.
 
     Graded orbits of the augmented system coincide with cumulative orbits
-    of the original, which is how the cumulative pipeline is run.
+    of the original, which is how the cumulative pipeline is run; so the
+    augmented system's graded bound is the declared cumulative one, and
+    it declares no cumulative bound of its own.
     """
     maps: List[Callable] = []
     for i in range(sys.k):
@@ -293,7 +330,12 @@ def augment(sys: OperatorSystem) -> OperatorSystem:
     partition = Partition(tuple(d + 1 for d in sys.partition.part_sizes))
     # a quasi-triangular part becomes triangular once the identity is adjoined
     flags = (TRIANGULAR,) * sys.k
-    return OperatorSystem(maps, partition, sys.backend, flags, augmented=True)
+    bound = None
+    if sys.bound is not None and sys.bound.cumulative is not None:
+        bound = StabilizationBound(sys.bound.seed, sys.bound.cumulative, None)
+    return OperatorSystem(
+        maps, partition, sys.backend, flags, augmented=True, bound=bound
+    )
 
 
 @dataclass

@@ -3,15 +3,15 @@
 Deliberately separate from the package internals: plain Fraction row
 reduction, a five-line union-find, the set-count ranks of the trivial,
 ideal-count and free-chain backends, direct sumset iteration, lattice
-point counting, and quadratic greedy sweeps for the staircase, the
-violations and the level frontiers of a table.  Tests freeze values
-computed here and compare the package's answers against them.  The one
-exception is ``reference_tabulate``, the per-slice tabulation kernel
-built from the package's ``apply_word`` and basis builders, which pins
-the word-lattice kernel to it.  ``FractionEchelonBuilder`` and
-``fraction_linear_operator`` are the linear backend's elimination and
-linear maps in plain ``Fraction`` arithmetic, which pin its integer
-kernel.
+point and monomial-quotient counting, and quadratic greedy sweeps for
+the staircase, the violations and the level frontiers of a table.
+Tests freeze values computed here and compare the package's answers
+against them.  The one exception is ``reference_tabulate``, the
+per-slice tabulation kernel built from the package's ``apply_word`` and
+basis builders, which pins the word-lattice kernel to it.
+``FractionEchelonBuilder`` and ``fraction_linear_operator`` are the
+linear backend's elimination and linear maps in plain ``Fraction``
+arithmetic, which pin its integer kernel.
 """
 
 from fractions import Fraction
@@ -163,6 +163,24 @@ def ideal_points_of_degree(antichain, m, part_sizes, s, cumulative=False):
         elif d == tuple(s) and in_ideal(r):
             count += 1
     return count
+
+
+def quotient_orbit_rank(gens, relations, part_sizes, s, cumulative=False):
+    """Rank of the word images of monomial generators in a monomial quotient.
+
+    The distinct exponent vectors g + r, over generators g and words r of
+    part degree s (at most s when cumulative), that lie above no relation.
+    """
+    breaks = [0]
+    for d in part_sizes:
+        breaks.append(breaks[-1] + d)
+    m = breaks[-1]
+    images = set()
+    for r in product(range(sum(s) + 1), repeat=m):
+        d = [sum(r[breaks[i] : breaks[i + 1]]) for i in range(len(part_sizes))]
+        if d == list(s) or (cumulative and all(x <= y for x, y in zip(d, s))):
+            images.update(tuple(a + b for a, b in zip(g, r)) for g in gens)
+    return len([x for x in images if not any(_leq(q, x) for q in relations)])
 
 
 def subcomplex_betti(simplices, n):

@@ -51,6 +51,7 @@ from oracles import (
     FractionEchelonBuilder,
     forest_rank,
     fraction_linear_operator,
+    ideal_count,
     ideal_points_of_degree,
     matrix_rank,
     subcomplex_betti,
@@ -90,6 +91,10 @@ def test_ideal_backend_membership():
     assert not backend.contains((2, 0))
     assert not backend.contains((3, 1))
     assert backend.rank([(0, 0), (1, 1), (2, 2), (1, 1)]) == 2
+    staircase = IdealCountBackend(3, [(0, 0, 3), (1, 2, 0), (2, 0, 1)])
+    for point in itertools.product(range(4), repeat=3):
+        expect = ideal_count([point], staircase.antichain) == 1
+        assert staircase.contains(point) == expect
 
 
 def test_ideal_backend_rejects_comparable_antichain():
@@ -97,6 +102,10 @@ def test_ideal_backend_rejects_comparable_antichain():
         IdealCountBackend(2, [(1, 0), (2, 0)])
     with pytest.raises(InputError):
         IdealCountBackend(2, [(1, -1)])
+    # [[2.7, 0]] used to run as [[2, 0]]
+    for point in [(2.7, 0), (True, 0), ("2", 0)]:
+        with pytest.raises(InputError, match="not an integer"):
+            IdealCountBackend(2, [point])
 
 
 def test_ideal_counts_match_lattice_enumeration():

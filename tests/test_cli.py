@@ -319,6 +319,66 @@ def test_non_integer_box_or_window_exits_input_error(tmp_path, bad):
     assert "must be" in doc["error"] and "integer" in doc["error"]
 
 
+IDEAL = {
+    "mode": "ideal-count",
+    "backend": "ideal-count",
+    "backend_data": {"complement_antichain": [[2, 0]]},
+    "partition": [2],
+}
+LINEAR = {"mode": "dimension", "backend": "linear", "backend_data": {"num_vars": 2}}
+TRIVIAL = {
+    "mode": "dimension",
+    "backend": "trivial",
+    "backend_data": {"dimension": 1},
+    "operators": [[1]],
+    "A": [[0]],
+}
+CHECK = dict(TRIVIAL, mode="check")
+GADGET = {"mode": "cumulative", "backend": "graphic", "backend_data": "counterexample"}
+BETTI = {
+    "mode": "betti",
+    "backend": "chain",
+    "backend_data": {"simplices": [[0, 1], [1, 2], [0, 2]]},
+    "operators": [{"vertex_map": {"0": "1", "1": "2", "2": "0"}}],
+    "A": [[0, 1]],
+}
+CIRCUIT = {
+    "mode": "dimension",
+    "backend": "circuit",
+    "backend_data": {"circuits": [{"degree": [0], "sets": [["a", "b"]]}]},
+    "operators": [{"map": {}}],
+    "partition": [1],
+    "A": [[[0], "a"]],
+}
+
+
+@pytest.mark.parametrize(
+    "base,bad",
+    [
+        (IDEAL, {"backend_data": {"complement_antichain": [[2.7, 0]]}}),
+        (IDEAL, {"partition": [2.9]}),
+        (LINEAR, {"backend_data": {"num_vars": 2.7}}),
+        (LINEAR, {"A": [[0.5, 0]]}),
+        (TRIVIAL, {"backend_data": {"dimension": 1.5}}),
+        (SUMSET, {"A": [[True]]}),
+        (CHECK, {"depth": 2.5}),
+        (CHECK, {"seed_sample": 3.5}),
+        (GADGET, {"depth": 8.5}),
+        (GADGET, {"A": [["a", 0.5]]}),
+        (BETTI, {"dimension": 0.5}),
+        (CIRCUIT, {"A": [[[0.5], "a"]]}),
+        (CIRCUIT, {"backend_data": {"circuits": [{"degree": [0.5], "sets": []}]}}),
+    ],
+)
+def test_non_integer_where_an_integer_is_read_exits_input_error(base, bad):
+    # each value used to be truncated by int(...) and the config run on
+    assert execute(base)[0] != EXIT_INPUT_ERROR
+    code, doc = execute(dict(base, **bad))
+    assert code == EXIT_INPUT_ERROR
+    assert doc["status"] == "input-error"
+    assert "integer" in doc["error"]
+
+
 def test_run_missing_file():
     code, doc = run("/nonexistent/nowhere.json")
     assert code == EXIT_INPUT_ERROR

@@ -65,6 +65,13 @@ def test_eval_f_single_variable_has_empty_lex_base():
         assert eval_f(sys, [(0,)], [], (u,)) == 1
 
 
+def test_eval_f_word_must_be_natural_numbers():
+    sys = make_sumset_system([1])
+    for word in [(1.5,), (True,), (-1,), (1, 1)]:
+        with pytest.raises(InputError, match="not a word"):
+            eval_f(sys, [(0,)], [], word)
+
+
 def test_eval_f_fresh_monomial():
     sys, seeds = make_polynomial_ring_system(2)
     assert eval_f(sys, seeds, [], (0, 1)) == 1
@@ -258,6 +265,44 @@ def test_work_budget_rejects_a_huge_box_before_any_word():
         tabulate_f(sys, [(0,)], [], box=(20,) * 6)
     with pytest.raises(InputError, match=rf"{words:,} words"):
         DecreasingTable.from_function(never, (20,) * 6, Partition([6]))
+
+
+def test_from_function_box_must_be_natural_numbers():
+    # (1.9,) used to become the box (1,)
+    for box in [(1.9,), (True,), ("2",), (-1,)]:
+        with pytest.raises(InputError, match="box must be natural numbers"):
+            DecreasingTable.from_function(lambda u: 1, box, Partition([1]))
+    assert DecreasingTable.from_function(lambda u: 1, (2,), Partition([1])).box == (2,)
+
+
+def test_lattice_cache_evicts_least_recent_within_its_word_budget():
+    cache = engine._LatticeCache(budget=30)
+    line = (1,)  # the lattice of cap (c,) over one slot holds c + 1 words
+    first = cache(line, (9,))
+    assert cache(line, (9,)) is first
+    cache(line, (14,))
+    cache(line, (9,))  # now more recent than (14,)
+    cache(line, (4,))
+    assert (list(cache.lattices), cache.words) == (
+        [(line, (14,)), (line, (9,)), (line, (4,))],
+        30,
+    )
+    cache(line, (5,))  # 6 more words: the least recent, (14,), goes
+    assert (list(cache.lattices), cache.words) == (
+        [(line, (9,)), (line, (4,)), (line, (5,))],
+        21,
+    )
+    assert cache(line, (9,)) is first
+
+
+def test_lattice_cache_does_not_keep_a_lattice_over_its_budget():
+    cache = engine._LatticeCache(budget=30)
+    cache((1,), (9,))
+    big = cache((1,), (30,))  # 31 words
+    assert big.words == [(c,) for c in range(31)]
+    assert (list(cache.lattices), cache.words) == ([((1,), (9,))], 10)
+    assert cache((1,), (30,)) is not big
+    assert engine._word_lattice.budget == engine.LATTICE_CACHE_WORDS
 
 
 def test_tabulate_sumset_is_decreasing_all_ones():

@@ -41,6 +41,10 @@ def test_part_degree_examples():
     for slot in (-1, 3):
         with pytest.raises(InputError):
             p.part_of(slot)
+    # [2.9] used to become [2]
+    for sizes in ([2.9], [True], ["2"], [0], []):
+        with pytest.raises(InputError, match="positive integers"):
+            Partition(sizes)
 
 
 def test_lex_compare_last_coordinate_rules():
