@@ -9,6 +9,7 @@ natural way to build commuting operator systems on top of it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import random
@@ -94,7 +95,7 @@ def as_vector(x, dimension: int | None = None) -> Tuple[int, ...]:
 
 def translation(v: Tuple[int, ...]) -> Callable:
     def op(x):
-        return tuple(a + b for a, b in zip(x, v))
+        return tuple(map(operator.add, x, v))
 
     return op
 
@@ -266,7 +267,11 @@ class LinearBackend(RankOracle):
                 )
                 and all(p[0] < q[0] for p, q in zip(elem, elem[1:]))
             )
-        except TypeError:  # keys that do not order
+            if canonical:
+                # keys index dicts and the image cache of ``linear_operator``
+                for p in elem:
+                    hash(p[0])
+        except TypeError:  # keys that do not order or do not hash
             canonical = False
         if not canonical:
             raise InputError(f"not a canonical vector: {elem!r}")
@@ -338,15 +343,42 @@ class _EchelonBuilder(BasisBuilder):
         return False
 
 
+IMAGE_CACHE_SIZE = 1024
+"""The most (``image_fn``, basis key) images ``linear_operator`` keeps."""
+
+COEFF_CACHE_SIZE = 1024
+"""The most output coefficients ``linear_operator`` keeps."""
+
+
+@functools.lru_cache(maxsize=IMAGE_CACHE_SIZE, typed=True)
+def _image(image_fn: Callable, key) -> tuple:
+    """``image_fn(key)`` as a tuple, so a generator is never shared half-used."""
+    return tuple(image_fn(key))
+
+
+# Fractions are immutable, so a cached one is safe to share; ``typed`` keeps
+# a float numerator (refused by ``Fraction``) from hitting an equal int's entry
+_fraction = functools.lru_cache(maxsize=COEFF_CACHE_SIZE, typed=True)(Fraction)
+
+
 def linear_operator(backend: LinearBackend, image_fn: Callable) -> Callable:
     """Extend a basis-key map linearly to vectors.
 
     ``image_fn`` sends a basis key to an iterable of (key, coeff) pairs,
     each coefficient an int or a ``Fraction``; an empty iterable
-    annihilates the basis vector.  The input is scaled to integers over
-    one common denominator, so each output coefficient becomes one
-    ``Fraction``; any other coefficient is an ``InputError``.
+    annihilates the basis vector.  It must be a pure function of the key:
+    its images are kept in a bounded cache shared by the whole process
+    (``IMAGE_CACHE_SIZE`` entries, keyed by ``image_fn`` and the key), so
+    it is not called again for a key whose image is still held.  The
+    input is scaled to integers over one common denominator, so each
+    output coefficient becomes one ``Fraction``, itself taken from a
+    second bounded cache; any other coefficient, or an unhashable basis
+    key, is an ``InputError``.
     """
+    try:
+        hash(image_fn)
+    except TypeError:
+        raise InputError(f"image_fn {image_fn!r} is not hashable") from None
 
     def op(elem):
         den = lcm(*[c.denominator for _, c in elem])
@@ -354,12 +386,13 @@ def linear_operator(backend: LinearBackend, image_fn: Callable) -> Callable:
         try:
             for k, c in elem:
                 n = c.numerator * (den // c.denominator)
-                for k2, c2 in image_fn(k):
+                for k2, c2 in _image(image_fn, k):
                     acc[k2] = acc.get(k2, 0) + n * c2
-            out = [(k, Fraction(c, den)) for k, c in acc.items()]
+            out = [(k, _fraction(c, den)) for k, c in acc.items()]
         except TypeError as exc:
             raise InputError(
-                f"linear map coefficients must be ints or Fractions: {exc}"
+                "linear map terms must pair a hashable basis key with a "
+                f"coefficient, and coefficients must be ints or Fractions: {exc}"
             ) from exc
         return tuple(sorted(p for p in out if p[1]))
 

@@ -316,6 +316,14 @@ class DecreasingTable:
         )
 
 
+def _validate_all(backend, *groups) -> None:
+    """Validate every element before any is keyed, sorted or deduplicated,
+    so a malformed one is an ``InputError``, not a ``TypeError``."""
+    for group in groups:
+        for x in group:
+            backend.validate(x)
+
+
 def tabulate_f(
     sys: OperatorSystem,
     A,
@@ -347,10 +355,9 @@ def tabulate_f(
         cfg = replace(cfg, box=box)
     box = cfg.resolved_box(sys.m)
     backend = sys.backend
+    _validate_all(backend, A, B)
     A_sorted = backend.sorted_elems(A)
     B_list = backend.dedupe(B)
-    for x in A_sorted + B_list:
-        backend.validate(x)
     cap = sys.partition.part_degree(box)
     lattice = _word_lattice(sys.partition.part_sizes, cap)
     words, top, up = lattice.words, lattice.top, lattice.up
@@ -879,6 +886,7 @@ def _bound_box(
     bound = sys.bound
     if bound is None or cfg.box is not None or context_sys is not None or B:
         return None, []
+    _validate_all(sys.backend, A)
     key = sys.backend.key
     if {key(a) for a in A} != {key(a) for a in bound.seed}:
         return None, []

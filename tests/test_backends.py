@@ -24,6 +24,8 @@ from rankgrowth import (
     tabulate_f,
 )
 from rankgrowth.backends import (
+    COEFF_CACHE_SIZE,
+    IMAGE_CACHE_SIZE,
     ChainBoundaryOracle,
     ChainFreeOracle,
     CircuitBackend,
@@ -34,6 +36,8 @@ from rankgrowth.backends import (
     TrivialBackend,
     ZERO_CHAIN,
     _EchelonBuilder,
+    _fraction,
+    _image,
     linear_operator,
     make_circuit_backend,
     make_counterexample_graph,
@@ -261,16 +265,120 @@ def test_linear_operator_matches_fraction_reference(data):
     pool = data.draw(st.sampled_from(_KEY_POOLS))
     coeff = st.one_of(st.integers(-6, 6), _FRACTIONS)
     term = st.tuples(st.sampled_from(pool), coeff)
-    images = {k: data.draw(st.lists(term, max_size=3)) for k in pool}
     lb = LinearBackend()
-    op = linear_operator(lb, images.__getitem__)
-    ref = fraction_linear_operator(images.__getitem__)
-    for v in data.draw(_linear_vectors(pool)):
-        once = op(v)
-        assert once == ref(v)
-        lb.validate(once)
-        assert all(type(c) is Fraction for _, c in once)
-        assert op(once) == ref(ref(v))
+    ops = []
+    for _ in range(2):
+        images = {k: data.draw(st.lists(term, max_size=3)) for k in pool}
+        ops.append(
+            (
+                linear_operator(lb, images.__getitem__),
+                fraction_linear_operator(images.__getitem__),
+            )
+        )
+    vs = data.draw(_linear_vectors(pool))
+    # words of both operators over a sequence of vectors that share keys, so
+    # the image cache holds both operators' images of a key at once
+    words = st.lists(st.sampled_from([0, 1]), min_size=1, max_size=3)
+    for word in data.draw(st.lists(words, min_size=1, max_size=3)):
+        for v in vs:
+            ours = ref = v
+            for i in word:
+                op, ref_op = ops[i]
+                ours, ref = op(ours), ref_op(ref)
+                assert ours == ref
+                lb.validate(ours)
+                assert all(type(c) is Fraction for _, c in ours)
+
+
+def test_linear_operator_caches_keep_a_float_coefficient_refused():
+    lb = LinearBackend()
+    one = linear_operator(lb, lambda k: [(k + 1, 1)])
+    assert one(lb.monomial(0)) == ((1, Fraction(1)),)
+    # the same key and the same coefficient value, but a float: the cached
+    # Fraction(1) of the int must not be handed out for it
+    float_one = linear_operator(lb, lambda k: [(k + 1, 1.0)])
+    with pytest.raises(InputError, match="ints or Fractions"):
+        float_one(lb.monomial(0))
+    assert one(lb.monomial(0)) == ((1, Fraction(1)),)
+    sys = OperatorSystem([float_one], Partition([1]), lb)
+    with pytest.raises(OperatorError, match=r"map 1 failed while applying word"):
+        tabulate_f(sys, [lb.monomial(0)], [], box=(2,))
+
+
+def test_linear_operator_generator_images_are_not_shared_half_used():
+    lb = LinearBackend()
+
+    def image(k):
+        return ((k + d, c) for d, c in [(0, 2), (1, Fraction(-1, 3)), (3, 1)])
+
+    op, ref = linear_operator(lb, image), fraction_linear_operator(image)
+    third = Fraction(1, 3)
+    vs = [
+        lb.vector([(0, 1), (1, third)]),
+        lb.vector([(1, 2), (2, -1)]),
+        lb.vector([(0, third), (2, 5), (4, Fraction(-7, 2))]),
+        lb.vector([(1, third)]),
+    ]
+    for v in vs + vs:
+        assert op(v) == ref(v)
+        assert op(op(v)) == ref(ref(v))
+
+
+def test_linear_operator_does_not_cache_a_failing_image():
+    lb = LinearBackend()
+    calls = []
+
+    def fails(k):
+        calls.append(k)
+        raise ValueError("image fails")
+
+    op = linear_operator(lb, fails)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="image fails"):
+            op(lb.monomial(0))
+    assert calls == [0, 0]
+
+
+def test_linear_operator_caches_stay_bounded():
+    for cache, size in [(_image, IMAGE_CACHE_SIZE), (_fraction, COEFF_CACHE_SIZE)]:
+        assert cache.cache_parameters() == {"maxsize": size, "typed": True}
+    lb = LinearBackend()
+    n = 3 * max(IMAGE_CACHE_SIZE, COEFF_CACHE_SIZE)
+    # n keys with n distinct coefficients over one denominator
+    v = lb.vector([(k, Fraction(k + 1, 7)) for k in range(n)])
+    op = linear_operator(lb, lambda k: [(k + 1, 2)])
+    ref = fraction_linear_operator(lambda k: [(k + 1, 2)])
+    images, coeffs = _image.cache_info(), _fraction.cache_info()
+    assert op(v) == ref(v)
+    # each cache missed more keys than it holds
+    assert _image.cache_info().misses - images.misses > IMAGE_CACHE_SIZE
+    assert _fraction.cache_info().misses - coeffs.misses > COEFF_CACHE_SIZE
+    assert _image.cache_info().currsize <= IMAGE_CACHE_SIZE
+    assert _fraction.cache_info().currsize <= COEFF_CACHE_SIZE
+
+
+class _Unhashable:
+    __hash__ = None
+
+    def __call__(self, key):
+        return [(key, 1)]
+
+
+def test_linear_basis_keys_must_be_hashable():
+    lb = LinearBackend()
+    with pytest.raises(InputError, match="not a canonical vector"):
+        lb.validate((([1], Fraction(1)),))
+    with pytest.raises(InputError, match="not a canonical vector"):
+        lb.validate((((0, [1]), Fraction(1)),))
+    lb.validate((((0, (1,)), Fraction(1)),))
+    op = linear_operator(lb, lambda k: [([k], 1)])
+    with pytest.raises(InputError, match="hashable basis key"):
+        op(lb.monomial(0))
+    shift = linear_operator(lb, lambda k: [(k, 1)])
+    with pytest.raises(InputError, match="hashable basis key"):
+        shift((([1], Fraction(1)),))
+    with pytest.raises(InputError, match="not hashable"):
+        linear_operator(lb, _Unhashable())
 
 
 def test_echelon_builder_skips_zero_entries_of_a_map_image():

@@ -218,3 +218,15 @@ def test_a_malformed_bound_is_input_error():
             OperatorSystem(
                 sys.maps, sys.partition, sys.backend, bound=sys.bound._replace(graded=bad)
             )
+
+
+def test_malformed_seeds_are_input_errors_before_the_bound_check():
+    # the bound check keys A, so A is validated first
+    ideal, _ = make_ideal_system([(2, 1)], [2])
+    with pytest.raises(InputError, match="expected a point of N"):
+        analyze_graded(ideal, [[0, 0]], [])
+    ring, _ = make_polynomial_ring_system(2)
+    with pytest.raises(InputError, match="not a canonical vector"):
+        analyze_graded(ring, [[0, 1]], [])
+    with pytest.raises(InputError, match="not a canonical vector"):
+        analyze_cumulative(ring, [[0, 1]], [])
