@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple, Union
 
 from .engine import (
     GrowthPolynomial,
@@ -224,21 +224,47 @@ def make_ideal_system(
 # linear backend: exact rational vectors over a countable basis
 # ---------------------------------------------------------------------------
 
-Vector = Tuple[Tuple[object, Fraction], ...]
+Vector = Tuple[Tuple[object, Union[int, Fraction]], ...]
+
+
+def _exact(c: int | Fraction) -> int | Fraction:
+    """``c`` in normal form: a plain ``int`` when it is integral (so never
+    a bool), else the ``Fraction``."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _check_orderable(keys) -> None:
+    """Raise an ``InputError`` naming two of ``keys`` that do not order."""
+    for a, b in itertools.combinations(keys, 2):
+        try:
+            sorted((a, b))
+            sorted((b, a))
+        except TypeError:
+            raise InputError(f"basis keys {a!r} and {b!r} do not order") from None
 
 
 class LinearBackend(RankOracle):
     """Finitely supported exact-rational vectors; rank is span dimension.
 
     An element is a canonical tuple of (basis key, coefficient) pairs:
-    keys strictly increasing, coefficients nonzero ``Fraction``s; basis
-    keys must be mutually orderable.  Rank is computed by sparse
+    keys strictly increasing, hashable and mutually orderable,
+    coefficients nonzero ints (not bools) or ``Fraction``s.  Every vector
+    the backend and ``linear_operator`` build is in normal form: a
+    coefficient is a plain ``int`` when it is integral and a ``Fraction``
+    only when its denominator is not 1.  Since ``2 == Fraction(2)`` with
+    equal hashes and keys, a vector holding ``Fraction(2)`` equals its
+    normal form and is just as valid.  Rank is computed by sparse
     fraction-free elimination over the integers, incremental in the basis
     builder.
     """
 
     def vector(self, items) -> Vector:
-        """Canonical vector of (key, int or Fraction) pairs or a dict."""
+        """Canonical vector of (key, int or Fraction) pairs or a dict.
+
+        Coefficients of one key are summed and zero sums dropped.  A
+        coefficient of another type, and a key that does not hash or does
+        not order with the others, are ``InputError``s naming it.
+        """
         acc: Dict[object, int | Fraction] = {}
         pairs = items.items() if isinstance(items, dict) else items
         for k, c in pairs:
@@ -246,8 +272,18 @@ class LinearBackend(RankOracle):
                 raise InputError(
                     f"coefficient {c!r} of basis key {k!r} is not an int or a Fraction"
                 )
+            try:
+                hash(k)
+            except TypeError:
+                raise InputError(f"basis key {k!r} is not hashable") from None
             acc[k] = acc.get(k, 0) + c
-        return tuple(sorted((k, Fraction(c)) for k, c in acc.items() if c))
+        out = [(k, _exact(c)) for k, c in acc.items() if c]
+        try:
+            out.sort()
+        except TypeError:
+            _check_orderable([k for k, _ in out])
+            raise
+        return tuple(out)
 
     def monomial(self, key, coeff=1) -> Vector:
         return self.vector([(key, coeff)])
@@ -261,7 +297,8 @@ class LinearBackend(RankOracle):
                 and all(
                     isinstance(p, tuple)
                     and len(p) == 2
-                    and isinstance(p[1], Fraction)
+                    and isinstance(p[1], (int, Fraction))
+                    and not isinstance(p[1], bool)
                     and p[1] != 0
                     for p in elem
                 )
@@ -287,24 +324,26 @@ class _EchelonBuilder(BasisBuilder):
     """Sparse echelon rows of primitive integers, keyed by pivot basis key.
 
     Fraction-free (the integer-preserving elimination of Bareiss 1968): an
-    incoming vector is scaled to integers by the lcm of its denominators,
-    and each step replaces it by ``b*v - a*row`` with ``a/b`` the ratio of
-    the pivot entries in lowest terms, then divides out its content.  The
-    pivot is always the least key, so every step is a nonzero multiple of
-    the rational one and every accept or reject the same.  Stored rows are
-    primitive with a positive pivot entry.
+    incoming vector of ints is taken as it is, any other is scaled to
+    integers by the lcm of its denominators, and each step replaces it by
+    ``b*v - a*row`` with ``a/b`` the ratio of the pivot entries in lowest
+    terms, then divides out its content.  The pivot is always the least
+    key, so every step is a nonzero multiple of the rational one and every
+    accept or reject the same.  Stored rows are primitive with a positive
+    pivot entry.
     """
 
     def __init__(self):
         self.pivots: Dict[object, Dict[object, int]] = {}
 
     def add(self, elem) -> bool:
-        den = lcm(*[c.denominator for _, c in elem])
         # a zero entry (a map may return a non-canonical vector) must never
         # become a pivot
-        return self._reduce(
-            {k: n for k, c in elem if (n := c.numerator * (den // c.denominator))}
-        )
+        v = {k: c for k, c in elem if c}
+        if not {int}.issuperset(map(type, v.values())):  # not all ints
+            den = lcm(*[c.denominator for c in v.values()])
+            v = {k: c.numerator * (den // c.denominator) for k, c in v.items()}
+        return self._reduce(v)
 
     def _reduce(self, v: Dict[object, int]) -> bool:
         """``add`` for a dict of nonzero ints, which it takes over."""
@@ -346,19 +385,37 @@ class _EchelonBuilder(BasisBuilder):
 IMAGE_CACHE_SIZE = 1024
 """The most (``image_fn``, basis key) images ``linear_operator`` keeps."""
 
-COEFF_CACHE_SIZE = 1024
-"""The most output coefficients ``linear_operator`` keeps."""
+_coefficient = operator.itemgetter(1)
 
 
 @functools.lru_cache(maxsize=IMAGE_CACHE_SIZE, typed=True)
-def _image(image_fn: Callable, key) -> tuple:
-    """``image_fn(key)`` as a tuple, so a generator is never shared half-used."""
-    return tuple(image_fn(key))
+def _image(image_fn: Callable, key) -> Tuple[tuple, bool]:
+    """``image_fn(key)`` as a tuple of checked terms, and whether all are ints.
 
-
-# Fractions are immutable, so a cached one is safe to share; ``typed`` keeps
-# a float numerator (refused by ``Fraction``) from hitting an equal int's entry
-_fraction = functools.lru_cache(maxsize=COEFF_CACHE_SIZE, typed=True)(Fraction)
+    Each term must pair a hashable basis key with an int or a ``Fraction``;
+    its coefficient is put in normal form, so a bool becomes an int.  The
+    check runs once per cached image, and the tuple keeps a generator from
+    being shared half-used.
+    """
+    terms = []
+    for term in image_fn(key):
+        try:
+            k, c = term
+            hash(k)
+        except (TypeError, ValueError):
+            raise InputError(
+                f"image term {term!r} of basis key {key!r} does not pair a "
+                "hashable basis key with a coefficient"
+            ) from None
+        if type(c) is not int:
+            if not isinstance(c, (int, Fraction)):
+                raise InputError(
+                    f"coefficient {c!r} in the image of basis key {key!r}: linear "
+                    "map coefficients must be ints or Fractions"
+                )
+            c = _exact(c)
+        terms.append((k, c))
+    return tuple(terms), all(type(c) is int for _, c in terms)
 
 
 def linear_operator(backend: LinearBackend, image_fn: Callable) -> Callable:
@@ -367,13 +424,15 @@ def linear_operator(backend: LinearBackend, image_fn: Callable) -> Callable:
     ``image_fn`` sends a basis key to an iterable of (key, coeff) pairs,
     each coefficient an int or a ``Fraction``; an empty iterable
     annihilates the basis vector.  It must be a pure function of the key:
-    its images are kept in a bounded cache shared by the whole process
-    (``IMAGE_CACHE_SIZE`` entries, keyed by ``image_fn`` and the key), so
-    it is not called again for a key whose image is still held.  The
-    input is scaled to integers over one common denominator, so each
-    output coefficient becomes one ``Fraction``, itself taken from a
-    second bounded cache; any other coefficient, or an unhashable basis
-    key, is an ``InputError``.
+    its images are checked and kept in a bounded cache shared by the whole
+    process (``IMAGE_CACHE_SIZE`` entries, keyed by ``image_fn`` and the
+    key), so it is not called again for a key whose image is still held.
+    Outputs are in the backend's normal form.  When the input and the
+    images are all ints, so is the whole computation; otherwise the input
+    is scaled to integers over one common denominator, and a ``Fraction``
+    is built only for an output coefficient that is not integral.  A
+    malformed term, a coefficient of another type, or an unhashable basis
+    key is an ``InputError``.
     """
     try:
         hash(image_fn)
@@ -382,19 +441,27 @@ def linear_operator(backend: LinearBackend, image_fn: Callable) -> Callable:
 
     def op(elem):
         den = lcm(*[c.denominator for _, c in elem])
+        whole = den == 1
         acc: Dict[object, int | Fraction] = {}
+        get = acc.get
         try:
             for k, c in elem:
-                n = c.numerator * (den // c.denominator)
-                for k2, c2 in _image(image_fn, k):
-                    acc[k2] = acc.get(k2, 0) + n * c2
-            out = [(k, _fraction(c, den)) for k, c in acc.items()]
+                n = c * den if type(c) is int else c.numerator * (den // c.denominator)
+                terms, integral = _image(image_fn, k)
+                if not integral:
+                    whole = False
+                for k2, c2 in terms:
+                    acc[k2] = get(k2, 0) + n * c2
         except TypeError as exc:
             raise InputError(
-                "linear map terms must pair a hashable basis key with a "
-                f"coefficient, and coefficients must be ints or Fractions: {exc}"
+                "linear maps take vectors with a hashable basis key in every "
+                f"term: {exc}"
             ) from exc
-        return tuple(sorted(p for p in out if p[1]))
+        if whole:
+            return tuple(sorted(filter(_coefficient, acc.items())))
+        return tuple(
+            sorted((k, _exact(Fraction(c, den))) for k, c in acc.items() if c)
+        )
 
     return op
 

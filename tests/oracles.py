@@ -43,17 +43,17 @@ def matrix_rank(rows):
 class FractionEchelonBuilder:
     """Incremental sparse elimination over the rationals.
 
-    ``add`` takes a canonical (key, Fraction) vector and says whether it
-    raises the rank; ``pivots`` maps each pivot key to its row scaled to
-    pivot coefficient 1.  The pivot is always the least key of the
-    remainder.
+    ``add`` takes a canonical (key, int or Fraction) vector, coerces each
+    coefficient to a ``Fraction`` and says whether it raises the rank;
+    ``pivots`` maps each pivot key to its row scaled to pivot coefficient
+    1.  The pivot is always the least key of the remainder.
     """
 
     def __init__(self):
         self.pivots = {}
 
     def add(self, elem):
-        v = {k: c for k, c in elem}
+        v = {k: Fraction(c) for k, c in elem}
         while v:
             p = min(v)
             row = self.pivots.get(p)
@@ -83,7 +83,7 @@ def fraction_linear_operator(image_fn):
         acc = {}
         for k, c in elem:
             for k2, c2 in image_fn(k):
-                acc[k2] = acc.get(k2, Fraction(0)) + c * Fraction(c2)
+                acc[k2] = acc.get(k2, Fraction(0)) + Fraction(c) * Fraction(c2)
         return tuple(sorted((k, c) for k, c in acc.items() if c != 0))
 
     return op

@@ -24,7 +24,6 @@ from rankgrowth import (
     tabulate_f,
 )
 from rankgrowth.backends import (
-    COEFF_CACHE_SIZE,
     IMAGE_CACHE_SIZE,
     ChainBoundaryOracle,
     ChainFreeOracle,
@@ -36,7 +35,6 @@ from rankgrowth.backends import (
     TrivialBackend,
     ZERO_CHAIN,
     _EchelonBuilder,
-    _fraction,
     _image,
     linear_operator,
     make_circuit_backend,
@@ -195,31 +193,79 @@ def test_monomial_module_rejects_bad_relation():
         make_monomial_module_system(2, [2], [(0, 0)], [(-1, 0)])
 
 
+def _assert_normal(v):
+    """``v`` validates, and each coefficient is an int exactly when it is
+    integral."""
+    LinearBackend().validate(v)
+    for _, c in v:
+        assert type(c) is (int if c.denominator == 1 else Fraction), v
+
+
 def test_linear_backend_canonicalization():
     lb = LinearBackend()
     v = lb.vector([(1, 1), (0, 2), (1, -1)])
-    assert v == ((0, Fraction(2)),)
+    assert v == ((0, 2),)
+    assert lb.vector([(0, Fraction(4, 2)), (1, True), (2, Fraction(1, 2))]) == (
+        (0, 2),
+        (1, 1),
+        (2, Fraction(1, 2)),
+    )
+    for w in [v, lb.vector({0: Fraction(4, 2), 1: True, 2: Fraction(1, 2)})]:
+        _assert_normal(w)
+    _assert_normal(lb.monomial((1, 0), Fraction(3, 3)))
     assert lb.vector([]) == lb.zero
     assert lb.rank([lb.zero]) == 0
 
 
+def test_linear_integral_fraction_equals_its_normal_form():
+    lb = LinearBackend()
+    old, new = ((0, Fraction(2)),), lb.monomial(0, 2)
+    assert type(new[0][1]) is int
+    assert old == new and hash(old) == hash(new) and lb.key(old) == lb.key(new)
+    assert lb.key(new) == ((0, (2, 1)),)
+    lb.validate(old)
+    assert lb.rank([old]) == lb.rank([new]) == 1
+    assert lb.rank([old, new]) == 1
+    assert lb.rank([old, lb.monomial(1)]) == lb.rank([new, lb.monomial(1)]) == 2
+    # a map sends both to the same int vector
+    op = linear_operator(lb, lambda k: [(k + 1, 3)])
+    assert op(old) == op(new) == ((1, 6),)
+    _assert_normal(op(old))
+
+
+def test_linear_operator_images_are_put_in_normal_form_once():
+    # when an image is cached, an integral Fraction and a bool become ints
+    # and the image is marked all-int
+    def image(k):
+        return [(k + 1, Fraction(4, 2)), (k + 2, True)]
+
+    terms, integral = _image(image, 0)
+    assert terms == ((1, 2), (2, 1)) and integral
+    assert [type(c) for _, c in terms] == [int, int]
+    assert _image(lambda k: [(k, Fraction(1, 2))], 0) == (((0, Fraction(1, 2)),), False)
+
+
 # the integer kernel against the Fraction references: small key pools of
-# int or tuple keys, signed coefficients with denominators up to 12
+# int or tuple keys, coefficients that are all ints, all Fractions with
+# denominators up to 12 (some of them integral), or a mix of both
 
 _KEY_POOLS = [list(range(5)), [(i, j) for i in range(2) for j in range(3)]]
-_FRACTIONS = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 12))
+_INTS = st.integers(-9, 9).filter(bool)
+_FRACTIONS = st.builds(Fraction, _INTS, st.integers(1, 12))
+_COEFFS = [_INTS, st.one_of(_INTS, _FRACTIONS), _FRACTIONS]
 
 
 @st.composite
 def _linear_vectors(draw, pool):
     """Vectors over ``pool``, some of them combinations of earlier ones."""
     lb = LinearBackend()
-    entry = st.tuples(st.sampled_from(pool), _FRACTIONS)
+    coeff = draw(st.sampled_from(_COEFFS))
+    entry = st.tuples(st.sampled_from(pool), coeff)
     vector = st.lists(entry, max_size=5).map(lb.vector)
     vs = draw(st.lists(vector, min_size=1, max_size=7))
     for _ in range(draw(st.integers(0, 3))):
         combo = {}
-        terms = st.tuples(st.sampled_from(vs), _FRACTIONS)
+        terms = st.tuples(st.sampled_from(vs), coeff)
         for v, c in draw(st.lists(terms, min_size=1, max_size=3)):
             for k, x in v:
                 combo[k] = combo.get(k, 0) + c * x
@@ -237,9 +283,16 @@ def _fraction_rank(vs):
 def test_echelon_builder_matches_fraction_reference(data):
     pool = data.draw(st.sampled_from(_KEY_POOLS))
     vs = data.draw(_linear_vectors(pool))
+    for v in vs:
+        _assert_normal(v)
     ours, ref = _EchelonBuilder(), FractionEchelonBuilder()
-    assert [ours.add(v) for v in vs] == [ref.add(v) for v in vs]
+    accepts = [ours.add(v) for v in vs]
+    assert accepts == [ref.add(v) for v in vs]
     assert ours.pivots.keys() == ref.pivots.keys()
+    # the same vectors built by hand with every coefficient a Fraction
+    by_hand = _EchelonBuilder()
+    assert [by_hand.add(tuple((k, Fraction(c)) for k, c in v)) for v in vs] == accepts
+    assert by_hand.pivots == ours.pivots
     for p, row in ours.pivots.items():
         # primitive integers, positive at the pivot, a multiple of the rational row
         assert row[p] > 0 and math.gcd(*row.values()) == 1
@@ -263,7 +316,9 @@ def test_linear_rank_and_localized_rank_match_fraction_reference(data):
 @settings(max_examples=100, deadline=None)
 def test_linear_operator_matches_fraction_reference(data):
     pool = data.draw(st.sampled_from(_KEY_POOLS))
-    coeff = st.one_of(st.integers(-6, 6), _FRACTIONS)
+    # integer images, or images mixing ints and Fractions
+    ints = st.integers(-6, 6)
+    coeff = data.draw(st.sampled_from([ints, st.one_of(ints, _FRACTIONS)]))
     term = st.tuples(st.sampled_from(pool), coeff)
     lb = LinearBackend()
     ops = []
@@ -276,6 +331,8 @@ def test_linear_operator_matches_fraction_reference(data):
             )
         )
     vs = data.draw(_linear_vectors(pool))
+    # each vector also as the caller may build it, every coefficient a Fraction
+    vs += [tuple((k, Fraction(c)) for k, c in v) for v in vs]
     # words of both operators over a sequence of vectors that share keys, so
     # the image cache holds both operators' images of a key at once
     words = st.lists(st.sampled_from([0, 1]), min_size=1, max_size=3)
@@ -286,16 +343,15 @@ def test_linear_operator_matches_fraction_reference(data):
                 op, ref_op = ops[i]
                 ours, ref = op(ours), ref_op(ref)
                 assert ours == ref
-                lb.validate(ours)
-                assert all(type(c) is Fraction for _, c in ours)
+                _assert_normal(ours)
 
 
 def test_linear_operator_caches_keep_a_float_coefficient_refused():
     lb = LinearBackend()
     one = linear_operator(lb, lambda k: [(k + 1, 1)])
     assert one(lb.monomial(0)) == ((1, Fraction(1)),)
-    # the same key and the same coefficient value, but a float: the cached
-    # Fraction(1) of the int must not be handed out for it
+    # the same key and the same coefficient value, but a float: its image is
+    # checked when it is cached, and refused
     float_one = linear_operator(lb, lambda k: [(k + 1, 1.0)])
     with pytest.raises(InputError, match="ints or Fractions"):
         float_one(lb.monomial(0))
@@ -340,21 +396,18 @@ def test_linear_operator_does_not_cache_a_failing_image():
 
 
 def test_linear_operator_caches_stay_bounded():
-    for cache, size in [(_image, IMAGE_CACHE_SIZE), (_fraction, COEFF_CACHE_SIZE)]:
-        assert cache.cache_parameters() == {"maxsize": size, "typed": True}
+    assert _image.cache_parameters() == {"maxsize": IMAGE_CACHE_SIZE, "typed": True}
     lb = LinearBackend()
-    n = 3 * max(IMAGE_CACHE_SIZE, COEFF_CACHE_SIZE)
+    n = 3 * IMAGE_CACHE_SIZE
     # n keys with n distinct coefficients over one denominator
     v = lb.vector([(k, Fraction(k + 1, 7)) for k in range(n)])
     op = linear_operator(lb, lambda k: [(k + 1, 2)])
     ref = fraction_linear_operator(lambda k: [(k + 1, 2)])
-    images, coeffs = _image.cache_info(), _fraction.cache_info()
+    images = _image.cache_info()
     assert op(v) == ref(v)
-    # each cache missed more keys than it holds
+    # the cache missed more keys than it holds
     assert _image.cache_info().misses - images.misses > IMAGE_CACHE_SIZE
-    assert _fraction.cache_info().misses - coeffs.misses > COEFF_CACHE_SIZE
     assert _image.cache_info().currsize <= IMAGE_CACHE_SIZE
-    assert _fraction.cache_info().currsize <= COEFF_CACHE_SIZE
 
 
 class _Unhashable:
@@ -381,6 +434,33 @@ def test_linear_basis_keys_must_be_hashable():
         linear_operator(lb, _Unhashable())
 
 
+def test_linear_vector_names_a_key_that_does_not_hash_or_order():
+    lb = LinearBackend()
+    for make in [lb.vector, lambda items: lb.monomial(*items[0])]:
+        with pytest.raises(InputError, match=r"basis key \[1\] is not hashable"):
+            make([([1], 1)])
+        with pytest.raises(InputError, match=r"basis key \(0, \[1\]\) is not hashable"):
+            make([((0, [1]), 1)])
+    with pytest.raises(InputError, match=r"basis keys \(1,\) and 'a' do not order"):
+        lb.vector([((1,), 1), ("a", 1)])
+    with pytest.raises(InputError, match=r"basis keys 0 and 'a' do not order"):
+        lb.vector({0: 1, 1: 2, "a": 1})
+
+
+def test_linear_operator_refuses_a_malformed_image_term():
+    lb = LinearBackend()
+    for image in [[(0, 1, 2)], [(0,)], [5], [([0], 1)]]:
+        op = linear_operator(lb, lambda k, image=image: image)
+        malformed = r"image term .* of basis key 0 does not pair"
+        with pytest.raises(InputError, match=malformed):
+            op(lb.monomial(0))
+    three = linear_operator(lb, lambda k: [(k, 1, 2)])
+    sys = OperatorSystem([three], Partition([1]), lb)
+    failure = r"map 1 failed while applying word \(1,\): image term \(0, 1, 2\)"
+    with pytest.raises(OperatorError, match=failure):
+        tabulate_f(sys, [lb.monomial(0)], [], box=(2,))
+
+
 def test_echelon_builder_skips_zero_entries_of_a_map_image():
     # maps are not validated, so an image may carry a zero coefficient;
     # it must never become a pivot
@@ -389,6 +469,13 @@ def test_echelon_builder_skips_zero_entries_of_a_map_image():
     assert not builder.add(((0, Fraction(0)),))
     assert not builder.add(((1, Fraction(-1, 3)),))
     assert builder.pivots == {1: {1: 1}}
+    # the same with ints, which skip the scaling to a common denominator
+    builder = _EchelonBuilder()
+    assert builder.add(((0, 0), (1, 2)))
+    assert not builder.add(((0, 0),))
+    assert not builder.add(((0, 0), (1, -3)))
+    assert builder.add(((0, 0), (1, 0), (2, -4)))
+    assert builder.pivots == {1: {1: 1}, 2: {2: 1}}
 
 
 def test_linear_coefficients_must_be_ints_or_fractions():

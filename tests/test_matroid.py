@@ -54,18 +54,21 @@ def test_rank_rejects_bad_element():
         IdealCountBackend(2).rank([[0, 0]])
     with pytest.raises(InputError):
         ChainFreeOracle(SimplicialComplex([(0, 1)]), 1).rank([["s", (0, 1)]])
-    # a canonical linear vector has nonzero Fraction coefficients and
-    # strictly increasing keys
+    # a canonical linear vector has nonzero int (not bool) or Fraction
+    # coefficients and strictly increasing keys
     lb = LinearBackend()
     for bad in [
         ((0, Fraction(0)),),
         ((0, Fraction(1)), (0, Fraction(-1))),
         ((1, Fraction(1)), (0, Fraction(1))),
         ((0, Fraction(1)), ("x", Fraction(1))),
-        ((0, 1),),
+        ((0, 0),),
+        ((0, True),),
     ]:
         with pytest.raises(InputError):
             lb.rank([bad])
+    for good in [((0, 1),), ((0, Fraction(1)),), ((0, 1), (1, Fraction(1, 2)))]:
+        assert lb.rank([good]) == 1
 
 
 def test_an_oracle_must_implement_basis_builder():
