@@ -105,7 +105,9 @@ def make_sumset_system(*summands, dimension: int | None = None) -> OperatorSyste
 
     One map x -> x + b per element b of each set; graded orbits of a seed
     set A are then the sumsets A + s_1 B_1 + ... + s_k B_k.  Translations
-    are endomorphisms, so every part is triangular.
+    are endomorphisms, so every part is triangular.  The system keeps its
+    vectors, from which it proves a stabilization bound for any seed set
+    (``OperatorSystem.graded_bound``).
     """
     if not summands:
         raise InputError("at least one summand set is required")
@@ -122,7 +124,7 @@ def make_sumset_system(*summands, dimension: int | None = None) -> OperatorSyste
                 raise InputError(f"vector {v} does not have dimension {dim}")
     maps = [translation(v) for vecs in normalized for v in vecs]
     partition = Partition([len(vecs) for vecs in normalized])
-    return OperatorSystem(maps, partition, TrivialBackend(dim))
+    return OperatorSystem(maps, partition, TrivialBackend(dim), translations=normalized)
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +433,9 @@ def linear_operator(backend: LinearBackend, image_fn: Callable) -> Callable:
     images are all ints, so is the whole computation; otherwise the input
     is scaled to integers over one common denominator, and a ``Fraction``
     is built only for an output coefficient that is not integral.  A
-    malformed term, a coefficient of another type, or an unhashable basis
-    key is an ``InputError``.
+    malformed term, a coefficient of another type, an unhashable basis
+    key, or output keys that do not order are ``InputError``s; an
+    exception raised inside ``image_fn`` passes through unchanged.
     """
     try:
         hash(image_fn)
@@ -453,15 +456,27 @@ def linear_operator(backend: LinearBackend, image_fn: Callable) -> Callable:
                 for k2, c2 in terms:
                     acc[k2] = get(k2, 0) + n * c2
         except TypeError as exc:
-            raise InputError(
-                "linear maps take vectors with a hashable basis key in every "
-                f"term: {exc}"
-            ) from exc
+            # an unhashable input key is the vector's fault; a TypeError
+            # raised inside image_fn is passed on as it is
+            for k, _ in elem:
+                try:
+                    hash(k)
+                except TypeError:
+                    raise InputError(
+                        "linear maps take vectors with a hashable basis key in "
+                        f"every term: {exc}"
+                    ) from exc
+            raise
         if whole:
-            return tuple(sorted(filter(_coefficient, acc.items())))
-        return tuple(
-            sorted((k, _exact(Fraction(c, den))) for k, c in acc.items() if c)
-        )
+            out = list(filter(_coefficient, acc.items()))
+        else:
+            out = [(k, _exact(Fraction(c, den))) for k, c in acc.items() if c]
+        try:
+            out.sort()
+        except TypeError:
+            _check_orderable([k for k, _ in out])
+            raise
+        return tuple(out)
 
     return op
 

@@ -26,7 +26,13 @@ from fractions import Fraction
 from itertools import compress, repeat
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import ContractError, HypothesisError, InputError, RankGrowthError
+from .errors import (
+    BasisBudgetExceeded,
+    ContractError,
+    HypothesisError,
+    InputError,
+    RankGrowthError,
+)
 from .operators import (
     MultiIndex,
     OperatorSystem,
@@ -875,22 +881,25 @@ def analyze_graded(
 def _bound_box(
     sys: OperatorSystem, A, B, cfg: StabilizationConfig, context_sys
 ) -> Tuple[Optional[Tuple[int, ...]], List[str]]:
-    """The declared stabilization bound plus the window, when it applies,
-    and the warnings of that choice.
+    """The system's proven graded bound for A plus the window, when it
+    applies, and the warnings of that choice.
 
-    It applies only without an explicit box or a context system, with B
-    empty and A, deduplicated, exactly the seed the bound was declared
-    for.  A bound box over ``MAX_WORDS`` is never clipped: the default
-    box is used instead, with a warning.  ``None`` means the config's box.
+    It applies only without an explicit box or a context system and with
+    B empty; ``OperatorSystem.graded_bound`` says whether the system
+    knows a bound for A.  A bound box over ``MAX_WORDS``, or a bound whose
+    basis is over its budget, is never clipped: the default box is used
+    instead, with a warning.  ``None`` means the config's box.
     """
-    bound = sys.bound
-    if bound is None or cfg.box is not None or context_sys is not None or B:
+    if cfg.box is not None or context_sys is not None or B:
         return None, []
     _validate_all(sys.backend, A)
-    key = sys.backend.key
-    if {key(a) for a in A} != {key(a) for a in bound.seed}:
+    try:
+        bound = sys.graded_bound(A)
+    except BasisBudgetExceeded as exc:
+        return None, [f"{exc}; tabulated the default box instead"]
+    if bound is None:
         return None, []
-    box = tuple(c + cfg.window for c in bound.graded)
+    box = tuple(c + cfg.window for c in bound)
     size = sys.partition.word_count(sys.partition.part_degree(box), "cumulative")
     if size > MAX_WORDS:
         return None, [

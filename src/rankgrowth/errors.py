@@ -35,3 +35,7 @@ class InvalidMatroidError(RankGrowthError):
 
 class OutOfBoxError(RankGrowthError):
     """A lazily generated structure was queried beyond its generated range."""
+
+
+class BasisBudgetExceeded(RankGrowthError):
+    """A sumset's truncated Gröbner basis outgrew ``toric.BASIS_BUDGET``."""

@@ -163,6 +163,9 @@ class OperatorSystem:
     double-checked against tabulated evidence; see ``check_system`` for
     the sampled test.  ``bound``, when a constructor can prove one, is the
     system's ``StabilizationBound``; the pipeline sizes its box from it.
+    ``translations``, set when every map is ``x -> x + v`` on integer
+    vectors, holds each part's vectors in map order; the system then
+    proves a bound for any seed set (see ``graded_bound``).
     """
 
     def __init__(
@@ -173,6 +176,7 @@ class OperatorSystem:
         part_flags: Sequence[str] | None = None,
         augmented: bool = False,
         bound: StabilizationBound | None = None,
+        translations: Sequence[Sequence[Tuple[int, ...]]] | None = None,
     ):
         self.maps = tuple(maps)
         self.partition = partition
@@ -198,6 +202,19 @@ class OperatorSystem:
                 ):
                     raise InputError(f"stabilization bound {word} is not in N^{m}")
         self.bound = bound
+        if translations is not None:
+            translations = tuple(tuple(map(tuple, vecs)) for vecs in translations)
+            vectors = [v for vecs in translations for v in vecs]
+            if (
+                tuple(map(len, translations)) != partition.part_sizes
+                or len(set(map(len, vectors))) != 1
+                or not all(is_int(c) for v in vectors for c in v)
+            ):
+                raise InputError(
+                    f"translation vectors {translations} are not integer vectors "
+                    f"of one dimension in parts of sizes {list(partition.part_sizes)}"
+                )
+        self.translations = translations
 
     @property
     def m(self) -> int:
@@ -219,8 +236,32 @@ class OperatorSystem:
     def with_flags(self, part_flags: Sequence[str]) -> "OperatorSystem":
         return OperatorSystem(
             self.maps, self.partition, self.backend, part_flags, self.augmented,
-            self.bound,
+            self.bound, self.translations,
         )
+
+    def graded_bound(self, A) -> Optional[MultiIndex]:
+        """A proven graded stabilization bound for the seed set A (validated)
+        and an empty B, or ``None`` when the system knows none.
+
+        A declared ``bound`` holds only for its own seed.  A translation
+        system computes the join of its shadowed-word generators
+        (``toric.shadow_generators``) on every call; it raises
+        ``BasisBudgetExceeded`` when that basis is over its budget.
+        """
+        if self.bound is not None:
+            key = self.backend.key
+            if {key(a) for a in A} != {key(a) for a in self.bound.seed}:
+                return None
+            return self.bound.graded
+        if self.translations is None or not A:
+            return None
+        # imported on first use: only translation systems need it, and a
+        # process that caches no bytecode spends about 3 ms compiling it
+        from .toric import shadow_generators
+
+        seeds = self.backend.sorted_elems(A)
+        words = [w for ws in shadow_generators(self.translations, seeds) for w in ws]
+        return tuple(map(max, zip((0,) * self.m, *words)))
 
 
 _MISSING = object()
@@ -321,7 +362,8 @@ def augment(sys: OperatorSystem) -> OperatorSystem:
     Graded orbits of the augmented system coincide with cumulative orbits
     of the original, which is how the cumulative pipeline is run; so the
     augmented system's graded bound is the declared cumulative one, and
-    it declares no cumulative bound of its own.
+    it declares no cumulative bound of its own.  A translation system
+    stays one, the identity being the translation by zero.
     """
     maps: List[Callable] = []
     for i in range(sys.k):
@@ -333,8 +375,13 @@ def augment(sys: OperatorSystem) -> OperatorSystem:
     bound = None
     if sys.bound is not None and sys.bound.cumulative is not None:
         bound = StabilizationBound(sys.bound.seed, sys.bound.cumulative, None)
+    translations = None
+    if sys.translations is not None:
+        zero = (0,) * len(sys.translations[0][0])
+        translations = [(zero,) + vecs for vecs in sys.translations]
     return OperatorSystem(
-        maps, partition, sys.backend, flags, augmented=True, bound=bound
+        maps, partition, sys.backend, flags, augmented=True, bound=bound,
+        translations=translations,
     )
 
 

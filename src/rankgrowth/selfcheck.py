@@ -15,6 +15,7 @@ from .engine import (
     DecreasingTable,
     StabilizationConfig,
     analyze_cumulative,
+    analyze_graded,
     detect_stabilization,
     dimension_polynomial,
     dominant_terms,
@@ -438,6 +439,17 @@ def _check_grid():
     for s1 in range(4):
         for s2 in range(4):
             _expect(P.evaluate((s1, s2)) == (s1 + 1) * (s2 + 1))
+
+
+@check("reference sumset: the proven bound box gives the default box's answer")
+def _check_sumset_bound():
+    sys = make_sumset_system([0, 1, 4], [0, 3])
+    bound = analyze_graded(sys, [(0,)], [])
+    default = analyze_graded(sys, [(0,)], [], StabilizationConfig(box=(5,) * 5))
+    _expect((bound.evidence, bound.table.box) == ("bound", (5, 3, 3, 2, 3)))
+    _expect(bound.status == default.status == "certified")
+    _expect(bound.polynomial == default.polynomial)
+    _expect(bound.polynomial.threshold == default.polynomial.threshold)
 
 
 @dataclass

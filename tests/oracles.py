@@ -2,9 +2,10 @@
 
 Deliberately separate from the package internals: plain Fraction row
 reduction, a five-line union-find, the set-count ranks of the trivial,
-ideal-count and free-chain backends, direct sumset iteration, lattice
-point and monomial-quotient counting, and quadratic greedy sweeps for
-the staircase, the violations and the level frontiers of a table.
+ideal-count and free-chain backends, direct sumset iteration and the
+shadowed words of a sumset's slices, lattice point and monomial-quotient
+counting, and quadratic greedy sweeps for the staircase, the violations
+and the level frontiers of a table.
 Tests freeze values computed here and compare the package's answers
 against them.  The one exception is ``reference_tabulate``, the
 per-slice tabulation kernel built from the package's ``apply_word`` and
@@ -133,6 +134,53 @@ def sumset_sizes(A, B, t_max):
         cur = {tuple(x + y for x, y in zip(s, b)) for s in cur for b in Bv}
         sizes.append(len(cur))
     return sizes
+
+
+def sumset_count(A, parts, s):
+    """|A + s_1 B_1 + ... + s_k B_k| by direct iteration over vector tuples."""
+    cur = {tuple(a) for a in A}
+    for B, t in zip(parts, s):
+        for _ in range(t):
+            cur = {tuple(x + y for x, y in zip(p, b)) for p in cur for b in B}
+    return len(cur)
+
+
+def shadowed_generators(parts, seeds, box):
+    """Per seed, the minimal words inside ``box`` whose image of that seed
+    repeats a point fed earlier in its slice.
+
+    Slices are fed whole: words of one part degree in lex order (last
+    coordinate first), each word's seeds in the order given.
+    """
+    vectors = [tuple(b) for B in parts for b in B]
+    dim = len(vectors[0])
+    sizes = [len(B) for B in parts]
+    cap = []
+    start = 0
+    for d in sizes:
+        cap.append(sum(box[start : start + d]))
+        start += d
+    shadowed = [[] for _ in seeds]
+    for s in product(*(range(c + 1) for c in cap)):
+        blocks = [
+            [w for w in product(range(t + 1), repeat=d) if sum(w) == t]
+            for t, d in zip(s, sizes)
+        ]
+        words = sorted((sum(ws, ()) for ws in product(*blocks)), key=_lex_key)
+        seen = set()
+        for u in words:
+            shift = [sum(c * v[i] for c, v in zip(u, vectors)) for i in range(dim)]
+            for j, a in enumerate(seeds):
+                point = tuple(x + y for x, y in zip(a, shift))
+                if point in seen:
+                    if _leq(u, box):
+                        shadowed[j].append(u)
+                else:
+                    seen.add(point)
+    return [
+        sorted(u for u in S if not any(v != u and _leq(v, u) for v in S))
+        for S in shadowed
+    ]
 
 
 def ideal_points_of_degree(antichain, m, part_sizes, s, cumulative=False):

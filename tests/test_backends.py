@@ -461,6 +461,32 @@ def test_linear_operator_refuses_a_malformed_image_term():
         tabulate_f(sys, [lb.monomial(0)], [], box=(2,))
 
 
+def test_linear_operator_names_output_keys_that_do_not_order():
+    lb = LinearBackend()
+    op = linear_operator(lb, lambda k: [(k, 1), ("a", 1)])
+    with pytest.raises(InputError, match=r"basis keys 0 and 'a' do not order"):
+        op(lb.monomial(0))
+    half = linear_operator(lb, lambda k: [(k, Fraction(1, 2)), ("a", 1)])
+    with pytest.raises(InputError, match=r"basis keys 0 and 'a' do not order"):
+        half(lb.monomial(0))
+    sys = OperatorSystem([op], Partition([1]), lb)
+    with pytest.raises(OperatorError, match=r"map 1 failed .* do not order"):
+        tabulate_f(sys, [lb.monomial(0)], [], box=(2,))
+
+
+def test_linear_operator_passes_on_a_type_error_raised_by_image_fn():
+    lb = LinearBackend()
+    op = linear_operator(lb, lambda k: len(k))
+    with pytest.raises(TypeError, match=r"^object of type 'int' has no len\(\)$"):
+        op(lb.monomial(0))
+    sys = OperatorSystem([op], Partition([1]), lb)
+    with pytest.raises(OperatorError, match=r"map 1 failed .*: object of type 'int'"):
+        tabulate_f(sys, [lb.monomial(0)], [], box=(2,))
+    # an input key that does not hash keeps its own message
+    with pytest.raises(InputError, match="hashable basis key in every term"):
+        op((([1], 1),))
+
+
 def test_echelon_builder_skips_zero_entries_of_a_map_image():
     # maps are not validated, so an image may carry a zero coefficient;
     # it must never become a pivot

@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rankgrowth import (
     CERTIFIED,
@@ -18,10 +18,18 @@ from rankgrowth.backends import (
     make_ideal_system,
     make_monomial_module_system,
     make_polynomial_ring_system,
+    make_sumset_system,
 )
 from rankgrowth.cli import EXIT_CERTIFIED, EXIT_TRUNCATED, execute
-from rankgrowth.errors import InputError
-from oracles import ideal_points_of_degree, quotient_orbit_rank
+from rankgrowth.engine import _bound_box
+from rankgrowth.errors import BasisBudgetExceeded, InputError
+from rankgrowth.toric import shadow_generators
+from oracles import (
+    ideal_points_of_degree,
+    quotient_orbit_rank,
+    shadowed_generators,
+    sumset_count,
+)
 
 PARTS = [[1], [2], [1, 1], [3], [1, 2]]
 REF_ANTICHAIN = [(0, 0, 3), (1, 2, 0), (2, 0, 1)]
@@ -218,6 +226,12 @@ def test_a_malformed_bound_is_input_error():
             OperatorSystem(
                 sys.maps, sys.partition, sys.backend, bound=sys.bound._replace(graded=bad)
             )
+    sumset = make_sumset_system([0, 1])
+    for bad in [[[(0,)]], [[(0,), (1, 0)]], [[(0,), (1.0,)]], [[(0,), (True,)]]]:
+        with pytest.raises(InputError, match="translation vectors"):
+            OperatorSystem(
+                sumset.maps, sumset.partition, sumset.backend, translations=bad
+            )
 
 
 def test_malformed_seeds_are_input_errors_before_the_bound_check():
@@ -230,3 +244,143 @@ def test_malformed_seeds_are_input_errors_before_the_bound_check():
         analyze_graded(ring, [[0, 1]], [])
     with pytest.raises(InputError, match="not a canonical vector"):
         analyze_cumulative(ring, [[0, 1]], [])
+
+
+# ---------------------------------------------------------------------------
+# sumsets: the bound from the truncated toric Gröbner basis
+# ---------------------------------------------------------------------------
+
+REF_SUMMANDS = [[0, 1, 4], [0, 3]]
+# offsets past a threshold, one point each (the first k entries are used)
+PAST = [(1, 2), (3, 1), (2, 4)]
+# runtime caps, in words times seeds: the bound box and the brute-force
+# sweep over it (larger draws are discarded, about one in ten), and five
+# times that for the default box compared against (a draw whose default
+# box is larger is checked without that comparison)
+TABLE_LIMIT = 12_000
+
+
+def _words(sys, box):
+    return sys.partition.word_count(sys.partition.part_degree(box), "cumulative")
+
+
+def _corners_under(table, join):
+    return all(all(map(int.__le__, u, join)) for u, _, _ in table.corners)
+
+
+@st.composite
+def sumset_problems(draw):
+    dim = draw(st.integers(1, 2))
+    vector = st.tuples(*[st.integers(-3, 6)] * dim)
+    parts = draw(
+        st.lists(st.lists(vector, min_size=1, max_size=3), min_size=1, max_size=2)
+    )
+    seeds = draw(st.lists(vector, min_size=1, max_size=5))
+    return parts, seeds, draw(st.booleans())
+
+
+@settings(max_examples=30, deadline=None)
+@given(sumset_problems())
+def test_sumset_bound_matches_brute_force(problem):
+    parts, A, cumulative = problem
+    sys = make_sumset_system(*parts)
+    graded = augment(sys) if cumulative else sys
+    seeds = sys.backend.sorted_elems(A)
+    try:
+        generators = shadow_generators(graded.translations, seeds)
+    except BasisBudgetExceeded:
+        box, warnings = _bound_box(graded, A, [], StabilizationConfig(), None)
+        assert box is None and "divisor tests" in warnings[0]
+        return
+    join = graded.graded_bound(A)
+    assert join == tuple(
+        max((w[c] for ws in generators for w in ws), default=0)
+        for c in range(graded.m)
+    )
+    box = tuple(c + 2 for c in join)
+    assume(_words(graded, box) * len(seeds) <= TABLE_LIMIT)
+    vectors = [list(v) for v in graded.translations]
+    assert generators == shadowed_generators(vectors, seeds, box)
+
+    result = _analyze(sys, A, cumulative)
+    assert (result.evidence, result.table.box) == ("bound", box)
+    assert result.status == CERTIFIED
+    assert _corners_under(result.table, join)
+    P = result.polynomial
+    for offsets in PAST:
+        s = tuple(t + o for t, o in zip(P.threshold, offsets))
+        assert P.evaluate(s) == sumset_count(A, vectors, s)
+    default = default_box(graded.m)
+    if _words(graded, default) * len(seeds) <= 5 * TABLE_LIMIT:
+        other = _default_box_result(sys, A, cumulative)
+        assert _corners_under(other.table, join)
+        if other.status == CERTIFIED:
+            assert P == other.polynomial
+            assert P.threshold == other.polynomial.threshold
+            assert result.certificate.m_bar == other.certificate.m_bar
+            assert result.certificate.levels == other.certificate.levels
+
+
+def test_reference_sumset_tabulates_only_the_bound_box():
+    sys = make_sumset_system(*REF_SUMMANDS)
+    assert sys.graded_bound([(0,)]) == (3, 1, 1, 0, 1)
+    result = analyze_graded(sys, [(0,)], [])
+    assert (result.evidence, result.status) == ("bound", CERTIFIED)
+    assert result.table.box == (5, 3, 3, 2, 3)
+    assert len(result.table.values) == 7_644
+    default = _default_box_result(sys, [(0,)], False)
+    assert len(default.table.values) == 53_856
+    assert result.polynomial == default.polynomial
+    assert result.polynomial.threshold == default.polynomial.threshold
+    config = {"mode": "sumset", "backend_data": {"summands": REF_SUMMANDS}, "A": [[0]]}
+    code, doc = execute(config)
+    assert code == EXIT_CERTIFIED
+    assert doc["staircase"]["evidence"] == "bound"
+    assert doc["staircase"]["box"] == [5, 3, 3, 2, 3]
+
+
+def test_sumset_bound_cases_that_stay_on_the_window():
+    sys = make_sumset_system(*REF_SUMMANDS)
+    cases = [
+        analyze_graded(sys, [], []),
+        analyze_graded(sys, [(0,)], [], StabilizationConfig(box=(3, 3, 3, 3, 3))),
+        analyze_graded(sys, [(0,)], [(1,)]),
+        analyze_graded(sys, [(0,)], [], context_sys=sys),
+    ]
+    for result, box in zip(cases, [default_box(5), (3,) * 5, default_box(5)]):
+        assert result.evidence == "window"
+        assert result.table.box == box
+    assert cases[0].polynomial.is_zero
+    # a system without translation vectors knows no bound
+    plain = OperatorSystem(sys.maps, sys.partition, sys.backend)
+    assert plain.graded_bound([(0,)]) is None
+    assert analyze_graded(plain, [(0,)], []).evidence == "window"
+
+
+def test_sumset_bound_over_the_basis_budget_falls_back_to_the_default_box():
+    sys = make_sumset_system([0, 1, 17, 40, 99])
+    A = [(0,), (3,), (50,)]
+    with pytest.raises(BasisBudgetExceeded):
+        sys.graded_bound(A)
+    result = analyze_graded(sys, A, [])
+    assert result.evidence == "window"
+    assert result.table.box == default_box(5)
+    assert len(result.table.values) == _words(sys, default_box(5))
+    assert "toric Gröbner basis" in result.warnings[0]
+    assert "tabulated the default box instead" in result.warnings[0]
+
+
+def test_cumulative_sumset_bound_keeps_the_translation_vectors():
+    sys = make_sumset_system([0, 2], [1])
+    aug = augment(sys)
+    assert aug.translations == (((0,), (0,), (2,)), ((0,), (1,)))
+    assert augment(aug).translations[0][:2] == ((0,), (0,))
+    assert sys.with_flags(["triangular"] * 2).translations == sys.translations
+    A = [(0,), (5,)]
+    result = analyze_cumulative(sys, A, [])
+    assert (result.evidence, result.status) == ("bound", CERTIFIED)
+    assert result.table.box == tuple(c + 2 for c in aug.graded_bound(A))
+    P = result.polynomial
+    for t1, t2 in itertools.product(range(6), range(4)):
+        s = (P.threshold[0] + t1, P.threshold[1] + t2)
+        assert P.evaluate(s) == sumset_count(A, [[(0,), (0,), (2,)], [(0,), (1,)]], s)
