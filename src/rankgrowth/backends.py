@@ -54,7 +54,7 @@ class TrivialBackend(RankOracle):
         if (
             not isinstance(elem, tuple)
             or len(elem) != self.dimension
-            or not all(isinstance(x, int) for x in elem)
+            or not all(map(is_int, elem))
         ):
             raise InputError(
                 f"expected an integer vector of dimension {self.dimension}, "
@@ -157,7 +157,7 @@ class IdealCountBackend(RankOracle):
         if (
             not isinstance(elem, tuple)
             or len(elem) != self.num_coords
-            or not all(isinstance(x, int) and x >= 0 for x in elem)
+            or not all(is_int(x) and x >= 0 for x in elem)
         ):
             raise InputError(
                 f"expected a point of N^{self.num_coords}, got {elem!r}"
@@ -639,7 +639,7 @@ class CounterexampleGraphicBackend(GraphicBackend):
             not isinstance(elem, tuple)
             or len(elem) != 2
             or elem[0] not in self.KINDS
-            or not isinstance(elem[1], int)
+            or not is_int(elem[1])
             or elem[1] < 0
         ):
             raise InputError(f"not a gadget edge: {elem!r}")

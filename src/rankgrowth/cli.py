@@ -150,6 +150,7 @@ def _build_trivial(config: dict):
         partition,
         TrivialBackend(dim),
         config.get("part_flags"),
+        translations=[vecs[partition.part_slice(i)] for i in range(partition.k)],
     )
     A = _vectors(config.get("A", []), dim)
     B = _vectors(config.get("B", []), dim)
@@ -205,6 +206,15 @@ def _edge(e) -> tuple:
     return e
 
 
+def _vertex_maps(config: dict, backend: str) -> List[Dict[str, str]]:
+    vmaps = []
+    for op in config.get("operators") or []:
+        if "vertex_map" not in op:
+            raise InputError(f"{backend} operators must carry a 'vertex_map'")
+        vmaps.append({str(k): str(v) for k, v in op["vertex_map"].items()})
+    return vmaps
+
+
 def _build_graphic(config: dict):
     data = config.get("backend_data")
     if data == "counterexample":
@@ -217,12 +227,7 @@ def _build_graphic(config: dict):
         return sys, A or seed, B
     data = data or {}
     edges = [_edge(e) for e in data.get("edges", [])]
-    ops = config.get("operators") or []
-    vmaps = []
-    for op in ops:
-        if "vertex_map" not in op:
-            raise InputError("graphic operators must carry a 'vertex_map'")
-        vmaps.append({str(k): str(v) for k, v in op["vertex_map"].items()})
+    vmaps = _vertex_maps(config, "graphic")
     partition = config.get("partition") or [len(vmaps)]
     sys, _ = make_graphic_system(edges, vmaps, partition, config.get("part_flags"))
 
@@ -243,12 +248,7 @@ def _build_chain(config: dict):
     if not simplices:
         raise InputError("chain backend requires 'backend_data.simplices'")
     complex_ = SimplicialComplex(simplices)
-    ops = config.get("operators") or []
-    vmaps = []
-    for op in ops:
-        if "vertex_map" not in op:
-            raise InputError("chain operators must carry a 'vertex_map'")
-        vmaps.append({str(k): str(v) for k, v in op["vertex_map"].items()})
+    vmaps = _vertex_maps(config, "chain")
     partition = config.get("partition") or [len(vmaps)]
     A = [tuple(str(v) for v in s) for s in config.get("A", [])]
     return complex_, vmaps, partition, A

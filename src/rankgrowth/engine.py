@@ -192,27 +192,6 @@ class _LatticeCache:
 _word_lattice = _LatticeCache(LATTICE_CACHE_WORDS)
 
 
-def eval_f(
-    sys: OperatorSystem,
-    A,
-    B,
-    u: MultiIndex,
-    context_sys: OperatorSystem | None = None,
-):
-    """Marginal rank of the word ``u`` applied to A.
-
-    The base is every lex-earlier word of the same part degree applied to
-    A, together with the full graded orbit of B (taken in the context
-    system when one is supplied).  The value is read from the table that
-    ``tabulate_f`` builds with ``u`` as its box, so it ranks every slice up
-    to ``u``'s part degree.
-    """
-    u = tuple(u)
-    if len(u) != sys.m or not all(is_int(x) and x >= 0 for x in u):
-        raise InputError(f"not a word of {sys.m} natural numbers: {u}")
-    return tabulate_f(sys, A, B, u, None, context_sys).values[u]
-
-
 @dataclass
 class DecreasingTable:
     """Tabulated marginal ranks on a finite box, with staircase metadata.
@@ -220,35 +199,44 @@ class DecreasingTable:
     ``values`` holds every word whose part degree fits under the box's
     part degree (a superset of the nominal box: lex-earlier words of the
     same degree are needed for correct marginals, so they come for free).
-    Its domain must be downward closed, so that every word ``u`` in it
-    also holds each predecessor ``u - e_i``, and lie under ``slice_cap``;
-    a table that breaks either is an ``InputError``.
+    Its words must be exactly the slice-cap lattice's, in lattice order:
+    slices in ``degrees_below(slice_cap)`` order, ascending lex order
+    inside each, as ``tabulate_f`` and ``from_function`` build them.  Any
+    other table is an ``InputError``.
 
-    One scan over those unit steps fills the metadata.  ``violations``
-    lists the pairs ``(u - e_i, u)`` where the value increases, ordered
-    by the lower word's degree and lex key, then the upper word's; any
-    entry contradicts a declared triangular part.  ``corners`` lists the
-    triples ``(u, f(u), hi(u))`` with ``f(u) < hi(u)`` in table order,
-    where ``hi(u)`` is the least value over the predecessors (``f(0) + 1``
-    for the zero word): on a decreasing table ``u`` is a minimal word of
-    the level set ``{f <= n}`` exactly when ``f(u) <= n < hi(u)``.  A
-    table that holds the words of the slice-cap lattice in lattice order
-    (every tabulated or ``from_function`` table) is scanned by the
-    lattice's predecessor indices; any other is indexed first.
+    One scan over the lattice's unit steps fills the metadata.
+    ``violations`` lists the pairs ``(u - e_i, u)`` where the value
+    increases, ordered by the lower word's degree and lex key, then the
+    upper word's; any entry contradicts a declared triangular part.
+    ``corners`` lists the triples ``(u, f(u), hi(u))`` with
+    ``f(u) < hi(u)`` in table order, where ``hi(u)`` is the least value
+    over the predecessors (``f(0) + 1`` for the zero word): on a
+    decreasing table ``u`` is a minimal word of the level set
+    ``{f <= n}`` exactly when ``f(u) <= n < hi(u)``.
     """
 
     box: Tuple[int, ...]
     partition: Partition
     values: Dict[MultiIndex, int]
     slice_cap: Tuple[int, ...]
-    seed_size: int
     violations: List[Tuple[MultiIndex, MultiIndex]] = field(init=False)
     corners: List[Tuple[MultiIndex, int, int]] = field(init=False)
 
     def __post_init__(self):
+        p, cap = self.partition, tuple(self.slice_cap)
+        if len(cap) != p.k:
+            raise InputError(
+                f"slice cap {cap} has {len(cap)} entries, partition has {p.k}"
+            )
+        lattice = _word_lattice(p.part_sizes, cap)
         words = list(self.values)
+        if words != lattice.words:
+            raise InputError(
+                f"table words are not the {len(lattice.words):,} words under "
+                f"slice cap {cap} in lattice order"
+            )
+        downs = lattice.down
         f = list(self.values.values())
-        downs = self._predecessors(words)
         ceiling = max(f, default=0) + 1
         f.append(ceiling)  # read at position -1, which stands for no predecessor
         # preds[i][n] is the value at word n minus e_i
@@ -272,45 +260,15 @@ class DecreasingTable:
             for n in compress(positions, map(operator.lt, f, hi))
         ]
 
-    def _predecessors(self, words: List[MultiIndex]) -> Sequence[array]:
-        """Per coordinate i, the position in ``words`` of each word minus e_i, or -1."""
-        p, cap = self.partition, tuple(self.slice_cap)
-        if len(cap) != p.k:
-            raise InputError(
-                f"slice cap {cap} has {len(cap)} entries, partition has {p.k}"
-            )
-        if len(words) == p.word_count(cap, "cumulative"):
-            lattice = _word_lattice(p.part_sizes, cap)
-            if words == lattice.words:
-                return lattice.down
-        position = {u: n for n, u in enumerate(words)}
-        downs = [array("i", [-1]) * len(words) for _ in range(p.m)]
-        for n, u in enumerate(words):
-            if not product_leq(p.part_degree(u), cap):
-                raise InputError(f"table word {u} lies beyond the slice cap {cap}")
-            for i, c in enumerate(u):
-                if not c:
-                    continue
-                down = u[:i] + (c - 1,) + u[i + 1 :]
-                d = position.get(down)
-                if d is None:
-                    raise InputError(
-                        f"table does not cover {down}, a predecessor of {u}"
-                    )
-                downs[i][n] = d
-        return downs
-
     @classmethod
-    def from_function(cls, f, box: Sequence[int], partition: Partition, seed_size=None):
+    def from_function(cls, f, box: Sequence[int], partition: Partition):
         """Synthetic table from an explicit function on multi-indices."""
         box = tuple(box)
         if not all(is_int(b) and b >= 0 for b in box):
             raise InputError(f"box must be natural numbers, got {box!r}")
         cap = partition.part_degree(box)
         values = {r: int(f(r)) for r in _word_lattice(partition.part_sizes, cap).words}
-        if seed_size is None:
-            seed_size = max(values.values(), default=0)
-        return cls(box, partition, values, cap, seed_size)
+        return cls(box, partition, values, cap)
 
     @property
     def is_decreasing(self) -> bool:
@@ -335,15 +293,14 @@ def tabulate_f(
     A,
     B,
     box: Sequence[int] | None = None,
-    cfg: StabilizationConfig | None = None,
     context_sys: OperatorSystem | None = None,
 ) -> DecreasingTable:
     """Tabulate the marginal rank function over every slice under the box.
 
-    An explicit ``box`` replaces the config's and is validated as one.
-    The words come from the lattice of the box's part degree, whose size
-    is checked against ``MAX_WORDS`` before any word is built or any map
-    applied.
+    ``box`` is validated as a ``StabilizationConfig`` box; ``None`` means
+    the default box.  The words come from the lattice of the box's part
+    degree, whose size is checked against ``MAX_WORDS`` before any word is
+    built or any map applied.
 
     Each slice (part-degree class) gets a fresh basis builder, seeded with
     the graded orbit of B at that slice (taken in the context system when
@@ -356,10 +313,7 @@ def tabulate_f(
     ``apply_word`` gives.  A map that raises becomes the ``OperatorError``
     ``apply_word`` raises.
     """
-    cfg = cfg or StabilizationConfig()
-    if box is not None:
-        cfg = replace(cfg, box=box)
-    box = cfg.resolved_box(sys.m)
+    box = StabilizationConfig(box=box).resolved_box(sys.m)
     backend = sys.backend
     _validate_all(backend, A, B)
     A_sorted = backend.sorted_elems(A)
@@ -391,7 +345,7 @@ def tabulate_f(
                     accepted += 1
             marginals.append(accepted)
     values = dict(zip(words, marginals))
-    return DecreasingTable(box, sys.partition, values, cap, len(A_sorted))
+    return DecreasingTable(box, sys.partition, values, cap)
 
 
 @dataclass
@@ -870,7 +824,7 @@ def analyze_graded(
     if context_sys is not None:
         _check_context(sys, context_sys)
     box, warnings = _bound_box(sys, A, B, cfg, context_sys)
-    table = tabulate_f(sys, A, B, box, cfg, context_sys)
+    table = tabulate_f(sys, A, B, cfg.box if box is None else box, context_sys)
     result = _analyze_table(sys, A, B, table, cfg, context_sys)
     result.warnings[:0] = warnings
     if box is not None:
@@ -1062,7 +1016,7 @@ def phi_closure_member(
     simply too small and the answer is inconclusive.
     """
     cfg = cfg or StabilizationConfig()
-    table = tabulate_f(sys, [a], B, None, cfg)
+    table = tabulate_f(sys, [a], B, cfg.box)
     zeros = sorted(
         (u for u, v in table.values.items() if v == 0),
         key=lambda u: (sum(u), lex_key(u)),

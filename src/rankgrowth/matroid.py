@@ -3,10 +3,10 @@
 A backend exposes a single primitive, ``basis_builder``: a fresh
 incremental builder whose ``add`` says whether an element raises the rank
 of everything fed before it.  Everything else (rank, relative rank,
-localization, basis extension) is derived here, so backends stay
-minimal.  Elements are identified by a canonical key: two elements are
-the same point of the ground set iff their keys are equal, and keys are
-orderable so that every enumeration in the engine is deterministic.
+basis extension) is derived here, so backends stay minimal.  Elements
+are identified by a canonical key: two elements are the same point of
+the ground set iff their keys are equal, and keys are orderable so that
+every enumeration in the engine is deterministic.
 """
 
 from __future__ import annotations
@@ -88,36 +88,6 @@ class RankOracle(ABC):
         builder = self.basis_builder()
         builder.add_all(b)
         return builder.add_all(A)
-
-    def localize(self, C: Iterable) -> "RankOracle":
-        """The matroid with the finite set ``C`` absorbed into every rank."""
-        return LocalizedOracle(self, list(C))
-
-
-class LocalizedOracle(RankOracle):
-    """rank_C(S) = rank(S | C) - rank(C) for a frozen finite C."""
-
-    def __init__(self, base: RankOracle, C):
-        C = list(C)
-        for x in C:
-            base.validate(x)
-        self.base = base
-        self.C = base.dedupe(C)
-
-    def key(self, elem):
-        return self.base.key(elem)
-
-    def validate(self, elem) -> None:
-        self.base.validate(elem)
-
-    def basis_builder(self) -> BasisBuilder:
-        builder = self.base.basis_builder()
-        builder.add_all(self.C)
-        return builder
-
-    def localize(self, C) -> "RankOracle":
-        # flatten nested localizations
-        return LocalizedOracle(self.base, list(self.C) + list(C))
 
 
 def extend_basis(oracle: RankOracle, basis: Iterable, candidates: Iterable) -> List:

@@ -30,24 +30,6 @@ def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def total_degree(r: MultiIndex) -> int:
-    return sum(r)
-
-
-def lex_compare(r: MultiIndex, s: MultiIndex) -> int:
-    """Lexicographic comparison with emphasis on the last coordinate.
-
-    Returns -1, 0 or +1.  ``r`` is smaller iff at the highest coordinate
-    where the two differ, ``r`` has the smaller entry.
-    """
-    if len(r) != len(s):
-        raise InputError(f"length mismatch: {len(r)} vs {len(s)}")
-    for a, b in zip(reversed(r), reversed(s)):
-        if a != b:
-            return -1 if a < b else 1
-    return 0
-
-
 def lex_key(r: MultiIndex) -> MultiIndex:
     """Sort key realizing the last-coordinate-emphasis lexicographic order."""
     return tuple(reversed(r))

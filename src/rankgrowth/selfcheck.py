@@ -21,7 +21,6 @@ from .engine import (
     dominant_terms,
     cumulative_polynomial,
     context_dimension_polynomial,
-    eval_f,
     interpolate,
     numerator_from_table,
     phi_closure_member,
@@ -39,7 +38,7 @@ from .operators import (
     check_system,
     cumulative_orbit,
     graded_orbit,
-    lex_compare,
+    lex_key,
 )
 from .backends import (
     LinearBackend,
@@ -103,14 +102,6 @@ def _check_relative_rank():
     _expect(backend.relative_rank([], [(5,)]) == 0)
 
 
-@check("localization at a finite set")
-def _check_localize():
-    backend = TrivialBackend(1)
-    local = backend.localize([(5,)])
-    _expect(local.rank([(5,), (6,)]) == 1)
-    _expect(backend.localize([]).rank([(1,), (2,)]) == 2)
-
-
 @check("basis extension keeps independent prefix")
 def _check_extend_basis():
     lb = LinearBackend()
@@ -122,9 +113,8 @@ def _check_extend_basis():
 
 @check("lexicographic order favors the last coordinate")
 def _check_lex():
-    _expect(lex_compare((1, 0), (0, 1)) == -1)
-    _expect(lex_compare((0, 0), (0, 0)) == 0)
-    _expect(lex_compare((5, 1), (0, 2)) == -1)
+    _expect(lex_key((1, 0)) < lex_key((0, 1)))
+    _expect(lex_key((5, 1)) < lex_key((0, 2)))
 
 
 @check("word application composes shift maps")
@@ -197,14 +187,14 @@ def _check_counterexample_ranks():
 
 
 @check("marginal rank of a fresh monomial")
-def _check_eval_f_linear():
+def _check_marginal_linear():
     sys, seeds = make_polynomial_ring_system(2)
-    _expect(eval_f(sys, seeds, [], (0, 1)) == 1)
-    _expect(eval_f(sys, seeds, [], (1, 0)) == 1)
+    for u in [(0, 1), (1, 0)]:
+        _expect(tabulate_f(sys, seeds, [], box=u).values[u] == 1)
 
 
 @check("marginal ranks of repeated shifts select the lex-least word")
-def _check_eval_f_repeated():
+def _check_marginal_repeated():
     backend, maps = _repeated_shift_system()
     sys = OperatorSystem(maps, Partition([2]), backend)
     table = tabulate_f(sys, [(0,)], [], box=(5, 5))
@@ -213,7 +203,7 @@ def _check_eval_f_repeated():
 
 
 @check("sumset marginals are all ones for distinct shifts")
-def _check_eval_f_sumset():
+def _check_marginal_sumset():
     sys = make_sumset_system([0, 1])
     table = tabulate_f(sys, [(0,)], [], box=(5, 5))
     _expect(set(table.values.values()) == {1})

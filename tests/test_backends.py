@@ -18,6 +18,7 @@ from rankgrowth import (
     Partition,
     SimplicialComplex,
     analyze_cumulative,
+    analyze_graded,
     betti_polynomials,
     dimension_polynomial,
     graded_orbit,
@@ -83,6 +84,13 @@ def test_sumset_polynomial_small():
     assert [P.evaluate((t,)) for t in range(4)] == [1, 2, 3, 4]
 
 
+def test_trivial_backend_refuses_bool_coordinates():
+    with pytest.raises(InputError, match="integer vector"):
+        analyze_graded(make_sumset_system([0, 1]), [(True,)], [])
+    with pytest.raises(InputError, match="integer vector"):
+        TrivialBackend(2).validate((0, False))
+
+
 # ---------------------------------------------------------------------------
 # ideal counting
 # ---------------------------------------------------------------------------
@@ -97,6 +105,14 @@ def test_ideal_backend_membership():
     for point in itertools.product(range(4), repeat=3):
         expect = ideal_count([point], staircase.antichain) == 1
         assert staircase.contains(point) == expect
+
+
+def test_ideal_backend_refuses_bool_coordinates():
+    backend = IdealCountBackend(2, [(2, 0)])
+    backend.validate((1, 0))
+    for point in [(True, 0), (0, False)]:
+        with pytest.raises(InputError, match="point of N"):
+            backend.validate(point)
 
 
 def test_ideal_backend_rejects_comparable_antichain():
@@ -309,7 +325,7 @@ def test_linear_rank_and_localized_rank_match_fraction_reference(data):
     lb = LinearBackend()
     dense = [[dict(v).get(k, 0) for k in pool] for v in vs]
     assert lb.rank(vs) == _fraction_rank(vs) == matrix_rank(dense)
-    assert lb.localize(C).rank(S) == _fraction_rank(vs) - _fraction_rank(C)
+    assert lb.relative_rank(S, C) == _fraction_rank(vs) - _fraction_rank(C)
 
 
 @given(data=st.data())
@@ -584,6 +600,14 @@ def test_counterexample_structure():
         backend.shift(("a", 10))
     with pytest.raises(InputError):
         backend.validate(("d", 0))
+
+
+def test_counterexample_backend_refuses_bool_edge_indices():
+    backend = CounterexampleGraphicBackend(8)
+    backend.validate(("a", 1))
+    for edge in [("a", True), ("b", False)]:
+        with pytest.raises(InputError, match="not a gadget edge"):
+            backend.validate(edge)
 
 
 def test_counterexample_rank_pattern():

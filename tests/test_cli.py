@@ -217,6 +217,53 @@ def test_graphic_vertex_map_mode():
     assert _doc_poly(doc) == {(0,): Fraction(1)}
 
 
+def test_graphic_and_chain_operators_must_carry_a_vertex_map():
+    graphic = {
+        "mode": "dimension",
+        "backend": "graphic",
+        "backend_data": {"edges": [["0", "1"]]},
+        "operators": [{"map": {}}],
+        "A": [["0", "1"]],
+    }
+    code, doc = execute(graphic)
+    assert code == EXIT_INPUT_ERROR
+    assert "graphic operators must carry a 'vertex_map'" in doc["error"]
+    chain = {
+        "mode": "betti",
+        "backend": "chain",
+        "backend_data": {"simplices": [[0, 1]]},
+        "operators": [{"map": {}}],
+    }
+    code, doc = execute(chain)
+    assert code == EXIT_INPUT_ERROR
+    assert "chain operators must carry a 'vertex_map'" in doc["error"]
+
+
+def test_trivial_backend_tabulates_the_sumset_bound_box():
+    trivial = {
+        "mode": "dimension",
+        "backend": "trivial",
+        "backend_data": {"dimension": 1},
+        "operators": [[0], [1], [4]],
+        "partition": [3],
+        "A": [[0]],
+    }
+    code, doc = execute(trivial)
+    assert code == EXIT_CERTIFIED
+    assert doc["staircase"]["box"] == [5, 2, 3]
+    assert doc["staircase"]["evidence"] == "bound"
+    _, sumset = execute(
+        {"mode": "sumset", "backend_data": {"summands": [[0, 1, 4]]}, "A": [[0]]}
+    )
+    assert sumset["staircase"] == doc["staircase"]
+    assert sumset["polynomial"] == doc["polynomial"]
+    assert doc["polynomial"]["pretty"] == "4*Y - 2"
+    for mode in ("cumulative", "phi-rank"):
+        code, doc = execute(dict(trivial, mode=mode))
+        assert code == EXIT_CERTIFIED
+        assert doc["staircase"]["evidence"] == "bound"
+
+
 def test_circuit_mode():
     config = {
         "mode": "dimension",

@@ -118,39 +118,18 @@ def test_relative_rank_examples():
 
 
 def test_localize_identity_and_membership():
+    # the rank localized at C is the relative rank over C
     backend = TrivialBackend(1)
-    local0 = backend.localize([])
     for S in ([], [(1,)], [(1,), (2,), (1,)]):
-        assert local0.rank(S) == backend.rank(S)
-    local5 = backend.localize([(5,)])
-    assert local5.rank([(5,), (6,)]) == 1
-
-
-def test_localize_validates_c_at_construction():
-    with pytest.raises(InputError):
-        TrivialBackend(1).localize([(1, 2)])
-    with pytest.raises(InputError):
-        TrivialBackend(1).localize([[1]])
+        assert backend.relative_rank(S, []) == backend.rank(S)
+    assert backend.relative_rank([(5,), (6,)], [(5,)]) == 1
 
 
 def test_localize_spanning_tree_kills_component_edges():
     gb = GraphicBackend()
     tree = [("a", "b"), ("b", "c")]
-    local = gb.localize(tree)
-    assert local.rank([("a", "c")]) == 0
-    assert local.rank([("x", "y")]) == 1
-
-
-def test_localize_composition():
-    backend = TrivialBackend(1)
-    rng = random.Random(7)
-    for _ in range(30):
-        C1 = [(rng.randint(0, 6),) for _ in range(rng.randint(0, 3))]
-        C2 = [(rng.randint(0, 6),) for _ in range(rng.randint(0, 3))]
-        S = [(rng.randint(0, 6),) for _ in range(rng.randint(0, 4))]
-        both = backend.localize(C1).localize(C2)
-        merged = backend.localize(C1 + C2)
-        assert both.rank(S) == merged.rank(S)
+    assert gb.relative_rank([("a", "c")], tree) == 0
+    assert gb.relative_rank([("x", "y")], tree) == 1
 
 
 def test_extend_basis_row_reduction_order():
@@ -238,7 +217,7 @@ def test_localized_rank_is_rank_over_c_per_backend(backend, pool):
     sets = _random_sets(pool, rng, 60, 4)
     for C, S in zip(sets[::2], sets[1::2]):
         want = backend.rank(C + S) - backend.rank(C)
-        assert backend.localize(C).rank(S) == want
+        assert backend.relative_rank(S, C) == want
 
 
 @given(

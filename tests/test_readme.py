@@ -1,0 +1,27 @@
+"""The README's library quick start runs and prints what its comments state."""
+
+import contextlib
+import io
+import pathlib
+import re
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _quick_start() -> str:
+    section = README.read_text(encoding="utf-8").split("## Library quick start")[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_quick_start_prints_what_its_comments_state():
+    code = _quick_start()
+    stated = [
+        line.split("#", 1)[1].strip()
+        for line in code.splitlines()
+        if line.startswith("print(")
+    ]
+    assert "1/2*Y^2 + 3/2*Y + 1" in stated
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, str(README), "exec"), {})
+    assert out.getvalue().splitlines() == stated
