@@ -46,8 +46,8 @@ class TrivialBackend(RankOracle):
     the rank of a finite set is its cardinality."""
 
     def __init__(self, dimension: int = 1):
-        if dimension < 1:
-            raise InputError("dimension must be >= 1")
+        if not is_int(dimension) or dimension < 1:
+            raise InputError(f"dimension must be an integer >= 1, got {dimension!r}")
         self.dimension = dimension
 
     def validate(self, elem):
@@ -85,7 +85,10 @@ class _SetBuilder(BasisBuilder):
 def as_vector(x, dimension: int | None = None) -> Tuple[int, ...]:
     """Normalize ints / sequences of ints to integer tuples; anything else
     (a float, a bool, a string) is an ``InputError``."""
-    v = (x,) if is_int(x) else tuple(x)
+    try:
+        v = (x,) if is_int(x) else tuple(x)
+    except TypeError:
+        raise InputError(f"vector {x!r} is neither an integer nor a sequence") from None
     if not all(map(is_int, v)):
         raise InputError(f"vector {x!r} has a coordinate that is not an integer")
     if dimension is not None and len(v) != dimension:
@@ -100,14 +103,14 @@ def translation(v: Tuple[int, ...]) -> Callable:
     return op
 
 
-def make_sumset_system(*summands, dimension: int | None = None) -> OperatorSystem:
+def make_sumset_system(*summands) -> OperatorSystem:
     """Translation maps grouped by summand set over the trivial backend.
 
     One map x -> x + b per element b of each set; graded orbits of a seed
-    set A are then the sumsets A + s_1 B_1 + ... + s_k B_k.  Translations
-    are endomorphisms, so every part is triangular.  The system keeps its
-    vectors, from which it proves a stabilization bound for any seed set
-    (``OperatorSystem.graded_bound``).
+    set A are then the sumsets A + s_1 B_1 + ... + s_k B_k, in the dimension
+    of the first vector.  Translations are endomorphisms, so every part is
+    triangular.  The system keeps its vectors, from which it proves a
+    stabilization bound for any seed set (``OperatorSystem.graded_bound``).
     """
     if not summands:
         raise InputError("at least one summand set is required")
@@ -117,7 +120,7 @@ def make_sumset_system(*summands, dimension: int | None = None) -> OperatorSyste
         if not vecs:
             raise InputError("summand sets must be nonempty")
         normalized.append(vecs)
-    dim = dimension or len(normalized[0][0])
+    dim = len(normalized[0][0])
     for vecs in normalized:
         for v in vecs:
             if len(v) != dim:
@@ -141,8 +144,10 @@ class IdealCountBackend(RankOracle):
     """
 
     def __init__(self, num_coords: int, complement_antichain: Sequence = ()):
-        if num_coords < 1:
-            raise InputError("number of coordinates must be >= 1")
+        if not is_int(num_coords) or num_coords < 1:
+            raise InputError(
+                f"number of coordinates must be an integer >= 1, got {num_coords!r}"
+            )
         self.num_coords = num_coords
         ac = sorted({as_vector(a, num_coords) for a in complement_antichain})
         for a in ac:
@@ -697,7 +702,10 @@ def make_graphic_system(
     backend = GraphicBackend()
     norm = []
     for e in edges:
-        e = tuple(e)
+        try:
+            e = tuple(e)
+        except TypeError:
+            raise InputError(f"not an edge: {e!r}") from None
         if len(e) not in (2, 3):
             raise InputError(f"not an edge: {e!r}")
         u, v = e[0], e[1]
@@ -829,7 +837,10 @@ def simplicial_operator(complex_: SimplicialComplex, vmap, n: int) -> Callable:
 def validate_simplicial(complex_: SimplicialComplex, vmap) -> None:
     f = vmap.__getitem__ if isinstance(vmap, dict) else vmap
     for s in sorted(complex_.simplices):
-        image = {f(v) for v in s}
+        try:
+            image = {f(v) for v in s}
+        except KeyError as exc:
+            raise InputError(f"vertex map has no image for vertex {exc}") from None
         if image not in complex_:
             raise InputError(
                 f"vertex map is not simplicial: simplex {s} maps to {sorted(image)}, "
@@ -863,6 +874,8 @@ def betti_polynomials(
     ranks gets its own pipeline run and the polynomials are subtracted,
     with the threshold the coordinatewise max of the three.
     """
+    if not is_int(n) or n < 0:
+        raise InputError(f"homology dimension must be an integer >= 0, got {n!r}")
     for vm in vertex_maps:
         validate_simplicial(complex_, vm)
     A_simplices = [tuple(sorted(set(s))) for s in A]
@@ -947,13 +960,16 @@ class _GreedyCircuitBuilder(BasisBuilder):
         return True
 
 
+AXIOM_CHECKS = 60
+"""Sampled subsets on which ``make_circuit_backend`` checks the rank axioms."""
+
+
 def make_circuit_backend(
     part_sizes: Sequence[int],
     circuits: Dict[Tuple[int, ...], Iterable],
     maps: Sequence[Callable],
     sample_elements: Sequence = (),
     part_flags: Sequence[str] | None = None,
-    checks: int = 60,
 ) -> OperatorSystem:
     """Operator system over an explicitly given circuit matroid.
 
@@ -971,7 +987,7 @@ def make_circuit_backend(
         rng = random.Random(1729)
         pool = [
             rng.sample(sample, k=rng.randint(0, min(4, len(sample))))
-            for _ in range(checks)
+            for _ in range(AXIOM_CHECKS)
         ]
         failures = check_rank_axioms(backend, pool, rng)
         if failures:

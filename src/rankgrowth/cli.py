@@ -4,7 +4,10 @@ Exit codes partition the outcomes: 0 for a certified result, 2 for a
 box-truncated or inconclusive result (the document is still written),
 1 for an input or usage error, 3 for a hypothesis failure (a concrete
 witness against a declared triangular/quasi-triangular part or
-commutation).
+commutation), 4 for an internal error: an exception that is no package
+error is a bug in rankgrowth, not in the config.  Every config field is
+read through ``_get``, so a value of the wrong JSON type is an input
+error naming its key.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ import hashlib
 import json
 import sys as _sys
 import time
-from dataclasses import replace
+import traceback
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import __version__
 from .engine import (
@@ -60,6 +64,7 @@ EXIT_CERTIFIED = 0
 EXIT_INPUT_ERROR = 1
 EXIT_TRUNCATED = 2
 EXIT_HYPOTHESIS = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 def _digest(config: dict) -> str:
@@ -126,156 +131,179 @@ def _result_doc(result: PipelineResult, want_rank: bool = False) -> dict:
 # config -> system
 # ---------------------------------------------------------------------------
 
-def _vectors(items, dimension=None) -> List[Tuple[int, ...]]:
-    return [as_vector(x, dimension) for x in items]
+_KINDS = {
+    int: "an integer",
+    bool: "a boolean",
+    str: "a string",
+    list: "a list",
+    dict: "an object",
+}
+_DATA = "backend_data."
 
 
-def _int(value, what: str) -> int:
-    """A config value that must be an integer proper; else ``InputError``."""
-    if not is_int(value):
-        raise InputError(f"{what} must be an integer, got {value!r}")
+def _check(value, kind: type, name: str):
+    """``value`` when it has JSON type ``kind`` (a bool is no integer);
+    else an ``InputError`` naming it."""
+    if not (is_int(value) if kind is int else isinstance(value, kind)):
+        raise InputError(f"{name} must be {_KINDS[kind]}, got {value!r}")
     return value
 
 
+def _get(obj: dict, key: str, kind: type, default=None, where: str = ""):
+    """Field ``key`` of ``obj`` checked by ``_check``, or ``default`` when it
+    is absent or null; ``where`` is the key's path in messages."""
+    value = obj.get(key)
+    return default if value is None else _check(value, kind, where + key)
+
+
+def _get_items(obj: dict, key: str, kind: type, where: str = "") -> list:
+    """A list field whose every item has JSON type ``kind``; ``[]`` when absent."""
+    name = where + key
+    return [
+        _check(x, kind, f"{name}[{i}]")
+        for i, x in enumerate(_get(obj, key, list, [], where))
+    ]
+
+
+def _data(config: dict) -> dict:
+    return _get(config, "backend_data", dict, {})
+
+
+def _seeds(config: dict, parse: Callable) -> Tuple[list, list]:
+    """The ``A`` and ``B`` lists with ``parse`` applied to every item."""
+    return tuple([parse(x) for x in _get(config, key, list, [])] for key in "AB")
+
+
+def _pair(x, what: str) -> list:
+    if not isinstance(x, list) or len(x) != 2:
+        raise InputError(f"{what} must be a pair, got {x!r}")
+    return x
+
+
+def _edge(e) -> tuple:
+    """``[u, v]`` or ``[u, v, label]`` as strings, the endpoints in order."""
+    if not isinstance(e, list) or len(e) not in (2, 3):
+        raise InputError(f"not an edge: {e!r}")
+    u, v, *label = map(str, e)
+    return (min(u, v), max(u, v), *label)
+
+
+def _gadget_edge(x) -> tuple:
+    kind, index = _pair(x, "a gadget edge")
+    return str(kind), _check(index, int, "gadget edge index")
+
+
+def _operator_maps(config: dict, backend: str, field: str) -> List[Dict[str, str]]:
+    """Each operator's ``field`` object (a vertex or payload map) as strings."""
+    maps = []
+    for i, op in enumerate(_get_items(config, "operators", dict)):
+        m = _get(op, field, dict, where=f"operators[{i}].")
+        if m is None:
+            raise InputError(f"{backend} operators must carry a {field!r}")
+        maps.append({str(k): str(v) for k, v in m.items()})
+    return maps
+
+
 def _build_trivial(config: dict):
-    data = config.get("backend_data") or {}
-    dim = _int(data.get("dimension", 1), "backend_data.dimension")
-    ops = config.get("operators")
+    dim = _get(_data(config), "dimension", int, 1, _DATA)
+    ops = _get(config, "operators", list)
     if not ops:
         raise InputError("trivial backend requires translation vectors in 'operators'")
-    vecs = _vectors(ops, dim)
-    partition = Partition(config.get("partition") or [len(vecs)])
+    vecs = [as_vector(v, dim) for v in ops]
+    partition = Partition(_get(config, "partition", list) or [len(vecs)])
     sys = OperatorSystem(
         [translation(v) for v in vecs],
         partition,
         TrivialBackend(dim),
-        config.get("part_flags"),
+        _get(config, "part_flags", list),
         translations=[vecs[partition.part_slice(i)] for i in range(partition.k)],
     )
-    A = _vectors(config.get("A", []), dim)
-    B = _vectors(config.get("B", []), dim)
-    return sys, A, B
+    return (sys, *_seeds(config, partial(as_vector, dimension=dim)))
 
 
 def _build_sumset(config: dict):
-    data = config.get("backend_data") or {}
-    summands = data.get("summands") or config.get("operators")
+    summands = _get_items(_data(config), "summands", list, _DATA)
     if not summands:
         raise InputError("sumset mode requires 'backend_data.summands'")
     sys = make_sumset_system(*summands)
-    dim = sys.backend.dimension
-    A = _vectors(config.get("A", []), dim)
-    B = _vectors(config.get("B", []), dim)
+    A, B = _seeds(config, partial(as_vector, dimension=sys.backend.dimension))
     if not A:
         raise InputError("sumset mode requires a nonempty seed set A")
     return sys, A, B
 
 
 def _build_ideal(config: dict):
-    data = config.get("backend_data") or {}
-    partition = config.get("partition")
+    partition = _get(config, "partition", list)
     if not partition:
         raise InputError("ideal-count requires 'partition'")
-    antichain = data.get("complement_antichain", [])
+    antichain = _get(_data(config), "complement_antichain", list, [], _DATA)
     sys, origin = make_ideal_system(antichain, partition)
-    A = _vectors(config.get("A", []), sys.m) or origin
-    B = _vectors(config.get("B", []), sys.m)
-    return sys, A, B
+    A, B = _seeds(config, partial(as_vector, dimension=sys.m))
+    return sys, A or origin, B
 
 
 def _build_linear(config: dict):
-    data = config.get("backend_data") or {}
-    num_vars = _int(data.get("num_vars", 0), "backend_data.num_vars")
+    data = _data(config)
+    num_vars = _get(data, "num_vars", int, 0, _DATA)
     if num_vars < 1:
         raise InputError("linear backend requires 'backend_data.num_vars'")
-    partition = config.get("partition") or [num_vars]
-    gens = config.get("A") or [[0] * num_vars]
-    relations = data.get("relations", [])
+    partition = _get(config, "partition", list) or [num_vars]
+    gens = _get(config, "A", list) or [[0] * num_vars]
+    relations = _get(data, "relations", list, [], _DATA)
     # base monomials are module elements too: inside the ideal they are zero
     sys, elems = make_monomial_module_system(
-        num_vars, partition, list(gens) + list(config.get("B", [])), relations
+        num_vars, partition, gens + _get(config, "B", list, []), relations
     )
-    seeds, B = elems[: len(gens)], elems[len(gens):]
-    return sys, seeds, B
-
-
-def _edge(e) -> tuple:
-    e = tuple(str(x) for x in e)
-    if len(e) not in (2, 3):
-        raise InputError(f"not an edge: {e!r}")
-    return e
-
-
-def _vertex_maps(config: dict, backend: str) -> List[Dict[str, str]]:
-    vmaps = []
-    for op in config.get("operators") or []:
-        if "vertex_map" not in op:
-            raise InputError(f"{backend} operators must carry a 'vertex_map'")
-        vmaps.append({str(k): str(v) for k, v in op["vertex_map"].items()})
-    return vmaps
+    return sys, elems[: len(gens)], elems[len(gens):]
 
 
 def _build_graphic(config: dict):
-    data = config.get("backend_data")
-    if data == "counterexample":
-        depth = _int(config.get("depth", 64), "depth")
-        sys, seed = make_counterexample_graph(depth)
-        if config.get("part_flags"):
-            sys = sys.with_flags(config["part_flags"])
-        A = [(str(k), _int(i, "gadget edge index")) for k, i in config.get("A", [])]
-        B = [(str(k), _int(i, "gadget edge index")) for k, i in config.get("B", [])]
+    if config.get("backend_data") == "counterexample":
+        sys, seed = make_counterexample_graph(_get(config, "depth", int, 64))
+        flags = _get(config, "part_flags", list)
+        if flags:
+            sys = sys.with_flags(flags)
+        A, B = _seeds(config, _gadget_edge)
         return sys, A or seed, B
-    data = data or {}
-    edges = [_edge(e) for e in data.get("edges", [])]
-    vmaps = _vertex_maps(config, "graphic")
-    partition = config.get("partition") or [len(vmaps)]
-    sys, _ = make_graphic_system(edges, vmaps, partition, config.get("part_flags"))
-
-    def canon(e):
-        e = _edge(e)
-        u, v = e[0], e[1]
-        lo, hi = (u, v) if not v < u else (v, u)
-        return (lo, hi) + tuple(e[2:])
-
-    A = [canon(e) for e in config.get("A", [])]
-    B = [canon(e) for e in config.get("B", [])]
-    return sys, A, B
+    edges = [_edge(e) for e in _get(_data(config), "edges", list, [], _DATA)]
+    vmaps = _operator_maps(config, "graphic", "vertex_map")
+    partition = _get(config, "partition", list) or [len(vmaps)]
+    sys, _ = make_graphic_system(
+        edges, vmaps, partition, _get(config, "part_flags", list)
+    )
+    return (sys, *_seeds(config, _edge))
 
 
 def _build_chain(config: dict):
-    data = config.get("backend_data") or {}
-    simplices = [tuple(str(v) for v in s) for s in data.get("simplices", [])]
+    simplices = [
+        tuple(map(str, s)) for s in _get_items(_data(config), "simplices", list, _DATA)
+    ]
     if not simplices:
         raise InputError("chain backend requires 'backend_data.simplices'")
     complex_ = SimplicialComplex(simplices)
-    vmaps = _vertex_maps(config, "chain")
-    partition = config.get("partition") or [len(vmaps)]
-    A = [tuple(str(v) for v in s) for s in config.get("A", [])]
+    vmaps = _operator_maps(config, "chain", "vertex_map")
+    partition = _get(config, "partition", list) or [len(vmaps)]
+    A = [tuple(map(str, s)) for s in _get_items(config, "A", list)]
     return complex_, vmaps, partition, A
 
 
 def _build_circuit(config: dict):
-    data = config.get("backend_data") or {}
-    circuits = {}
-    for entry in data.get("circuits", []):
-        deg = tuple(_int(x, "circuit degree") for x in entry["degree"])
-        circuits[deg] = [frozenset(str(p) for p in c) for c in entry.get("sets", [])]
-    partition = config.get("partition")
+    partition = _get(config, "partition", list)
     if not partition:
         raise InputError("circuit backend requires 'partition'")
     part = Partition(partition)
-    payload_maps = []
-    for op in config.get("operators") or []:
-        if "map" not in op:
-            raise InputError("circuit operators must carry a payload 'map'")
-        payload_maps.append({str(k): str(v) for k, v in op["map"].items()})
+    circuits = {}
+    for i, entry in enumerate(_get_items(_data(config), "circuits", dict, _DATA)):
+        where = f"{_DATA}circuits[{i}]."
+        deg = as_vector(_get(entry, "degree", list, [], where), part.k)
+        sets = _get_items(entry, "sets", list, where)
+        circuits[deg] = [frozenset(map(str, c)) for c in sets]
 
     def elem(x):
-        deg, payload = x
-        return (tuple(_int(d, "circuit degree") for d in deg), str(payload))
+        deg, payload = _pair(x, "a circuit element")
+        return (as_vector(deg, part.k), str(payload))
 
-    A = [elem(x) for x in config.get("A", [])]
-    B = [elem(x) for x in config.get("B", [])]
+    A, B = _seeds(config, elem)
 
     def make_op(pm, part_index):
         def op(e):
@@ -287,9 +315,10 @@ def _build_circuit(config: dict):
 
         return op
 
+    payload_maps = _operator_maps(config, "circuit", "map")
     maps = [make_op(pm, part.part_of(idx)) for idx, pm in enumerate(payload_maps)]
     sys = make_circuit_backend(
-        partition, circuits, maps, A + B, config.get("part_flags")
+        partition, circuits, maps, A + B, _get(config, "part_flags", list)
     )
     return sys, A, B
 
@@ -309,35 +338,24 @@ def _build_context(config: dict, sys: OperatorSystem):
     The subtuple requirement is object identity, so each part's primary
     translation vectors must literally appear in the context group.
     """
-    groups = config.get("context_operators")
-    if groups is None:
+    groups = _get_items(config, "context_operators", list)
+    if not groups:
         raise InputError("context mode requires 'context_operators'")
     if not isinstance(sys.backend, TrivialBackend):
         raise InputError("context mode is configured for the trivial backend only")
-    dim = sys.backend.dimension
     if len(groups) != sys.k:
         raise InputError("context operators must have one group per part")
-    primary_vecs = _vectors(config.get("operators", []), dim)
     flat, sizes = [], []
     for i, group in enumerate(groups):
-        part_maps = list(sys.part_maps(i))
-        part_vecs = primary_vecs[sys.partition.part_slice(i)]
-        used = [False] * len(part_maps)
-        built = []
-        for v in _vectors(group, dim):
-            reused = None
-            for j, bv in enumerate(part_vecs):
-                if not used[j] and bv == v:
-                    reused = part_maps[j]
-                    used[j] = True
-                    break
-            built.append(reused if reused is not None else translation(v))
-        if not all(used):
+        unused = list(zip(sys.translations[i], sys.part_maps(i)))
+        for v in (as_vector(x, sys.backend.dimension) for x in group):
+            j = next((j for j, (u, _) in enumerate(unused) if u == v), None)
+            flat.append(translation(v) if j is None else unused.pop(j)[1])
+        if unused:
             raise InputError(
                 f"part {i + 1}: context operators must contain the primary ones"
             )
-        flat.extend(built)
-        sizes.append(len(built))
+        sizes.append(len(group))
     return OperatorSystem(flat, Partition(sizes), sys.backend)
 
 
@@ -345,16 +363,92 @@ def _build_context(config: dict, sys: OperatorSystem):
 # execution
 # ---------------------------------------------------------------------------
 
-def _stab_config(config: dict) -> Tuple[StabilizationConfig, Optional[int]]:
-    """The validated config, and the box when it is one integer, which is
-    broadcast to every coordinate once m is known."""
+def _stab_config(config: dict, m: int) -> StabilizationConfig:
+    """The config's box and window; an integer box is broadcast to all m
+    coordinates (the cumulative pipeline expands a length-m box per part)."""
     box = config.get("box")
-    scalar = box if is_int(box) else None
-    cfg = StabilizationConfig(
-        box=(box,) if scalar is not None else box,
-        window=config.get("window", 2),
+    return StabilizationConfig(
+        box=(box,) * m if is_int(box) else box,
+        window=_get(config, "window", int, 2),
     )
-    return cfg, scalar
+
+
+def _solve(config, doc: dict) -> int:
+    """Build and solve the problem ``config`` describes into ``doc``;
+    returns the exit code."""
+    _check(config, dict, "a config")
+    doc["mode"] = mode = config.get("mode")
+    if mode not in MODES:
+        raise InputError(f"unknown mode {mode!r}; expected one of {MODES}")
+
+    if mode == "betti":
+        complex_, vmaps, partition, A = _build_chain(config)
+        n = _get(config, "dimension", int, 0)
+        closure = SimplicialComplex(A).simplices if A else set()
+        br = betti_polynomials(
+            complex_,
+            vmaps,
+            partition,
+            sorted(closure),
+            n,
+            _stab_config(config, len(vmaps)),
+            cumulative=_get(config, "cumulative", bool, False),
+        )
+        statuses = [br.free.status, br.boundary.status, br.boundary_up.status]
+        status = CERTIFIED if all(s == CERTIFIED for s in statuses) else BOX_TRUNCATED
+        doc.update(
+            {
+                "status": status,
+                "betti": {
+                    "dimension": n,
+                    "polynomial": _poly_doc(br.betti),
+                    "chain_rank": _result_doc(br.free),
+                    "boundary_rank": _result_doc(br.boundary),
+                    "boundary_rank_above": _result_doc(br.boundary_up),
+                },
+            }
+        )
+        return EXIT_CERTIFIED if status == CERTIFIED else EXIT_TRUNCATED
+
+    if mode == "sumset":
+        sys, A, B = _build_sumset(config)
+    else:
+        backend = _get(config, "backend", str, "trivial" if mode == "context" else None)
+        if backend not in _BUILDERS:
+            raise InputError(f"unknown backend {backend!r}")
+        sys, A, B = _BUILDERS[backend](config)
+    cfg = _stab_config(config, sys.m)
+
+    if mode == "check":
+        depth = _get(config, "depth", int, 3)
+        pair_count = _get(config, "seed_sample", int, 40)
+        report = check_system(sys, A + B, depth, pair_count)
+        ok = report.supports_declaration(sys)
+        doc.update(
+            {
+                "status": "supported" if ok else "hypothesis-failure",
+                "check": {
+                    "commutation_ok": report.commutation_ok,
+                    "commutation_failures": report.commutation_failures[:5],
+                    "parts_triangular": list(report.parts_triangular),
+                    "parts_quasi_triangular": list(report.parts_quasi_triangular),
+                    "triangular_failures": report.triangular_failures[:5],
+                    "quasi_failures": report.quasi_failures[:5],
+                    "declared_flags": list(sys.part_flags),
+                },
+            }
+        )
+        return EXIT_CERTIFIED if ok else EXIT_HYPOTHESIS
+
+    cumulative = _get(config, "cumulative", bool, False)
+    if mode == "context":
+        result = analyze_graded(sys, A, B, cfg, context_sys=_build_context(config, sys))
+    elif mode == "cumulative" or (cumulative and mode in ("phi-rank", "ideal-count")):
+        result = analyze_cumulative(sys, A, B, cfg)
+    else:
+        result = analyze_graded(sys, A, B, cfg)
+    doc.update(_result_doc(result, want_rank=mode == "phi-rank"))
+    return EXIT_CERTIFIED if result.status == CERTIFIED else EXIT_TRUNCATED
 
 
 def execute(config: dict) -> Tuple[int, dict]:
@@ -364,121 +458,27 @@ def execute(config: dict) -> Tuple[int, dict]:
         "tool": "rankgrowth",
         "version": __version__,
         "input_digest": _digest(config),
-        "mode": config.get("mode"),
+        "mode": None,
         "status": None,
         "warnings": [],
     }
-
-    def finish(code: int) -> Tuple[int, dict]:
-        doc["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
-        return code, doc
-
     try:
-        mode = config.get("mode")
-        if mode not in MODES:
-            raise InputError(f"unknown mode {mode!r}; expected one of {MODES}")
-        cfg, box_scalar = _stab_config(config)
-
-        if mode == "betti":
-            complex_, vmaps, partition, A = _build_chain(config)
-            n = _int(config.get("dimension", 0), "dimension")
-            if box_scalar is not None:
-                cfg = replace(cfg, box=(box_scalar,) * len(vmaps))
-            closure = SimplicialComplex(A).simplices if A else set()
-            br = betti_polynomials(
-                complex_,
-                vmaps,
-                partition,
-                sorted(closure),
-                n,
-                cfg,
-                cumulative=bool(config.get("cumulative", False)),
-            )
-            statuses = [br.free.status, br.boundary.status, br.boundary_up.status]
-            status = CERTIFIED if all(s == CERTIFIED for s in statuses) else BOX_TRUNCATED
-            doc.update(
-                {
-                    "status": status,
-                    "betti": {
-                        "dimension": n,
-                        "polynomial": _poly_doc(br.betti),
-                        "chain_rank": _result_doc(br.free),
-                        "boundary_rank": _result_doc(br.boundary),
-                        "boundary_rank_above": _result_doc(br.boundary_up),
-                    },
-                }
-            )
-            return finish(EXIT_CERTIFIED if status == CERTIFIED else EXIT_TRUNCATED)
-
-        backend_tag = config.get("backend") or (
-            "trivial" if mode in ("sumset", "context") else None
-        )
-        if mode == "sumset":
-            sys, A, B = _build_sumset(config)
-        else:
-            if backend_tag not in _BUILDERS:
-                raise InputError(f"unknown backend {backend_tag!r}")
-            sys, A, B = _BUILDERS[backend_tag](config)
-
-        if box_scalar is not None:
-            # length-m boxes are expanded per part by the cumulative pipeline
-            cfg = replace(cfg, box=(box_scalar,) * sys.m)
-
-        if mode == "check":
-            depth = _int(config.get("depth", 3), "depth")
-            pair_count = _int(config.get("seed_sample", 40), "seed_sample")
-            report = check_system(sys, A + B, depth, pair_count)
-            ok = report.supports_declaration(sys)
-            doc.update(
-                {
-                    "status": "supported" if ok else "hypothesis-failure",
-                    "check": {
-                        "commutation_ok": report.commutation_ok,
-                        "commutation_failures": report.commutation_failures[:5],
-                        "parts_triangular": list(report.parts_triangular),
-                        "parts_quasi_triangular": list(
-                            report.parts_quasi_triangular
-                        ),
-                        "triangular_failures": report.triangular_failures[:5],
-                        "quasi_failures": report.quasi_failures[:5],
-                        "declared_flags": list(sys.part_flags),
-                    },
-                }
-            )
-            return finish(EXIT_CERTIFIED if ok else EXIT_HYPOTHESIS)
-
-        want_rank = mode == "phi-rank"
-        cumulative = mode == "cumulative" or (
-            bool(config.get("cumulative", False))
-            and mode in ("phi-rank", "ideal-count")
-        )
-        if mode == "context":
-            context_sys = _build_context(config, sys)
-            result = analyze_graded(sys, A, B, cfg, context_sys=context_sys)
-        elif cumulative:
-            result = analyze_cumulative(sys, A, B, cfg)
-        else:
-            result = analyze_graded(sys, A, B, cfg)
-        doc.update(_result_doc(result, want_rank))
-        doc["status"] = result.status
-        return finish(
-            EXIT_CERTIFIED if result.status == CERTIFIED else EXIT_TRUNCATED
-        )
-
+        code = _solve(config, doc)
     except HypothesisError as exc:
+        code = EXIT_HYPOTHESIS
         doc["status"] = "hypothesis-failure"
         doc["error"] = str(exc)
         if exc.witness is not None:
             doc["witness"] = repr(exc.witness)
-        return finish(EXIT_HYPOTHESIS)
-    except (InputError, KeyError, TypeError, ValueError) as exc:
-        doc["status"] = "input-error"
-        doc["error"] = f"{type(exc).__name__}: {exc}"
-        return finish(EXIT_INPUT_ERROR)
     except RankGrowthError as exc:
-        doc["status"] = "input-error"
-        doc["error"] = str(exc)
-        return finish(EXIT_INPUT_ERROR)
+        code = EXIT_INPUT_ERROR
+        doc.update(status="input-error", error=f"{type(exc).__name__}: {exc}")
+    except Exception as exc:  # noqa: BLE001 - anything else is a bug in rankgrowth
+        traceback.print_exc(file=_sys.stderr)
+        code = EXIT_INTERNAL_ERROR
+        doc.update(status="internal-error", error=f"{type(exc).__name__}: {exc}")
+    doc["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
+    return code, doc
 
 
 def run(config_path: str, overrides: Optional[dict] = None) -> Tuple[int, dict]:
@@ -493,7 +493,7 @@ def run(config_path: str, overrides: Optional[dict] = None) -> Tuple[int, dict]:
             "status": "input-error",
             "error": f"cannot read config: {exc}",
         }
-    if overrides:
+    if overrides and isinstance(config, dict):
         config.update({k: v for k, v in overrides.items() if v is not None})
     return execute(config)
 
@@ -561,16 +561,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         report = selfcheck()
         return 0 if report.ok else 1
 
-    overrides: Dict[str, object] = {}
-    if args.box is not None:
-        overrides["box"] = args.box
-    if args.window is not None:
-        overrides["window"] = args.window
-    if args.mode:
-        overrides["mode"] = args.mode
-    if args.seed_sample is not None:
-        overrides["seed_sample"] = args.seed_sample
-
+    overrides = {k: getattr(args, k) for k in ("box", "window", "mode", "seed_sample")}
     code, doc = run(args.config, overrides)
     _emit(doc, args.out)
     if doc.get("error"):

@@ -83,10 +83,13 @@ class RankOracle(ABC):
         return sorted(self.dedupe(elems), key=self.key)
 
     def relative_rank(self, A: Iterable, B: Iterable) -> int:
-        """rank(A over B) = rank(A | B) - rank(B)."""
-        b = list(B)
+        """rank(A over B) = rank(A | B) - rank(B); every element is
+        validated first, as in ``rank``."""
+        A, B = list(A), list(B)
+        for x in A + B:
+            self.validate(x)
         builder = self.basis_builder()
-        builder.add_all(b)
+        builder.add_all(B)
         return builder.add_all(A)
 
 

@@ -84,6 +84,28 @@ def test_sumset_polynomial_small():
     assert [P.evaluate((t,)) for t in range(4)] == [1, 2, 3, 4]
 
 
+def test_a_vector_that_is_no_sequence_is_an_input_error():
+    # each used to raise a raw TypeError from tuple(x)
+    calls = [
+        lambda: make_sumset_system([0.5]),
+        lambda: make_ideal_system([1.5], [1]),
+        lambda: make_monomial_module_system(1, [1], [None]),
+        lambda: make_graphic_system([5], [], [1]),
+    ]
+    for call in calls:
+        with pytest.raises(InputError):
+            call()
+
+
+def test_backend_dimensions_must_be_positive_integers():
+    # TrivialBackend(1.5) used to construct, TrivialBackend("2") to raise TypeError
+    for bad in (1.5, "2", True, 0):
+        with pytest.raises(InputError, match="dimension must be an integer"):
+            TrivialBackend(bad)
+        with pytest.raises(InputError, match="coordinates must be an integer"):
+            IdealCountBackend(bad)
+
+
 def test_trivial_backend_refuses_bool_coordinates():
     with pytest.raises(InputError, match="integer vector"):
         analyze_graded(make_sumset_system([0, 1]), [(True,)], [])
@@ -716,6 +738,19 @@ def test_betti_three_rank_formula_against_boundary_matrices():
     for n in (0, 1):
         res = betti_polynomials(K, [ident], [1], A, n)
         assert res.betti.evaluate((2,)) == subcomplex_betti(A, n)
+
+
+def test_betti_rejects_a_negative_dimension():
+    K = _cycle_complex(3)
+    ident = {v: v for v in range(3)}
+    with pytest.raises(InputError, match="homology dimension"):
+        betti_polynomials(K, [ident], [1], sorted(K.simplices), -1)
+
+
+def test_validate_simplicial_names_an_unmapped_vertex():
+    K = SimplicialComplex([(0, 1), (1, 2)])
+    with pytest.raises(InputError, match="no image for vertex 2"):
+        validate_simplicial(K, {0: 0, 1: 1})
 
 
 def test_betti_rejects_non_subcomplex_seed():

@@ -11,10 +11,12 @@ import pytest
 import rankgrowth
 from rankgrowth import OperatorError, apply_word, augment
 from rankgrowth.backends import make_counterexample_graph
+from rankgrowth import cli
 from rankgrowth.cli import (
     EXIT_CERTIFIED,
     EXIT_HYPOTHESIS,
     EXIT_INPUT_ERROR,
+    EXIT_INTERNAL_ERROR,
     EXIT_TRUNCATED,
     execute,
     main,
@@ -338,8 +340,11 @@ def test_map_failure_exits_input_error_naming_map_and_word(tmp_path):
     sys_, seeds = make_counterexample_graph(3)
     with pytest.raises(OperatorError) as direct:
         apply_word(augment(sys_), seeds[0], (0, 4))
-    assert doc["error"] == str(direct.value)
-    assert doc["error"].startswith("map 2 failed while applying word (0, 4): ")
+    # every package error is reported as "Type: message"
+    assert doc["error"] == f"OperatorError: {direct.value}"
+    assert doc["error"].startswith(
+        "OperatorError: map 2 failed while applying word (0, 4): "
+    )
 
 
 def test_work_budget_exits_input_error(tmp_path):
@@ -424,6 +429,54 @@ def test_non_integer_where_an_integer_is_read_exits_input_error(base, bad):
     assert code == EXIT_INPUT_ERROR
     assert doc["status"] == "input-error"
     assert "integer" in doc["error"]
+
+
+GRAPHIC = {
+    "mode": "dimension",
+    "backend": "graphic",
+    "backend_data": {"edges": [["0", "1"]]},
+    "operators": [{"vertex_map": {"0": "1", "1": "0"}}],
+    "A": [["0", "1"]],
+}
+
+
+@pytest.mark.parametrize(
+    "config,named",
+    [
+        ([1, 2], "a config must be an object"),
+        (dict(SUMSET, backend_data=[[0, 1]]), "backend_data must be an object"),
+        (dict(LINEAR, backend_data="counterexample"), "backend_data must be an object"),
+        (dict(GRAPHIC, operators=[{"vertex_map": 5}]), "operators[0].vertex_map"),
+        (dict(CIRCUIT, operators=[{"map": []}]), "operators[0].map"),
+        (dict(IDEAL, cumulative="no"), "cumulative must be a boolean"),
+        (dict(CHECK, seed_sample=-3), "pair_count must be >= 0"),
+        (dict(BETTI, dimension=-1), "homology dimension"),
+    ],
+)
+def test_malformed_config_shapes_exit_input_error(tmp_path, config, named):
+    # the first five used to escape as AttributeError tracebacks with no
+    # document, the last three to exit 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "result.json"
+    assert main(["run", str(cfg), "--out", str(out)]) == EXIT_INPUT_ERROR
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "input-error"
+    assert doc["error"].startswith("InputError: ") and named in doc["error"]
+
+
+def test_a_bug_inside_the_engine_exits_internal_error(monkeypatch, capsys):
+    # a KeyError used to be reported as exit 1 "input-error"
+    def broken(*args, **kwargs):
+        raise KeyError("stage")
+
+    monkeypatch.setattr(cli, "analyze_graded", broken)
+    code, doc = execute(dict(SUMSET))
+    assert code == EXIT_INTERNAL_ERROR == 4
+    assert doc["status"] == "internal-error"
+    assert doc["error"] == "KeyError: 'stage'"
+    assert "timing_ms" in doc
+    assert "in broken" in capsys.readouterr().err  # the traceback
 
 
 def test_run_missing_file():

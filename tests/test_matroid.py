@@ -117,6 +117,15 @@ def test_relative_rank_examples():
     assert backend.relative_rank([], [(9,)]) == 0
 
 
+def test_relative_rank_validates_both_sets():
+    # the first returned 1, the second raised a raw TypeError
+    backend = TrivialBackend(1)
+    with pytest.raises(InputError, match="dimension 1"):
+        backend.relative_rank([(1, 2)], [])
+    with pytest.raises(InputError, match="dimension 1"):
+        backend.relative_rank([(1,)], [[5]])
+
+
 def test_localize_identity_and_membership():
     # the rank localized at C is the relative rank over C
     backend = TrivialBackend(1)

@@ -240,6 +240,14 @@ def test_check_system_counterexample():
     assert rep.triangular_failures  # carries a concrete witness
 
 
+def test_check_system_rejects_a_negative_pair_count():
+    # it used to sample no pair and report the declaration supported
+    sys = make_sumset_system([1, 3])
+    with pytest.raises(InputError, match="pair_count"):
+        check_system(sys, [(0,)], depth=3, pair_count=-1)
+    assert check_system(sys, [(0,)], depth=3, pair_count=0).supports_declaration(sys)
+
+
 def test_check_system_noncommuting():
     backend = TrivialBackend(1)
 

@@ -5,6 +5,8 @@ import io
 import pathlib
 import re
 
+from rankgrowth import cli
+
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -25,3 +27,15 @@ def test_readme_quick_start_prints_what_its_comments_state():
     with contextlib.redirect_stdout(out):
         exec(compile(code, str(README), "exec"), {})
     assert out.getvalue().splitlines() == stated
+
+
+def test_readme_exit_codes_match_the_cli():
+    section = README.read_text(encoding="utf-8").split("Exit codes")[1]
+    listed = dict(re.findall(r"^- `(\d)` ([^;:]*)", section.split("\n\n")[1], re.M))
+    codes = {
+        name: value for name, value in vars(cli).items() if name.startswith("EXIT_")
+    }
+    assert sorted(map(int, listed)) == sorted(codes.values())
+    for name, value in codes.items():
+        # EXIT_INPUT_ERROR is listed as "input or usage error", and so on
+        assert name.split("_")[1].lower() in listed[str(value)]
