@@ -688,32 +688,18 @@ def make_counterexample_graph(depth: int = 64) -> Tuple[OperatorSystem, List]:
 
 
 def make_graphic_system(
-    edges: Sequence,
     vertex_maps: Sequence,
     part_sizes: Sequence[int],
     part_flags: Sequence[str] | None = None,
-) -> Tuple[OperatorSystem, List]:
+) -> OperatorSystem:
     """Vertex-map-induced edge operators over the graphic backend.
 
     Vertex maps induce matroid endomorphisms (images of paths are walks),
-    so parts default to triangular.  Returns the system and the edge list
-    normalized to canonical tuples.
+    so parts default to triangular.  A graphic rank depends only on the
+    edges it is given, so the system needs no ambient graph.
     """
-    backend = GraphicBackend()
-    norm = []
-    for e in edges:
-        try:
-            e = tuple(e)
-        except TypeError:
-            raise InputError(f"not an edge: {e!r}") from None
-        if len(e) not in (2, 3):
-            raise InputError(f"not an edge: {e!r}")
-        u, v = e[0], e[1]
-        lo, hi = (u, v) if not v < u else (v, u)
-        norm.append((lo, hi) + tuple(e[2:]))
     maps = [vertex_map_edge_operator(vm) for vm in vertex_maps]
-    sys = OperatorSystem(maps, Partition(part_sizes), backend, part_flags)
-    return sys, norm
+    return OperatorSystem(maps, Partition(part_sizes), GraphicBackend(), part_flags)
 
 
 # ---------------------------------------------------------------------------
@@ -721,10 +707,6 @@ def make_graphic_system(
 # ---------------------------------------------------------------------------
 
 ZERO_CHAIN = ("0",)
-
-
-def simplex(verts) -> Tuple:
-    return ("s", tuple(sorted(set(verts))))
 
 
 class SimplicialComplex:

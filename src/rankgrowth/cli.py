@@ -265,12 +265,9 @@ def _build_graphic(config: dict):
             sys = sys.with_flags(flags)
         A, B = _seeds(config, _gadget_edge)
         return sys, A or seed, B
-    edges = [_edge(e) for e in _get(_data(config), "edges", list, [], _DATA)]
     vmaps = _operator_maps(config, "graphic", "vertex_map")
     partition = _get(config, "partition", list) or [len(vmaps)]
-    sys, _ = make_graphic_system(
-        edges, vmaps, partition, _get(config, "part_flags", list)
-    )
+    sys = make_graphic_system(vmaps, partition, _get(config, "part_flags", list))
     return (sys, *_seeds(config, _edge))
 
 
@@ -442,8 +439,10 @@ def _solve(config, doc: dict) -> int:
 
     cumulative = _get(config, "cumulative", bool, False)
     if mode == "context":
+        if cumulative:
+            raise InputError("context mode has no cumulative pipeline")
         result = analyze_graded(sys, A, B, cfg, context_sys=_build_context(config, sys))
-    elif mode == "cumulative" or (cumulative and mode in ("phi-rank", "ideal-count")):
+    elif mode == "cumulative" or cumulative:
         result = analyze_cumulative(sys, A, B, cfg)
     else:
         result = analyze_graded(sys, A, B, cfg)
@@ -451,19 +450,22 @@ def _solve(config, doc: dict) -> int:
     return EXIT_CERTIFIED if result.status == CERTIFIED else EXIT_TRUNCATED
 
 
-def execute(config: dict) -> Tuple[int, dict]:
-    """Run one problem config; returns (exit code, result document)."""
+def _document(
+    input_digest: Optional[str], solve: Callable[[dict], int]
+) -> Tuple[int, dict]:
+    """Run ``solve`` on a fresh result document; map what it raises to an
+    exit code and an error.  Returns (exit code, result document)."""
     started = time.perf_counter()
     doc = {
         "tool": "rankgrowth",
         "version": __version__,
-        "input_digest": _digest(config),
+        "input_digest": input_digest,
         "mode": None,
         "status": None,
         "warnings": [],
     }
     try:
-        code = _solve(config, doc)
+        code = solve(doc)
     except HypothesisError as exc:
         code = EXIT_HYPOTHESIS
         doc["status"] = "hypothesis-failure"
@@ -481,18 +483,23 @@ def execute(config: dict) -> Tuple[int, dict]:
     return code, doc
 
 
+def execute(config: dict) -> Tuple[int, dict]:
+    """Run one problem config; returns (exit code, result document)."""
+    return _document(_digest(config), partial(_solve, config))
+
+
+def _unreadable(exc: Exception, doc: dict) -> int:
+    """The solve of a config file that could not be read or parsed."""
+    raise InputError(f"cannot read config: {exc}")
+
+
 def run(config_path: str, overrides: Optional[dict] = None) -> Tuple[int, dict]:
     """Load a JSON config, apply flag overrides, execute."""
     try:
         with open(config_path, "r", encoding="utf-8") as fh:
             config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        return EXIT_INPUT_ERROR, {
-            "tool": "rankgrowth",
-            "version": __version__,
-            "status": "input-error",
-            "error": f"cannot read config: {exc}",
-        }
+        return _document(None, partial(_unreadable, exc))
     if overrides and isinstance(config, dict):
         config.update({k: v for k, v in overrides.items() if v is not None})
     return execute(config)

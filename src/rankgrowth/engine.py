@@ -201,8 +201,9 @@ class DecreasingTable:
     same degree are needed for correct marginals, so they come for free).
     Its words must be exactly the slice-cap lattice's, in lattice order:
     slices in ``degrees_below(slice_cap)`` order, ascending lex order
-    inside each, as ``tabulate_f`` and ``from_function`` build them.  Any
-    other table is an ``InputError``.
+    inside each, as ``tabulate_f`` and ``from_function`` build them.  Its
+    values are marginal ranks, so natural numbers.  Any other table is an
+    ``InputError``.
 
     One scan over the lattice's unit steps fills the metadata.
     ``violations`` lists the pairs ``(u - e_i, u)`` where the value
@@ -235,9 +236,15 @@ class DecreasingTable:
                 f"table words are not the {len(lattice.words):,} words under "
                 f"slice cap {cap} in lattice order"
             )
-        downs = lattice.down
         f = list(self.values.values())
-        ceiling = max(f, default=0) + 1
+        low = min(f)  # the zero word is in every lattice
+        if low < 0:
+            raise InputError(
+                f"marginal ranks are natural numbers, got {low} at "
+                f"{words[f.index(low)]}"
+            )
+        downs = lattice.down
+        ceiling = max(f) + 1
         f.append(ceiling)  # read at position -1, which stands for no predecessor
         # preds[i][n] is the value at word n minus e_i
         preds = [list(map(f.__getitem__, down)) for down in downs]
@@ -352,10 +359,10 @@ def tabulate_f(
 class StaircaseCertificate:
     """Minimal antichains of the level sets and their least upper bound.
 
-    ``status`` is window-certified when the table is constant across the
-    clamp window beyond the candidate bound, box-truncated otherwise.
-    Window certification is evidence, not proof: a decreasing function
-    may still drop beyond any finite box.
+    ``status`` is window-certified when the table covers the band of words
+    up to ``m_bar + window``, where it equals its clamp at ``m_bar``, and
+    box-truncated otherwise.  Window certification is evidence, not
+    proof: a decreasing function may still drop beyond any finite box.
     """
 
     levels: Dict[int, Tuple[MultiIndex, ...]]
@@ -372,48 +379,43 @@ class StaircaseCertificate:
 def detect_stabilization(
     table: DecreasingTable, cfg: StabilizationConfig | None = None
 ) -> StaircaseCertificate:
-    """Find the staircase of a decreasing table and try to certify it."""
+    """Find the staircase of a decreasing table and try to certify it.
+
+    The minimal words of the level set ``{f <= n}`` are the corners with
+    ``f(u) <= n < hi(u)``, and ``m_bar`` joins every corner.  The
+    certificate is window-certified exactly when the band of words up to
+    ``m_bar + window`` lies inside the tabulated part degrees; no band word
+    is read, because every tabulated word has the value of its clamp
+    ``clamp(u) = min(u, m_bar)``:
+
+    Take a word ``u`` of the table that is not ``<= m_bar``.  It is not a
+    corner, because ``m_bar`` joins all corners (values are natural
+    numbers, so every corner has a level).  So ``f(u)`` equals the least
+    value over its predecessors.  Pick a coordinate ``i`` with
+    ``u_i > m_bar_i``.  The predecessor ``u - e_i`` has the same clamp as
+    ``u``.  Every other predecessor's clamp lies below ``clamp(u)``, and
+    ``f`` decreases.  By induction on ``|u|``, ``f(u) = f(clamp(u))``.
+    """
     cfg = cfg or StabilizationConfig()
     if not table.is_decreasing:
         raise ContractError(
             f"table is not decreasing; first violation {table.violations[0]!r}"
         )
-    m = table.partition.m
-    zero = (0,) * m
-    f0 = table.values.get(zero)
-    if f0 is None:
-        raise InputError("table does not cover the zero word")
-
-    # the minimal words of {f <= n} are the corners with f(u) <= n < hi(u)
-    antichains: Dict[int, List[MultiIndex]] = {n: [] for n in range(f0 + 1)}
+    zero = (0,) * table.partition.m
+    antichains: Dict[int, List[MultiIndex]] = {
+        n: [] for n in range(table.values[zero] + 1)
+    }
     m_bar = zero
-    corners = sorted(table.corners, key=lambda c: (sum(c[0]), lex_key(c[0])))
-    for u, fu, hi in corners:
-        placed = range(max(fu, 0), hi)
-        for n in placed:
+    for u, fu, hi in sorted(table.corners, key=lambda c: (sum(c[0]), lex_key(c[0]))):
+        for n in range(fu, hi):
             antichains[n].append(u)
-        if placed:
-            m_bar = tuple(max(a, b) for a, b in zip(m_bar, u))
+        m_bar = tuple(map(max, m_bar, u))
     levels = {n: tuple(words) for n, words in antichains.items()}
-
-    w = cfg.window
-    band_cap = tuple(c + w for c in m_bar)
-    status, failure = WINDOW_CERTIFIED, None
-    if not product_leq(table.partition.part_degree(band_cap), table.slice_cap):
-        status = BOX_TRUNCATED
-        failure = (
-            f"window {band_cap} exceeds tabulated part degrees {table.slice_cap}"
-        )
-    else:
-        for u in itertools.product(*(range(c + 1) for c in band_cap)):
-            if product_leq(u, m_bar):
-                continue
-            clamped = tuple(min(a, b) for a, b in zip(u, m_bar))
-            if table.values[u] != table.values[clamped]:
-                status = BOX_TRUNCATED
-                failure = f"value changes beyond candidate bound at {u}"
-                break
-    return StaircaseCertificate(levels, m_bar, status, w, failure)
+    band_cap = tuple(c + cfg.window for c in m_bar)
+    if product_leq(table.partition.part_degree(band_cap), table.slice_cap):
+        return StaircaseCertificate(levels, m_bar, WINDOW_CERTIFIED, cfg.window)
+    failure = f"window {band_cap} exceeds tabulated part degrees {table.slice_cap}"
+    return StaircaseCertificate(levels, m_bar, BOX_TRUNCATED, cfg.window, failure)
 
 
 @dataclass

@@ -160,6 +160,40 @@ def test_context_mode():
     assert doc["polynomial"]["pretty"] == "0"
 
 
+def test_cumulative_flag_is_honoured_in_every_analysis_mode():
+    # dimension and sumset mode used to ignore the flag and print 1
+    trivial = {
+        "mode": "dimension",
+        "backend": "trivial",
+        "operators": [[1]],
+        "A": [[0]],
+    }
+    sumset = {"mode": "sumset", "backend_data": {"summands": [[1]]}, "A": [[0]]}
+    for config in (trivial, sumset):
+        _, graded = execute(config)
+        code, flagged = execute(dict(config, cumulative=True))
+        assert code == EXIT_CERTIFIED
+        assert (graded["polynomial"]["pretty"], flagged["polynomial"]["pretty"]) == (
+            "1",
+            "Y + 1",
+        )
+    _, cumulative = execute(dict(trivial, mode="cumulative"))
+    assert cumulative["polynomial"] == flagged["polynomial"]
+
+
+def test_context_mode_refuses_the_cumulative_flag():
+    config = {
+        "mode": "context",
+        "operators": [[1]],
+        "context_operators": [[[1], [2]]],
+        "A": [[0]],
+    }
+    assert execute(config)[0] == EXIT_CERTIFIED
+    code, doc = execute(dict(config, cumulative=True))
+    assert code == EXIT_INPUT_ERROR
+    assert doc["error"] == "InputError: context mode has no cumulative pipeline"
+
+
 def test_check_mode_supported_and_failing():
     good = {
         "mode": "check",
@@ -217,6 +251,12 @@ def test_graphic_vertex_map_mode():
     code, doc = execute(config)
     assert code == EXIT_CERTIFIED
     assert _doc_poly(doc) == {(0,): Fraction(1)}
+    # a graphic rank needs no ambient graph: edges are an unread key
+    del config["backend_data"]
+    _, without_edges = execute(config)
+    for d in (doc, without_edges):
+        del d["input_digest"], d["timing_ms"]
+    assert without_edges == doc
 
 
 def test_graphic_and_chain_operators_must_carry_a_vertex_map():
@@ -482,6 +522,22 @@ def test_a_bug_inside_the_engine_exits_internal_error(monkeypatch, capsys):
 def test_run_missing_file():
     code, doc = run("/nonexistent/nowhere.json")
     assert code == EXIT_INPUT_ERROR
+
+
+def test_unreadable_config_document_has_every_document_key(tmp_path):
+    broken = tmp_path / "broken.json"
+    broken.write_text("{")
+    _, input_error = execute({"mode": "volume"})
+    for path in (tmp_path / "missing.json", broken):
+        code, doc = run(str(path))
+        assert code == EXIT_INPUT_ERROR
+        assert doc.keys() == input_error.keys()
+        assert (doc["input_digest"], doc["mode"], doc["status"]) == (
+            None,
+            None,
+            "input-error",
+        )
+        assert doc["error"].startswith("InputError: cannot read config: ")
 
 
 def test_cli_subprocess_end_to_end(tmp_path):

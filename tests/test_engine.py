@@ -19,6 +19,7 @@ from rankgrowth import (
     OperatorSystem,
     Partition,
     StabilizationConfig,
+    WINDOW_CERTIFIED,
     analyze_cumulative,
     analyze_graded,
     context_dimension_polynomial,
@@ -369,6 +370,32 @@ def test_detect_drop_at_box_edge_is_truncated():
     )
     cert = detect_stabilization(table)
     assert cert.status == BOX_TRUNCATED
+
+
+def test_negative_table_value_is_input_error():
+    # the only table on which the old band re-scan ever fired
+    with pytest.raises(InputError, match=r"natural numbers, got -1 at \(1,\)"):
+        DecreasingTable.from_function(
+            lambda u: 0 if u[0] == 0 else -1, (6,), Partition([1])
+        )
+    values = {(0, 0): 1, (1, 0): 0, (0, 1): -2}
+    with pytest.raises(InputError, match=r"got -2 at \(0, 1\)"):
+        DecreasingTable((1, 0), Partition([2]), values, (1,))
+
+
+def test_detect_certifies_exactly_when_the_band_is_tabulated():
+    # corners (0,) and (3,): m_bar (3,), band cap (3 + window,) against box 6
+    table = DecreasingTable.from_function(
+        lambda u: 1 if u[0] < 3 else 0, (6,), Partition([1])
+    )
+    for window, status in [
+        (1, WINDOW_CERTIFIED),
+        (3, WINDOW_CERTIFIED),
+        (4, BOX_TRUNCATED),
+    ]:
+        cert = detect_stabilization(table, StabilizationConfig(window=window))
+        assert (cert.m_bar, cert.status) == ((3,), status)
+    assert cert.failure == "window (7,) exceeds tabulated part degrees (6,)"
 
 
 def test_detect_requires_decreasing():
