@@ -19,6 +19,8 @@ from math import gcd, lcm
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple, Union
 
 from .engine import (
+    BOX_TRUNCATED,
+    CERTIFIED,
     GrowthPolynomial,
     PipelineResult,
     StabilizationConfig,
@@ -838,6 +840,12 @@ class BettiResult:
     boundary: PipelineResult
     boundary_up: PipelineResult
     betti: GrowthPolynomial
+
+    @property
+    def status(self) -> str:
+        """Certified when all three chain-rank runs are."""
+        runs = (self.free, self.boundary, self.boundary_up)
+        return CERTIFIED if all(r.status == CERTIFIED for r in runs) else BOX_TRUNCATED
 
 
 def betti_polynomials(

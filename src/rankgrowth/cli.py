@@ -4,10 +4,10 @@ Exit codes partition the outcomes: 0 for a certified result, 2 for a
 box-truncated or inconclusive result (the document is still written),
 1 for an input or usage error, 3 for a hypothesis failure (a concrete
 witness against a declared triangular/quasi-triangular part or
-commutation), 4 for an internal error: an exception that is no package
-error is a bug in rankgrowth, not in the config.  Every config field is
-read through ``_get``, so a value of the wrong JSON type is an input
-error naming its key.
+commutation), 4 for an internal error: a ``ContractError`` or an
+exception that is no package error is a bug in rankgrowth, not in the
+config.  Every config field is read through ``_get``, so a value of the
+wrong JSON type is an input error naming its key.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from . import __version__
 from .engine import (
-    BOX_TRUNCATED,
     CERTIFIED,
     GrowthPolynomial,
     PipelineResult,
@@ -33,7 +32,7 @@ from .engine import (
     analyze_graded,
     dominant_terms,
 )
-from .errors import HypothesisError, InputError, RankGrowthError
+from .errors import ContractError, HypothesisError, InputError, RankGrowthError
 from .operators import OperatorSystem, Partition, check_system, is_int
 from .backends import (
     SimplicialComplex,
@@ -67,8 +66,11 @@ EXIT_HYPOTHESIS = 3
 EXIT_INTERNAL_ERROR = 4
 
 
-def _digest(config: dict) -> str:
-    payload = json.dumps(config, sort_keys=True, separators=(",", ":"))
+def _digest(config) -> str:
+    try:
+        payload = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"config is not JSON: {exc}") from None
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -373,6 +375,7 @@ def _stab_config(config: dict, m: int) -> StabilizationConfig:
 def _solve(config, doc: dict) -> int:
     """Build and solve the problem ``config`` describes into ``doc``;
     returns the exit code."""
+    doc["input_digest"] = _digest(config)
     _check(config, dict, "a config")
     doc["mode"] = mode = config.get("mode")
     if mode not in MODES:
@@ -391,11 +394,9 @@ def _solve(config, doc: dict) -> int:
             _stab_config(config, len(vmaps)),
             cumulative=_get(config, "cumulative", bool, False),
         )
-        statuses = [br.free.status, br.boundary.status, br.boundary_up.status]
-        status = CERTIFIED if all(s == CERTIFIED for s in statuses) else BOX_TRUNCATED
         doc.update(
             {
-                "status": status,
+                "status": br.status,
                 "betti": {
                     "dimension": n,
                     "polynomial": _poly_doc(br.betti),
@@ -405,7 +406,7 @@ def _solve(config, doc: dict) -> int:
                 },
             }
         )
-        return EXIT_CERTIFIED if status == CERTIFIED else EXIT_TRUNCATED
+        return EXIT_CERTIFIED if br.status == CERTIFIED else EXIT_TRUNCATED
 
     if mode == "sumset":
         sys, A, B = _build_sumset(config)
@@ -450,16 +451,14 @@ def _solve(config, doc: dict) -> int:
     return EXIT_CERTIFIED if result.status == CERTIFIED else EXIT_TRUNCATED
 
 
-def _document(
-    input_digest: Optional[str], solve: Callable[[dict], int]
-) -> Tuple[int, dict]:
+def _document(solve: Callable[[dict], int]) -> Tuple[int, dict]:
     """Run ``solve`` on a fresh result document; map what it raises to an
     exit code and an error.  Returns (exit code, result document)."""
     started = time.perf_counter()
     doc = {
         "tool": "rankgrowth",
         "version": __version__,
-        "input_digest": input_digest,
+        "input_digest": None,
         "mode": None,
         "status": None,
         "warnings": [],
@@ -472,20 +471,22 @@ def _document(
         doc["error"] = str(exc)
         if exc.witness is not None:
             doc["witness"] = repr(exc.witness)
-    except RankGrowthError as exc:
-        code = EXIT_INPUT_ERROR
-        doc.update(status="input-error", error=f"{type(exc).__name__}: {exc}")
-    except Exception as exc:  # noqa: BLE001 - anything else is a bug in rankgrowth
-        traceback.print_exc(file=_sys.stderr)
-        code = EXIT_INTERNAL_ERROR
-        doc.update(status="internal-error", error=f"{type(exc).__name__}: {exc}")
+    except Exception as exc:  # noqa: BLE001 - classified below
+        # no config can break an internal contract, so a ContractError is a
+        # bug in rankgrowth, as is any exception that is no package error
+        if isinstance(exc, RankGrowthError) and not isinstance(exc, ContractError):
+            code, status = EXIT_INPUT_ERROR, "input-error"
+        else:
+            traceback.print_exc(file=_sys.stderr)
+            code, status = EXIT_INTERNAL_ERROR, "internal-error"
+        doc.update(status=status, error=f"{type(exc).__name__}: {exc}")
     doc["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
     return code, doc
 
 
 def execute(config: dict) -> Tuple[int, dict]:
     """Run one problem config; returns (exit code, result document)."""
-    return _document(_digest(config), partial(_solve, config))
+    return _document(partial(_solve, config))
 
 
 def _unreadable(exc: Exception, doc: dict) -> int:
@@ -499,7 +500,7 @@ def run(config_path: str, overrides: Optional[dict] = None) -> Tuple[int, dict]:
         with open(config_path, "r", encoding="utf-8") as fh:
             config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        return _document(None, partial(_unreadable, exc))
+        return _document(partial(_unreadable, exc))
     if overrides and isinstance(config, dict):
         config.update({k: v for k, v in overrides.items() if v is not None})
     return execute(config)

@@ -31,7 +31,6 @@ from .errors import (
     ContractError,
     HypothesisError,
     InputError,
-    RankGrowthError,
 )
 from .operators import (
     MultiIndex,
@@ -480,14 +479,12 @@ class GrowthPolynomial:
         coeffs: Dict[MultiIndex, Fraction],
         degree_bound: Tuple[int, ...],
         threshold: Tuple[int, ...],
-        certification: str = BOX_TRUNCATED,
     ):
         self.coeffs = {
             tuple(e): Fraction(c) for e, c in coeffs.items() if c != 0
         }
         self.degree_bound = tuple(degree_bound)
         self.threshold = tuple(threshold)
-        self.certification = certification
         for e in self.coeffs:
             if len(e) != len(self.degree_bound):
                 raise InputError("exponent arity mismatch")
@@ -537,12 +534,7 @@ class GrowthPolynomial:
             max(a, b) for a, b in zip(self.degree_bound, other.degree_bound)
         )
         thresh = tuple(max(a, b) for a, b in zip(self.threshold, other.threshold))
-        cert = (
-            CERTIFIED
-            if self.certification == CERTIFIED and other.certification == CERTIFIED
-            else BOX_TRUNCATED
-        )
-        return GrowthPolynomial(coeffs, bound, thresh, cert)
+        return GrowthPolynomial(coeffs, bound, thresh)
 
     def pretty(self) -> str:
         if not self.coeffs:
@@ -774,10 +766,25 @@ class PipelineResult:
 
     @property
     def phi_rank_value(self) -> Fraction:
-        """The numerator at (1, ..., 1); a natural number on an augmented system."""
+        """Rank of A over B in the orbit-closure matroid of the system.
+
+        Equals the collapsed numerator evaluated at (1, ..., 1), which is
+        the polynomial's leading coefficient times the product of
+        (d_i - 1)!, and is a natural number on an augmented system; either
+        check failing is a ``ContractError``.
+        """
         value = Fraction(self.numerator.at_ones())
-        if self.system.augmented and (value.denominator != 1 or value < 0):
-            raise RankGrowthError(
+        lead = self.polynomial.leading_coefficient()
+        factor = math.prod(
+            math.factorial(d - 1) for d in self.system.partition.part_sizes
+        )
+        if lead * factor != value:
+            raise ContractError(
+                f"leading coefficient {lead} times {factor} differs from the "
+                f"numerator at ones {value}"
+            )
+        if self.system.augmented and value < 0:
+            raise ContractError(
                 f"augmented-system rank must be a natural number, got {value}"
             )
         return value
@@ -811,15 +818,17 @@ def _check_context(sys: OperatorSystem, context_sys: OperatorSystem):
 def analyze_graded(
     sys: OperatorSystem,
     A,
-    B,
+    B=(),
     cfg: StabilizationConfig | None = None,
     context_sys: OperatorSystem | None = None,
 ) -> PipelineResult:
     """Full graded pipeline: tabulate, stabilize, interpolate, verify.
 
-    Raises HypothesisError when a part lacks the triangular declaration or
-    when the tabulated values contradict it (an increase along the product
-    order is an explicit counterexample to the declared hypothesis).
+    The graded orbit ranks of A over B, with B's orbits taken in
+    ``context_sys`` when one is given.  Raises HypothesisError when a part
+    lacks the triangular declaration or when the tabulated values
+    contradict it (an increase along the product order is an explicit
+    counterexample to the declared hypothesis).
     """
     cfg = cfg or StabilizationConfig()
     _require_triangular(sys, "the graded pipeline")
@@ -906,34 +915,18 @@ def _analyze_table(
         if certificate.window_certified and verification.ok
         else BOX_TRUNCATED
     )
-    polynomial.certification = status
     return PipelineResult(
         sys, table, certificate, numerator, polynomial, verification, status, warnings
     )
 
 
-def dimension_polynomial(
-    sys: OperatorSystem, A, B=(), cfg: StabilizationConfig | None = None
-) -> GrowthPolynomial:
-    """Eventual polynomial of the graded orbit ranks of A over B."""
-    return analyze_graded(sys, A, B, cfg).polynomial
-
-
-def cumulative_polynomial(
-    sys: OperatorSystem, A, B=(), cfg: StabilizationConfig | None = None
-) -> GrowthPolynomial:
-    """Eventual polynomial of the cumulative orbit ranks of A over B.
-
-    Runs the graded pipeline on the augmented system, whose graded orbits
-    are exactly the cumulative orbits of the original; per-variable degree
-    may reach d_i rather than d_i - 1.
-    """
-    return analyze_cumulative(sys, A, B, cfg).polynomial
-
-
 def analyze_cumulative(
     sys: OperatorSystem, A, B=(), cfg: StabilizationConfig | None = None
 ) -> PipelineResult:
+    """The cumulative orbit ranks of A over B, as the graded pipeline of the
+    augmented system, whose graded orbits are exactly the cumulative orbits
+    of the original; per-variable degree may reach d_i rather than d_i - 1.
+    """
     cfg = cfg or StabilizationConfig()
     aug = augment(sys)
     if cfg.box is not None and len(cfg.box) == sys.m:
@@ -951,41 +944,6 @@ def _augment_box(box: Tuple[int, ...], p: Partition) -> Tuple[int, ...]:
         out.append(max(part))
         out.extend(part)
     return tuple(out)
-
-
-def context_dimension_polynomial(
-    sys: OperatorSystem,
-    context_sys: OperatorSystem,
-    A,
-    B=(),
-    cfg: StabilizationConfig | None = None,
-) -> GrowthPolynomial:
-    """Graded polynomial of ranks of A-orbits over context-system orbits of B."""
-    return analyze_graded(sys, A, B, cfg, context_sys=context_sys).polynomial
-
-
-def phi_rank(
-    sys: OperatorSystem, A, B=(), cfg: StabilizationConfig | None = None
-) -> Fraction:
-    """Rank of A over B in the orbit-closure matroid of the system.
-
-    Equals the collapsed numerator evaluated at (1, ..., 1), which is the
-    leading coefficient of the dimension polynomial times the product of
-    (d_i - 1)!.  On an augmented system the value is additionally checked
-    to be a natural number.
-    """
-    result = analyze_graded(sys, A, B, cfg)
-    value = result.phi_rank_value
-    lead = result.polynomial.leading_coefficient()
-    factor = math.prod(
-        math.factorial(d - 1) for d in sys.partition.part_sizes
-    )
-    if lead * factor != value:
-        raise ContractError(
-            f"leading coefficient {lead} times {factor} differs from the "
-            f"numerator at ones {value}"
-        )
-    return value
 
 
 @dataclass

@@ -156,7 +156,6 @@ class OperatorSystem:
         partition: Partition,
         backend: RankOracle,
         part_flags: Sequence[str] | None = None,
-        augmented: bool = False,
         bound: StabilizationBound | None = None,
         translations: Sequence[Sequence[Tuple[int, ...]]] | None = None,
     ):
@@ -175,7 +174,6 @@ class OperatorSystem:
         for f in self.part_flags:
             if f not in (TRIANGULAR, QUASI_TRIANGULAR):
                 raise InputError(f"unknown part flag {f!r}")
-        self.augmented = augmented
         if bound is not None:
             lengths = (self.m, self.m + self.k)
             for word, m in zip((bound.graded, bound.cumulative), lengths):
@@ -209,6 +207,12 @@ class OperatorSystem:
     def part_maps(self, i: int) -> Tuple[Callable, ...]:
         return self.maps[self.partition.part_slice(i)]
 
+    @property
+    def augmented(self) -> bool:
+        """True when every part's first map is ``identity_map``, as ``augment``
+        builds it."""
+        return all(self.part_maps(i)[0] is identity_map for i in range(self.k))
+
     def declared(self, flag: str) -> bool:
         """True when every part declares at least ``flag``."""
         if flag == QUASI_TRIANGULAR:
@@ -217,8 +221,8 @@ class OperatorSystem:
 
     def with_flags(self, part_flags: Sequence[str]) -> "OperatorSystem":
         return OperatorSystem(
-            self.maps, self.partition, self.backend, part_flags, self.augmented,
-            self.bound, self.translations,
+            self.maps, self.partition, self.backend, part_flags, self.bound,
+            self.translations,
         )
 
     def graded_bound(self, A) -> Optional[MultiIndex]:
@@ -361,10 +365,7 @@ def augment(sys: OperatorSystem) -> OperatorSystem:
     if sys.translations is not None:
         zero = (0,) * len(sys.translations[0][0])
         translations = [(zero,) + vecs for vecs in sys.translations]
-    return OperatorSystem(
-        maps, partition, sys.backend, flags, augmented=True, bound=bound,
-        translations=translations,
-    )
+    return OperatorSystem(maps, partition, sys.backend, flags, bound, translations)
 
 
 @dataclass

@@ -17,14 +17,10 @@ from .engine import (
     analyze_cumulative,
     analyze_graded,
     detect_stabilization,
-    dimension_polynomial,
     dominant_terms,
-    cumulative_polynomial,
-    context_dimension_polynomial,
     interpolate,
     numerator_from_table,
     phi_closure_member,
-    phi_rank,
     realize_monomial_module,
     tabulate_f,
 )
@@ -275,28 +271,28 @@ def _check_interpolate():
 @check("sumset growth of {0,1} is t + 1")
 def _check_khovanskii_small():
     sys = make_sumset_system([0, 1])
-    P = dimension_polynomial(sys, [(0,)])
+    P = analyze_graded(sys, [(0,)]).polynomial
     _expect(_poly_values(P, range(5)) == [1, 2, 3, 4, 5])
 
 
 @check("monomial count in three variables")
 def _check_hilbert_three():
     sys, seeds = make_polynomial_ring_system(3)
-    P = dimension_polynomial(sys, seeds)
+    P = analyze_graded(sys, seeds).polynomial
     _expect(_poly_values(P, range(6)) == [1, 3, 6, 10, 15, 21])
 
 
 @check("seed inside the base orbit gives the zero polynomial")
 def _check_seed_in_base():
     sys = make_sumset_system([0, 1])
-    P = dimension_polynomial(sys, [(0,)], [(0,)])
+    P = analyze_graded(sys, [(0,)], [(0,)]).polynomial
     _expect(P.is_zero)
 
 
 @check("cumulative growth of a single shift")
 def _check_cumulative_shift():
     sys = make_sumset_system([1])
-    Q = cumulative_polynomial(sys, [(0,)])
+    Q = analyze_cumulative(sys, [(0,)]).polynomial
     _expect(_poly_values(Q, range(4)) == [1, 2, 3, 4])
 
 
@@ -314,7 +310,7 @@ def _check_counterexample_cumulative():
 def _check_counterexample_refusal():
     sys, seed = make_counterexample_graph()
     try:
-        dimension_polynomial(sys, seed)
+        analyze_graded(sys, seed)
     except HypothesisError:
         return
     raise AssertionError("graded pipeline accepted a non-triangular system")
@@ -323,26 +319,26 @@ def _check_counterexample_refusal():
 @check("ideal counting, graded and cumulative")
 def _check_ideal_counts():
     sys, A = make_ideal_system([(2, 0)], [2])
-    P = dimension_polynomial(sys, A)
+    P = analyze_graded(sys, A).polynomial
     _expect(_poly_values(P, range(1, 6)) == [2, 2, 2, 2, 2])
-    Q = cumulative_polynomial(sys, A)
+    Q = analyze_cumulative(sys, A).polynomial
     _expect(_poly_values(Q, range(5)) == [1, 3, 5, 7, 9])
     full, A2 = make_ideal_system([], [2])
-    _expect(_poly_values(dimension_polynomial(full, A2), range(4)) == [1, 2, 3, 4])
+    _expect(_poly_values(analyze_graded(full, A2).polynomial, range(4)) == [1, 2, 3, 4])
 
 
 @check("context system identical to the primary changes nothing")
 def _check_context_same():
     sys = make_sumset_system([0, 1])
-    P = dimension_polynomial(sys, [(0,)])
-    Pc = context_dimension_polynomial(sys, sys, [(0,)])
+    P = analyze_graded(sys, [(0,)]).polynomial
+    Pc = analyze_graded(sys, [(0,)], context_sys=sys).polynomial
     _expect(P == Pc)
 
 
 @check("difference sets of equal seed and base vanish")
 def _check_context_difference():
     sys = make_sumset_system([0, 1])
-    Pc = context_dimension_polynomial(sys, sys, [(0,)], [(0,)])
+    Pc = analyze_graded(sys, [(0,)], [(0,)], context_sys=sys).polynomial
     _expect(Pc.is_zero)
 
 
@@ -358,14 +354,14 @@ def _check_partition_dependence():
     backend, maps = _repeated_shift_system()
     trivial_part = OperatorSystem(maps, Partition([2]), backend)
     split_part = OperatorSystem(maps, Partition([1, 1]), backend)
-    _expect(phi_rank(trivial_part, [(0,)]) == 0)
-    _expect(phi_rank(split_part, [(0,)]) == 1)
+    _expect(analyze_graded(trivial_part, [(0,)]).phi_rank_value == 0)
+    _expect(analyze_graded(split_part, [(0,)]).phi_rank_value == 1)
 
 
 @check("polynomial ring seed has augmented rank one")
 def _check_phi_star_rank():
     sys, seeds = make_polynomial_ring_system(1)
-    _expect(phi_rank(augment(sys), seeds) == 1)
+    _expect(analyze_graded(augment(sys), seeds).phi_rank_value == 1)
 
 
 @check("closure membership trichotomy")
@@ -415,17 +411,17 @@ def _check_realize_module():
 @check("monomial quotient by a square")
 def _check_monomial_quotient():
     sys, seeds = make_monomial_module_system(2, [2], [(0, 0)], relations=[(2, 0)])
-    P = dimension_polynomial(sys, seeds)
+    P = analyze_graded(sys, seeds).polynomial
     _expect(_poly_values(P, range(1, 6)) == [2, 2, 2, 2, 2])
     ring, seeds2 = make_polynomial_ring_system(2)
-    P2 = dimension_polynomial(ring, seeds2)
+    P2 = analyze_graded(ring, seeds2).polynomial
     _expect(_poly_values(P2, range(5)) == [1, 2, 3, 4, 5])
 
 
 @check("orthogonal shift grid factors")
 def _check_grid():
     sys = make_sumset_system([(0, 0), (1, 0)], [(0, 0), (0, 1)])
-    P = dimension_polynomial(sys, [(0, 0)])
+    P = analyze_graded(sys, [(0, 0)]).polynomial
     for s1 in range(4):
         for s2 in range(4):
             _expect(P.evaluate((s1, s2)) == (s1 + 1) * (s2 + 1))

@@ -19,15 +19,13 @@ from rankgrowth import (
     SimplicialComplex,
     StabilizationConfig,
     analyze_cumulative,
+    analyze_graded,
     betti_polynomials,
     check_rank_axioms,
-    cumulative_polynomial,
     detect_stabilization,
-    dimension_polynomial,
     graded_orbit,
     interpolate,
     numerator_from_table,
-    phi_rank,
     realize_monomial_module,
 )
 from rankgrowth.backends import (
@@ -77,8 +75,8 @@ def test_c01_partition_dependent_closure_rank():
         maps = [translation((1,)), translation((1,))]
         trivial_part = OperatorSystem(maps, Partition([2]), backend)
         split_part = OperatorSystem(maps, Partition([1, 1]), backend)
-        assert phi_rank(trivial_part, [(0,)]) == 0
-        assert phi_rank(split_part, [(0,)]) == 1
+        assert analyze_graded(trivial_part, [(0,)]).phi_rank_value == 0
+        assert analyze_graded(split_part, [(0,)]).phi_rank_value == 1
 
 
 def test_c02_oscillating_gadget_graph():
@@ -88,7 +86,7 @@ def test_c02_oscillating_gadget_graph():
             got = sys.backend.rank(graded_orbit(sys, seed, (t,)))
             assert got == (2 if t % 2 == 0 else 3)
         with pytest.raises(HypothesisError):
-            dimension_polynomial(sys, seed)
+            analyze_graded(sys, seed)
         res = analyze_cumulative(sys, seed)
         assert res.status == "certified"
         t0 = res.polynomial.threshold[0]
@@ -110,7 +108,7 @@ def test_c03_sumset_growth_suite():
             sys = make_sumset_system(B)
             m = sys.m
             cfg = StabilizationConfig(box=(6,) * m) if m == 4 else None
-            P = dimension_polynomial(sys, [(0,)], cfg=cfg)
+            P = analyze_graded(sys, [(0,)], cfg=cfg).polynomial
             assert P.degree_in(0) <= m - 1  # degree below the set size
             t0 = P.threshold[0]
             sizes = _sumset_sizes_int([0], B, t0 + 10)
@@ -131,7 +129,7 @@ def test_c04_polynomial_ring_suite():
     with budget("monomial counting in 1..3 variables plus quotients", 10.0):
         for m in (1, 2, 3):
             sys, seeds = make_polynomial_ring_system(m)
-            P = dimension_polynomial(sys, seeds)
+            P = analyze_graded(sys, seeds).polynomial
             for t in range(12):
                 assert P.evaluate((t,)) == math.comb(t + m - 1, m - 1)
         quotients = [
@@ -144,7 +142,7 @@ def test_c04_polynomial_ring_suite():
             sys, seeds = make_monomial_module_system(
                 num_vars, [num_vars], [(0,) * num_vars], rels
             )
-            P = dimension_polynomial(sys, seeds)
+            P = analyze_graded(sys, seeds).polynomial
             t0 = P.threshold[0]
             for t in range(t0, t0 + 8):
                 expect = ideal_points_of_degree(rels, num_vars, [num_vars], (t,))
@@ -175,8 +173,8 @@ def test_c05_lattice_ideal_suite():
                 part_sizes = [m]
             k = len(part_sizes)
             sys, A = make_ideal_system(antichain, part_sizes)
-            P = dimension_polynomial(sys, A)
-            Q = cumulative_polynomial(sys, A)
+            P = analyze_graded(sys, A).polynomial
+            Q = analyze_cumulative(sys, A).polynomial
             for j in range(1, 11):
                 s = tuple(t + j for t in P.threshold)
                 expect = ideal_points_of_degree(antichain, m, part_sizes, s)
@@ -273,8 +271,8 @@ def test_c07_partition_invariance_suite():
             values = []
             for sizes in ([2], [1, 1]):
                 sys = OperatorSystem(maps, Partition(sizes), backend)
-                values.append(phi_rank(augment(sys), A))
-                Q = cumulative_polynomial(sys, A)
+                values.append(analyze_graded(augment(sys), A).phi_rank_value)
+                Q = analyze_cumulative(sys, A).polynomial
                 lead = Q.leading_coefficient() * math.prod(
                     math.factorial(d) for d in sizes
                 )

@@ -17,10 +17,10 @@ from rankgrowth import (
     OutOfBoxError,
     Partition,
     SimplicialComplex,
+    StabilizationConfig,
     analyze_cumulative,
     analyze_graded,
     betti_polynomials,
-    dimension_polynomial,
     graded_orbit,
     tabulate_f,
 )
@@ -80,7 +80,7 @@ def test_sumset_dimension_mismatch():
 
 def test_sumset_polynomial_small():
     sys = make_sumset_system([0, 1])
-    P = dimension_polynomial(sys, [(0,)])
+    P = analyze_graded(sys, [(0,)]).polynomial
     assert [P.evaluate((t,)) for t in range(4)] == [1, 2, 3, 4]
 
 
@@ -195,7 +195,7 @@ def _quotient_count(num_vars, relations, t):
 def test_monomial_module_plain_rings():
     for m in (1, 2, 3):
         sys, seeds = make_polynomial_ring_system(m)
-        P = dimension_polynomial(sys, seeds)
+        P = analyze_graded(sys, seeds).polynomial
         for t in range(6):
             assert P.evaluate((t,)) == _quotient_count(m, [], t)
 
@@ -211,7 +211,7 @@ def test_monomial_module_quotients_match_enumeration():
         sys, seeds = make_monomial_module_system(
             num_vars, [num_vars], [(0,) * num_vars], rels
         )
-        P = dimension_polynomial(sys, seeds)
+        P = analyze_graded(sys, seeds).polynomial
         for t in range(P.threshold[0], P.threshold[0] + 6):
             assert P.evaluate((t,)) == _quotient_count(num_vars, rels, t)
 
@@ -219,7 +219,7 @@ def test_monomial_module_quotients_match_enumeration():
 def test_monomial_module_killed_generator_is_zero_vector():
     sys, seeds = make_monomial_module_system(2, [2], [(2, 0)], [(1, 0)])
     assert seeds == [sys.backend.zero]
-    P = dimension_polynomial(sys, seeds)
+    P = analyze_graded(sys, seeds).polynomial
     assert P.is_zero
 
 
@@ -606,7 +606,7 @@ def test_graphic_system_from_vertex_maps():
     # the shift i -> i+1 (capped at 9) moves one edge along the path 0-1-...-9
     shift = {str(i): str(min(i + 1, 9)) for i in range(10)}
     sys = make_graphic_system([shift], [1])
-    P = dimension_polynomial(sys, [("0", "1")])
+    P = analyze_graded(sys, [("0", "1")]).polynomial
     assert P.evaluate((3,)) == 1
 
 
@@ -712,6 +712,20 @@ def test_betti_path_shift_cumulative():
     for t in range(6):
         assert b0.betti.evaluate((t,)) == 1
         assert b1.betti.evaluate((t,)) == 0
+
+
+def test_betti_status_is_certified_only_when_all_three_runs_are():
+    K = SimplicialComplex([(i, i + 1) for i in range(29)])
+    shift = {i: min(i + 1, 29) for i in range(30)}
+    A = [(0,), (1,), (0, 1)]
+    assert betti_polynomials(K, [shift], [1], A, 0, cumulative=True).status == (
+        "certified"
+    )
+    small = StabilizationConfig(box=(2,))
+    mixed = betti_polynomials(K, [shift], [1], A, 0, small, cumulative=True)
+    runs = [mixed.free, mixed.boundary, mixed.boundary_up]
+    assert [r.status for r in runs] == ["box-truncated", "certified", "certified"]
+    assert mixed.status == "box-truncated"
 
 
 def test_betti_disjoint_translates_graded():
@@ -832,7 +846,7 @@ def test_circuit_system_growth():
 
     sample = [((0,), f"{g}0") for g in ground]
     sys = make_circuit_backend([1], circuits, [op], sample)
-    P = dimension_polynomial(sys, sample)
+    P = analyze_graded(sys, sample).polynomial
     for t in range(5):
         assert P.evaluate((t,)) == 2
 
@@ -864,7 +878,7 @@ def test_monomial_modules_from_table_close_the_loop():
         for n in range(1, table.values[(0, 0)] + 1):
             relations = cert.levels[n - 1]  # minimal points where f < n
             sys, seeds = make_monomial_module_system(2, [2], [(0, 0)], relations)
-            polys.append(dimension_polynomial(sys, seeds))
+            polys.append(analyze_graded(sys, seeds).polynomial)
         t0 = max(max(P.threshold[0] for P in polys), cert.m_bar[0] + cert.m_bar[1])
         for t in range(t0, t0 + 5):
             assert sum(P.evaluate((t,)) for P in polys) == table.graded_sum((t,))

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import rankgrowth
-from rankgrowth import OperatorError, apply_word, augment
+from rankgrowth import GrowthPolynomial, OperatorError, apply_word, augment, engine
 from rankgrowth.backends import make_counterexample_graph
 from rankgrowth import cli
 from rankgrowth.cli import (
@@ -517,6 +517,40 @@ def test_a_bug_inside_the_engine_exits_internal_error(monkeypatch, capsys):
     assert doc["error"] == "KeyError: 'stage'"
     assert "timing_ms" in doc
     assert "in broken" in capsys.readouterr().err  # the traceback
+
+
+def test_a_drifted_phi_rank_exits_internal_error(monkeypatch, capsys):
+    # the leading-coefficient check runs inside PipelineResult.phi_rank_value;
+    # no config can break it, so a failure is a bug, not an input error
+    honest = engine.interpolate
+
+    def drifted(numerator, d):
+        P = honest(numerator, d)
+        bumped = {e: c + 1 for e, c in P.coeffs.items()}
+        return GrowthPolynomial(bumped, P.degree_bound, P.threshold)
+
+    config = {"mode": "phi-rank", "backend": "trivial", "operators": [[1]], "A": [[0]]}
+    assert execute(config)[0] == EXIT_CERTIFIED
+    monkeypatch.setattr(engine, "interpolate", drifted)
+    code, doc = execute(config)
+    assert code == EXIT_INTERNAL_ERROR
+    assert doc["status"] == "internal-error"
+    assert doc["error"].startswith("ContractError: leading coefficient")
+    assert "phi_rank_value" in capsys.readouterr().err  # the traceback
+
+
+def test_a_config_json_cannot_encode_exits_input_error():
+    _, input_error = execute({"mode": "volume"})
+    code, doc = execute({"mode": {1, 2}})
+    assert code == EXIT_INPUT_ERROR
+    assert doc.keys() == input_error.keys()
+    assert (doc["input_digest"], doc["mode"], doc["status"]) == (
+        None,
+        None,
+        "input-error",
+    )
+    assert doc["error"].startswith("InputError: config is not JSON: ")
+    assert "set" in doc["error"]
 
 
 def test_run_missing_file():

@@ -22,15 +22,11 @@ from rankgrowth import (
     WINDOW_CERTIFIED,
     analyze_cumulative,
     analyze_graded,
-    context_dimension_polynomial,
-    cumulative_polynomial,
     detect_stabilization,
-    dimension_polynomial,
     dominant_terms,
     interpolate,
     numerator_from_table,
     phi_closure_member,
-    phi_rank,
     realize_monomial_module,
     tabulate_f,
     verify_fit,
@@ -627,39 +623,39 @@ def test_round_trip_property(seed):
 
 def test_dimension_polynomial_khovanskii():
     sys = make_sumset_system([0, 1])
-    P = dimension_polynomial(sys, [(0,)])
-    assert [P.evaluate((t,)) for t in range(5)] == [1, 2, 3, 4, 5]
-    assert P.certification == "certified"
+    res = analyze_graded(sys, [(0,)])
+    assert [res.polynomial.evaluate((t,)) for t in range(5)] == [1, 2, 3, 4, 5]
+    assert res.status == "certified"
 
 
 def test_dimension_polynomial_hilbert():
     sys, seeds = make_polynomial_ring_system(3)
-    P = dimension_polynomial(sys, seeds)
+    P = analyze_graded(sys, seeds).polynomial
     for t in range(8):
         assert P.evaluate((t,)) == (t + 1) * (t + 2) // 2
 
 
 def test_dimension_polynomial_seed_in_base():
     sys = make_sumset_system([0, 1])
-    assert dimension_polynomial(sys, [(0,)], [(0,)]).is_zero
+    assert analyze_graded(sys, [(0,)], [(0,)]).polynomial.is_zero
 
 
 def test_dimension_refuses_undeclared():
     sys, seed = make_counterexample_graph()
     with pytest.raises(HypothesisError):
-        dimension_polynomial(sys, seed)
+        analyze_graded(sys, seed)
 
 
 def test_dimension_refuses_on_violation_witness():
     sys, seed = make_counterexample_graph()
     with pytest.raises(HypothesisError) as err:
-        dimension_polynomial(sys.with_flags(["triangular"]), seed)
+        analyze_graded(sys.with_flags(["triangular"]), seed)
     assert err.value.witness is not None
 
 
 def test_cumulative_polynomial_shift():
     sys = make_sumset_system([1])
-    Q = cumulative_polynomial(sys, [(0,)])
+    Q = analyze_cumulative(sys, [(0,)]).polynomial
     assert [Q.evaluate((t,)) for t in range(5)] == [1, 2, 3, 4, 5]
 
 
@@ -673,7 +669,7 @@ def test_cumulative_polynomial_counterexample():
 
 def test_cumulative_degree_bound():
     sys = make_sumset_system([0, 1], [2, 5])
-    Q = cumulative_polynomial(sys, [(0,)])
+    Q = analyze_cumulative(sys, [(0,)]).polynomial
     for i, d in enumerate(sys.partition.part_sizes):
         assert Q.degree_in(i) <= d
 
@@ -681,7 +677,7 @@ def test_cumulative_degree_bound():
 def test_cumulative_box_expansion_accepts_original_length():
     sys = make_sumset_system([1, 2])
     cfg = StabilizationConfig(box=(4, 4))
-    Q = cumulative_polynomial(sys, [(0,)], cfg=cfg)
+    Q = analyze_cumulative(sys, [(0,)], cfg=cfg).polynomial
     assert Q.evaluate((3,)) == 7  # |{0..2*3}| cumulative of shifts {1,2} from 0
 
 
@@ -697,21 +693,20 @@ def test_cumulative_box_length_names_the_callers_m():
 
 def test_context_polynomial_matches_plain_when_equal():
     sys = make_sumset_system([0, 1])
-    assert context_dimension_polynomial(sys, sys, [(0,)]) == dimension_polynomial(
-        sys, [(0,)]
-    )
+    context = analyze_graded(sys, [(0,)], context_sys=sys)
+    assert context.polynomial == analyze_graded(sys, [(0,)]).polynomial
 
 
 def test_context_polynomial_difference_sets():
     sys = make_sumset_system([0, 1])
-    assert context_dimension_polynomial(sys, sys, [(0,)], [(0,)]).is_zero
+    assert analyze_graded(sys, [(0,)], [(0,)], context_sys=sys).polynomial.is_zero
 
 
 def test_context_requires_subtuple():
     a = make_sumset_system([0, 1])
     b = make_sumset_system([0, 1])  # distinct map objects
     with pytest.raises(Exception):
-        context_dimension_polynomial(a, b, [(0,)])
+        analyze_graded(a, [(0,)], context_sys=b)
 
 
 def test_context_with_strictly_larger_context():
@@ -719,7 +714,7 @@ def test_context_with_strictly_larger_context():
     f0, f1, f2 = translation((0,)), translation((1,)), translation((2,))
     phi = OperatorSystem([f0, f1], Partition([2]), backend)
     psi = OperatorSystem([f0, f1, f2], Partition([3]), backend)
-    P = context_dimension_polynomial(phi, psi, [(0,)], [(0,)])
+    P = analyze_graded(phi, [(0,)], [(0,)], context_sys=psi).polynomial
     # seed orbit {0..t} sits inside base orbit {0..2t}
     assert P.is_zero
 
@@ -731,14 +726,15 @@ def test_context_with_strictly_larger_context():
 def test_phi_rank_partition_dependence():
     backend = TrivialBackend(1)
     maps = [translation((1,)), translation((1,))]
-    assert phi_rank(OperatorSystem(maps, Partition([2]), backend), [(0,)]) == 0
-    assert phi_rank(OperatorSystem(maps, Partition([1, 1]), backend), [(0,)]) == 1
+    for sizes, rank in [([2], 0), ([1, 1], 1)]:
+        sys = OperatorSystem(maps, Partition(sizes), backend)
+        assert analyze_graded(sys, [(0,)]).phi_rank_value == rank
 
 
 def test_phi_rank_equals_numerator_at_ones():
     sys = make_sumset_system([0, 1, 3])
     res = analyze_graded(sys, [(0,)], [])
-    val = phi_rank(sys, [(0,)])
+    val = res.phi_rank_value
     assert val == res.numerator.at_ones()
     factor = math.factorial(sys.partition.part_sizes[0] - 1)
     assert res.polynomial.leading_coefficient() * factor == val
@@ -753,8 +749,9 @@ def test_phi_rank_drifted_interpolation_is_contract_error(monkeypatch):
         return GrowthPolynomial(bumped, P.degree_bound, P.threshold)
 
     monkeypatch.setattr(engine, "interpolate", drifted)
-    with pytest.raises(ContractError):
-        phi_rank(make_sumset_system([0, 1]), [(0,)])
+    res = analyze_graded(make_sumset_system([0, 1]), [(0,)])
+    with pytest.raises(ContractError, match="leading coefficient"):
+        res.phi_rank_value
 
 
 def test_phi_closure_trichotomy():
@@ -830,8 +827,8 @@ def test_dominant_terms_invariance_same_closure():
     backend = sys.backend
     A = [backend.monomial((0, 0))]
     A2 = [backend.monomial((0, 0)), backend.monomial((1, 0))]
-    QA = cumulative_polynomial(sys, A)
-    QA2 = cumulative_polynomial(sys, A2)
+    QA = analyze_cumulative(sys, A).polynomial
+    QA2 = analyze_cumulative(sys, A2).polynomial
     assert dominant_terms(QA) == dominant_terms(QA2)
     assert QA != QA2  # the polynomials themselves differ
 
@@ -896,7 +893,7 @@ def test_polynomial_pretty_formats():
 
 def test_ideal_pipeline_against_counts():
     sys, A = make_ideal_system([(2, 1)], [2])
-    P = dimension_polynomial(sys, A)
+    P = analyze_graded(sys, A).polynomial
     # points (r1, r2) with r1+r2=t outside the shadow of (2,1)
     def count(t):
         return sum(

@@ -7,7 +7,10 @@ every orbit slice as it is.  Translating every seed and base point by one
 vector moves every orbit point by that vector, and relabelling the ground
 set by a unimodular integer matrix (applied to every vector, seed and
 base point) maps every orbit point through one bijection of Z^d.  So none
-of the three may change the polynomial.  Each relation runs on sumset
+of the three may change the polynomial.  Moving a seed a from A into B
+splits the rank of A over B exactly, slice by slice: the orbit of
+B + a is B's orbit joined with a's, so the ranks telescope into
+P(A | B) = P(A - a | B + a) + P(a | B).  Each relation runs on sumset
 systems, which keep their vectors and prove a bound when B is empty, and
 on plain translation systems, which tabulate the default box; in graded
 and cumulative mode.
@@ -112,3 +115,15 @@ def test_relabelling_the_ground_set_keeps_the_polynomial(problem, data):
         _solve(parts, A, B, sumset, cumulative),
         _solve(moved, relabelled(A), relabelled(B), sumset, cumulative),
     )
+
+
+@settings(max_examples=30, deadline=None)
+@given(problems(), st.data())
+def test_moving_a_seed_into_the_base_splits_the_polynomial(problem, data):
+    parts, rest, B, sumset, cumulative, vector = problem
+    a = data.draw(vector)
+    whole = _solve(parts, rest + [a], B, sumset, cumulative)
+    moved = _solve(parts, rest, B + [a], sumset, cumulative)
+    alone = _solve(parts, [a], B, sumset, cumulative)
+    if all(r.status == CERTIFIED for r in (whole, moved, alone)):
+        assert whole.polynomial.subtract(alone.polynomial) == moved.polynomial

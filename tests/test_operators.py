@@ -188,6 +188,20 @@ def test_augment_shapes_and_idempotence_of_effect():
     assert aug.augmented
 
 
+def test_augmented_is_read_from_the_maps():
+    sys = make_sumset_system([1], [2])
+    assert not sys.augmented
+    aug = augment(sys)
+    assert aug.augmented and aug.with_flags(["triangular"] * 2).augmented
+    # identity first in each part, however the system was built
+    built = OperatorSystem(aug.maps, aug.partition, aug.backend)
+    assert built.augmented
+    halves = OperatorSystem(aug.maps, Partition([1, 3]), aug.backend)
+    assert not halves.augmented
+    with pytest.raises(TypeError):
+        OperatorSystem(sys.maps, sys.partition, sys.backend, augmented=True)
+
+
 @st.composite
 def sizes_and_degrees(draw):
     sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))

@@ -5,6 +5,7 @@ import io
 import pathlib
 import re
 
+import rankgrowth
 from rankgrowth import cli
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -39,3 +40,15 @@ def test_readme_exit_codes_match_the_cli():
     for name, value in codes.items():
         # EXIT_INPUT_ERROR is listed as "input or usage error", and so on
         assert name.split("_")[1].lower() in listed[str(value)]
+
+
+def test_readme_key_entry_points_exist():
+    section = README.read_text(encoding="utf-8").split("Key entry points")[1]
+    names = re.findall(r"^- `([\w.]+)", section.split("\n\n")[1], re.M)
+    assert "PipelineResult.phi_rank_value" in names
+    for name in names:
+        # a dotted name resolves through its class
+        owner = rankgrowth
+        for part in name.split("."):
+            assert hasattr(owner, part), f"README lists {name}, not in rankgrowth"
+            owner = getattr(owner, part)

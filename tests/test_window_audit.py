@@ -8,7 +8,8 @@ draws a family of such systems, runs the pipeline at the default box and
 checks every certified polynomial at every point of
 ``[threshold, threshold + 3]`` against ranks computed without rankgrowth's
 pipeline.  Every map is a rotation of a cycle, so a word's image is a
-rotation by the sum of its maps' steps.
+rotation by the sum of its maps' steps, or, in the one family whose
+polynomials grow, a shift of the integers by that sum.
 """
 
 import itertools
@@ -31,17 +32,19 @@ from oracles import forest_rank, subcomplex_betti
 SIZES = st.sampled_from([[1], [2], [1, 1]])
 
 
-def _rotations(steps, s, n):
+def _rotations(steps, s, n=None):
     """Every rotation ``sum(w_j * step_j) mod n`` over the words of part
-    degree ``s``, with ``steps`` the maps' steps grouped by part."""
+    degree ``s``, with ``steps`` the maps' steps grouped by part; with
+    ``n`` None, the plain sums."""
     total = {0}
     for part, degree in zip(steps, s):
         for _ in range(degree):
-            total = {(r + step) % n for r in total for step in part}
+            total = {r + step for r in total for step in part}
+            total = total if n is None else {r % n for r in total}
     return total
 
 
-def _cumulative_rotations(steps, s, n):
+def _cumulative_rotations(steps, s, n=None):
     """The rotations of every part degree at or below ``s``."""
     ranges = (range(d + 1) for d in s)
     return set().union(*(_rotations(steps, t, n) for t in itertools.product(*ranges)))
@@ -53,11 +56,11 @@ def _steps(draw, sizes, n):
     return [draw(st.lists(step, min_size=d, max_size=d)) for d in sizes]
 
 
-def _audit(polynomial, results, truth):
+def _audit(polynomial, status, results, truth, span=3):
     assert all(result.evidence == WINDOW_EVIDENCE for result in results)
-    if polynomial.certification != CERTIFIED:
+    if status != CERTIFIED:
         return
-    ranges = (range(t, t + 4) for t in polynomial.threshold)
+    ranges = (range(t, t + span + 1) for t in polynomial.threshold)
     for s in itertools.product(*ranges):
         assert polynomial.evaluate(s) == truth(s), (s, polynomial)
 
@@ -86,7 +89,29 @@ def test_window_certified_graphic_rotations_match_forest_rank(data):
         edges = [((u + r) % n, (v + r) % n) for r in shifts for u, v in seeds]
         return forest_rank(edges)
 
-    _audit(result.polynomial, [result], truth)
+    _audit(result.polynomial, result.status, [result], truth)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_window_certified_graphic_shifts_match_forest_rank(data):
+    # integer vertices under shifts v -> v + c: orbits never fill, so most
+    # certified polynomials grow
+    sizes = data.draw(SIZES, "part sizes")
+    steps = _steps(data.draw, sizes, 4)  # each c in 0..3
+    edge = st.tuples(st.integers(0, 3), st.integers(1, 3)).map(lambda e: (e[0], sum(e)))
+    seeds = data.draw(st.lists(edge, min_size=1, max_size=3), "seed edges")
+    cumulative = data.draw(st.booleans(), "cumulative")
+    shifts = [lambda v, c=step: v + c for part in steps for step in part]
+    sys = make_graphic_system(shifts, sizes)
+    result = (analyze_cumulative if cumulative else analyze_graded)(sys, seeds)
+    rotations = _cumulative_rotations if cumulative else _rotations
+
+    def truth(s):
+        edges = [(u + r, v + r) for r in rotations(steps, s) for u, v in seeds]
+        return forest_rank(edges)
+
+    _audit(result.polynomial, result.status, [result], truth, span=2)
 
 
 @settings(max_examples=50, deadline=None)
@@ -119,7 +144,7 @@ def test_window_certified_betti_numbers_match_boundary_matrices(data):
         return subcomplex_betti(orbit, dimension)
 
     parts = [betti.free, betti.boundary, betti.boundary_up]
-    _audit(betti.betti, parts, truth)
+    _audit(betti.betti, betti.status, parts, truth)
 
 
 @settings(max_examples=60, deadline=None)
@@ -153,4 +178,4 @@ def test_window_certified_uniform_circuits_match_min_of_size_and_rank(data):
         }
         return min(len(payloads), rank)
 
-    _audit(result.polynomial, [result], truth)
+    _audit(result.polynomial, result.status, [result], truth)
