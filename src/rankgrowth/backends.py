@@ -33,7 +33,6 @@ from .operators import (
     OperatorSystem,
     Partition,
     QUASI_TRIANGULAR,
-    StabilizationBound,
     is_int,
     product_leq,
 )
@@ -188,23 +187,10 @@ def coordinate_increment(i: int) -> Callable:
     return op
 
 
-def _join_bound(seed: List, points: Sequence, partition: Partition):
-    """The stabilization bound of a one-element seed with 0/1 marginals.
-
-    It holds when the seed's word images are distinct within each slice
-    and the image of word u counts exactly when u lies above none of some
-    words, each under the join of ``points``: the table's corners are then
-    the zero word and the minimal ones of those words, all under the join.
-    In cumulative mode the identity coordinates get 0, because the images
-    ignore them and stay distinct within a slice, so the marginal does
-    not depend on them.
-    """
-    join = tuple(max((p[i] for p in points), default=0) for i in range(partition.m))
-    cumulative: List[int] = []
-    for i in range(partition.k):
-        cumulative.append(0)
-        cumulative.extend(join[partition.part_slice(i)])
-    return StabilizationBound(tuple(seed), join, tuple(cumulative))
+def _unit_vectors(partition: Partition) -> List[List[Tuple[int, ...]]]:
+    """Each part's unit vectors of Z^m, one per map raising a coordinate."""
+    unit = [tuple(int(i == c) for i in range(partition.m)) for c in range(partition.m)]
+    return [unit[partition.part_slice(i)] for i in range(partition.k)]
 
 
 def make_ideal_system(
@@ -215,18 +201,19 @@ def make_ideal_system(
     Returns the system together with its canonical seed, the origin: the
     graded orbit of the origin at part degree s is every point of that
     degree, so its rank counts the ideal's points of degree s, and the
-    cumulative orbit counts points of degree at most s.  The system
-    declares the join of the complement antichain as its stabilization
-    bound for the origin.
+    cumulative orbit counts points of degree at most s.  Its unit
+    translations and killed antichain prove a stabilization bound for any
+    seed set (``OperatorSystem.graded_bound``).
     """
     partition = Partition(part_sizes)
     m = partition.m
     backend = IdealCountBackend(m, complement_antichain)
     maps = [coordinate_increment(i) for i in range(m)]
-    seed = [(0,) * m]
-    bound = _join_bound(seed, backend.antichain, partition)
-    sys = OperatorSystem(maps, partition, backend, bound=bound)
-    return sys, seed
+    sys = OperatorSystem(
+        maps, partition, backend, translations=_unit_vectors(partition),
+        killed=backend.antichain,
+    )
+    return sys, [(0,) * m]
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +311,11 @@ class LinearBackend(RankOracle):
 
     def key(self, elem):
         return tuple((k, (c.numerator, c.denominator)) for k, c in elem)
+
+    def points(self, elem) -> Tuple:
+        """The basis keys of the terms: a monomial's exponent vector, none
+        for the zero vector."""
+        return tuple(k for k, _ in elem)
 
     def basis_builder(self) -> BasisBuilder:
         return _EchelonBuilder()
@@ -488,20 +480,6 @@ def linear_operator(backend: LinearBackend, image_fn: Callable) -> Callable:
     return op
 
 
-def monomial_shift_operator(
-    backend: LinearBackend, shift: Tuple[int, ...], killed: Callable | None = None
-) -> Callable:
-    """Multiply-by-variable map on monomial basis keys (exponent tuples)."""
-
-    def image(key):
-        nxt = tuple(a + b for a, b in zip(key, shift))
-        if killed is not None and killed(nxt):
-            return ()
-        return ((nxt, 1),)
-
-    return linear_operator(backend, image)
-
-
 def make_monomial_module_system(
     num_vars: int,
     part_sizes: Sequence[int],
@@ -513,9 +491,10 @@ def make_monomial_module_system(
     The module is the ring in ``num_vars`` variables modulo the monomial
     ideal generated by ``relations``; monomials stay a canonical basis,
     so elimination remains sparse.  Returns the system and the seed
-    vectors for ``generators``.  Non-monomial relations are rejected.
-    With one generator the system declares the join of the relation
-    exponents as its stabilization bound for that seed.
+    vectors for ``generators``, the zero vector for one inside the ideal.
+    Non-monomial relations are rejected.  Exponents move by unit
+    translations and the relations are killed, so the system proves a
+    stabilization bound for any monomial or zero seeds (``graded_bound``).
     """
     partition = Partition(part_sizes)
     if partition.m != num_vars:
@@ -540,21 +519,21 @@ def make_monomial_module_system(
         return any(product_leq(r, mono) for r in rel)
 
     backend = LinearBackend()
-    unit = (0,) * num_vars
-    maps = [
-        monomial_shift_operator(
-            backend, unit[:i] + (1,) + unit[i + 1 :], killed
-        )
-        for i in range(num_vars)
-    ]
+    unit = _unit_vectors(partition)
+
+    def shift(e):
+        def image(key):
+            nxt = tuple(map(operator.add, key, e))
+            return () if killed(nxt) else ((nxt, 1),)
+
+        return linear_operator(backend, image)
+
+    maps = [shift(e) for vecs in unit for e in vecs]
     seeds = []
     for g in generators:
         mono = as_monomial(g, "generator")
         seeds.append(backend.zero if killed(mono) else backend.monomial(mono))
-    # word u sends generator g to x^(g+u), killed once g + u lies above a
-    # relation, that is once u lies above (r - g) clamped at 0, under r
-    bound = _join_bound(seeds, rel, partition) if len(seeds) == 1 else None
-    sys = OperatorSystem(maps, partition, backend, bound=bound)
+    sys = OperatorSystem(maps, partition, backend, translations=unit, killed=rel)
     return sys, seeds
 
 

@@ -197,8 +197,11 @@ def _gadget_edge(x) -> tuple:
 
 def _operator_maps(config: dict, backend: str, field: str) -> List[Dict[str, str]]:
     """Each operator's ``field`` object (a vertex or payload map) as strings."""
+    ops = _get_items(config, "operators", dict)
+    if not ops:
+        raise InputError(f"{backend} backend requires 'operators'")
     maps = []
-    for i, op in enumerate(_get_items(config, "operators", dict)):
+    for i, op in enumerate(ops):
         m = _get(op, field, dict, where=f"operators[{i}].")
         if m is None:
             raise InputError(f"{backend} operators must carry a {field!r}")

@@ -14,7 +14,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import InputError, OperatorError
 from .matroid import RankOracle
@@ -117,25 +117,6 @@ def identity_map(x):
     return x
 
 
-class StabilizationBound(NamedTuple):
-    """A proven bound on the staircase of the marginal rank function.
-
-    Declared by a system constructor for one seed set ``seed`` and an
-    empty B: every minimal word of every level set of the marginal
-    function lies coordinatewise under ``graded`` in graded mode, and
-    under ``cumulative`` (a word of the augmented system, identity
-    coordinate first in each part) in cumulative mode.  By the
-    stabilization theorem the function is polynomial beyond that join, so
-    a table reaching the bound plus the window proves its certificate.
-    ``cumulative`` is ``None`` when nothing is declared for that mode, as
-    on an augmented system.
-    """
-
-    seed: Tuple
-    graded: MultiIndex
-    cumulative: Optional[MultiIndex]
-
-
 class OperatorSystem:
     """m commuting self-maps of a matroid ground set plus a partition.
 
@@ -143,11 +124,13 @@ class OperatorSystem:
     constructor is willing to declare (``triangular`` or
     ``quasi-triangular``).  Declarations are trusted by the engine but
     double-checked against tabulated evidence; see ``check_system`` for
-    the sampled test.  ``bound``, when a constructor can prove one, is the
-    system's ``StabilizationBound``; the pipeline sizes its box from it.
-    ``translations``, set when every map is ``x -> x + v`` on integer
-    vectors, holds each part's vectors in map order; the system then
-    proves a bound for any seed set (see ``graded_bound``).
+    the sampled test.  ``translations``, set when every map is
+    ``x -> x + v`` on integer vectors, holds each part's vectors in map
+    order; the system then proves a bound for any seed set (see
+    ``graded_bound``).  ``killed`` lists points of N^n that an image of
+    rank 0 lies above, such as an ideal's complement antichain or a
+    module's relations; it needs every translation to be zero or a unit
+    vector.  Both are declarations the engine trusts.
     """
 
     def __init__(
@@ -156,8 +139,8 @@ class OperatorSystem:
         partition: Partition,
         backend: RankOracle,
         part_flags: Sequence[str] | None = None,
-        bound: StabilizationBound | None = None,
         translations: Sequence[Sequence[Tuple[int, ...]]] | None = None,
+        killed: Sequence[Tuple[int, ...]] = (),
     ):
         self.maps = tuple(maps)
         self.partition = partition
@@ -174,14 +157,6 @@ class OperatorSystem:
         for f in self.part_flags:
             if f not in (TRIANGULAR, QUASI_TRIANGULAR):
                 raise InputError(f"unknown part flag {f!r}")
-        if bound is not None:
-            lengths = (self.m, self.m + self.k)
-            for word, m in zip((bound.graded, bound.cumulative), lengths):
-                if word is not None and (
-                    len(word) != m or not all(is_int(c) and c >= 0 for c in word)
-                ):
-                    raise InputError(f"stabilization bound {word} is not in N^{m}")
-        self.bound = bound
         if translations is not None:
             translations = tuple(tuple(map(tuple, vecs)) for vecs in translations)
             vectors = [v for vecs in translations for v in vecs]
@@ -195,6 +170,16 @@ class OperatorSystem:
                     f"of one dimension in parts of sizes {list(partition.part_sizes)}"
                 )
         self.translations = translations
+        self.killed = tuple(killed)
+        for r in self.killed:
+            if translations is None or any(
+                set(v) - {0, 1} or sum(v) > 1 for v in vectors
+            ):
+                raise InputError("killed points need zero or unit translation vectors")
+            if not isinstance(r, tuple) or len(r) != len(vectors[0]) or not all(
+                is_int(c) and c >= 0 for c in r
+            ):
+                raise InputError(f"killed point {r!r} is not in N^{len(vectors[0])}")
 
     @property
     def m(self) -> int:
@@ -221,32 +206,41 @@ class OperatorSystem:
 
     def with_flags(self, part_flags: Sequence[str]) -> "OperatorSystem":
         return OperatorSystem(
-            self.maps, self.partition, self.backend, part_flags, self.bound,
-            self.translations,
+            self.maps, self.partition, self.backend, part_flags, self.translations,
+            self.killed,
         )
 
     def graded_bound(self, A) -> Optional[MultiIndex]:
         """A proven graded stabilization bound for the seed set A (validated)
         and an empty B, or ``None`` when the system knows none.
 
-        A declared ``bound`` holds only for its own seed.  A translation
-        system computes the join of its shadowed-word generators
-        (``toric.shadow_generators``) on every call; it raises
-        ``BasisBudgetExceeded`` when that basis is over its budget.
+        A translation system whose seeds read as at most one point each
+        (``RankOracle.points``) computes, on every call, the join of its
+        shadowed-word generators (``toric.shadow_generators``) and, per
+        seed ``a`` and killed ``r``, the word holding ``max(r_i - a_i, 0)``
+        where it translates by ``e_i``; the ``toric`` docstring has the
+        proof.  It raises ``BasisBudgetExceeded`` when the basis is over
+        its budget.
         """
-        if self.bound is not None:
-            key = self.backend.key
-            if {key(a) for a in A} != {key(a) for a in self.bound.seed}:
-                return None
-            return self.bound.graded
         if self.translations is None or not A:
             return None
         # imported on first use: only translation systems need it, and a
         # process that caches no bytecode spends about 3 ms compiling it
         from .toric import shadow_generators
 
-        seeds = self.backend.sorted_elems(A)
-        words = [w for ws in shadow_generators(self.translations, seeds) for w in ws]
+        vectors = [v for vecs in self.translations for v in vecs]
+        dim = len(vectors[0])
+        points = []
+        for a in self.backend.sorted_elems(A):
+            p = self.backend.points(a)
+            if len(p) > 1 or any(not isinstance(x, tuple) or len(x) != dim for x in p):
+                return None
+            points.extend(p)
+        words = [w for ws in shadow_generators(self.translations, points) for w in ws]
+        for a in points:
+            for r in self.killed:
+                gap = [max(x - y, 0) for x, y in zip(r, a)]
+                words.append(tuple(sum(c * g for c, g in zip(v, gap)) for v in vectors))
         return tuple(map(max, zip((0,) * self.m, *words)))
 
 
@@ -346,10 +340,9 @@ def augment(sys: OperatorSystem) -> OperatorSystem:
     """Prepend the identity map to every part; part sizes become d_i + 1.
 
     Graded orbits of the augmented system coincide with cumulative orbits
-    of the original, which is how the cumulative pipeline is run; so the
-    augmented system's graded bound is the declared cumulative one, and
-    it declares no cumulative bound of its own.  A translation system
-    stays one, the identity being the translation by zero.
+    of the original, which is how the cumulative pipeline is run.  A
+    translation system stays one, the identity being the translation by
+    zero, and keeps its killed points.
     """
     maps: List[Callable] = []
     for i in range(sys.k):
@@ -358,14 +351,11 @@ def augment(sys: OperatorSystem) -> OperatorSystem:
     partition = Partition(tuple(d + 1 for d in sys.partition.part_sizes))
     # a quasi-triangular part becomes triangular once the identity is adjoined
     flags = (TRIANGULAR,) * sys.k
-    bound = None
-    if sys.bound is not None and sys.bound.cumulative is not None:
-        bound = StabilizationBound(sys.bound.seed, sys.bound.cumulative, None)
     translations = None
     if sys.translations is not None:
         zero = (0,) * len(sys.translations[0][0])
         translations = [(zero,) + vecs for vecs in sys.translations]
-    return OperatorSystem(maps, partition, sys.backend, flags, bound, translations)
+    return OperatorSystem(maps, partition, sys.backend, flags, translations, sys.killed)
 
 
 @dataclass

@@ -1,7 +1,8 @@
-"""Shadowed words of a sumset system, from a truncated toric Gröbner basis.
+"""Shadowed words of a translation system, from a truncated toric Gröbner basis.
 
-A sumset system translates by ``b_c`` along word coordinate ``c`` (one
-vector per map, grouped in parts), so seed ``a_j`` under word ``u`` gives
+A translation system (a sumset, an ideal count, a monomial module)
+translates by ``b_c`` along word coordinate ``c`` (one vector per map,
+grouped in parts), so seed ``a_j`` under word ``u`` gives
 the point ``a_j + sum_c u_c b_c``.  The engine feeds each slice (part
 degree) by words in ``lex_key`` order and, per word, the seeds in sorted
 order; call ``(u, j)`` *shadowed* when an earlier pair of the same slice
@@ -17,6 +18,23 @@ level set ``{f <= n}`` is the union, over seed sets ``J`` of size
 minimal word of an intersection is a join of one generator of each
 member, and a minimal word of a union is minimal in some member.  So
 every corner of ``f`` lies under the join of all the generators.
+
+Killed points.  A system may declare points ``r`` whose images count
+nothing once they lie above one, as the complement antichain of an
+ideal or the relations of a monomial module do
+(``OperatorSystem.killed``).  Whether a pair is killed depends on its
+point alone, and distinct points that are not killed count one each, so
+``f(u)`` counts the seeds ``j`` with ``u`` outside ``S_j ∪ K_j``, where
+``K_j`` holds the words whose image of seed ``j`` is killed.  With
+every ``b_c`` zero or a unit vector ``e_i`` the image lies above ``r``
+iff, for each ``i``, the ``u_c`` over the coordinates translating by
+``e_i`` sum to at least ``max(r_i - a_ji, 0)``.  The translations are
+nonnegative, so ``K_j`` is an up-set.  Each of its minimal words is
+minimal for one ``r``, so it holds at most ``max(r_i - a_ji, 0)`` on
+each coordinate translating by ``e_i`` (lowering a larger entry keeps
+the sum) and 0 on each zero vector.  The argument above, with
+``S_j ∪ K_j`` in place of ``S_j``, then puts every corner under the
+join of the generators of all the ``S_j`` and ``K_j``.
 
 Generators.  The map ``x_c -> s_i t^(b_c)`` (``i`` the part of ``c``)
 and ``y_j -> z t^(a_j)`` sends ``x^u y_j`` to ``s^(slice) z t^(point)``.
@@ -143,7 +161,8 @@ def shadow_generators(
     """Per seed, in the order given, the sorted minimal words of ``S_j``.
 
     ``parts`` holds the translation vectors of each part in map order and
-    ``seeds`` the distinct seeds in the engine's feeding order.  Raises
+    ``seeds`` the seeds' points in the engine's feeding order; a point
+    repeated from an earlier seed gets the zero word.  Raises
     ``BasisBudgetExceeded`` when the basis takes over ``BASIS_BUDGET``
     divisor tests.
     """

@@ -110,6 +110,45 @@ def test_quotient_bound_results_equal_brute_force(problem):
         )
 
 
+@st.composite
+def seeded_problems(draw):
+    """An ideal system or a monomial module with a drawn seed set: ideal seeds
+    anywhere in N^m, module generators repeated, killed or off the origin."""
+    parts = draw(st.sampled_from(PARTS))
+    m = sum(parts)
+
+    def points(top, **size):
+        return draw(st.lists(st.tuples(*[st.integers(0, top)] * m), **size))
+
+    is_ideal = draw(st.booleans())
+    if is_ideal:
+        killed = _minimal(points(4, min_size=1, max_size=3))
+        seeds = points(3, min_size=1, max_size=3)
+    else:
+        killed = points(3, max_size=3)
+        seeds = points(2, min_size=1, max_size=3)
+    return killed, seeds, parts, is_ideal, draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeded_problems())
+def test_ideal_and_module_bounds_hold_for_any_seeds(problem):
+    killed, seeds, parts, is_ideal, cumulative = problem
+    if is_ideal:
+        sys, _ = make_ideal_system(killed, parts)
+        A = seeds
+    else:
+        sys, A = make_monomial_module_system(sum(parts), parts, seeds, killed)
+    result = _analyze(sys, A, cumulative)
+    assert result.evidence == "bound"
+    assert result.status == CERTIFIED
+    graded = augment(sys) if cumulative else sys
+    assert _corners_under(result.table, graded.graded_bound(A))
+    P = result.polynomial
+    for s in _beyond(P.threshold):
+        assert P.evaluate(s) == quotient_orbit_rank(seeds, killed, parts, s, cumulative)
+
+
 @settings(max_examples=25, deadline=None)
 @given(ideal_problems())
 def test_bound_box_agrees_with_the_default_box_where_that_certifies(problem):
@@ -182,56 +221,102 @@ def test_an_explicit_box_wins_over_the_bound():
     assert doc["staircase"]["box"] == [5, 7]
 
 
-def test_bound_applies_only_to_its_own_seed_with_b_empty_and_no_context():
+def test_bound_applies_to_any_seed_with_b_empty_and_no_context():
     sys, A = make_ideal_system([(2, 1)], [1, 1])
-    assert analyze_graded(sys, A + A, []).evidence == "bound"
-    for seeds, B in [([(1, 0)], []), (A, [(1, 1)]), (A + [(1, 0)], [])]:
-        assert analyze_graded(sys, seeds, B).evidence == "window"
+    # seed a is killed above max((2, 1) - a, 0): (2, 1) at the origin, (1, 1)
+    # at (1, 0); the join plus the window is the box
+    for seeds, box in [(A + A, (4, 3)), ([(1, 0)], (3, 3)), (A + [(1, 0)], (4, 3))]:
+        result = analyze_graded(sys, seeds, [])
+        assert (result.evidence, result.status) == ("bound", CERTIFIED)
+        assert result.table.box == box
+    assert analyze_graded(sys, A, [(1, 1)]).evidence == "window"
     context = analyze_graded(sys, A, [], context_sys=sys)
     assert context.evidence == "window"
     assert context.table.box == default_box(2)
 
 
-def test_monomial_bound_needs_one_generator():
-    sys, _ = make_monomial_module_system(2, [2], [(0, 0)], [(2, 1), (0, 3)])
-    assert sys.bound.graded == (2, 3)
-    assert sys.bound.cumulative == (0, 2, 3)
-    two, seeds = make_monomial_module_system(2, [2], [(0, 0), (1, 0)], [(2, 1)])
-    assert two.bound is None
-    assert analyze_graded(two, seeds, []).evidence == "window"
-
-
-def test_cumulative_bound_is_declared_not_derived():
-    sys, A = make_ideal_system([(3, 1, 2)], [1, 2])
-    assert sys.bound.graded == (3, 1, 2)
-    assert sys.bound.cumulative == (0, 3, 0, 1, 2)
-    aug = augment(sys)
-    assert aug.bound.graded == sys.bound.cumulative
-    assert aug.bound.cumulative is None
-    assert augment(aug).bound is None
-    assert sys.with_flags(["triangular"] * 2).bound == sys.bound
-    # a system declaring nothing for cumulative mode keeps the default box
-    graded_only = OperatorSystem(
-        sys.maps, sys.partition, sys.backend, bound=sys.bound._replace(cumulative=None)
+def test_monomial_bound_covers_every_generator():
+    sys, seeds = make_monomial_module_system(2, [2], [(0, 0)], [(2, 1), (0, 3)])
+    assert sys.killed == ((2, 1), (0, 3))
+    assert sys.graded_bound(seeds) == (2, 3)
+    assert augment(sys).graded_bound(seeds) == (0, 2, 3)
+    # off the origin the killed words shrink: (1, 0) under (2, 1) from (1, 1)
+    one, seeds = make_monomial_module_system(2, [2], [(1, 1)], [(2, 1)])
+    assert one.graded_bound(seeds) == (1, 0)
+    # the zero vector of a killed generator contributes nothing
+    two, seeds = make_monomial_module_system(
+        2, [2], [(3, 3), (0, 0), (1, 0)], [(2, 1)]
     )
-    result = analyze_cumulative(graded_only, A, [])
-    assert result.evidence == "window"
-    assert result.table.box == default_box(5)
+    assert seeds[0] == two.backend.zero
+    assert two.graded_bound(seeds) == (2, 1)
+    # a multiple of another seed is the same point, shadowed at every word
+    assert two.graded_bound(seeds + [two.backend.monomial((1, 0), 2)]) == (2, 1)
+    result = analyze_graded(two, seeds, [])
+    assert (result.evidence, result.status) == ("bound", CERTIFIED)
+    assert result.table.box == (4, 3)
+    P = result.polynomial
+    for s in _beyond(P.threshold):
+        assert P.evaluate(s) == quotient_orbit_rank(
+            [(3, 3), (0, 0), (1, 0)], [(2, 1)], [2], s
+        )
+
+
+def test_cumulative_bound_gives_the_identity_coordinates_zero():
+    sys, A = make_ideal_system([(3, 1, 2)], [1, 2])
+    assert sys.killed == ((3, 1, 2),)
+    assert sys.graded_bound(A) == (3, 1, 2)
+    aug = augment(sys)
+    assert aug.killed == sys.killed
+    assert aug.graded_bound(A) == (0, 3, 0, 1, 2)
+    assert sys.with_flags(["triangular"] * 2).killed == sys.killed
+    # off the origin the killed word shrinks, and the identity coordinates
+    # translate by zero, so they stay 0
+    assert aug.graded_bound([(1, 0, 1)]) == (0, 2, 0, 1, 1)
+    result = analyze_cumulative(sys, [(1, 0, 1)], [])
+    assert (result.evidence, result.status) == ("bound", CERTIFIED)
+    assert result.table.box == (2, 4, 2, 3, 3)
+    P = result.polynomial
+    for s in _beyond(P.threshold):
+        assert P.evaluate(s) == quotient_orbit_rank(
+            [(1, 0, 1)], [(3, 1, 2)], [1, 2], s, True
+        )
 
 
 def test_a_malformed_bound_is_input_error():
     sys, A = make_ideal_system([(3, 1)], [2])
-    for bad in [(1,), (1, -1), (1.5, 1)]:
-        with pytest.raises(InputError, match="stabilization bound"):
+    for bad in [[(1,)], [(1, -1)], [(1.5, 1)], [(True, 1)], [[3, 1]]]:
+        with pytest.raises(InputError, match="killed point"):
             OperatorSystem(
-                sys.maps, sys.partition, sys.backend, bound=sys.bound._replace(graded=bad)
+                sys.maps, sys.partition, sys.backend,
+                translations=sys.translations, killed=bad,
             )
+    # killed points need every translation vector zero or a unit vector
+    for summands in [[[0, 1], [0, 2]], [[0, -1]]]:
+        sumset = make_sumset_system(*summands)
+        with pytest.raises(InputError, match="zero or unit translation vectors"):
+            OperatorSystem(
+                sumset.maps, sumset.partition, sumset.backend,
+                translations=sumset.translations, killed=[(1,)],
+            )
+    with pytest.raises(InputError, match="zero or unit translation vectors"):
+        OperatorSystem(sys.maps, sys.partition, sys.backend, killed=[(3, 1)])
     sumset = make_sumset_system([0, 1])
     for bad in [[[(0,)]], [[(0,), (1, 0)]], [[(0,), (1.0,)]], [[(0,), (True,)]]]:
         with pytest.raises(InputError, match="translation vectors"):
             OperatorSystem(
                 sumset.maps, sumset.partition, sumset.backend, translations=bad
             )
+
+
+def test_a_seed_that_reads_as_no_point_stays_on_the_window():
+    sys, _ = make_monomial_module_system(2, [2], [(0, 0)], [(2, 1)])
+    lb = sys.backend
+    # two terms, or one term whose exponent vector has the wrong length
+    for seed in [lb.vector([((0, 0), 1), ((1, 0), 1)]), lb.monomial((0, 0, 0))]:
+        assert sys.graded_bound([seed]) is None
+        result = analyze_graded(sys, [seed], [])
+        assert result.evidence == "window"
+        assert result.table.box == default_box(2)
 
 
 def test_malformed_seeds_are_input_errors_before_the_bound_check():

@@ -281,6 +281,16 @@ def test_graphic_and_chain_operators_must_carry_a_vertex_map():
     assert "chain operators must carry a 'vertex_map'" in doc["error"]
 
 
+def test_graphic_and_chain_without_operators_name_the_key():
+    for config in [
+        {"mode": "dimension", "backend": "graphic", "A": [["0", "1"]]},
+        {"mode": "betti", "backend": "chain", "backend_data": {"simplices": [[0, 1]]}},
+    ]:
+        code, doc = execute(config)
+        assert code == EXIT_INPUT_ERROR
+        assert f"{config['backend']} backend requires 'operators'" in doc["error"]
+
+
 def test_trivial_backend_tabulates_the_sumset_bound_box():
     trivial = {
         "mode": "dimension",

@@ -1,7 +1,9 @@
-"""The README's library quick start runs and prints what its comments state."""
+"""The README's examples run as it states: the library quick start, the inline
+payload configs, the exit codes and the key entry points."""
 
 import contextlib
 import io
+import json
 import pathlib
 import re
 
@@ -52,3 +54,13 @@ def test_readme_key_entry_points_exist():
         for part in name.split("."):
             assert hasattr(owner, part), f"README lists {name}, not in rankgrowth"
             owner = getattr(owner, part)
+
+
+def test_readme_inline_payload_configs_run():
+    section = README.read_text(encoding="utf-8").split("Backend payloads:")[1]
+    found = re.findall(r'`(\{"(?:backend|mode)".*?\})`', section, re.S)
+    configs = [json.loads(text) for text in found]
+    assert [config["mode"] for config in configs] == ["phi-rank", "sumset"]
+    for config in configs:
+        code, doc = cli.execute(config)
+        assert code == cli.EXIT_CERTIFIED, doc["error"]
