@@ -1,10 +1,11 @@
 """Concrete rank-oracle backends and their operator-system constructors.
 
-Six rank structures: set cardinality, lattice-ideal counting, exact
-rational linear algebra over a countable basis, the graphic matroid via
-union-find, simplicial chain groups with their boundary ranks, and
-explicit circuit families with greedy independence.  Each comes with the
-natural way to build commuting operator systems on top of it.
+Five rank structures: point counting (set cardinality, or the points of
+a lattice ideal), exact rational linear algebra over a countable basis,
+the graphic matroid via union-find, simplicial chain groups with their
+boundary ranks, and explicit circuit families with greedy independence.
+Each comes with the natural way to build commuting operator systems on
+top of it.
 """
 
 from __future__ import annotations
@@ -39,31 +40,63 @@ from .operators import (
 
 
 # ---------------------------------------------------------------------------
-# trivial backend: rank is cardinality
+# trivial backend: rank counts points, optionally those of a lattice ideal
 # ---------------------------------------------------------------------------
 
 class TrivialBackend(RankOracle):
-    """Integer vectors of a fixed dimension with the trivial closure:
-    the rank of a finite set is its cardinality."""
+    """Integer vectors of a fixed dimension ranked by counting points.
 
-    def __init__(self, dimension: int = 1):
+    The rank of a finite set is the number of its distinct points that lie
+    above no killed point.  With ``killed`` left ``None`` every integer
+    vector is an element and counts: the trivial closure, whose rank is
+    cardinality.  Otherwise ``killed`` is an antichain of N^m, the minimal
+    points of a lattice ideal's complement (possibly none); the elements
+    are then the points of N^m, and the rank counts those in the ideal,
+    the localization of the trivial matroid at the complement.
+    """
+
+    def __init__(self, dimension: int = 1, killed: Sequence | None = None):
         if not is_int(dimension) or dimension < 1:
             raise InputError(f"dimension must be an integer >= 1, got {dimension!r}")
         self.dimension = dimension
+        if killed is not None:
+            killed = sorted({as_vector(r, dimension) for r in killed})
+            for r in killed:
+                if any(x < 0 for x in r):
+                    raise InputError(f"antichain point {r} has a negative coordinate")
+            for r, q in itertools.combinations(killed, 2):
+                if product_leq(r, q) or product_leq(q, r):
+                    raise InputError(f"antichain points {r} and {q} are comparable")
+            killed = tuple(killed)
+        self.killed = killed
 
     def validate(self, elem):
+        natural = self.killed is not None
         if (
             not isinstance(elem, tuple)
             or len(elem) != self.dimension
-            or not all(map(is_int, elem))
+            or not all(is_int(x) and (x >= 0 or not natural) for x in elem)
         ):
-            raise InputError(
-                f"expected an integer vector of dimension {self.dimension}, "
-                f"got {elem!r}"
+            what = (
+                f"a point of N^{self.dimension}"
+                if natural
+                else f"an integer vector of dimension {self.dimension}"
             )
+            raise InputError(f"expected {what}, got {elem!r}")
 
     def basis_builder(self) -> BasisBuilder:
-        return _SetBuilder(lambda elem: True)
+        killed = self.killed
+        if not killed:
+            return _SetBuilder(lambda elem: True)
+        le = operator.le
+
+        def counts(point) -> bool:
+            for r in killed:
+                if all(map(le, r, point)):
+                    return False
+            return True
+
+        return _SetBuilder(counts)
 
 
 class _SetBuilder(BasisBuilder):
@@ -104,87 +137,40 @@ def translation(v: Tuple[int, ...]) -> Callable:
     return op
 
 
-def make_sumset_system(*summands) -> OperatorSystem:
-    """Translation maps grouped by summand set over the trivial backend.
+def make_translation_system(
+    parts: Sequence[Sequence[Tuple[int, ...]]], killed: Sequence | None = None
+) -> OperatorSystem:
+    """Translation maps x -> x + v over ``TrivialBackend(dimension, killed)``.
 
-    One map x -> x + b per element b of each set; graded orbits of a seed
-    set A are then the sumsets A + s_1 B_1 + ... + s_k B_k, in the dimension
-    of the first vector.  Translations are endomorphisms, so every part is
-    triangular.  The system keeps its vectors, from which it proves a
-    stabilization bound for any seed set (``OperatorSystem.graded_bound``).
+    ``parts`` lists each part's integer vectors in map order, all of one
+    dimension.  The system declares them and the backend's killed points,
+    from which it proves a stabilization bound for any seed set
+    (``OperatorSystem.graded_bound``).  Translations are endomorphisms, so
+    every part is triangular.
+    """
+    partition = Partition([len(vecs) for vecs in parts])
+    backend = TrivialBackend(len(parts[0][0]), killed)
+    maps = [translation(v) for vecs in parts for v in vecs]
+    return OperatorSystem(
+        maps, partition, backend, translations=parts, killed=backend.killed or ()
+    )
+
+
+def make_sumset_system(*summands) -> OperatorSystem:
+    """One translation x -> x + b per element b of each summand set.
+
+    Graded orbits of a seed set A are then the sumsets
+    A + s_1 B_1 + ... + s_k B_k; all vectors must have one dimension.
     """
     if not summands:
         raise InputError("at least one summand set is required")
-    normalized = []
+    parts = []
     for B in summands:
         vecs = sorted({as_vector(b) for b in B})
         if not vecs:
             raise InputError("summand sets must be nonempty")
-        normalized.append(vecs)
-    dim = len(normalized[0][0])
-    for vecs in normalized:
-        for v in vecs:
-            if len(v) != dim:
-                raise InputError(f"vector {v} does not have dimension {dim}")
-    maps = [translation(v) for vecs in normalized for v in vecs]
-    partition = Partition([len(vecs) for vecs in normalized])
-    return OperatorSystem(maps, partition, TrivialBackend(dim), translations=normalized)
-
-
-# ---------------------------------------------------------------------------
-# ideal-count backend: rank is the number of points inside a lattice ideal
-# ---------------------------------------------------------------------------
-
-class IdealCountBackend(RankOracle):
-    """Points of N^m ranked by membership in a downward-closed set.
-
-    The ideal is represented by the finite antichain of minimal points of
-    its complement: a point lies in the ideal iff no antichain element is
-    coordinatewise below it.  This is the localization of the trivial
-    matroid at the (possibly infinite) complement, given finitely.
-    """
-
-    def __init__(self, num_coords: int, complement_antichain: Sequence = ()):
-        if not is_int(num_coords) or num_coords < 1:
-            raise InputError(
-                f"number of coordinates must be an integer >= 1, got {num_coords!r}"
-            )
-        self.num_coords = num_coords
-        ac = sorted({as_vector(a, num_coords) for a in complement_antichain})
-        for a in ac:
-            if any(x < 0 for x in a):
-                raise InputError(f"antichain point {a} has a negative coordinate")
-        for a, b in itertools.combinations(ac, 2):
-            if product_leq(a, b) or product_leq(b, a):
-                raise InputError(f"antichain points {a} and {b} are comparable")
-        self.antichain = tuple(ac)
-
-    def validate(self, elem):
-        if (
-            not isinstance(elem, tuple)
-            or len(elem) != self.num_coords
-            or not all(is_int(x) and x >= 0 for x in elem)
-        ):
-            raise InputError(
-                f"expected a point of N^{self.num_coords}, got {elem!r}"
-            )
-
-    def contains(self, point: Tuple[int, ...]) -> bool:
-        le = operator.le
-        for a in self.antichain:
-            if all(map(le, a, point)):
-                return False
-        return True
-
-    def basis_builder(self) -> BasisBuilder:
-        return _SetBuilder(self.contains)
-
-
-def coordinate_increment(i: int) -> Callable:
-    def op(x):
-        return x[:i] + (x[i] + 1,) + x[i + 1 :]
-
-    return op
+        parts.append(vecs)
+    return make_translation_system(parts)
 
 
 def _unit_vectors(partition: Partition) -> List[List[Tuple[int, ...]]]:
@@ -196,24 +182,18 @@ def _unit_vectors(partition: Partition) -> List[List[Tuple[int, ...]]]:
 def make_ideal_system(
     complement_antichain: Sequence, part_sizes: Sequence[int]
 ) -> Tuple[OperatorSystem, List]:
-    """Coordinate-increment maps on N^m over the ideal-count backend.
+    """Unit translations of N^m counting the points of a lattice ideal.
 
-    Returns the system together with its canonical seed, the origin: the
-    graded orbit of the origin at part degree s is every point of that
-    degree, so its rank counts the ideal's points of degree s, and the
-    cumulative orbit counts points of degree at most s.  Its unit
-    translations and killed antichain prove a stabilization bound for any
-    seed set (``OperatorSystem.graded_bound``).
+    The ideal is given by ``complement_antichain``, the minimal points of
+    its complement, which the backend kills.  Returns the system together
+    with its canonical seed, the origin: the graded orbit of the origin at
+    part degree s is every point of that degree, so its rank counts the
+    ideal's points of degree s, and the cumulative orbit counts points of
+    degree at most s.
     """
     partition = Partition(part_sizes)
-    m = partition.m
-    backend = IdealCountBackend(m, complement_antichain)
-    maps = [coordinate_increment(i) for i in range(m)]
-    sys = OperatorSystem(
-        maps, partition, backend, translations=_unit_vectors(partition),
-        killed=backend.antichain,
-    )
-    return sys, [(0,) * m]
+    sys = make_translation_system(_unit_vectors(partition), complement_antichain)
+    return sys, [(0,) * partition.m]
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ from .backends import (
     make_ideal_system,
     make_monomial_module_system,
     make_sumset_system,
+    make_translation_system,
     translation,
 )
 
@@ -216,13 +217,14 @@ def _build_trivial(config: dict):
         raise InputError("trivial backend requires translation vectors in 'operators'")
     vecs = [as_vector(v, dim) for v in ops]
     partition = Partition(_get(config, "partition", list) or [len(vecs)])
-    sys = OperatorSystem(
-        [translation(v) for v in vecs],
-        partition,
-        TrivialBackend(dim),
-        _get(config, "part_flags", list),
-        translations=[vecs[partition.part_slice(i)] for i in range(partition.k)],
+    if partition.m != len(vecs):
+        raise InputError(f"{len(vecs)} maps but partition expects m = {partition.m}")
+    sys = make_translation_system(
+        [vecs[partition.part_slice(i)] for i in range(partition.k)]
     )
+    flags = _get(config, "part_flags", list)
+    if flags is not None:
+        sys = sys.with_flags(flags)
     return (sys, *_seeds(config, partial(as_vector, dimension=dim)))
 
 
@@ -343,7 +345,8 @@ def _build_context(config: dict, sys: OperatorSystem):
     groups = _get_items(config, "context_operators", list)
     if not groups:
         raise InputError("context mode requires 'context_operators'")
-    if not isinstance(sys.backend, TrivialBackend):
+    # an ideal count's backend kills points, so it is not the trivial one
+    if not isinstance(sys.backend, TrivialBackend) or sys.backend.killed is not None:
         raise InputError("context mode is configured for the trivial backend only")
     if len(groups) != sys.k:
         raise InputError("context operators must have one group per part")

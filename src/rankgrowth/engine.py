@@ -725,13 +725,29 @@ def verify_fit(
     window: Tuple[Sequence[int], Sequence[int]],
     context_sys: OperatorSystem | None = None,
 ) -> VerifyReport:
-    """Exact comparison of P with directly computed ranks on a window."""
+    """Exact comparison of P with directly computed ranks on a window.
+
+    The window's word count has a closed form, so a window of more than
+    ``MAX_WORDS`` words is an ``InputError`` before any point is verified.
+    """
     lo, hi = (tuple(window[0]), tuple(window[1]))
     if len(lo) != P.k or len(hi) != P.k:
         raise InputError("window arity mismatch")
+    if any(a < 0 for a in lo):
+        raise InputError(f"window start {lo} has a negative part degree")
     if not product_leq(P.threshold, lo):
         raise ContractError(
             f"window start {lo} is below the stabilization threshold {P.threshold}"
+        )
+    # per part, the words of degree at most hi_i less those below lo_i
+    words = math.prod(
+        math.comb(max(b, a - 1) + d, d) - math.comb(a - 1 + d, d)
+        for a, b, d in zip(lo, hi, sys.partition.part_sizes)
+    )
+    if words > MAX_WORDS:
+        raise InputError(
+            f"verifying part degrees {lo} to {hi} needs {words:,} words, over the "
+            f"limit of {MAX_WORDS:,}; use a smaller window (--window)"
         )
     caches = ({}, {})
     points, mismatches = [], []

@@ -3,8 +3,9 @@
 An operator system is a tuple of m commuting self-maps of a matroid
 ground set together with a partition of the maps into k consecutive
 blocks.  Words are multi-indices in N^m applied through a per-run orbit
-cache; graded and cumulative orbits, augmentation by the identity map,
-and the sampled hypothesis checks all live here.
+cache; graded orbits, augmentation by the identity map (whose graded
+orbits are the cumulative ones) and the sampled hypothesis checks all
+live here.
 """
 
 from __future__ import annotations
@@ -313,22 +314,6 @@ def graded_orbit(
     for a in seeds:
         for r in words:
             x = apply_word(sys, a, r, cache)
-            k = sys.backend.key(x)
-            if k not in seen:
-                seen.add(k)
-                out.append(x)
-    return out
-
-
-def cumulative_orbit(
-    sys: OperatorSystem, A, s: MultiIndex, cache: dict | None = None
-) -> List:
-    """Deduplicated set of all word images of A at part degree <= s."""
-    if cache is None:
-        cache = {}
-    out, seen = [], set()
-    for t in degrees_below(tuple(s)):
-        for x in graded_orbit(sys, A, t, cache):
             k = sys.backend.key(x)
             if k not in seen:
                 seen.add(k)

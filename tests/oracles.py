@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to pin expected test values.
 
 Deliberately separate from the package internals: plain Fraction row
-reduction, a five-line union-find, the set-count ranks of the trivial,
-ideal-count and free-chain backends, direct sumset iteration and the
+reduction, a five-line union-find, the set-count ranks of the trivial
+backend (with and without killed points) and of the free-chain backend,
+cumulative orbits applied map by map, direct sumset iteration and the
 shadowed words of a sumset's slices, lattice point and monomial-quotient
 counting, and quadratic greedy sweeps for the staircase, the violations
 and the level frontiers of a table.
@@ -123,6 +124,28 @@ def ideal_count(elems, antichain):
 def nonzero_chain_count(elems, zero):
     """Free chain rank: distinct chain elements other than ``zero``."""
     return len(set(elems) - {zero})
+
+
+def cumulative_orbit(sys, A, s):
+    """Distinct images of the seeds A under every word of part degree at
+    most s, each word applied map by map from its seed, in first-seen
+    order (seeds as given, words in ``product`` order)."""
+    p = sys.partition
+    coords = [range(s[p.part_of(i)] + 1) for i in range(p.m)]
+    out, seen = [], set()
+    for a in A:
+        for r in product(*coords):
+            if any(d > c for d, c in zip(p.part_degree(r), s)):
+                continue
+            x = a
+            for i, c in enumerate(r):
+                for _ in range(c):
+                    x = sys.maps[i](x)
+            k = sys.backend.key(x)
+            if k not in seen:
+                seen.add(k)
+                out.append(x)
+    return out
 
 
 def sumset_sizes(A, B, t_max):

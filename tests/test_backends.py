@@ -31,7 +31,6 @@ from rankgrowth.backends import (
     CircuitBackend,
     CounterexampleGraphicBackend,
     GraphicBackend,
-    IdealCountBackend,
     LinearBackend,
     TrivialBackend,
     ZERO_CHAIN,
@@ -45,6 +44,7 @@ from rankgrowth.backends import (
     make_monomial_module_system,
     make_polynomial_ring_system,
     make_sumset_system,
+    make_translation_system,
     simplicial_operator,
     validate_simplicial,
     vertex_map_edge_operator,
@@ -99,10 +99,9 @@ def test_a_vector_that_is_no_sequence_is_an_input_error():
 def test_backend_dimensions_must_be_positive_integers():
     # TrivialBackend(1.5) used to construct, TrivialBackend("2") to raise TypeError
     for bad in (1.5, "2", True, 0):
-        with pytest.raises(InputError, match="dimension must be an integer"):
-            TrivialBackend(bad)
-        with pytest.raises(InputError, match="coordinates must be an integer"):
-            IdealCountBackend(bad)
+        for killed in (None, [], [(1,)]):
+            with pytest.raises(InputError, match="dimension must be an integer"):
+                TrivialBackend(bad, killed)
 
 
 def test_trivial_backend_refuses_bool_coordinates():
@@ -117,19 +116,20 @@ def test_trivial_backend_refuses_bool_coordinates():
 # ---------------------------------------------------------------------------
 
 def test_ideal_backend_membership():
-    backend = IdealCountBackend(2, [(2, 0)])
-    assert backend.contains((1, 5))
-    assert not backend.contains((2, 0))
-    assert not backend.contains((3, 1))
+    backend = TrivialBackend(2, [(2, 0)])
+    assert backend.rank([(1, 5)]) == 1
+    assert backend.rank([(2, 0)]) == backend.rank([(3, 1)]) == 0
     assert backend.rank([(0, 0), (1, 1), (2, 2), (1, 1)]) == 2
-    staircase = IdealCountBackend(3, [(0, 0, 3), (1, 2, 0), (2, 0, 1)])
+    antichain = [(0, 0, 3), (1, 2, 0), (2, 0, 1)]
+    staircase = TrivialBackend(3, antichain)
     for point in itertools.product(range(4), repeat=3):
-        expect = ideal_count([point], staircase.antichain) == 1
-        assert staircase.contains(point) == expect
+        assert staircase.rank([point]) == ideal_count([point], antichain)
+    points = list(itertools.product(range(4), repeat=3))
+    assert staircase.rank(points) == ideal_count(points, antichain)
 
 
 def test_ideal_backend_refuses_bool_coordinates():
-    backend = IdealCountBackend(2, [(2, 0)])
+    backend = TrivialBackend(2, [(2, 0)])
     backend.validate((1, 0))
     for point in [(True, 0), (0, False)]:
         with pytest.raises(InputError, match="point of N"):
@@ -137,14 +137,45 @@ def test_ideal_backend_refuses_bool_coordinates():
 
 
 def test_ideal_backend_rejects_comparable_antichain():
-    with pytest.raises(InputError):
-        IdealCountBackend(2, [(1, 0), (2, 0)])
-    with pytest.raises(InputError):
-        IdealCountBackend(2, [(1, -1)])
+    with pytest.raises(InputError, match="comparable"):
+        TrivialBackend(2, [(1, 0), (2, 0)])
+    with pytest.raises(InputError, match="negative"):
+        TrivialBackend(2, [(1, -1)])
     # [[2.7, 0]] used to run as [[2, 0]]
     for point in [(2.7, 0), (True, 0), ("2", 0)]:
         with pytest.raises(InputError, match="not an integer"):
-            IdealCountBackend(2, [point])
+            TrivialBackend(2, [point])
+
+
+def test_ideal_points_lie_in_the_naturals_even_with_no_killed_point():
+    for killed in ([], [(2, 0)]):
+        backend = TrivialBackend(2, killed)
+        with pytest.raises(InputError, match="expected a point of N\\^2"):
+            backend.validate((1, -1))
+        sys, _ = make_ideal_system(killed, [2])
+        with pytest.raises(InputError, match="expected a point of N\\^2"):
+            analyze_graded(sys, [(-1, 0)])
+    # a sumset is over Z^m: its seeds may be negative
+    TrivialBackend(2).validate((1, -1))
+    result = analyze_graded(make_sumset_system([0, 1]), [(-3,)])
+    assert result.polynomial.pretty() == "Y + 1"
+
+
+def test_translation_systems_declare_their_vectors_and_killed_points_once():
+    sys = make_translation_system([[(0, 1)], [(0, 0), (1, 0)]], [(2, 2)])
+    assert sys.partition.part_sizes == (1, 2)
+    assert sys.translations == (((0, 1),), ((0, 0), (1, 0)))
+    assert sys.killed == sys.backend.killed == ((2, 2),)
+    assert [f((3, 4)) for f in sys.maps] == [(3, 5), (3, 4), (4, 4)]
+    ideal, origin = make_ideal_system([(2, 0)], [1, 1])
+    assert ideal.translations == (((1, 0),), ((0, 1),)) and origin == [(0, 0)]
+    assert ideal.killed == ideal.backend.killed == ((2, 0),)
+    sumset = make_sumset_system([1, 0], [2])
+    assert sumset.translations == (((0,), (1,)), ((2,),))
+    assert sumset.killed == () and sumset.backend.killed is None
+    # mixed dimensions are refused by the operator system
+    with pytest.raises(InputError, match="one dimension"):
+        make_translation_system([[(0,), (1, 0)]])
 
 
 def test_ideal_counts_match_lattice_enumeration():
@@ -890,5 +921,5 @@ def test_ideal_counts_equal_free_enumeration_double_count():
     sys, A = make_ideal_system(antichain, [2])
     trivial = TrivialBackend(2)
     for t in range(6):
-        pts = [p for p in graded_orbit(sys, A, (t,)) if sys.backend.contains(p)]
+        pts = [p for p in graded_orbit(sys, A, (t,)) if ideal_count([p], antichain)]
         assert sys.backend.rank(graded_orbit(sys, A, (t,))) == trivial.rank(pts)

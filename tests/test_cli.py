@@ -406,6 +406,15 @@ def test_work_budget_exits_input_error(tmp_path):
     assert "4,925,156,775 words" in doc["error"] and "--box" in doc["error"]
 
 
+def test_verification_budget_exits_input_error(tmp_path):
+    # the window used to be verified point by point without a limit
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(SUMSET))
+    code, doc = run(str(path), {"window": 20000})
+    assert code == EXIT_INPUT_ERROR
+    assert "200,030,001 words" in doc["error"] and "--window" in doc["error"]
+
+
 @pytest.mark.parametrize(
     "bad",
     [{"box": 2.5}, {"box": True}, {"box": [2, "x"]}, {"window": 1.8}, {"window": "2"}],
@@ -436,6 +445,36 @@ TRIVIAL = {
     "A": [[0]],
 }
 CHECK = dict(TRIVIAL, mode="check")
+
+
+@pytest.mark.parametrize("antichain", [[], [[2, 0]]])
+def test_ideal_count_seeds_must_lie_in_the_naturals(antichain):
+    ideal = dict(IDEAL, backend_data={"complement_antichain": antichain})
+    assert execute(dict(ideal, A=[[0, 0]]))[0] == EXIT_CERTIFIED
+    code, doc = execute(dict(ideal, A=[[-1, 0]]))
+    assert code == EXIT_INPUT_ERROR
+    assert doc["error"] == "InputError: expected a point of N^2, got (-1, 0)"
+    # the trivial backend counts integer vectors, negative ones too
+    assert execute(dict(TRIVIAL, A=[[-3]]))[0] == EXIT_CERTIFIED
+    # an ideal count's backend is no trivial one for context mode
+    context = dict(ideal, mode="context", context_operators=[[[1, 0], [0, 1]]])
+    code, doc = execute(context)
+    assert code == EXIT_INPUT_ERROR
+    assert "trivial backend only" in doc["error"]
+
+
+def test_trivial_backend_checks_its_partition_and_part_flags():
+    for bad, error in [
+        ({"part_flags": []}, "one flag per part required"),
+        ({"part_flags": ["x"]}, "unknown part flag 'x'"),
+        ({"partition": [2]}, "1 maps but partition expects m = 2"),
+    ]:
+        code, doc = execute(dict(TRIVIAL, **bad))
+        assert code == EXIT_INPUT_ERROR
+        assert doc["error"] == f"InputError: {error}"
+    code, doc = execute(dict(CHECK, part_flags=["quasi-triangular"]))
+    assert code == EXIT_CERTIFIED
+    assert doc["check"]["declared_flags"] == ["quasi-triangular"]
 GADGET = {"mode": "cumulative", "backend": "graphic", "backend_data": "counterexample"}
 BETTI = {
     "mode": "betti",

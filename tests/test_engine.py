@@ -876,6 +876,28 @@ def test_verify_fit_window_below_threshold():
         verify_fit(P, sys, [(0,)], [], ((0,), (4,)))
 
 
+def test_verification_over_the_work_budget_is_an_input_error(monkeypatch):
+    # a window of 20000 used to verify 200 million words without end
+    sys = make_sumset_system([0, 1])
+    with pytest.raises(InputError, match="200,030,001 words.*--window"):
+        analyze_graded(sys, [(0,)], [], StabilizationConfig(window=20000))
+    # the budget counts the window's words exactly, part by part
+    sys = make_sumset_system([0, 1], [0, 2, 5])
+    P = GrowthPolynomial({(0, 0): Fraction(1)}, (0, 0), (0, 0))
+    for lo, hi in [((1, 0), (2, 1)), ((0, 3), (2, 3)), ((2, 2), (4, 5))]:
+        ranges = (range(a, b + 1) for a, b in zip(lo, hi))
+        words = sum(sys.partition.word_count(s) for s in itertools.product(*ranges))
+        monkeypatch.setattr(engine, "MAX_WORDS", words)
+        verify_fit(P, sys, [(0,)], [], (lo, hi))
+        monkeypatch.setattr(engine, "MAX_WORDS", words - 1)
+        with pytest.raises(InputError, match=f"needs {words:,} words"):
+            verify_fit(P, sys, [(0,)], [], (lo, hi))
+    # a negative window start used to walk a word down without end
+    P = GrowthPolynomial({(0,): Fraction(1)}, (0,), (-1,))
+    with pytest.raises(InputError, match="negative part degree"):
+        verify_fit(P, make_sumset_system([1]), [(0,)], [], ((-1,), (0,)))
+
+
 def test_polynomial_pretty_formats():
     P = GrowthPolynomial(
         {(2,): Fraction(1, 2), (1,): Fraction(3, 2), (0,): Fraction(1)}, (2,), (0,)

@@ -15,7 +15,6 @@ from rankgrowth import (
     apply_word,
     augment,
     check_system,
-    cumulative_orbit,
     graded_orbit,
 )
 from rankgrowth.operators import lex_key
@@ -25,6 +24,8 @@ from rankgrowth.backends import (
     make_sumset_system,
     translation,
 )
+
+from oracles import cumulative_orbit
 
 
 def test_part_degree_examples():
