@@ -222,9 +222,6 @@ def _build_trivial(config: dict):
     sys = make_translation_system(
         [vecs[partition.part_slice(i)] for i in range(partition.k)]
     )
-    flags = _get(config, "part_flags", list)
-    if flags is not None:
-        sys = sys.with_flags(flags)
     return (sys, *_seeds(config, partial(as_vector, dimension=dim)))
 
 
@@ -267,14 +264,11 @@ def _build_linear(config: dict):
 def _build_graphic(config: dict):
     if config.get("backend_data") == "counterexample":
         sys, seed = make_counterexample_graph(_get(config, "depth", int, 64))
-        flags = _get(config, "part_flags", list)
-        if flags:
-            sys = sys.with_flags(flags)
         A, B = _seeds(config, _gadget_edge)
         return sys, A or seed, B
     vmaps = _operator_maps(config, "graphic", "vertex_map")
     partition = _get(config, "partition", list) or [len(vmaps)]
-    sys = make_graphic_system(vmaps, partition, _get(config, "part_flags", list))
+    sys = make_graphic_system(vmaps, partition)
     return (sys, *_seeds(config, _edge))
 
 
@@ -321,10 +315,7 @@ def _build_circuit(config: dict):
 
     payload_maps = _operator_maps(config, "circuit", "map")
     maps = [make_op(pm, part.part_of(idx)) for idx, pm in enumerate(payload_maps)]
-    sys = make_circuit_backend(
-        partition, circuits, maps, A + B, _get(config, "part_flags", list)
-    )
-    return sys, A, B
+    return make_circuit_backend(partition, circuits, maps, A + B), A, B
 
 
 _BUILDERS = {
@@ -421,6 +412,9 @@ def _solve(config, doc: dict) -> int:
         if backend not in _BUILDERS:
             raise InputError(f"unknown backend {backend!r}")
         sys, A, B = _BUILDERS[backend](config)
+    flags = _get(config, "part_flags", list)
+    if flags is not None:
+        sys = sys.with_flags(flags)
     cfg = _stab_config(config, sys.m)
 
     if mode == "check":

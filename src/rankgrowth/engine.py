@@ -128,7 +128,7 @@ def _build_word_lattice(part_sizes: Tuple[int, ...], cap: MultiIndex) -> _WordLa
     is built.
     """
     partition = Partition(part_sizes)
-    size = partition.word_count(cap, "cumulative")
+    size = partition.word_count((0,) * partition.k, cap)
     if size > MAX_WORDS:
         raise InputError(
             f"tabulating part degrees up to {cap} needs {size:,} words, over the "
@@ -218,16 +218,13 @@ class DecreasingTable:
     box: Tuple[int, ...]
     partition: Partition
     values: Dict[MultiIndex, int]
-    slice_cap: Tuple[int, ...]
+    slice_cap: Tuple[int, ...] = field(init=False)
     violations: List[Tuple[MultiIndex, MultiIndex]] = field(init=False)
     corners: List[Tuple[MultiIndex, int, int]] = field(init=False)
 
     def __post_init__(self):
-        p, cap = self.partition, tuple(self.slice_cap)
-        if len(cap) != p.k:
-            raise InputError(
-                f"slice cap {cap} has {len(cap)} entries, partition has {p.k}"
-            )
+        p = self.partition
+        self.slice_cap = cap = p.part_degree(tuple(self.box))
         lattice = _word_lattice(p.part_sizes, cap)
         words = list(self.values)
         if words != lattice.words:
@@ -274,7 +271,7 @@ class DecreasingTable:
             raise InputError(f"box must be natural numbers, got {box!r}")
         cap = partition.part_degree(box)
         values = {r: int(f(r)) for r in _word_lattice(partition.part_sizes, cap).words}
-        return cls(box, partition, values, cap)
+        return cls(box, partition, values)
 
     @property
     def is_decreasing(self) -> bool:
@@ -324,8 +321,7 @@ def tabulate_f(
     _validate_all(backend, A, B)
     A_sorted = backend.sorted_elems(A)
     B_list = backend.dedupe(B)
-    cap = sys.partition.part_degree(box)
-    lattice = _word_lattice(sys.partition.part_sizes, cap)
+    lattice = _word_lattice(sys.partition.part_sizes, sys.partition.part_degree(box))
     words, top, up = lattice.words, lattice.top, lattice.up
     maps = sys.maps + (identity_map,)  # top -1 keeps the seed at the zero word
     base_sys = context_sys if context_sys is not None else sys
@@ -351,7 +347,7 @@ def tabulate_f(
                     accepted += 1
             marginals.append(accepted)
     values = dict(zip(words, marginals))
-    return DecreasingTable(box, sys.partition, values, cap)
+    return DecreasingTable(box, sys.partition, values)
 
 
 @dataclass
@@ -435,14 +431,15 @@ class GeneratingNumerator:
 
 
 def numerator_from_table(
-    table: DecreasingTable, m_bar: MultiIndex, p: Partition
+    table: DecreasingTable, m_bar: MultiIndex
 ) -> GeneratingNumerator:
     """Coordinatewise finite differences, then the partition substitution.
 
     Applying (1 - Y_i) for each of the m variables in turn leaves integer
     coefficients supported below ``m_bar``; substituting one variable per
-    part collapses exponents to part degrees.
+    part of the table's partition collapses exponents to part degrees.
     """
+    p = table.partition
     m_bar = tuple(int(x) for x in m_bar)
     if len(m_bar) != p.m:
         raise InputError("staircase bound has wrong length")
@@ -587,16 +584,16 @@ def _binomial_basis_coeffs(r: int, d: int) -> List[Fraction]:
     return [c / denom for c in coeffs]
 
 
-def interpolate(numerator: GeneratingNumerator, d: Sequence[int]) -> GrowthPolynomial:
+def interpolate(numerator: GeneratingNumerator) -> GrowthPolynomial:
     """Expand the rational generating function into its eventual polynomial.
 
-    Each numerator term a * Y^r contributes a times the product of
-    binomial-basis polynomials C(Y_i - r_i + d_i - 1, d_i - 1); the sum
-    agrees with the growth function at every point above the numerator's
-    exponent cap, and its top coefficient is the numerator evaluated at
-    (1, ..., 1) divided by the product of (d_i - 1)!.
+    With d the part sizes, each term a * Y^r contributes a times the
+    product of binomial-basis polynomials C(Y_i - r_i + d_i - 1, d_i - 1);
+    the sum agrees with the growth function at every point above the
+    numerator's exponent cap, and its top coefficient is the numerator
+    evaluated at (1, ..., 1) divided by the product of (d_i - 1)!.
     """
-    d = tuple(int(x) for x in d)
+    d = tuple(int(x) for x in numerator.part_sizes)
     if any(x < 1 for x in d):
         raise InputError("denominator exponents must be >= 1")
     k = len(d)
@@ -739,11 +736,7 @@ def verify_fit(
         raise ContractError(
             f"window start {lo} is below the stabilization threshold {P.threshold}"
         )
-    # per part, the words of degree at most hi_i less those below lo_i
-    words = math.prod(
-        math.comb(max(b, a - 1) + d, d) - math.comb(a - 1 + d, d)
-        for a, b, d in zip(lo, hi, sys.partition.part_sizes)
-    )
+    words = sys.partition.word_count(lo, hi)
     if words > MAX_WORDS:
         raise InputError(
             f"verifying part degrees {lo} to {hi} needs {words:,} words, over the "
@@ -777,8 +770,8 @@ class PipelineResult:
     polynomial: GrowthPolynomial
     verification: VerifyReport
     status: str
-    warnings: List[str] = field(default_factory=list)
-    evidence: str = WINDOW_EVIDENCE
+    warnings: List[str]
+    evidence: str
 
     @property
     def phi_rank_value(self) -> Fraction:
@@ -850,44 +843,43 @@ def analyze_graded(
     _require_triangular(sys, "the graded pipeline")
     if context_sys is not None:
         _check_context(sys, context_sys)
-    box, warnings = _bound_box(sys, A, B, cfg, context_sys)
-    table = tabulate_f(sys, A, B, cfg.box if box is None else box, context_sys)
-    result = _analyze_table(sys, A, B, table, cfg, context_sys)
-    result.warnings[:0] = warnings
-    if box is not None:
-        result.evidence = BOUND_EVIDENCE
-    return result
+    box, evidence, warnings = _choose_box(sys, A, B, cfg, context_sys)
+    table = tabulate_f(sys, A, B, box, context_sys)
+    return _analyze_table(sys, A, B, table, cfg, context_sys, evidence, warnings)
 
 
-def _bound_box(
+def _choose_box(
     sys: OperatorSystem, A, B, cfg: StabilizationConfig, context_sys
-) -> Tuple[Optional[Tuple[int, ...]], List[str]]:
-    """The system's proven graded bound for A plus the window, when it
-    applies, and the warnings of that choice.
+) -> Tuple[Tuple[int, ...], str, List[str]]:
+    """The box to tabulate, its evidence and the warnings of that choice.
 
-    It applies only without an explicit box or a context system and with
-    B empty; ``OperatorSystem.graded_bound`` says whether the system
-    knows a bound for A.  A bound box over ``MAX_WORDS``, or a bound whose
-    basis is over its budget, is never clipped: the default box is used
-    instead, with a warning.  ``None`` means the config's box.
+    An explicit box is used as given.  Otherwise, with no context system
+    and B empty, the box is the system's proven graded bound for A plus
+    the window (``OperatorSystem.graded_bound`` says whether the system
+    knows one), with ``"bound"`` evidence.  A bound box over
+    ``MAX_WORDS``, or a bound whose basis is over its budget, is never
+    clipped: the default box is used instead, with a warning.  Every box
+    but the bound box has ``"window"`` evidence.
     """
+    box = cfg.resolved_box(sys.m)
     if cfg.box is not None or context_sys is not None or B:
-        return None, []
+        return box, WINDOW_EVIDENCE, []
     _validate_all(sys.backend, A)
     try:
         bound = sys.graded_bound(A)
     except BasisBudgetExceeded as exc:
-        return None, [f"{exc}; tabulated the default box instead"]
+        return box, WINDOW_EVIDENCE, [f"{exc}; tabulated the default box instead"]
     if bound is None:
-        return None, []
-    box = tuple(c + cfg.window for c in bound)
-    size = sys.partition.word_count(sys.partition.part_degree(box), "cumulative")
+        return box, WINDOW_EVIDENCE, []
+    bound_box = tuple(c + cfg.window for c in bound)
+    p = sys.partition
+    size = p.word_count((0,) * p.k, p.part_degree(bound_box))
     if size > MAX_WORDS:
-        return None, [
-            f"stabilization bound box {box} needs {size:,} words, over the "
+        return box, WINDOW_EVIDENCE, [
+            f"stabilization bound box {bound_box} needs {size:,} words, over the "
             f"limit of {MAX_WORDS:,}; tabulated the default box instead"
         ]
-    return box, []
+    return bound_box, BOUND_EVIDENCE, []
 
 
 def _analyze_table(
@@ -897,6 +889,8 @@ def _analyze_table(
     table: DecreasingTable,
     cfg: StabilizationConfig,
     context_sys: OperatorSystem | None,
+    evidence: str,
+    warnings: List[str],
 ) -> PipelineResult:
     """The graded pipeline after tabulation: stabilize, interpolate, verify."""
     if table.violations:
@@ -914,12 +908,12 @@ def _analyze_table(
         # the joint bound outgrew the tabulated slices (certificate is
         # necessarily box-truncated then); fall back to the covered corner
         m_bar = tuple(min(a, b) for a, b in zip(m_bar, table.box))
-    numerator = numerator_from_table(table, m_bar, sys.partition)
-    polynomial = interpolate(numerator, sys.partition.part_sizes)
+    numerator = numerator_from_table(table, m_bar)
+    polynomial = interpolate(numerator)
     lo = polynomial.threshold
     hi = tuple(t + cfg.window for t in lo)
     verification = verify_fit(polynomial, sys, A, B, (lo, hi), context_sys)
-    warnings = []
+    warnings = list(warnings)
     if not certificate.window_certified:
         warnings.append(f"staircase not certified: {certificate.failure}")
     if not verification.ok:
@@ -932,7 +926,8 @@ def _analyze_table(
         else BOX_TRUNCATED
     )
     return PipelineResult(
-        sys, table, certificate, numerator, polynomial, verification, status, warnings
+        sys, table, certificate, numerator, polynomial, verification, status,
+        warnings, evidence,
     )
 
 
@@ -968,8 +963,8 @@ class ClosureDecision:
 
     ``non-member`` is only returned when the certified pipeline supports
     it (marginals identically one on the certified staircase, so the
-    ratio of orbit rank to word count stays at one); it carries the same
-    trust level as any certified polynomial, never more.
+    ratio of orbit rank to word count stays at one); it carries the
+    evidence of that run, as any certified polynomial does, never more.
     """
 
     decision: str
@@ -986,13 +981,15 @@ def phi_closure_member(
 ) -> ClosureDecision:
     """Search for an orbit-rank deficit of a single element over B.
 
-    A zero marginal anywhere in the box is a concrete witness of
-    membership.  With triangular parts and a certified pipeline, the
-    absence of zeros certifies non-membership; otherwise the box was
-    simply too small and the answer is inconclusive.
+    The box is the one ``analyze_graded`` would tabulate.  A zero
+    marginal anywhere in it is a concrete witness of membership.  With
+    triangular parts and a certified pipeline, the absence of zeros
+    certifies non-membership; otherwise the box was simply too small and
+    the answer is inconclusive.
     """
     cfg = cfg or StabilizationConfig()
-    table = tabulate_f(sys, [a], B, cfg.box)
+    box, evidence, warnings = _choose_box(sys, [a], B, cfg, None)
+    table = tabulate_f(sys, [a], B, box)
     zeros = sorted(
         (u for u, v in table.values.items() if v == 0),
         key=lambda u: (sum(u), lex_key(u)),
@@ -1011,14 +1008,15 @@ def phi_closure_member(
             "triangular, so the limit dichotomy does not apply",
         )
     try:
-        result = _analyze_table(sys, [a], B, table, cfg, None)
+        result = _analyze_table(sys, [a], B, table, cfg, None, evidence, warnings)
     except HypothesisError as exc:
         return ClosureDecision("inconclusive", detail=str(exc))
     if result.status == CERTIFIED:
         return ClosureDecision(
             "non-member",
             detail="marginals are identically one on the certified staircase; "
-            "orbit rank equals the word count for all part degrees",
+            "orbit rank equals the word count for all part degrees "
+            f"({evidence} evidence)",
         )
     return ClosureDecision(
         "inconclusive", detail="staircase could not be certified within the box"

@@ -71,6 +71,8 @@ class Partition:
         """All words r with part degree s, ascending in the lex order."""
         if len(s) != self.k:
             raise InputError(f"part-degree length {len(s)} != k = {self.k}")
+        if not all(is_int(t) and t >= 0 for t in s):
+            raise InputError(f"part degree {tuple(s)} is not in N^{self.k}")
         # the lex order compares the last part first, so each part's
         # lex-ordered blocks run outside the words of the parts before it
         words: List[MultiIndex] = [()]
@@ -78,19 +80,13 @@ class Partition:
             words = [w + block for block in compositions(t, d) for w in words]
         return words
 
-    def word_count(self, s: MultiIndex, mode: str = "graded") -> int:
-        """Number of words of part degree s (graded) or part degree <= s (cumulative)."""
-        if mode == "graded":
-            return math.prod(
-                math.comb(s[i] + self.part_sizes[i] - 1, self.part_sizes[i] - 1)
-                for i in range(self.k)
-            )
-        if mode == "cumulative":
-            return math.prod(
-                math.comb(s[i] + self.part_sizes[i], self.part_sizes[i])
-                for i in range(self.k)
-            )
-        raise InputError(f"unknown word-count mode {mode!r}")
+    def word_count(self, lo: MultiIndex, hi: MultiIndex) -> int:
+        """Number of words whose part degree s has lo <= s <= hi (lo in N^k)."""
+        # per part, the words of degree at most hi_i less those below lo_i
+        return math.prod(
+            math.comb(max(b, a - 1) + d, d) - math.comb(a - 1 + d, d)
+            for a, b, d in zip(lo, hi, self.part_sizes)
+        )
 
     def __eq__(self, other):
         return isinstance(other, Partition) and self.part_sizes == other.part_sizes
@@ -262,8 +258,9 @@ def apply_word(sys: OperatorSystem, a, r: MultiIndex, cache: dict | None = None)
     the whole run.  The cached value at r + e_i is always the i-th map
     applied to the value at r, so a populated cache witnesses path
     independence.  A map that raises becomes an ``OperatorError`` naming
-    the map and the word it was applying.  Tabulation takes the same
-    steps over its word lattice without this cache; ``graded_orbit``,
+    the map and the word it was applying, and a word outside N^m an
+    ``InputError``, before any map runs.  Tabulation takes the same steps
+    over its word lattice without this cache; ``graded_orbit``,
     ``verify_fit`` and ``check_system`` come through here.
     """
     if len(r) != sys.m:
@@ -285,6 +282,10 @@ def apply_word(sys: OperatorSystem, a, r: MultiIndex, cache: dict | None = None)
         val = cache.get((seed, cur), _MISSING)
         if val is not _MISSING:
             break
+        # a word outside N^m misses the cache until its highest bad
+        # coordinate leads, so checking misses leaves cache hits as cheap
+        if type(cur[i]) is not int or cur[i] < 1:
+            raise InputError(f"word {tuple(r)} is not in N^{sys.m}")
         pending.append((cur, i))
         cur = cur[:i] + (cur[i] - 1,) + cur[i + 1 :]
     for word, i in reversed(pending):

@@ -225,8 +225,8 @@ def test_c06_round_trip_suite():
             f = _random_staircase(rng, m)
             table = DecreasingTable.from_function(f, (6,) * m, p)
             cert = detect_stabilization(table, StabilizationConfig(window=2))
-            num = numerator_from_table(table, cert.m_bar, p)
-            P = interpolate(num, sizes)
+            num = numerator_from_table(table, cert.m_bar)
+            P = interpolate(num)
             cap = table.slice_cap
             for s in itertools.product(
                 *(range(t, c + 1) for t, c in zip(P.threshold, cap))

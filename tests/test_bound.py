@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rankgrowth import (
     CERTIFIED,
@@ -13,6 +13,7 @@ from rankgrowth import (
     analyze_graded,
     augment,
     default_box,
+    phi_closure_member,
 )
 from rankgrowth.backends import (
     make_ideal_system,
@@ -21,7 +22,7 @@ from rankgrowth.backends import (
     make_sumset_system,
 )
 from rankgrowth.cli import EXIT_CERTIFIED, EXIT_TRUNCATED, execute
-from rankgrowth.engine import _bound_box
+from rankgrowth.engine import _choose_box
 from rankgrowth.errors import BasisBudgetExceeded, InputError
 from rankgrowth.toric import shadow_generators
 from oracles import (
@@ -346,7 +347,8 @@ TABLE_LIMIT = 12_000
 
 
 def _words(sys, box):
-    return sys.partition.word_count(sys.partition.part_degree(box), "cumulative")
+    p = sys.partition
+    return p.word_count((0,) * p.k, p.part_degree(box))
 
 
 def _corners_under(table, join):
@@ -374,8 +376,11 @@ def test_sumset_bound_matches_brute_force(problem):
     try:
         generators = shadow_generators(graded.translations, seeds)
     except BasisBudgetExceeded:
-        box, warnings = _bound_box(graded, A, [], StabilizationConfig(), None)
-        assert box is None and "divisor tests" in warnings[0]
+        box, evidence, warnings = _choose_box(
+            graded, A, [], StabilizationConfig(), None
+        )
+        assert (box, evidence) == (default_box(graded.m), "window")
+        assert "divisor tests" in warnings[0]
         return
     join = graded.graded_bound(A)
     assert join == tuple(
@@ -469,3 +474,54 @@ def test_cumulative_sumset_bound_keeps_the_translation_vectors():
     for t1, t2 in itertools.product(range(6), range(4)):
         s = (P.threshold[0] + t1, P.threshold[1] + t2)
         assert P.evaluate(s) == sumset_count(A, [[(0,), (0,), (2,)], [(0,), (1,)]], s)
+
+
+# ---------------------------------------------------------------------------
+# closure membership: the box analyze_graded tabulates
+# ---------------------------------------------------------------------------
+
+# runtime cap on the words of a closure problem's box
+CLOSURE_LIMIT = 5_000
+
+
+@st.composite
+def closure_problems(draw):
+    """An ideal count or a sumset and one seed, coordinates up to 20."""
+    if draw(st.booleans(), "ideal"):
+        parts = draw(st.sampled_from([[1], [2], [1, 1]]))
+        m = sum(parts)
+        point = st.tuples(*[st.integers(0, 20)] * m)
+        antichain = _minimal(draw(st.lists(point, min_size=1, max_size=2)))
+        sys, _ = make_ideal_system(antichain, parts)
+        return sys, draw(st.tuples(*[st.integers(0, 3)] * m))
+    summand = st.lists(st.integers(0, 20), min_size=1, max_size=2)
+    sys = make_sumset_system(*draw(st.lists(summand, min_size=1, max_size=2)))
+    return sys, (draw(st.integers(-3, 20)),)
+
+
+def test_closure_membership_tabulates_the_bound_box():
+    # the default box of 8 used to miss the drop at 20 and answer non-member
+    sys, A = make_ideal_system([(20,)], [1])
+    decision = phi_closure_member(sys, A[0], [])
+    assert (decision.decision, decision.witness) == ("member", (20,))
+    result = analyze_graded(sys, A, [])
+    assert (result.evidence, result.polynomial.is_zero) == ("bound", True)
+    # a non-member names the evidence of its run
+    outside = phi_closure_member(make_sumset_system([0, 1]), (0,), [])
+    assert outside.decision == "non-member"
+    assert outside.detail.endswith("(bound evidence)")
+
+
+@settings(max_examples=120, deadline=None)
+@given(closure_problems())
+@example((make_ideal_system([(0, 20)], [1, 1])[0], (0, 0)))
+def test_closure_membership_agrees_with_the_phi_rank(problem):
+    sys, a = problem
+    box, _, _ = _choose_box(sys, [a], [], StabilizationConfig(), None)
+    assume(_words(sys, box) <= CLOSURE_LIMIT)
+    decision = phi_closure_member(sys, a, [])
+    result = analyze_graded(sys, [a], [])
+    if result.status == CERTIFIED:
+        assert decision.is_member == (result.phi_rank_value == 0)
+    if decision.decision == "non-member":
+        assert (result.status, result.phi_rank_value) == (CERTIFIED, 1)

@@ -530,6 +530,25 @@ GRAPHIC = {
 
 
 @pytest.mark.parametrize(
+    "base",
+    [TRIVIAL, IDEAL, LINEAR, GRAPHIC, CIRCUIT, SUMSET, dict(GADGET, mode="dimension")],
+    ids=["trivial", "ideal-count", "linear", "graphic", "circuit", "sumset", "gadget"],
+)
+def test_every_backend_reads_part_flags(base):
+    # ideal-count, linear and sumset configs used to ignore part_flags and
+    # exit 0, and the gadget ignored an empty list
+    for flags, error in [
+        ([], "one flag per part required"),
+        (["x"], "unknown part flag 'x'"),
+    ]:
+        code, doc = execute(dict(base, part_flags=flags))
+        assert (code, doc["error"]) == (EXIT_INPUT_ERROR, f"InputError: {error}")
+    code, doc = execute(dict(base, part_flags=["quasi-triangular"]))
+    assert code == EXIT_HYPOTHESIS
+    assert "part 1 is declared quasi-triangular" in doc["error"]
+
+
+@pytest.mark.parametrize(
     "config,named",
     [
         ([1, 2], "a config must be an object"),
@@ -573,8 +592,8 @@ def test_a_drifted_phi_rank_exits_internal_error(monkeypatch, capsys):
     # no config can break it, so a failure is a bug, not an input error
     honest = engine.interpolate
 
-    def drifted(numerator, d):
-        P = honest(numerator, d)
+    def drifted(numerator):
+        P = honest(numerator)
         bumped = {e: c + 1 for e, c in P.coeffs.items()}
         return GrowthPolynomial(bumped, P.degree_bound, P.threshold)
 
@@ -662,8 +681,8 @@ from rankgrowth.engine import GrowthPolynomial
 
 honest = engine.interpolate
 
-def drifted(numerator, d):
-    P = honest(numerator, d)
+def drifted(numerator):
+    P = honest(numerator)
     bumped = {e: c + 1 for e, c in P.coeffs.items()}
     return GrowthPolynomial(bumped, P.degree_bound, P.threshold)
 

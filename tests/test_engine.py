@@ -376,7 +376,7 @@ def test_negative_table_value_is_input_error():
         )
     values = {(0, 0): 1, (1, 0): 0, (0, 1): -2}
     with pytest.raises(InputError, match=r"got -2 at \(0, 1\)"):
-        DecreasingTable((1, 0), Partition([2]), values, (1,))
+        DecreasingTable((1, 0), Partition([2]), values)
 
 
 def test_detect_certifies_exactly_when_the_band_is_tabulated():
@@ -447,7 +447,7 @@ def test_one_pass_staircase_matches_greedy_reference(table, window):
 def test_table_off_its_slice_cap_lattice_is_input_error():
     p = Partition([2])
     lattice = {(0, 0): 2, (1, 0): 1, (0, 1): 1, (2, 0): 1, (1, 1): 0, (0, 2): 0}
-    table = DecreasingTable((1, 1), p, dict(lattice), (2,))
+    table = DecreasingTable((1, 1), p, dict(lattice))
     assert table.corners == [
         ((0, 0), 2, 3),
         ((1, 0), 1, 2),
@@ -463,18 +463,18 @@ def test_table_off_its_slice_cap_lattice_is_input_error():
     off_lattice = r"not the 6 words under slice cap \(2,\)"
     for values in (missing, beyond, shuffled):
         with pytest.raises(InputError, match=off_lattice):
-            DecreasingTable((1, 1), p, values, (2,))
-    with pytest.raises(InputError, match=r"slice cap \(2, 2\) has 2 entries"):
-        DecreasingTable((1, 1), p, lattice, (2, 2))
+            DecreasingTable((1, 1), p, values)
+    with pytest.raises(InputError, match=r"multi-index length 1 != m = 2"):
+        DecreasingTable((1,), p, lattice)
 
 
 def test_table_word_beyond_slice_cap_is_input_error():
     p = Partition([1])
     values = {(0,): 2, (1,): 1, (2,): 1}
-    table = DecreasingTable((1,), p, values, (2,))
-    assert table.corners == [((0,), 2, 3), ((1,), 1, 2)]
+    table = DecreasingTable((2,), p, values)
+    assert (table.slice_cap, table.corners) == ((2,), [((0,), 2, 3), ((1,), 1, 2)])
     with pytest.raises(InputError, match=r"not the 2 words under slice cap \(1,\)"):
-        DecreasingTable((1,), p, values, (1,))
+        DecreasingTable((1,), p, values)
 
 
 def test_joint_staircase_bound_beyond_slices_degrades_gracefully():
@@ -499,18 +499,18 @@ def test_joint_staircase_bound_beyond_slices_degrades_gracefully():
 def test_numerator_examples():
     p1 = Partition([1])
     const = DecreasingTable.from_function(lambda u: 3, (6,), p1)
-    num = numerator_from_table(const, (0,), p1)
+    num = numerator_from_table(const, (0,))
     assert num.coeffs == {(0,): 3}
 
     stair = DecreasingTable.from_function(lambda u: max(0, 2 - u[0]), (6,), p1)
-    num2 = numerator_from_table(stair, (2,), p1)
+    num2 = numerator_from_table(stair, (2,))
     assert num2.coeffs == {(0,): 2, (1,): -1, (2,): -1}
 
     p11 = Partition([1, 1])
     point = DecreasingTable.from_function(
         lambda u: 1 if u == (0, 0) else 0, (4, 4), p11
     )
-    num3 = numerator_from_table(point, (1, 1), p11)
+    num3 = numerator_from_table(point, (1, 1))
     assert num3.coeffs == {(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1}
 
 
@@ -520,22 +520,22 @@ def test_numerator_substitution_collapses_parts():
     point = DecreasingTable.from_function(
         lambda u: 1 if u == (0, 0) else 0, (4, 4), p
     )
-    num = numerator_from_table(point, (1, 1), p)
+    num = numerator_from_table(point, (1, 1))
     assert num.coeffs == {(0,): 1, (1,): -2, (2,): 1}
 
 
 def test_interpolate_examples():
-    P = interpolate(GeneratingNumerator({(0,): 1}, (0,), (2,)), (2,))
+    P = interpolate(GeneratingNumerator({(0,): 1}, (0,), (2,)))
     assert P.coeffs == {(1,): Fraction(1), (0,): Fraction(1)}
-    P2 = interpolate(GeneratingNumerator({(0,): 3, (1,): -2}, (1,), (1,)), (1,))
+    P2 = interpolate(GeneratingNumerator({(0,): 3, (1,): -2}, (1,), (1,)))
     assert P2.coeffs == {(0,): Fraction(1)}
-    P3 = interpolate(GeneratingNumerator({(0, 0): 1}, (0, 0), (1, 1)), (1, 1))
+    P3 = interpolate(GeneratingNumerator({(0, 0): 1}, (0, 0), (1, 1)))
     assert P3.coeffs == {(0, 0): Fraction(1)}
 
 
 def test_interpolate_leading_coefficient_identity():
     num = GeneratingNumerator({(0,): 2, (1,): 1, (2,): -1}, (2,), (3,))
-    P = interpolate(num, (3,))
+    P = interpolate(num)
     assert P.leading_coefficient() * math.factorial(2) == num.at_ones()
 
 
@@ -585,8 +585,8 @@ def _round_trip_once(rng, m, k):
     table = DecreasingTable.from_function(f, box, p)
     assert table.is_decreasing
     cert = detect_stabilization(table, StabilizationConfig(window=2))
-    num = numerator_from_table(table, cert.m_bar, p)
-    P = interpolate(num, sizes)
+    num = numerator_from_table(table, cert.m_bar)
+    P = interpolate(num)
     # graded sums reproduced exactly at and above the threshold
     cap = table.slice_cap
     for s in itertools.product(*(range(t, c + 1) for t, c in zip(P.threshold, cap))):
@@ -743,8 +743,8 @@ def test_phi_rank_equals_numerator_at_ones():
 def test_phi_rank_drifted_interpolation_is_contract_error(monkeypatch):
     honest = engine.interpolate
 
-    def drifted(numerator, d):
-        P = honest(numerator, d)
+    def drifted(numerator):
+        P = honest(numerator)
         bumped = {e: c + 1 for e, c in P.coeffs.items()}
         return GrowthPolynomial(bumped, P.degree_bound, P.threshold)
 
@@ -886,7 +886,9 @@ def test_verification_over_the_work_budget_is_an_input_error(monkeypatch):
     P = GrowthPolynomial({(0, 0): Fraction(1)}, (0, 0), (0, 0))
     for lo, hi in [((1, 0), (2, 1)), ((0, 3), (2, 3)), ((2, 2), (4, 5))]:
         ranges = (range(a, b + 1) for a, b in zip(lo, hi))
-        words = sum(sys.partition.word_count(s) for s in itertools.product(*ranges))
+        words = sum(
+            sys.partition.word_count(s, s) for s in itertools.product(*ranges)
+        )
         monkeypatch.setattr(engine, "MAX_WORDS", words)
         verify_fit(P, sys, [(0,)], [], (lo, hi))
         monkeypatch.setattr(engine, "MAX_WORDS", words - 1)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -118,6 +119,31 @@ def test_apply_word_random_descent_orders_agree():
         assert x == via_engine
 
 
+def test_apply_word_refuses_a_word_outside_the_naturals():
+    # each word used to walk down without end; no map may run
+    ran = []
+
+    def shift(x):
+        ran.append(x)
+        return (x[0] + 1,)
+
+    sys = OperatorSystem([shift, shift], Partition([2]), TrivialBackend(1))
+    for word in [(0, -1), (0, 1.5), (-1, 3), (0.5, 0), (2, float("inf"))]:
+        with pytest.raises(InputError, match=re.escape(f"word {word} is not in N^2")):
+            apply_word(sys, (0,), word, {})
+    assert ran == []
+    assert apply_word(sys, (0,), (2, 1)) == (3,)
+
+
+def test_words_of_a_part_degree_outside_the_naturals_are_refused():
+    # a part of size 1 used to give the word (-1,), whose walk never ended
+    for sizes, s in [([1], (-1,)), ([2], (-1,)), ([1, 1], (2, 0.5))]:
+        with pytest.raises(InputError, match=re.escape(f"part degree {s} is not in N")):
+            Partition(sizes).words_of_part_degree(s)
+    with pytest.raises(InputError, match=re.escape("part degree (-1,) is not in N^1")):
+        graded_orbit(make_sumset_system([1]), [(0,)], (-1,))
+
+
 def test_graded_orbit_examples():
     sys = make_sumset_system([0, 1])
     assert graded_orbit(sys, [(0,)], (0,)) == [(0,)]
@@ -153,7 +179,7 @@ def test_graded_orbit_word_count_bound():
     p = sys.partition
     for t in range(5):
         orbit = graded_orbit(sys, [(0,), (100,)], (t,))
-        assert len(orbit) <= 2 * p.word_count((t,))
+        assert len(orbit) <= 2 * p.word_count((t,), (t,))
 
 
 def test_cumulative_orbit_examples():
@@ -226,14 +252,19 @@ def test_word_enumeration_is_lex_sorted(case):
         key=lambda w: tuple(reversed(w)),
     )
     assert words == expect
-    assert len(words) == p.word_count(s)
+    assert len(words) == p.word_count(s, s)
 
 
 def test_word_count_closed_forms():
-    assert Partition([1]).word_count((9,)) == 1
-    assert Partition([2]).word_count((3,)) == 4
-    assert Partition([1, 1]).word_count((2, 3), "cumulative") == 12
-    assert Partition([3]).word_count((4,)) == math.comb(6, 2)
+    assert Partition([1]).word_count((9,), (9,)) == 1
+    assert Partition([2]).word_count((3,), (3,)) == 4
+    assert Partition([1, 1]).word_count((0, 0), (2, 3)) == 12
+    assert Partition([3]).word_count((4,), (4,)) == math.comb(6, 2)
+    # between two part degrees: the sum of the graded counts, 0 when empty
+    p = Partition([1, 2])
+    graded = [p.word_count(s, s) for s in itertools.product(range(1, 4), range(2, 5))]
+    assert p.word_count((1, 2), (3, 4)) == sum(graded)
+    assert p.word_count((2, 2), (1, 4)) == 0
 
 
 def test_check_system_commuting_shifts_pass():

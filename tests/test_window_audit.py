@@ -19,13 +19,17 @@ from hypothesis import given, settings, strategies as st
 
 from rankgrowth import (
     CERTIFIED,
+    OperatorSystem,
+    Partition,
     SimplicialComplex,
+    TrivialBackend,
     analyze_cumulative,
     analyze_graded,
     betti_polynomials,
     make_circuit_backend,
     make_graphic_system,
 )
+from rankgrowth.backends import translation
 from rankgrowth.engine import WINDOW_EVIDENCE
 from oracles import forest_rank, subcomplex_betti
 
@@ -179,3 +183,24 @@ def test_window_certified_uniform_circuits_match_min_of_size_and_rank(data):
         return min(len(payloads), rank)
 
     _audit(result.polynomial, result.status, [result], truth)
+
+
+def test_late_drop_beyond_the_default_box_is_window_evidence_only():
+    # two seeds 30 apart under the unit translations of the plane, which
+    # the system does not declare, so no bound applies: their orbits
+    # overlap from degree 29 on, far outside the default box of 8
+    sys = OperatorSystem(
+        [translation((1, 0)), translation((0, 1))], Partition([2]), TrivialBackend(2)
+    )
+    A = [(30, 0), (0, 30)]
+    result = analyze_graded(sys, A, [])
+    assert (result.status, result.evidence) == (CERTIFIED, WINDOW_EVIDENCE)
+    assert result.table.box == (8, 8)
+    assert result.polynomial.pretty() == "2*Y + 2"
+
+    def truth(t):
+        return len({(a + i, b + t - i) for a, b in A for i in range(t + 1)})
+
+    # brute force is Y + 31 from degree 29 on
+    assert [truth(t) for t in (28, 29, 40)] == [58, 60, 71]
+    assert [result.polynomial.evaluate((t,)) for t in (28, 29, 40)] == [58, 60, 82]
