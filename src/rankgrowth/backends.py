@@ -84,6 +84,10 @@ class TrivialBackend(RankOracle):
             )
             raise InputError(f"expected {what}, got {elem!r}")
 
+    def points(self, elem) -> Tuple:
+        """The one point ``elem`` is, read by ``OperatorSystem.graded_bound``."""
+        return (elem,)
+
     def basis_builder(self) -> BasisBuilder:
         killed = self.killed
         if not killed:
@@ -691,14 +695,7 @@ class SimplicialComplex:
 
     def subcomplex_closed(self, simplices: Iterable) -> bool:
         want = {tuple(sorted(set(s))) for s in simplices}
-        for s in want:
-            if s not in self.simplices:
-                return False
-            for r in range(1, len(s)):
-                for face in itertools.combinations(s, r):
-                    if face not in want:
-                        return False
-        return True
+        return want <= self.simplices and SimplicialComplex(want).simplices == want
 
 
 class ChainFreeOracle(RankOracle):
@@ -831,8 +828,6 @@ def betti_polynomials(
     if not complex_.subcomplex_closed(A_simplices):
         raise InputError("seed is not a face-closed subcomplex of the complex")
     partition = Partition(part_sizes)
-    if partition.m != len(vertex_maps):
-        raise InputError("one vertex map per operator slot required")
 
     def run(oracle: RankOracle, dim: int) -> PipelineResult:
         maps = [simplicial_operator(complex_, vm, dim) for vm in vertex_maps]
@@ -928,9 +923,8 @@ def make_circuit_backend(
     the unit vector of their part.
     """
     partition = Partition(part_sizes)
-    if len(maps) != partition.m:
-        raise InputError("one map per operator slot required")
     backend = CircuitBackend(circuits)
+    sys = OperatorSystem(maps, partition, backend, part_flags)
     sample = backend.dedupe(sample_elements)
     if sample:
         rng = random.Random(1729)
@@ -956,7 +950,7 @@ def make_circuit_backend(
                         f"map {idx + 1} does not shift degree by the part unit: "
                         f"{e!r} -> {img!r}"
                     )
-    return OperatorSystem(maps, partition, backend, part_flags)
+    return sys
 
 
 # ---------------------------------------------------------------------------

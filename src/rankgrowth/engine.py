@@ -191,6 +191,14 @@ class _LatticeCache:
 _word_lattice = _LatticeCache(LATTICE_CACHE_WORDS)
 
 
+def _natural_box(box) -> Tuple[int, ...]:
+    """``box`` as a tuple; an ``InputError`` unless it is natural numbers."""
+    box = tuple(box)
+    if not all(is_int(b) and b >= 0 for b in box):
+        raise InputError(f"box must be natural numbers, got {box!r}")
+    return box
+
+
 @dataclass
 class DecreasingTable:
     """Tabulated marginal ranks on a finite box, with staircase metadata.
@@ -198,11 +206,11 @@ class DecreasingTable:
     ``values`` holds every word whose part degree fits under the box's
     part degree (a superset of the nominal box: lex-earlier words of the
     same degree are needed for correct marginals, so they come for free).
-    Its words must be exactly the slice-cap lattice's, in lattice order:
-    slices in ``degrees_below(slice_cap)`` order, ascending lex order
-    inside each, as ``tabulate_f`` and ``from_function`` build them.  Its
-    values are marginal ranks, so natural numbers.  Any other table is an
-    ``InputError``.
+    Its box must be natural numbers and its words exactly the slice-cap
+    lattice's, in lattice order: slices in ``degrees_below(slice_cap)``
+    order, ascending lex order inside each, as ``tabulate_f`` and
+    ``from_function`` build them.  Its values are marginal ranks, so
+    natural numbers.  Any other table is an ``InputError``.
 
     One scan over the lattice's unit steps fills the metadata.
     ``violations`` lists the pairs ``(u - e_i, u)`` where the value
@@ -224,7 +232,8 @@ class DecreasingTable:
 
     def __post_init__(self):
         p = self.partition
-        self.slice_cap = cap = p.part_degree(tuple(self.box))
+        self.box = _natural_box(self.box)
+        self.slice_cap = cap = p.part_degree(self.box)
         lattice = _word_lattice(p.part_sizes, cap)
         words = list(self.values)
         if words != lattice.words:
@@ -266,9 +275,7 @@ class DecreasingTable:
     @classmethod
     def from_function(cls, f, box: Sequence[int], partition: Partition):
         """Synthetic table from an explicit function on multi-indices."""
-        box = tuple(box)
-        if not all(is_int(b) and b >= 0 for b in box):
-            raise InputError(f"box must be natural numbers, got {box!r}")
+        box = _natural_box(box)  # before the lattice, which cannot take it
         cap = partition.part_degree(box)
         values = {r: int(f(r)) for r in _word_lattice(partition.part_sizes, cap).words}
         return cls(box, partition, values)
@@ -320,7 +327,6 @@ def tabulate_f(
     backend = sys.backend
     _validate_all(backend, A, B)
     A_sorted = backend.sorted_elems(A)
-    B_list = backend.dedupe(B)
     lattice = _word_lattice(sys.partition.part_sizes, sys.partition.part_degree(box))
     words, top, up = lattice.words, lattice.top, lattice.up
     maps = sys.maps + (identity_map,)  # top -1 keeps the seed at the zero word
@@ -330,8 +336,8 @@ def tabulate_f(
     marginals = []
     for s, start, stop in lattice.slices:
         builder = backend.basis_builder()
-        if B_list:
-            builder.add_all(graded_orbit(base_sys, B_list, s, cache_b))
+        if B:
+            builder.add_all(graded_orbit(base_sys, B, s, cache_b))
         add = builder.add
         for n in range(start, stop):
             i, prev = top[n], up[n]
@@ -500,6 +506,8 @@ class GrowthPolynomial:
 
     def evaluate(self, s: Sequence[int]) -> Fraction:
         s = tuple(s)
+        if len(s) != self.k:
+            raise InputError(f"point {s} has {len(s)} coordinates, not {self.k}")
         total = Fraction(0)
         for e, c in self.coeffs.items():
             term = c

@@ -12,7 +12,7 @@ every enumeration in the engine is deterministic.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterable, List, Tuple
+from typing import Iterable, List
 
 from .errors import ContractError
 
@@ -59,12 +59,6 @@ class RankOracle(ABC):
 
     def validate(self, elem) -> None:
         """Raise InputError if the element is not interpretable. Default: accept."""
-
-    def points(self, elem) -> Tuple:
-        """The points of a translation system that ``elem`` combines, read
-        by ``OperatorSystem.graded_bound``.  Default: the element itself,
-        for backends whose elements are integer vectors."""
-        return (elem,)
 
     def rank(self, elems: Iterable) -> int:
         """Rank of a finite set; every element is validated first."""

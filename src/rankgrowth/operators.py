@@ -123,11 +123,11 @@ class OperatorSystem:
     double-checked against tabulated evidence; see ``check_system`` for
     the sampled test.  ``translations``, set when every map is
     ``x -> x + v`` on integer vectors, holds each part's vectors in map
-    order; the system then proves a bound for any seed set (see
-    ``graded_bound``).  ``killed`` lists points of N^n that an image of
-    rank 0 lies above, such as an ideal's complement antichain or a
-    module's relations; it needs every translation to be zero or a unit
-    vector.  Both are declarations the engine trusts.
+    order; over a backend with ``points`` the system then proves a bound
+    for any seed set (see ``graded_bound``).  ``killed`` lists points of
+    N^n that an image of rank 0 lies above, such as an ideal's complement
+    antichain or a module's relations; it needs every translation to be
+    zero or a unit vector.  Both are declarations the engine trusts.
     """
 
     def __init__(
@@ -211,15 +211,15 @@ class OperatorSystem:
         """A proven graded stabilization bound for the seed set A (validated)
         and an empty B, or ``None`` when the system knows none.
 
-        A translation system whose seeds read as at most one point each
-        (``RankOracle.points``) computes, on every call, the join of its
-        shadowed-word generators (``toric.shadow_generators``) and, per
-        seed ``a`` and killed ``r``, the word holding ``max(r_i - a_i, 0)``
-        where it translates by ``e_i``; the ``toric`` docstring has the
-        proof.  It raises ``BasisBudgetExceeded`` when the basis is over
-        its budget.
+        A translation system whose backend reads every seed as at most one
+        point (``points``; a backend whose rank counts no points has none)
+        computes, on every call, the join of its shadowed-word generators
+        (``toric.shadow_generators``) and, per seed ``a`` and killed ``r``,
+        the word holding ``max(r_i - a_i, 0)`` where it translates by
+        ``e_i``; the ``toric`` docstring has the proof.  It raises
+        ``BasisBudgetExceeded`` when the basis is over its budget.
         """
-        if self.translations is None or not A:
+        if self.translations is None or not hasattr(self.backend, "points") or not A:
             return None
         # imported on first use: only translation systems need it, and a
         # process that caches no bytecode spends about 3 ms compiling it
@@ -311,15 +311,9 @@ def graded_orbit(
     if cache is None:
         cache = {}
     words = sys.partition.words_of_part_degree(s)
-    out, seen = [], set()
-    for a in seeds:
-        for r in words:
-            x = apply_word(sys, a, r, cache)
-            k = sys.backend.key(x)
-            if k not in seen:
-                seen.add(k)
-                out.append(x)
-    return out
+    return sys.backend.dedupe(
+        apply_word(sys, a, r, cache) for a in seeds for r in words
+    )
 
 
 def augment(sys: OperatorSystem) -> OperatorSystem:
@@ -361,10 +355,6 @@ class SystemCheckReport:
     @property
     def triangular_ok(self) -> bool:
         return all(self.parts_triangular)
-
-    @property
-    def quasi_triangular_ok(self) -> bool:
-        return all(self.parts_quasi_triangular)
 
     def supports_declaration(self, sys: OperatorSystem) -> bool:
         """Did the sampled evidence back every declared flag?"""
@@ -431,19 +421,17 @@ def check_system(
     report = SystemCheckReport()
 
     cache = {}
-    pts = []
-    seen = set()
-    for a in backend.sorted_elems(sample):
-        for t in range(max(1, depth - 1)):
-            for r in compositions(t, sys.m):
-                try:
-                    x = apply_word(sys, a, r, cache)
-                except OperatorError:
-                    continue
-                k = backend.key(x)
-                if k not in seen:
-                    seen.add(k)
-                    pts.append(x)
+
+    def images():
+        for a in backend.sorted_elems(sample):
+            for t in range(max(1, depth - 1)):
+                for r in compositions(t, sys.m):
+                    try:
+                        yield apply_word(sys, a, r, cache)
+                    except OperatorError:
+                        pass
+
+    pts = backend.dedupe(images())
     for x in pts:
         for i in range(sys.m):
             for j in range(i + 1, sys.m):

@@ -865,6 +865,21 @@ def test_circuit_degree_respect_check():
         make_circuit_backend([1], circuits, [bad], sample)
 
 
+def test_a_wrong_map_count_gets_the_operator_system_message():
+    # neither constructor counts the maps itself
+    K = _cycle_complex(3)
+    ident = {v: v for v in range(3)}
+    with pytest.raises(InputError, match="^2 maps but partition expects m = 1$"):
+        betti_polynomials(K, [ident, ident], [1], sorted(K.simplices), 0)
+
+    def op(e):
+        return ((e[0][0] + 1,), e[1])
+
+    for sample in [(), [((0,), "x")]]:
+        with pytest.raises(InputError, match="^1 maps but partition expects m = 2$"):
+            make_circuit_backend([2], {}, [op], sample)
+
+
 def test_circuit_system_growth():
     # fresh payload per degree step, uniform matroid U_{2,3} at every degree
     ground = ["a", "b", "c"]

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from rankgrowth import (
     CERTIFIED,
     OperatorSystem,
+    Partition,
     StabilizationConfig,
     analyze_cumulative,
     analyze_graded,
@@ -16,10 +17,12 @@ from rankgrowth import (
     phi_closure_member,
 )
 from rankgrowth.backends import (
+    GraphicBackend,
     make_ideal_system,
     make_monomial_module_system,
     make_polynomial_ring_system,
     make_sumset_system,
+    vertex_map_edge_operator,
 )
 from rankgrowth.cli import EXIT_CERTIFIED, EXIT_TRUNCATED, execute
 from rankgrowth.engine import _choose_box
@@ -318,6 +321,29 @@ def test_a_seed_that_reads_as_no_point_stays_on_the_window():
         result = analyze_graded(sys, [seed], [])
         assert result.evidence == "window"
         assert result.table.box == default_box(2)
+
+
+def test_a_backend_that_counts_no_points_gets_no_bound():
+    # translation vectors declared over forest rank: the bound's proof
+    # counts points, so the graphic system keeps to the default box and
+    # gives what the undeclared system gives
+    maps = [vertex_map_edge_operator(lambda v, c=c: v + c) for c in (1, 2)]
+    triangle = [(0, 1), (1, 2), (0, 2)]
+    declared = OperatorSystem(
+        maps, Partition([2]), GraphicBackend(), translations=[[(1, 1), (2, 2)]]
+    )
+    assert declared.graded_bound(triangle) is None
+    result = analyze_graded(declared, triangle)
+    undeclared = OperatorSystem(maps, Partition([2]), GraphicBackend())
+    plain = analyze_graded(undeclared, triangle)
+    assert (result.status, result.evidence, result.table.box) == (
+        CERTIFIED,
+        "window",
+        default_box(2),
+    )
+    assert result.polynomial.pretty() == "Y + 2"
+    assert result.polynomial.coeffs == plain.polynomial.coeffs
+    assert result.polynomial.threshold == plain.polynomial.threshold
 
 
 def test_malformed_seeds_are_input_errors_before_the_bound_check():

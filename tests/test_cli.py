@@ -237,6 +237,21 @@ def test_betti_mode():
     assert doc["betti"]["polynomial"]["pretty"] == "1"
 
 
+def test_betti_mode_with_a_wrong_partition_names_the_map_count():
+    config = {
+        "mode": "betti",
+        "backend": "chain",
+        "backend_data": {"simplices": [[0, 1], [1, 2], [0, 2]]},
+        "operators": [{"vertex_map": {"0": "0", "1": "1", "2": "2"}}],
+        "partition": [2],
+        "A": [[0, 1], [1, 2], [0, 2]],
+        "dimension": 1,
+    }
+    code, doc = execute(config)
+    assert code == EXIT_INPUT_ERROR
+    assert doc["error"] == "InputError: 1 maps but partition expects m = 2"
+
+
 def test_graphic_vertex_map_mode():
     config = {
         "mode": "dimension",

@@ -278,6 +278,24 @@ def test_from_function_box_must_be_natural_numbers():
     assert DecreasingTable.from_function(lambda u: 1, (2,), Partition([1])).box == (2,)
 
 
+def test_a_table_refuses_a_box_outside_the_naturals():
+    # the constructor checks its own box, before it reads its slice cap
+    for box in [(-1,), (1.5,), (True,), ("2",), (1, -1)]:
+        with pytest.raises(InputError, match="box must be natural numbers"):
+            DecreasingTable(box, Partition([1] * len(box)), {})
+
+
+def test_evaluate_refuses_a_point_of_the_wrong_length():
+    sys = make_sumset_system([(0, 0), (1, 0)], [(0, 0), (0, 1)])
+    P = analyze_graded(sys, [(0, 0)]).polynomial
+    assert P.pretty() == "Y1*Y2 + Y1 + Y2 + 1"
+    assert P.evaluate((2, 3)) == 12
+    # zip used to drop the missing coordinates: (2,) gave 6 and () gave 4
+    for s in [(2,), (), (2, 3, 4)]:
+        with pytest.raises(InputError, match=f"has {len(s)} coordinates, not 2$"):
+            P.evaluate(s)
+
+
 def test_lattice_cache_evicts_least_recent_within_its_word_budget():
     cache = engine._LatticeCache(budget=30)
     line = (1,)  # the lattice of cap (c,) over one slot holds c + 1 words
