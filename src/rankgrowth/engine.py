@@ -33,6 +33,7 @@ from .errors import (
     InputError,
 )
 from .operators import (
+    MAX_WORDS,
     MultiIndex,
     OperatorSystem,
     Partition,
@@ -40,7 +41,6 @@ from .operators import (
     augment,
     degrees_below,
     graded_orbit,
-    identity_map,
     is_int,
     lex_key,
     map_failure,
@@ -74,13 +74,7 @@ class StabilizationConfig:
         if self.window < 1:
             raise InputError("window width must be >= 1")
         if self.box is not None:
-            if not isinstance(self.box, (list, tuple)) or not all(
-                is_int(b) for b in self.box
-            ):
-                raise InputError(f"box must be integers, got {self.box!r}")
-            self.box = tuple(self.box)
-            if any(b < 0 for b in self.box):
-                raise InputError("box bounds must be nonnegative")
+            self.box = _natural_box(self.box)
 
     def resolved_box(self, m: int) -> Tuple[int, ...]:
         if self.box is None:
@@ -89,10 +83,6 @@ class StabilizationConfig:
             raise InputError(f"box has {len(self.box)} coordinates, system has {m}")
         return self.box
 
-
-MAX_WORDS = 2_000_000
-"""Work budget: the most words one table may hold (37 times the 53,856 of
-the largest default-box tables)."""
 
 LATTICE_CACHE_WORDS = 250_000
 """The most words the word-lattice cache keeps, summed over its lattices."""
@@ -192,11 +182,11 @@ _word_lattice = _LatticeCache(LATTICE_CACHE_WORDS)
 
 
 def _natural_box(box) -> Tuple[int, ...]:
-    """``box`` as a tuple; an ``InputError`` unless it is natural numbers."""
-    box = tuple(box)
-    if not all(is_int(b) and b >= 0 for b in box):
-        raise InputError(f"box must be natural numbers, got {box!r}")
-    return box
+    """``box`` as a tuple; an ``InputError`` unless it is a list or tuple of
+    natural numbers."""
+    if isinstance(box, (list, tuple)) and all(is_int(b) and b >= 0 for b in box):
+        return tuple(box)
+    raise InputError(f"box must be natural numbers (integers >= 0), got {box!r}")
 
 
 @dataclass
@@ -298,6 +288,29 @@ def _validate_all(backend, *groups) -> None:
             backend.validate(x)
 
 
+def _images(
+    sys: OperatorSystem, seeds: List, cap: MultiIndex
+) -> Tuple[_WordLattice, List[List]]:
+    """The lattice of words under ``cap`` and each seed's image at every word.
+
+    ``images[j][n]`` is map ``top[n]`` applied to ``images[j][up[n]]``, as
+    ``apply_word`` steps, word by word.  The lattice is checked against
+    ``MAX_WORDS`` before any map runs; a failing map raises ``map_failure``.
+    """
+    lattice = _word_lattice(sys.partition.part_sizes, cap)
+    words, top, up = lattice.words, lattice.top, lattice.up
+    images = [[a] * len(words) for a in seeds]
+    for n in range(1, len(words)):  # word 0 is the zero word: the seed itself
+        i, prev = top[n], up[n]
+        phi = sys.maps[i]
+        for img in images:
+            try:
+                img[n] = phi(img[prev])
+            except Exception as exc:  # noqa: BLE001 - rewrapped as apply_word does
+                raise map_failure(i, words[n], exc) from exc
+    return lattice, images
+
+
 def tabulate_f(
     sys: OperatorSystem,
     A,
@@ -308,51 +321,37 @@ def tabulate_f(
     """Tabulate the marginal rank function over every slice under the box.
 
     ``box`` is validated as a ``StabilizationConfig`` box; ``None`` means
-    the default box.  The words come from the lattice of the box's part
-    degree, whose size is checked against ``MAX_WORDS`` before any word is
-    built or any map applied.
+    the default box.  Every image comes from ``_images``: A's in ``sys``,
+    and B's, when B is nonempty, at the same part degrees in the context
+    system (vetted by ``_check_context``) or else in ``sys``.
 
-    Each slice (part-degree class) gets a fresh basis builder, seeded with
-    the graded orbit of B at that slice (taken in the context system when
-    one is supplied) when B is nonempty; its words then arrive in
-    ascending lex order, and each one's marginal is the number of its
-    images of A that raise the rank over everything fed before.  Summing
-    over a slice telescopes to the relative rank of the graded orbits.
-    Each seed keeps one flat list of images, and word n's image is map
-    ``top[n]`` applied to word ``up[n]``'s, so every image is the one
-    ``apply_word`` gives.  A map that raises becomes the ``OperatorError``
-    ``apply_word`` raises.
+    Each slice (part-degree class) gets a fresh basis builder, fed B's
+    images there (a duplicate never raises the rank, so none is dropped);
+    A's words then arrive in ascending lex order, and each one's marginal
+    is the number of its images of A that raise the rank over everything
+    fed before.  Summing over a slice telescopes to the relative rank of
+    the graded orbits.
     """
     box = StabilizationConfig(box=box).resolved_box(sys.m)
+    if context_sys is not None:
+        _check_context(sys, context_sys)
     backend = sys.backend
     _validate_all(backend, A, B)
-    A_sorted = backend.sorted_elems(A)
-    lattice = _word_lattice(sys.partition.part_sizes, sys.partition.part_degree(box))
-    words, top, up = lattice.words, lattice.top, lattice.up
-    maps = sys.maps + (identity_map,)  # top -1 keeps the seed at the zero word
-    base_sys = context_sys if context_sys is not None else sys
-    cache_b: dict = {}
-    images = [[a] * len(words) for a in A_sorted]
+    cap = sys.partition.part_degree(box)
+    lattice, images = _images(sys, backend.sorted_elems(A), cap)
+    lattice_b, images_b = lattice, []
+    if B:
+        lattice_b, images_b = _images(context_sys or sys, backend.sorted_elems(B), cap)
     marginals = []
-    for s, start, stop in lattice.slices:
+    # both lattices list their slices in degrees_below(cap) order
+    for (_, start, stop), (_, start_b, stop_b) in zip(lattice.slices, lattice_b.slices):
         builder = backend.basis_builder()
-        if B:
-            builder.add_all(graded_orbit(base_sys, B, s, cache_b))
-        add = builder.add
-        for n in range(start, stop):
-            i, prev = top[n], up[n]
-            phi = maps[i]
-            accepted = 0
-            for img in images:
-                try:
-                    x = phi(img[prev])
-                except Exception as exc:  # noqa: BLE001 - rewrapped as apply_word does
-                    raise map_failure(i, words[n], exc) from exc
-                img[n] = x
-                if add(x):
-                    accepted += 1
-            marginals.append(accepted)
-    values = dict(zip(words, marginals))
+        for img in images_b:
+            builder.add_all(img[start_b:stop_b])
+        # zip adds word by word, seeds in order; the zeros cover an empty A
+        columns = (map(builder.add, img[start:stop]) for img in images)
+        marginals.extend(map(sum, zip(repeat(0, stop - start), *columns)))
+    values = dict(zip(lattice.words, marginals))
     return DecreasingTable(box, sys.partition, values)
 
 
@@ -707,21 +706,6 @@ class VerifyReport:
         return not self.mismatches
 
 
-def _direct_rank(
-    sys: OperatorSystem,
-    A,
-    B,
-    s: MultiIndex,
-    context_sys: OperatorSystem | None = None,
-    caches: Tuple[dict, dict] | None = None,
-) -> int:
-    cache_a, cache_b = caches if caches else ({}, {})
-    base_sys = context_sys if context_sys is not None else sys
-    builder = sys.backend.basis_builder()
-    builder.add_all(graded_orbit(base_sys, B, s, cache_b))
-    return builder.add_all(graded_orbit(sys, A, s, cache_a))
-
-
 def verify_fit(
     P: GrowthPolynomial,
     sys: OperatorSystem,
@@ -732,8 +716,10 @@ def verify_fit(
 ) -> VerifyReport:
     """Exact comparison of P with directly computed ranks on a window.
 
-    The window's word count has a closed form, so a window of more than
-    ``MAX_WORDS`` words is an ``InputError`` before any point is verified.
+    Each point's rank comes from ``graded_orbit`` (B's in the context
+    system), sharing no image code with ``tabulate_f``.  A window of more
+    than ``MAX_WORDS`` words, counted in closed form in the B system too
+    when B is nonempty, is an ``InputError`` before any point is verified.
     """
     lo, hi = (tuple(window[0]), tuple(window[1]))
     if len(lo) != P.k or len(hi) != P.k:
@@ -744,16 +730,21 @@ def verify_fit(
         raise ContractError(
             f"window start {lo} is below the stabilization threshold {P.threshold}"
         )
+    base_sys = context_sys or sys
     words = sys.partition.word_count(lo, hi)
+    if B:
+        words = max(words, base_sys.partition.word_count(lo, hi))
     if words > MAX_WORDS:
         raise InputError(
             f"verifying part degrees {lo} to {hi} needs {words:,} words, over the "
             f"limit of {MAX_WORDS:,}; use a smaller window (--window)"
         )
-    caches = ({}, {})
+    cache_a, cache_b = {}, {}
     points, mismatches = [], []
     for s in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        direct = _direct_rank(sys, A, B, s, context_sys, caches)
+        builder = sys.backend.basis_builder()
+        builder.add_all(graded_orbit(base_sys, B, s, cache_b))
+        direct = builder.add_all(graded_orbit(sys, A, s, cache_a))
         val = P.evaluate(s)
         points.append((s, direct, val))
         if val != direct:
@@ -818,18 +809,17 @@ def _require_triangular(sys: OperatorSystem, what: str):
 
 
 def _check_context(sys: OperatorSystem, context_sys: OperatorSystem):
+    """An ``InputError`` unless ``context_sys`` extends ``sys`` part by part."""
     if context_sys.backend is not sys.backend:
         raise InputError("context system must share the backend")
     if context_sys.k != sys.k:
         raise InputError("context system must use the same number of parts")
     for i in range(sys.k):
-        small, big = list(sys.part_maps(i)), list(context_sys.part_maps(i))
-        it = iter(big)
-        if not all(any(phi is psi for psi in it) for phi in small):
+        it = iter(context_sys.part_maps(i))
+        if not all(any(phi is psi for psi in it) for phi in sys.part_maps(i)):
             raise InputError(
                 f"part {i + 1} of the primary system is not a subtuple of the context"
             )
-    _require_triangular(context_sys, "context mode")
 
 
 def analyze_graded(
@@ -850,7 +840,7 @@ def analyze_graded(
     cfg = cfg or StabilizationConfig()
     _require_triangular(sys, "the graded pipeline")
     if context_sys is not None:
-        _check_context(sys, context_sys)
+        _require_triangular(context_sys, "context mode")
     box, evidence, warnings = _choose_box(sys, A, B, cfg, context_sys)
     table = tabulate_f(sys, A, B, box, context_sys)
     return _analyze_table(sys, A, B, table, cfg, context_sys, evidence, warnings)
@@ -993,7 +983,8 @@ def phi_closure_member(
     marginal anywhere in it is a concrete witness of membership.  With
     triangular parts and a certified pipeline, the absence of zeros
     certifies non-membership; otherwise the box was simply too small and
-    the answer is inconclusive.
+    the answer is inconclusive.  With one seed every marginal is 0 or 1, so
+    a table with a violation has a zero and has answered ``member`` already.
     """
     cfg = cfg or StabilizationConfig()
     box, evidence, warnings = _choose_box(sys, [a], B, cfg, None)
@@ -1015,10 +1006,7 @@ def phi_closure_member(
             detail="no witness in the box and the parts are not declared "
             "triangular, so the limit dichotomy does not apply",
         )
-    try:
-        result = _analyze_table(sys, [a], B, table, cfg, None, evidence, warnings)
-    except HypothesisError as exc:
-        return ClosureDecision("inconclusive", detail=str(exc))
+    result = _analyze_table(sys, [a], B, table, cfg, None, evidence, warnings)
     if result.status == CERTIFIED:
         return ClosureDecision(
             "non-member",

@@ -25,6 +25,9 @@ MultiIndex = Tuple[int, ...]
 TRIANGULAR = "triangular"
 QUASI_TRIANGULAR = "quasi-triangular"
 
+MAX_WORDS = 2_000_000
+"""Work budget: the most words a table, verification or system check may walk."""
+
 
 def is_int(x) -> bool:
     """Whether ``x`` is an integer proper: ``bool`` and floats are not."""
@@ -259,9 +262,9 @@ def apply_word(sys: OperatorSystem, a, r: MultiIndex, cache: dict | None = None)
     applied to the value at r, so a populated cache witnesses path
     independence.  A map that raises becomes an ``OperatorError`` naming
     the map and the word it was applying, and a word outside N^m an
-    ``InputError``, before any map runs.  Tabulation takes the same steps
-    over its word lattice without this cache; ``graded_orbit``,
-    ``verify_fit`` and ``check_system`` come through here.
+    ``InputError``, before any map runs.  ``graded_orbit`` (so
+    ``verify_fit``) and ``check_system`` come through here; tabulation
+    takes the same steps over its word lattice in ``engine._images``.
     """
     if len(r) != sys.m:
         raise InputError(f"word length {len(r)} != m = {sys.m}")
@@ -410,21 +413,30 @@ def check_system(
     quasi-triangular variant via the same test with the identity map
     prepended; the pairs are drawn from a fixed seed, so the report is
     deterministic.  This is evidence, not proof: the properties quantify over
-    the whole (typically infinite) ground set.
+    the whole (typically infinite) ground set.  A depth whose seeds times
+    words exceed ``MAX_WORDS`` is an ``InputError`` before any map runs.
     """
     if depth < 1:
         raise InputError("depth must be >= 1")
     if pair_count < 0:
         raise InputError("pair_count must be >= 0")
     backend = sys.backend
+    seeds = backend.sorted_elems(sample)
+    degrees = max(1, depth - 1)  # word degrees 0 .. degrees - 1
+    words = len(seeds) * math.comb(degrees - 1 + sys.m, sys.m)
+    if words > MAX_WORDS:
+        raise InputError(
+            f"checking to depth {depth} needs {words:,} words, over the limit of "
+            f"{MAX_WORDS:,}; use a smaller depth"
+        )
     rng = random.Random(0)
     report = SystemCheckReport()
 
     cache = {}
 
     def images():
-        for a in backend.sorted_elems(sample):
-            for t in range(max(1, depth - 1)):
+        for a in seeds:
+            for t in range(degrees):
                 for r in compositions(t, sys.m):
                     try:
                         yield apply_word(sys, a, r, cache)

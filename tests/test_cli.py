@@ -563,6 +563,64 @@ def test_every_backend_reads_part_flags(base):
     assert "part 1 is declared quasi-triangular" in doc["error"]
 
 
+def _without(config, key):
+    return {k: v for k, v in config.items() if k != key}
+
+
+CONTEXT = {
+    "mode": "context",
+    "operators": [[0], [1]],
+    "partition": [2],
+    "context_operators": [[[0], [1], [2]]],
+    "A": [[0]],
+    "B": [[1]],
+}
+
+
+@pytest.mark.parametrize(
+    "config,error",
+    [
+        (dict(GADGET, A=[["a"]]), "a gadget edge must be a pair, got ['a']"),
+        (dict(GRAPHIC, A=[["0"]]), "not an edge: ['0']"),
+        (
+            _without(TRIVIAL, "operators"),
+            "trivial backend requires translation vectors in 'operators'",
+        ),
+        (dict(SUMSET, backend_data={}), "sumset mode requires 'backend_data.summands'"),
+        (dict(SUMSET, A=[]), "sumset mode requires a nonempty seed set A"),
+        (_without(IDEAL, "partition"), "ideal-count requires 'partition'"),
+        (_without(CIRCUIT, "partition"), "circuit backend requires 'partition'"),
+        (dict(BETTI, backend_data={}), "chain backend requires 'backend_data.simplices'"),
+        (
+            _without(CONTEXT, "context_operators"),
+            "context mode requires 'context_operators'",
+        ),
+        (
+            dict(CONTEXT, context_operators=[[[0], [1]], [[2]]]),
+            "context operators must have one group per part",
+        ),
+        (
+            dict(CONTEXT, context_operators=[[[0], [2]]]),
+            "part 1: context operators must contain the primary ones",
+        ),
+        (dict(TRIVIAL, backend="nope"), "unknown backend 'nope'"),
+        # B's orbit in a six-shift context used to run for minutes uncounted
+        (
+            dict(CONTEXT, context_operators=[[[0], [1], [2], [3], [4], [5]]], box=40),
+            "tabulating part degrees up to (80,) needs 470,155,077 words",
+        ),
+        (
+            dict(CHECK, operators=[[1], [2], [3], [4]], depth=100),
+            "checking to depth 100 needs 4,249,575 words",
+        ),
+    ],
+)
+def test_each_input_error_exits_one_naming_the_problem(config, error):
+    code, doc = execute(config)
+    assert (code, doc["status"]) == (EXIT_INPUT_ERROR, "input-error")
+    assert doc["error"].startswith("InputError: ") and error in doc["error"]
+
+
 @pytest.mark.parametrize(
     "config,named",
     [

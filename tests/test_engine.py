@@ -31,7 +31,7 @@ from rankgrowth import (
     tabulate_f,
     verify_fit,
 )
-from rankgrowth import engine
+from rankgrowth import engine, operators
 from rankgrowth.engine import GeneratingNumerator
 from rankgrowth.backends import (
     TrivialBackend,
@@ -64,9 +64,9 @@ def test_eval_f_single_variable_has_empty_lex_base():
 def test_eval_f_word_must_be_natural_numbers():
     sys = make_sumset_system([1])
     for word, message in [
-        ((1.5,), "box must be integers"),
-        ((True,), "box must be integers"),
-        ((-1,), "nonnegative"),
+        ((1.5,), "box must be natural numbers"),
+        ((True,), "box must be natural numbers"),
+        ((-1,), "box must be natural numbers"),
         ((1, 1), "box has 2 coordinates, system has 1"),
     ]:
         with pytest.raises(InputError, match=message):
@@ -192,19 +192,70 @@ def test_tabulation_matches_reference_kernel(problem):
 
 
 def test_tabulation_orbits_b_only_when_b_is_nonempty(monkeypatch):
-    slices = []
-    honest = engine.graded_orbit
+    # every image comes from the lattice kernel: A's walk, then B's when B
+    # is nonempty, in the context system when one is given
+    walks = []
+    honest = engine._images
 
-    def counting(sys, A, s, cache=None):
-        slices.append(s)
-        return honest(sys, A, s, cache)
+    def counting(sys, seeds, cap):
+        walks.append((sys, list(seeds), cap))
+        return honest(sys, seeds, cap)
 
-    monkeypatch.setattr(engine, "graded_orbit", counting)
+    def unused(*args, **kwargs):
+        raise AssertionError("tabulation takes no image from graded_orbit or apply_word")
+
+    monkeypatch.setattr(engine, "_images", counting)
+    monkeypatch.setattr(engine, "graded_orbit", unused)
+    monkeypatch.setattr(operators, "apply_word", unused)
     sys = make_sumset_system([0, 1])
     tabulate_f(sys, [(0,)], [], box=(2, 2))
-    assert slices == []
-    tabulate_f(sys, [(0,)], [(5,)], box=(2, 2))
-    assert slices == [(0,), (1,), (2,), (3,), (4,)]
+    assert walks == [(sys, [(0,)], (4,))]
+    context = _with_extra_translations(sys, [3])
+    for base in (None, context):
+        walks.clear()
+        tabulate_f(sys, [(0,)], [(5,)], box=(2, 2), context_sys=base)
+        assert walks == [(sys, [(0,)], (4,)), (base or sys, [(5,)], (4,))]
+
+
+def test_a_context_over_the_work_budget_runs_no_map_of_b():
+    # a 3,321-word table whose B orbit in a six-shift context needs 470
+    # million words: it used to walk them slice by slice for minutes
+    def never(x):
+        raise AssertionError("no map of the context may run")
+
+    sys = make_sumset_system([0, 1])
+    context = OperatorSystem(
+        list(sys.maps) + [never] * 4, Partition([6]), sys.backend
+    )
+    with pytest.raises(InputError, match="470,155,077 words.*--box"):
+        tabulate_f(sys, [(0,)], [(1,)], box=(40, 40), context_sys=context)
+    # an empty B walks no context word at all
+    table = tabulate_f(sys, [(0,)], [], box=(40, 40), context_sys=context)
+    assert len(table.values) == 3321
+
+
+def _context_variant(case):
+    """A primary system, a context that breaks one rule, and its message."""
+    sys = make_sumset_system([0, 1])
+    if case == "backend":
+        context = OperatorSystem(sys.maps, sys.partition, TrivialBackend(1))
+        return sys, context, "context system must share the backend"
+    if case == "parts":
+        maps = list(sys.maps) + [translation((2,))]
+        context = OperatorSystem(maps, Partition([2, 1]), sys.backend)
+        return sys, context, "context system must use the same number of parts"
+    maps = [translation((0,)), translation((1,))]  # equal maps, other objects
+    context = OperatorSystem(maps, Partition([2]), sys.backend)
+    return sys, context, "part 1 of the primary system is not a subtuple of the context"
+
+
+@pytest.mark.parametrize("case", ["backend", "parts", "subtuple"])
+def test_a_context_system_must_extend_the_primary(case):
+    sys, context, message = _context_variant(case)
+    with pytest.raises(InputError, match=f"^{message}$"):
+        tabulate_f(sys, [(0,)], [(1,)], box=(2, 2), context_sys=context)
+    with pytest.raises(InputError, match=f"^{message}$"):
+        analyze_graded(sys, [(0,)], [(1,)], context_sys=context)
 
 
 def test_map_failure_during_tabulation_names_map_and_word():
@@ -241,7 +292,7 @@ def test_builder_failure_during_tabulation_is_not_rewrapped():
 
 def test_tabulate_validates_an_explicit_box():
     sys = make_sumset_system([0, 1])
-    with pytest.raises(InputError, match="nonnegative"):
+    with pytest.raises(InputError, match="box must be natural numbers"):
         tabulate_f(sys, [(0,)], [], box=(-1, 3))
     with pytest.raises(InputError, match="box has 1 coordinates, system has 2"):
         tabulate_f(sys, [(0,)], [], box=(3,))
@@ -249,7 +300,7 @@ def test_tabulate_validates_an_explicit_box():
     assert tabulate_f(sys, [(0,)], []).box == engine.default_box(2)
     # only integers proper: no truncated floats, strings or bools
     for box in [(1.9, 1.9), ("x", 1), (True, 1), 3]:
-        with pytest.raises(InputError, match="box must be integers"):
+        with pytest.raises(InputError, match="box must be natural numbers"):
             tabulate_f(sys, [(0,)], [], box=box)
     for window in ["2", 1.8, True, None]:
         with pytest.raises(InputError, match="window width must be an integer"):
@@ -283,6 +334,9 @@ def test_a_table_refuses_a_box_outside_the_naturals():
     for box in [(-1,), (1.5,), (True,), ("2",), (1, -1)]:
         with pytest.raises(InputError, match="box must be natural numbers"):
             DecreasingTable(box, Partition([1] * len(box)), {})
+    # a box that is no sequence used to end in a TypeError
+    with pytest.raises(InputError, match=r"^box must be natural numbers .*, got 3$"):
+        DecreasingTable(3, Partition([1]), {})
 
 
 def test_evaluate_refuses_a_point_of_the_wrong_length():
@@ -816,6 +870,35 @@ def test_phi_closure_member_witness_degree():
     assert dec.witness == (1,)
 
 
+def _falsely_declared_gadget():
+    return make_counterexample_graph()[0].with_flags(["triangular"])
+
+
+@st.composite
+def _falsely_declared_gadgets(draw):
+    edge = st.tuples(st.sampled_from("abc"), st.integers(0, 6))
+    box = draw(st.one_of(st.none(), st.tuples(st.integers(0, 8))))
+    B = draw(st.lists(edge, max_size=4))
+    return _falsely_declared_gadget(), draw(edge), B, box
+
+
+@given(_falsely_declared_gadgets())
+# marginals alternate 0, 1, 0, 1, ...: a table with violations
+@example(
+    (_falsely_declared_gadget(), ("a", 0), [("b", 0), ("c", 0), ("c", 1), ("c", 3)], None)
+)
+@settings(max_examples=40, deadline=None)
+def test_phi_closure_answers_on_a_falsely_declared_system(problem):
+    # one seed makes every marginal 0 or 1, so an increase along the product
+    # order starts at a zero, which has already answered member
+    sys, a, B, box = problem
+    dec = phi_closure_member(sys, a, B, StabilizationConfig(box=box))
+    assert dec.decision in ("member", "non-member", "inconclusive")
+    table = tabulate_f(sys, [a], B, box=box)
+    if table.violations:
+        assert dec.decision == "member"
+
+
 def test_phi_closure_quasi_only_is_inconclusive():
     sys, seed = make_counterexample_graph()
     dec = phi_closure_member(sys, ("a", 0), [])
@@ -916,6 +999,21 @@ def test_verification_over_the_work_budget_is_an_input_error(monkeypatch):
     P = GrowthPolynomial({(0,): Fraction(1)}, (0,), (-1,))
     with pytest.raises(InputError, match="negative part degree"):
         verify_fit(P, make_sumset_system([1]), [(0,)], [], ((-1,), (0,)))
+
+
+def test_verification_budget_counts_the_window_in_the_b_system(monkeypatch):
+    # 15 words of degree 0..4 in the primary's two shifts, 35 in the
+    # context's three; the context's were never counted
+    sys = make_sumset_system([0, 1])
+    context = _with_extra_translations(sys, [2])
+    P = GrowthPolynomial({}, (0,), (0,))
+    window = ((0,), (4,))
+    monkeypatch.setattr(engine, "MAX_WORDS", 34)
+    verify_fit(P, sys, [(0,)], [], window, context)
+    with pytest.raises(InputError, match="needs 35 words.*--window"):
+        verify_fit(P, sys, [(0,)], [(1,)], window, context)
+    monkeypatch.setattr(engine, "MAX_WORDS", 35)
+    verify_fit(P, sys, [(0,)], [(1,)], window, context)
 
 
 def test_polynomial_pretty_formats():

@@ -18,6 +18,7 @@ from rankgrowth import (
     check_system,
     graded_orbit,
 )
+from rankgrowth import operators
 from rankgrowth.operators import lex_key
 from rankgrowth.backends import (
     TrivialBackend,
@@ -292,6 +293,24 @@ def test_check_system_rejects_a_negative_pair_count():
     with pytest.raises(InputError, match="pair_count"):
         check_system(sys, [(0,)], depth=3, pair_count=-1)
     assert check_system(sys, [(0,)], depth=3, pair_count=0).supports_declaration(sys)
+
+
+def test_check_system_depth_is_within_the_work_budget(monkeypatch):
+    # depth 100 over four shifts used to walk 4,249,575 words in 44 s
+    def never(x):
+        raise AssertionError("no map may run")
+
+    sys = OperatorSystem([never] * 4, Partition([4]), TrivialBackend(1))
+    with pytest.raises(InputError, match=r"depth 100 needs 4,249,575 words.*depth"):
+        check_system(sys, [(0,)], depth=100)
+    # seeds times words, the words of degree 0 .. depth - 2
+    words = 2 * math.comb(8 + 4, 4)
+    monkeypatch.setattr(operators, "MAX_WORDS", words - 1)
+    with pytest.raises(InputError, match=f"depth 10 needs {words:,} words"):
+        check_system(sys, [(0,), (1,)], depth=10)
+    monkeypatch.setattr(operators, "MAX_WORDS", words)
+    shifts = make_sumset_system([1, 2, 3, 4])
+    assert check_system(shifts, [(0,), (1,)], depth=10).commutation_ok
 
 
 def test_check_system_noncommuting():
