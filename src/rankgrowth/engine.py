@@ -39,6 +39,7 @@ from .operators import (
     Partition,
     TRIANGULAR,
     augment,
+    check_budget,
     degrees_below,
     graded_orbit,
     is_int,
@@ -85,7 +86,7 @@ class StabilizationConfig:
 
 
 LATTICE_CACHE_WORDS = 250_000
-"""The most words the word-lattice cache keeps, summed over its lattices."""
+"""The most words the lattice cache keeps, unless its newest lattice alone has more."""
 
 BOUND_EVIDENCE = "bound"
 WINDOW_EVIDENCE = "window"
@@ -111,19 +112,17 @@ class _WordLattice(NamedTuple):
     down: Tuple[array, ...]
 
 
-def _build_word_lattice(part_sizes: Tuple[int, ...], cap: MultiIndex) -> _WordLattice:
+def _build_word_lattice(
+    part_sizes: Tuple[int, ...], cap: MultiIndex, then: str
+) -> _WordLattice:
     """The lattice of words under ``cap``; beyond ``MAX_WORDS`` an ``InputError``.
 
-    The size has a closed form, so the budget is checked before any word
-    is built.
+    The size has a closed form, so the budget is checked, with the advice
+    ``then``, before any word is built.
     """
     partition = Partition(part_sizes)
     size = partition.word_count((0,) * partition.k, cap)
-    if size > MAX_WORDS:
-        raise InputError(
-            f"tabulating part degrees up to {cap} needs {size:,} words, over the "
-            f"limit of {MAX_WORDS:,}; use a smaller box (--box)"
-        )
+    check_budget(size, MAX_WORDS, f"tabulating part degrees up to {cap}", then)
     words: List[MultiIndex] = []
     slices = []
     for s in degrees_below(cap):
@@ -151,9 +150,9 @@ def _build_word_lattice(part_sizes: Tuple[int, ...], cap: MultiIndex) -> _WordLa
 class _LatticeCache:
     """Least-recently-used word lattices, bounded by their total words.
 
-    Solves of different boxes reuse each other's lattices while the sum
-    stays within ``budget``; the least recently used go first.  A lattice
-    larger than the whole budget is built and returned but not kept.
+    Every lattice built is kept, so a table that fetches the lattice its
+    tabulation walked never builds it twice; then the least recently used
+    others go while the total is over ``budget``.
     """
 
     def __init__(self, budget: int):
@@ -161,20 +160,20 @@ class _LatticeCache:
         self.lattices: OrderedDict = OrderedDict()
         self.words = 0
 
-    def __call__(self, part_sizes: Tuple[int, ...], cap: MultiIndex) -> _WordLattice:
+    def __call__(
+        self, part_sizes: Tuple[int, ...], cap: MultiIndex,
+        then: str = "use a smaller box (--box)",
+    ) -> _WordLattice:
         key = (part_sizes, cap)
         lattice = self.lattices.get(key)
         if lattice is not None:
             self.lattices.move_to_end(key)
             return lattice
-        lattice = _build_word_lattice(part_sizes, cap)
-        size = len(lattice.words)
-        if size <= self.budget:
-            while self.words + size > self.budget:
-                _, old = self.lattices.popitem(last=False)
-                self.words -= len(old.words)
-            self.lattices[key] = lattice
-            self.words += size
+        lattice = self.lattices[key] = _build_word_lattice(part_sizes, cap, then)
+        self.words += len(lattice.words)
+        while self.words > self.budget and len(self.lattices) > 1:
+            _, old = self.lattices.popitem(last=False)
+            self.words -= len(old.words)
         return lattice
 
 
@@ -339,6 +338,10 @@ def tabulate_f(
     _validate_all(backend, A, B)
     cap = sys.partition.part_degree(box)
     lattice, images = _images(sys, backend.sorted_elems(A), cap)
+    if B and context_sys is not None:  # fetched first, to be refused naming it
+        sizes = context_sys.partition.part_sizes
+        then = f"B's orbits run in the context system with parts of sizes {list(sizes)}"
+        _word_lattice(sizes, cap, f"{then}; use a smaller box (--box)")
     lattice_b, images_b = lattice, []
     if B:
         lattice_b, images_b = _images(context_sys or sys, backend.sorted_elems(B), cap)
@@ -734,11 +737,8 @@ def verify_fit(
     words = sys.partition.word_count(lo, hi)
     if B:
         words = max(words, base_sys.partition.word_count(lo, hi))
-    if words > MAX_WORDS:
-        raise InputError(
-            f"verifying part degrees {lo} to {hi} needs {words:,} words, over the "
-            f"limit of {MAX_WORDS:,}; use a smaller window (--window)"
-        )
+    doing = f"verifying part degrees {lo} to {hi}"
+    check_budget(words, MAX_WORDS, doing, "use a smaller window (--window)")
     cache_a, cache_b = {}, {}
     points, mismatches = [], []
     for s in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
@@ -872,11 +872,11 @@ def _choose_box(
     bound_box = tuple(c + cfg.window for c in bound)
     p = sys.partition
     size = p.word_count((0,) * p.k, p.part_degree(bound_box))
-    if size > MAX_WORDS:
-        return box, WINDOW_EVIDENCE, [
-            f"stabilization bound box {bound_box} needs {size:,} words, over the "
-            f"limit of {MAX_WORDS:,}; tabulated the default box instead"
-        ]
+    doing = f"stabilization bound box {bound_box}"
+    try:
+        check_budget(size, MAX_WORDS, doing, "tabulated the default box instead")
+    except InputError as exc:
+        return box, WINDOW_EVIDENCE, [str(exc)]
     return bound_box, BOUND_EVIDENCE, []
 
 

@@ -29,6 +29,13 @@ MAX_WORDS = 2_000_000
 """Work budget: the most words a table, verification or system check may walk."""
 
 
+def check_budget(words: int, limit: int, doing: str, then: str) -> None:
+    """Refuse work of more than ``limit`` words with the one ``InputError`` text."""
+    if words > limit:
+        message = f"{doing} needs {words:,} words, over the limit of {limit:,}; {then}"
+        raise InputError(message)
+
+
 def is_int(x) -> bool:
     """Whether ``x`` is an integer proper: ``bool`` and floats are not."""
     return isinstance(x, int) and not isinstance(x, bool)
@@ -414,7 +421,8 @@ def check_system(
     prepended; the pairs are drawn from a fixed seed, so the report is
     deterministic.  This is evidence, not proof: the properties quantify over
     the whole (typically infinite) ground set.  A depth whose seeds times
-    words exceed ``MAX_WORDS`` is an ``InputError`` before any map runs.
+    words, or a ``pair_count`` whose map calls, exceed ``MAX_WORDS`` is an
+    ``InputError`` before any map runs.
     """
     if depth < 1:
         raise InputError("depth must be >= 1")
@@ -423,12 +431,18 @@ def check_system(
     backend = sys.backend
     seeds = backend.sorted_elems(sample)
     degrees = max(1, depth - 1)  # word degrees 0 .. degrees - 1
-    words = len(seeds) * math.comb(degrees - 1 + sys.m, sys.m)
-    if words > MAX_WORDS:
-        raise InputError(
-            f"checking to depth {depth} needs {words:,} words, over the limit of "
-            f"{MAX_WORDS:,}; use a smaller depth"
-        )
+    words = len(seeds) * Partition((sys.m,)).word_count((0,), (degrees - 1,))
+    check_budget(words, MAX_WORDS, f"checking to depth {depth}", "use a smaller depth")
+    # a pair holds at most 3 + 3 elements; testing map j of a part (from 0)
+    # runs it and the j maps before it on them: at most 6 (j + 1) calls, so
+    # 3 L (L + 1) for a part tested with L maps (L = d_i, then d_i + 1)
+    calls = pair_count * sum(
+        3 * L * (L + 1) for d in sys.partition.part_sizes for L in (d, d + 1)
+    )
+    check_budget(
+        calls, MAX_WORDS, f"testing {pair_count:,} sampled pairs",
+        "a map call counts as a word; use a smaller seed_sample (--seed-sample)",
+    )
     rng = random.Random(0)
     report = SystemCheckReport()
 

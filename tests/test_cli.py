@@ -613,6 +613,19 @@ CONTEXT = {
             dict(CHECK, operators=[[1], [2], [3], [4]], depth=100),
             "checking to depth 100 needs 4,249,575 words",
         ),
+        # its refusal used to read as an oversized primary table's
+        (
+            dict(CONTEXT, context_operators=[[[0], [1], [2], [3], [4], [5]]], box=40),
+            "words, over the limit of 2,000,000; B's orbits run in the context "
+            "system with parts of sizes [6]; use a smaller box (--box)",
+        ),
+        # 100 million sampled pairs over four shifts used to run for hours
+        (
+            dict(CHECK, operators=[[1], [2], [3], [4]], seed_sample=100_000_000),
+            "testing 100,000,000 sampled pairs needs 15,000,000,000 words, over the "
+            "limit of 2,000,000; a map call counts as a word; use a smaller "
+            "seed_sample (--seed-sample)",
+        ),
     ],
 )
 def test_each_input_error_exits_one_naming_the_problem(config, error):

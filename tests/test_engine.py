@@ -34,14 +34,19 @@ from rankgrowth import (
 from rankgrowth import engine, operators
 from rankgrowth.engine import GeneratingNumerator
 from rankgrowth.backends import (
+    ChainFreeOracle,
+    CircuitBackend,
+    GraphicBackend,
+    SimplicialComplex,
     TrivialBackend,
     make_counterexample_graph,
     make_ideal_system,
+    make_monomial_module_system,
     make_polynomial_ring_system,
     make_sumset_system,
     translation,
 )
-from rankgrowth.operators import apply_word, graded_orbit, product_leq
+from rankgrowth.operators import apply_word, check_system, graded_orbit, product_leq
 from oracles import (
     greedy_frontier,
     greedy_staircase,
@@ -234,6 +239,25 @@ def test_a_context_over_the_work_budget_runs_no_map_of_b():
     assert len(table.values) == 3321
 
 
+def test_the_work_budget_refusal_of_a_context_names_it():
+    sys = make_sumset_system([0, 1])
+    context = _with_extra_translations(sys, [2])
+    limit = "over the limit of 2,000,000"
+    with pytest.raises(InputError) as primary:
+        tabulate_f(sys, [(0,)], [(1,)], box=(2000, 2000), context_sys=context)
+    assert str(primary.value) == (
+        f"tabulating part degrees up to (4000,) needs 8,006,001 words, {limit}; "
+        "use a smaller box (--box)"
+    )
+    with pytest.raises(InputError) as walked_in_context:
+        tabulate_f(sys, [(0,)], [(1,)], box=(200, 200), context_sys=context)
+    assert str(walked_in_context.value) == (
+        f"tabulating part degrees up to (400,) needs 10,827,401 words, {limit}; "
+        "B's orbits run in the context system with parts of sizes [3]; "
+        "use a smaller box (--box)"
+    )
+
+
 def _context_variant(case):
     """A primary system, a context that breaks one rule, and its message."""
     sys = make_sumset_system([0, 1])
@@ -370,14 +394,47 @@ def test_lattice_cache_evicts_least_recent_within_its_word_budget():
     assert cache(line, (9,)) is first
 
 
-def test_lattice_cache_does_not_keep_a_lattice_over_its_budget():
+def test_lattice_cache_keeps_its_newest_lattice_alone_over_its_budget():
+    # a lattice over the budget used to be returned but not kept, so the
+    # table that tabulated it built it again for its own checks
     cache = engine._LatticeCache(budget=30)
     cache((1,), (9,))
-    big = cache((1,), (30,))  # 31 words
+    big = cache((1,), (30,))  # 31 words: the others go, the newest stays
     assert big.words == [(c,) for c in range(31)]
-    assert (list(cache.lattices), cache.words) == ([((1,), (9,))], 10)
-    assert cache((1,), (30,)) is not big
+    assert (list(cache.lattices), cache.words) == ([((1,), (30,))], 31)
+    assert cache((1,), (30,)) is big
+    cache((1,), (4,))  # the next build evicts it
+    assert (list(cache.lattices), cache.words) == ([((1,), (4,))], 5)
     assert engine._word_lattice.budget == engine.LATTICE_CACHE_WORDS
+
+
+def test_a_table_over_the_cache_budget_builds_its_lattice_once(monkeypatch):
+    builds = []
+    honest = engine._build_word_lattice
+
+    def counting(part_sizes, cap, then):
+        builds.append((part_sizes, cap))
+        return honest(part_sizes, cap, then)
+
+    monkeypatch.setattr(engine, "_build_word_lattice", counting)
+    fresh = engine._LatticeCache(engine.LATTICE_CACHE_WORDS)
+    monkeypatch.setattr(engine, "_word_lattice", fresh)
+    # the 302,621 words under part degree 120 were built twice a solve
+    sys = make_sumset_system([0, 1, 3])
+    cfg = StabilizationConfig(box=(40, 40, 40))
+    for built in [[((3,), (120,))], []]:  # the second solve builds nothing
+        builds.clear()
+        result = analyze_graded(sys, [(0,)], cfg=cfg)
+        assert builds == built
+        assert (result.status, result.polynomial.pretty()) == ("certified", "3*Y")
+        assert len(result.table.values) == 302_621
+    # a context lattice over the budget evicts A's, which the table then
+    # rebuilds, evicting it in turn: B's 35 words are built once
+    monkeypatch.setattr(engine, "_word_lattice", engine._LatticeCache(20))
+    sys = make_sumset_system([0, 1])
+    builds.clear()
+    tabulate_f(sys, [(0,)], [(1,)], (2, 2), _with_extra_translations(sys, [2]))
+    assert builds == [((2,), (4,)), ((3,), (4,)), ((2,), (4,))]
 
 
 def test_tabulate_sumset_is_decreasing_all_ones():
@@ -1014,6 +1071,77 @@ def test_verification_budget_counts_the_window_in_the_b_system(monkeypatch):
         verify_fit(P, sys, [(0,)], [(1,)], window, context)
     monkeypatch.setattr(engine, "MAX_WORDS", 35)
     verify_fit(P, sys, [(0,)], [(1,)], window, context)
+
+
+def _flat_table():
+    return DecreasingTable.from_function(lambda u: 1, (2,), Partition([1]))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: make_sumset_system(), "at least one summand set is required"),
+        (
+            lambda: make_monomial_module_system(3, [1, 1], [(0, 0, 0)]),
+            "partition covers 2 maps but there are 3 variables",
+        ),
+        (lambda: GraphicBackend().validate(("0",)), "not an edge: ('0',)"),
+        (lambda: SimplicialComplex([[0, 1], []]), "empty simplex"),
+        (
+            lambda: ChainFreeOracle(SimplicialComplex([[0, 1]]), 1).validate(
+                ("s", (0, 2))
+            ),
+            "simplex (0, 2) is not in the complex",
+        ),
+        (
+            lambda: CircuitBackend({}).validate((1,)),
+            "expected a (degree, payload) element, got (1,)",
+        ),
+        (lambda: StabilizationConfig(window=0), "window width must be >= 1"),
+        (
+            lambda: numerator_from_table(_flat_table(), (1, 1)),
+            "staircase bound has wrong length",
+        ),
+        (
+            lambda: numerator_from_table(_flat_table(), (3,)),
+            "table does not cover (3,) required by the numerator",
+        ),
+        (lambda: GrowthPolynomial({(1, 0): 1}, (1,), (0,)), "exponent arity mismatch"),
+        (
+            lambda: GrowthPolynomial({(2,): 1}, (1,), (0,)),
+            "exponent (2,) exceeds degree bound (1,)",
+        ),
+        (
+            lambda: GrowthPolynomial({}, (1,), (0,)).subtract(
+                GrowthPolynomial({}, (1, 1), (0, 0))
+            ),
+            "cannot combine polynomials of different arity",
+        ),
+        (
+            lambda: verify_fit(
+                GrowthPolynomial({}, (0,), (0,)), make_sumset_system([0, 1]),
+                [(0,)], [], ((0, 0), (1, 1)),
+            ),
+            "window arity mismatch",
+        ),
+        (
+            lambda: Partition([1]).words_of_part_degree((1, 1)),
+            "part-degree length 2 != k = 1",
+        ),
+        (
+            lambda: apply_word(make_sumset_system([1]), (0,), (1, 1)),
+            "word length 2 != m = 1",
+        ),
+        (
+            lambda: check_system(make_sumset_system([1]), [(0,)], depth=0),
+            "depth must be >= 1",
+        ),
+    ],
+)
+def test_each_malformed_argument_is_an_input_error_naming_it(call, message):
+    with pytest.raises(InputError) as refused:
+        call()
+    assert str(refused.value) == message
 
 
 def test_polynomial_pretty_formats():

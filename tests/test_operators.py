@@ -19,7 +19,8 @@ from rankgrowth import (
     graded_orbit,
 )
 from rankgrowth import operators
-from rankgrowth.operators import lex_key
+from rankgrowth.errors import OperatorError, OutOfBoxError
+from rankgrowth.operators import SystemCheckReport, lex_key
 from rankgrowth.backends import (
     TrivialBackend,
     make_counterexample_graph,
@@ -310,7 +311,102 @@ def test_check_system_depth_is_within_the_work_budget(monkeypatch):
         check_system(sys, [(0,), (1,)], depth=10)
     monkeypatch.setattr(operators, "MAX_WORDS", words)
     shifts = make_sumset_system([1, 2, 3, 4])
-    assert check_system(shifts, [(0,), (1,)], depth=10).commutation_ok
+    # six pairs make at most 900 map calls, within the 990 as well
+    assert check_system(shifts, [(0,), (1,)], depth=10, pair_count=6).commutation_ok
+
+
+def test_check_system_seed_sample_is_within_the_work_budget(monkeypatch):
+    # 100 million pairs over four shifts used to run for about eight hours
+    def never(x):
+        raise AssertionError("no map may run")
+
+    sys = OperatorSystem([never] * 4, Partition([4]), TrivialBackend(1))
+    with pytest.raises(InputError) as refused:
+        check_system(sys, [(0,)], pair_count=100_000_000)
+    assert str(refused.value) == (
+        "testing 100,000,000 sampled pairs needs 15,000,000,000 words, over the "
+        "limit of 2,000,000; a map call counts as a word; use a smaller "
+        "seed_sample (--seed-sample)"
+    )
+    # a part tested with L maps makes at most 3 L (L + 1) calls a pair: here
+    # L = 4, then 5 with the identity prepended
+    bound = 40 * (3 * 4 * 5 + 3 * 5 * 6)
+    calls = []
+
+    def counted(step):
+        def shift(x):
+            calls.append(x)
+            return step(x)
+
+        return shift
+
+    shifts = OperatorSystem(
+        [counted(translation((v,))) for v in (1, 2, 3, 4)],
+        Partition([4]),
+        TrivialBackend(1),
+    )
+    monkeypatch.setattr(operators, "MAX_WORDS", bound - 1)
+    with pytest.raises(InputError, match="^testing 40 sampled pairs needs 6,000 words"):
+        check_system(shifts, [(0,)])
+    assert calls == []
+    monkeypatch.setattr(operators, "MAX_WORDS", bound)
+    check_system(shifts, [(0,)], pair_count=0)
+    unpaired = len(calls)
+    assert check_system(shifts, [(0,)]).supports_declaration(shifts)
+    assert 0 < len(calls) - 2 * unpaired <= bound
+
+
+def test_check_system_skips_a_sampled_point_a_map_cannot_take():
+    # the gadget graph of depth 2 has no shift of ('a', 2), which the
+    # depth-3 graph maps to the triangularity failure below; the same
+    # pairs are drawn from both, and the unmappable one is skipped
+    big, seed = make_counterexample_graph(3)
+    small, _ = make_counterexample_graph(2)
+    with pytest.raises(OutOfBoxError):
+        small.maps[0](("a", 2))
+    assert check_system(big, seed, depth=4).triangular_failures == [
+        "part 1: map 1 gives rank 3 > 2 on A=[('b', 0), ('a', 0), ('c', 0)], "
+        "B=[('a', 2)]"
+    ]
+    report = check_system(small, seed, depth=4)
+    assert report == SystemCheckReport(
+        parts_triangular=(True,), parts_quasi_triangular=(True,)
+    )
+
+
+def test_check_system_skips_words_and_commutations_a_map_cannot_take():
+    def nowhere(x):
+        raise ValueError(f"no image of {x}")
+
+    def double(x):
+        return (2 * x[0],)
+
+    sys = OperatorSystem(
+        [translation((1,)), double, nowhere], Partition([2, 1]), TrivialBackend(1)
+    )
+    with pytest.raises(OperatorError, match="map 3 failed"):
+        apply_word(sys, (1,), (0, 0, 1))
+    report = check_system(sys, [(1,)], depth=4)
+    # the walk goes on past the failing word (0, 0, 1) to the points 3 and 4
+    # of degree 2; map 3 takes no point, so its commutations are skipped
+    assert report.commutation_failures == [
+        f"maps 1 and 2 disagree at ({x},): ({2 * x + 1},) vs ({2 * x + 2},)"
+        for x in (1, 2, 3, 4)
+    ]
+
+
+def test_check_system_of_an_empty_sample_draws_no_pair(monkeypatch):
+    def never(x):
+        raise AssertionError("no map may run")
+
+    sys = OperatorSystem([never] * 2, Partition([1, 1]), TrivialBackend(1))
+    ranked = []
+    monkeypatch.setattr(sys.backend, "relative_rank", lambda A, B: ranked.append(B))
+    report = check_system(sys, [], depth=3)
+    assert report == SystemCheckReport(
+        parts_triangular=(True, True), parts_quasi_triangular=(True, True)
+    )
+    assert ranked == []
 
 
 def test_check_system_noncommuting():
