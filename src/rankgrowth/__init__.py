@@ -13,7 +13,6 @@ from .matroid import (
     BasisBuilder,
     RankOracle,
     check_rank_axioms,
-    extend_basis,
 )
 from .operators import (
     OperatorSystem,

@@ -43,8 +43,10 @@ from .operators import (
     degrees_below,
     graded_orbit,
     is_int,
+    join_blocks,
     lex_key,
     map_failure,
+    part_blocks,
     product_leq,
 )
 
@@ -97,12 +99,15 @@ class _WordLattice(NamedTuple):
 
     ``words`` lists them in table order: slices (part-degree classes) in
     ``degrees_below`` order, ascending lex order inside each; ``slices``
-    holds each slice's ``(s, start, stop)`` index range.  Word ``n`` is map
-    ``top[n]`` (its highest nonzero coordinate) applied to word ``up[n]``,
-    the step ``apply_word`` takes; the zero word has top -1 and up 0, the
-    identity on itself.  ``down[i][n]`` is the index of word ``n`` minus
-    ``e_i``, or -1 when coordinate ``i`` is zero.  Every predecessor comes
-    before its word.  Shared by every caller, so read-only.
+    holds each slice's ``(s, start, stop)`` index range.  A slice joins one
+    block per part, each part's blocks built once by ``part_blocks``: the
+    one enumeration, which ``words_of_part_degree`` and ``check_system``
+    read too.  Word ``n`` is map ``top[n]`` (its highest nonzero
+    coordinate) applied to word ``up[n]``, the step ``apply_word`` takes;
+    the zero word has top -1 and up 0, the identity on itself.
+    ``down[i][n]`` is the index of word ``n`` minus ``e_i``, or -1 when
+    coordinate ``i`` is zero.  Every predecessor comes before its word.
+    Shared by every caller, so read-only.
     """
 
     words: List[MultiIndex]
@@ -123,11 +128,12 @@ def _build_word_lattice(
     partition = Partition(part_sizes)
     size = partition.word_count((0,) * partition.k, cap)
     check_budget(size, MAX_WORDS, f"tabulating part degrees up to {cap}", then)
+    blocks = [part_blocks(d, 0, c) for d, c in zip(part_sizes, cap)]
     words: List[MultiIndex] = []
     slices = []
     for s in degrees_below(cap):
         start = len(words)
-        words.extend(partition.words_of_part_degree(s))
+        words.extend(join_blocks(b[t] for b, t in zip(blocks, s)))
         slices.append((s, start, len(words)))
     # word w has key sum(w_i * radix**i), so w - e_i has key(w) - radix**i;
     # when w_i = 0 the borrow leaves a digit radix - 1, which no word has

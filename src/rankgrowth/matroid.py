@@ -2,19 +2,17 @@
 
 A backend exposes a single primitive, ``basis_builder``: a fresh
 incremental builder whose ``add`` says whether an element raises the rank
-of everything fed before it.  Everything else (rank, relative rank,
-basis extension) is derived here, so backends stay minimal.  Elements
-are identified by a canonical key: two elements are the same point of
-the ground set iff their keys are equal, and keys are orderable so that
-every enumeration in the engine is deterministic.
+of everything fed before it.  Everything else (rank and relative rank) is
+derived here, so backends stay minimal.  Elements are identified by a
+canonical key: two elements are the same point of the ground set iff
+their keys are equal, and keys are orderable so that every enumeration in
+the engine is deterministic.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from typing import Iterable, List
-
-from .errors import ContractError
 
 
 class BasisBuilder(ABC):
@@ -91,25 +89,6 @@ class RankOracle(ABC):
         builder = self.basis_builder()
         builder.add_all(B)
         return builder.add_all(A)
-
-
-def extend_basis(oracle: RankOracle, basis: Iterable, candidates: Iterable) -> List:
-    """Grow ``basis`` to a basis of basis + candidates.
-
-    Candidates are processed in input order; an element is kept iff it
-    strictly increases the rank.  Raises ContractError when the provided
-    basis is not independent.
-    """
-    basis = list(basis)
-    builder = oracle.basis_builder()
-    for x in basis:
-        if not builder.add(x):
-            raise ContractError(f"provided basis is not independent at element {x!r}")
-    out = list(basis)
-    for x in candidates:
-        if builder.add(x):
-            out.append(x)
-    return out
 
 
 def check_rank_axioms(oracle: RankOracle, sets: Iterable, rng) -> List[str]:

@@ -15,7 +15,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InputError, OperatorError
 from .matroid import RankOracle
@@ -78,17 +78,13 @@ class Partition:
         return tuple(sum(r[self.part_slice(i)]) for i in range(self.k))
 
     def words_of_part_degree(self, s: MultiIndex) -> List[MultiIndex]:
-        """All words r with part degree s, ascending in the lex order."""
+        """All words r with part degree s, ascending in the lex order, from the
+        one enumeration: ``part_blocks``, joined by ``join_blocks``."""
         if len(s) != self.k:
             raise InputError(f"part-degree length {len(s)} != k = {self.k}")
         if not all(is_int(t) and t >= 0 for t in s):
             raise InputError(f"part degree {tuple(s)} is not in N^{self.k}")
-        # the lex order compares the last part first, so each part's
-        # lex-ordered blocks run outside the words of the parts before it
-        words: List[MultiIndex] = [()]
-        for t, d in zip(s, self.part_sizes):
-            words = [w + block for block in compositions(t, d) for w in words]
-        return words
+        return join_blocks(part_blocks(d, t, t)[0] for d, t in zip(self.part_sizes, s))
 
     def word_count(self, lo: MultiIndex, hi: MultiIndex) -> int:
         """Number of words whose part degree s has lo <= s <= hi (lo in N^k)."""
@@ -105,14 +101,33 @@ class Partition:
         return f"Partition({list(self.part_sizes)})"
 
 
-def compositions(total: int, parts: int):
-    """All tuples of ``parts`` naturals summing to ``total``, ascending in lex order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for last in range(total + 1):
-        for rest in compositions(total - last, parts - 1):
-            yield rest + (last,)
+def part_blocks(d: int, lo: int, hi: int) -> List[List[MultiIndex]]:
+    """For each degree t in lo..hi, the tuples of ``d`` naturals summing to t,
+    ascending in the lex order, built slot by slot: those of j slots are
+    those of j - 1 slots and degree t - last followed by ``last``, for last
+    = 0..t.  Layers below the top cover degrees 0..hi, the top one lo..hi."""
+    layer = [[()]]  # no slots: only the empty tuple, of degree 0
+    for j in range(1, d + 1):
+        top = len(layer) - 1  # the highest degree the layer holds
+        blocks = []
+        for t in range(lo if j == d else 0, hi + 1):
+            block = []
+            for u in range(t if t < top else top, -1, -1):  # u = t - last
+                last = (t - u,)
+                for rest in layer[u]:
+                    block.append(rest + last)
+            blocks.append(block)
+        layer = blocks
+    return layer
+
+
+def join_blocks(blocks: Iterable[List[MultiIndex]]) -> List[MultiIndex]:
+    """The words made of one block per part, ascending in the lex order: it
+    compares the last part first, so the last part's block varies slowest."""
+    words: List[MultiIndex] = [()]
+    for part in blocks:
+        words = [w + block for block in part for w in words]
+    return words
 
 
 def degrees_below(cap: MultiIndex):
@@ -422,7 +437,8 @@ def check_system(
     deterministic.  This is evidence, not proof: the properties quantify over
     the whole (typically infinite) ground set.  A depth whose seeds times
     words, or a ``pair_count`` whose map calls, exceed ``MAX_WORDS`` is an
-    ``InputError`` before any map runs.
+    ``InputError`` before any map runs, and the commutation calls, 2 m (m - 1)
+    at each distinct orbit point, are once the walk has found the points.
     """
     if depth < 1:
         raise InputError("depth must be >= 1")
@@ -447,17 +463,22 @@ def check_system(
     report = SystemCheckReport()
 
     cache = {}
+    walk = [r for block in part_blocks(sys.m, 0, degrees - 1) for r in block]
 
     def images():
         for a in seeds:
-            for t in range(degrees):
-                for r in compositions(t, sys.m):
-                    try:
-                        yield apply_word(sys, a, r, cache)
-                    except OperatorError:
-                        pass
+            for r in walk:
+                try:
+                    yield apply_word(sys, a, r, cache)
+                except OperatorError:
+                    pass
 
     pts = backend.dedupe(images())
+    check_budget(
+        len(pts) * 2 * sys.m * (sys.m - 1), MAX_WORDS,
+        f"checking commutation at {len(pts):,} orbit points to depth {depth}",
+        "a map call counts as a word; use a smaller depth",
+    )
     for x in pts:
         for i in range(sys.m):
             for j in range(i + 1, sys.m):

@@ -25,7 +25,6 @@ from .engine import (
     tabulate_f,
 )
 from .errors import HypothesisError
-from .matroid import extend_basis
 from .operators import (
     OperatorSystem,
     Partition,
@@ -96,15 +95,6 @@ def _check_relative_rank():
     B = [lb.vector([(0, 1)]), lb.vector([(1, 1)])]
     _expect(lb.relative_rank(A, B) == 0)
     _expect(backend.relative_rank([], [(5,)]) == 0)
-
-
-@check("basis extension keeps independent prefix")
-def _check_extend_basis():
-    lb = LinearBackend()
-    e1, e2 = lb.monomial(0), lb.monomial(1)
-    double = lb.vector([(0, 2)])
-    got = extend_basis(lb, [], [e1, double, e2])
-    _expect(got == [e1, e2])
 
 
 @check("lexicographic order favors the last coordinate")

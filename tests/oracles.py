@@ -5,8 +5,10 @@ reduction, a five-line union-find, the set-count ranks of the trivial
 backend (with and without killed points) and of the free-chain backend,
 cumulative orbits applied map by map, direct sumset iteration and the
 shadowed words of a sumset's slices, lattice point and monomial-quotient
-counting, and quadratic greedy sweeps for the staircase, the violations
-and the level frontiers of a table.
+counting, quadratic greedy sweeps for the staircase, the violations
+and the level frontiers of a table, the word lattice built from recursive
+compositions with a tuple-keyed index, and the greedy basis extension by
+plain rank calls.
 Tests freeze values computed here and compare the package's answers
 against them.  The one exception is ``reference_tabulate``, the
 per-slice tabulation kernel built from the package's ``apply_word`` and
@@ -417,3 +419,53 @@ def reference_scan(values):
         key=lambda pair: (sum(pair[0]), _lex_key(pair[0]), _lex_key(pair[1]))
     )
     return violations, corners
+
+
+def compositions(total, parts):
+    """All tuples of ``parts`` naturals summing to ``total``, ascending in
+    the lex order, by recursion on the last slot."""
+    if parts == 1:
+        yield (total,)
+        return
+    for last in range(total + 1):
+        for rest in compositions(total - last, parts - 1):
+            yield rest + (last,)
+
+
+def reference_lattice(part_sizes, cap):
+    """(words, slices, top, up, down) of the word lattice under ``cap``.
+
+    Each slice joins one ``compositions`` block per part, the last part
+    outermost, with slices in product order; every neighbour is then
+    looked up by its tuple.
+    """
+    words, slices = [], []
+    for s in product(*(range(c + 1) for c in cap)):
+        start = len(words)
+        block_words = [()]
+        for t, d in zip(s, part_sizes):
+            block_words = [w + b for b in compositions(t, d) for w in block_words]
+        words.extend(block_words)
+        slices.append((s, start, len(words)))
+    index = {w: n for n, w in enumerate(words)}
+
+    def minus(w, i):
+        return w[:i] + (w[i] - 1,) + w[i + 1 :]
+
+    top = [max((i for i, c in enumerate(w) if c), default=-1) for w in words]
+    up = [index[minus(w, i)] if i >= 0 else 0 for w, i in zip(words, top)]
+    down = [
+        [index[minus(w, i)] if w[i] else -1 for w in words]
+        for i in range(sum(part_sizes))
+    ]
+    return words, slices, top, up, down
+
+
+def extend_basis(rank, basis, candidates):
+    """``basis`` followed by each candidate, in order, that raises ``rank``
+    of the elements kept before it: the greedy basis extension."""
+    out = list(basis)
+    for x in candidates:
+        if rank(out + [x]) > rank(out):
+            out.append(x)
+    return out

@@ -50,6 +50,7 @@ from rankgrowth.operators import apply_word, check_system, graded_orbit, product
 from oracles import (
     greedy_frontier,
     greedy_staircase,
+    reference_lattice,
     reference_scan,
     reference_tabulate,
     successor_violations,
@@ -372,6 +373,28 @@ def test_evaluate_refuses_a_point_of_the_wrong_length():
     for s in [(2,), (), (2, 3, 4)]:
         with pytest.raises(InputError, match=f"has {len(s)} coordinates, not 2$"):
             P.evaluate(s)
+
+
+@st.composite
+def lattice_shapes(draw):
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    k = len(sizes)
+    # at most 3,375 words: fewer degrees as the parts grow in number
+    cap = draw(st.lists(st.integers(0, 5 - k), min_size=k, max_size=k))
+    return tuple(sizes), tuple(cap)
+
+
+@given(lattice_shapes())
+@example(((2, 1, 3), (2, 1, 2)))
+@settings(max_examples=60, deadline=None)
+def test_word_lattice_matches_the_recursive_reference(shape):
+    sizes, cap = shape
+    lattice = engine._build_word_lattice(sizes, cap, "use a smaller box")
+    words, slices, top, up, down = reference_lattice(sizes, cap)
+    assert lattice.words == words
+    assert lattice.slices == slices
+    assert (list(lattice.top), list(lattice.up)) == (top, up)
+    assert [list(d) for d in lattice.down] == down
 
 
 def test_lattice_cache_evicts_least_recent_within_its_word_budget():

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import re
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,6 +26,7 @@ from rankgrowth.backends import (
     TrivialBackend,
     make_counterexample_graph,
     make_sumset_system,
+    make_translation_system,
     translation,
 )
 
@@ -354,6 +356,25 @@ def test_check_system_seed_sample_is_within_the_work_budget(monkeypatch):
     unpaired = len(calls)
     assert check_system(shifts, [(0,)]).supports_declaration(shifts)
     assert 0 < len(calls) - 2 * unpaired <= bound
+
+
+def test_check_system_commutation_calls_are_within_the_work_budget():
+    # forty unit translations at depth 4 reach 861 points, where the maps'
+    # 2 m (m - 1) calls a point came to 2,686,320 and took 6.3 s
+    units = [tuple(int(i == j) for j in range(40)) for i in range(40)]
+    start = time.perf_counter()
+    with pytest.raises(InputError) as refused:
+        check_system(make_translation_system([units]), [(0,) * 40], depth=4)
+    assert time.perf_counter() - start < 1
+    assert str(refused.value) == (
+        "checking commutation at 861 orbit points to depth 4 needs 2,686,320 "
+        "words, over the limit of 2,000,000; a map call counts as a word; use "
+        "a smaller depth"
+    )
+    # the distinct points count, not seeds times words: forty translations
+    # of Z^1 meet in 81 points, so 252,720 calls
+    shifts = make_translation_system([[(v,) for v in range(1, 41)]])
+    assert check_system(shifts, [(0,)], depth=4).commutation_ok
 
 
 def test_check_system_skips_a_sampled_point_a_map_cannot_take():
