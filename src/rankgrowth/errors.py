@@ -38,4 +38,6 @@ class OutOfBoxError(RankGrowthError):
 
 
 class BasisBudgetExceeded(RankGrowthError):
-    """A sumset's truncated Gröbner basis outgrew ``toric.BASIS_BUDGET``."""
+    """The truncated Gröbner basis of a translation system with dependent
+    columns (such as a sumset with three vectors of a line in one part)
+    outgrew ``toric.BASIS_BUDGET``."""

@@ -238,11 +238,14 @@ class OperatorSystem:
 
         A translation system whose backend reads every seed as at most one
         point (``points``; a backend whose rank counts no points has none)
-        computes, on every call, the join of its shadowed-word generators
+        computes the join of its shadowed-word generators
         (``toric.shadow_generators``) and, per seed ``a`` and killed ``r``,
         the word holding ``max(r_i - a_i, 0)`` where it translates by
-        ``e_i``; the ``toric`` docstring has the proof.  It raises
-        ``BasisBudgetExceeded`` when the basis is over its budget.
+        ``e_i``; the ``toric`` docstring has the proof.  The generators
+        come in closed form when the columns ``(b_c, e_part(c))`` are
+        linearly independent, as for every ideal-count and monomial
+        system, and from a truncated toric basis otherwise; only that
+        basis raises ``BasisBudgetExceeded``, when it is over its budget.
         """
         if self.translations is None or not hasattr(self.backend, "points") or not A:
             return None

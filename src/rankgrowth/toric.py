@@ -1,4 +1,5 @@
-"""Shadowed words of a translation system, from a truncated toric Gröbner basis.
+"""Shadowed words of a translation system, in closed form or from a truncated
+toric Gröbner basis.
 
 A translation system (a sumset, an ideal count, a monomial module)
 translates by ``b_c`` along word coordinate ``c`` (one vector per map,
@@ -36,6 +37,27 @@ the sum) and 0 on each zero vector.  The argument above, with
 ``S_j ∪ K_j`` in place of ``S_j``, then puts every corner under the
 join of the generators of all the ``S_j`` and ``K_j``.
 
+Closed form.  Stack each map's translation vector over its part's
+indicator, the column ``(b_c, e_i)`` (``i`` the part of ``c``), and call
+``B`` the matrix of the ``b_c`` and ``P`` that of the indicators.  A pair
+``(u', i)`` gives the point and slice of ``(u, j)`` iff ``d = u' - u``
+solves ``B d = a_j - a_i`` and ``P d = 0``.  When the columns are
+linearly independent that system has at most one solution, so a word
+differs from each earlier word of its slice in point.  Seed ``i`` can
+then shadow ``(u, j)`` only from the word ``u + d_ij``, where ``d_ij`` is
+that solution and must be integral.  It is a word iff
+``u >= max(-d_ij, 0)``, and, lex order being translation invariant, it
+is fed before ``(u, j)`` iff ``d_ij`` precedes 0 in ``lex_key`` order, or
+``d_ij = 0`` and ``i < j``.  So ``S_j`` is the union, over the seeds
+``i`` whose ``d_ij`` is integral and meets that order condition, of the
+up-sets generated by ``max(-d_ij, 0)``.  One integer Gauss-Jordan
+elimination of ``[B; P]``, kept with its row operations, gives every
+``d_ij``.  Every ideal-count, monomial-module and ring system and its
+augmentation has independent columns, as does a 1-D sumset with parts
+``[1]``, ``[2]``, ``[1, 1]``, ``[1, 2]`` or ``[2, 1]``.  Dependent columns
+take the basis below: three translations of a line in one part, or most
+augmented sumsets, where the zero vector joins each part.
+
 Generators.  The map ``x_c -> s_i t^(b_c)`` (``i`` the part of ``c``)
 and ``y_j -> z t^(a_j)`` sends ``x^u y_j`` to ``s^(slice) z t^(point)``.
 Order monomials lexicographically, the ``x_c`` by ``lex_key`` (last
@@ -67,6 +89,7 @@ generators need.  Dividing a binomial by the gcd of its terms keeps it in
 from __future__ import annotations
 
 import heapq
+import math
 import operator
 from typing import List, Sequence, Tuple
 
@@ -76,7 +99,8 @@ MultiIndex = Tuple[int, ...]
 
 BASIS_BUDGET = 300_000
 """Work budget: the most divisor tests (basis elements scanned while
-reducing) one truncated basis may take, about 0.1 s of work."""
+reducing) one truncated basis may take, about 0.1 s of work.  Only a
+system with dependent columns runs the basis."""
 
 
 def _support(e: tuple) -> int:
@@ -162,10 +186,54 @@ def shadow_generators(
 
     ``parts`` holds the translation vectors of each part in map order and
     ``seeds`` the seeds' points in the engine's feeding order; a point
-    repeated from an earlier seed gets the zero word.  Raises
-    ``BasisBudgetExceeded`` when the basis takes over ``BASIS_BUDGET``
-    divisor tests.
+    repeated from an earlier seed gets the zero word.  Independent
+    columns take the closed form; dependent ones the truncated basis,
+    which raises ``BasisBudgetExceeded`` when it takes over
+    ``BASIS_BUDGET`` divisor tests.
     """
+    vectors = [v for vecs in parts for v in vecs]
+    m, dim = len(vectors), len(vectors[0])
+    # the rows of [B; P], each followed by its row of the row operations
+    # done so far, restricted to B's rows: P's right-hand side is 0
+    unit = [[int(s == t) for s in range(dim)] for t in range(dim)]
+    part = [i for i, vecs in enumerate(parts) for _ in vecs]
+    rows = [[v[t] for v in vectors] + unit[t] for t in range(dim)]
+    rows += [[int(p == i) for p in part] + [0] * dim for i in range(len(parts))]
+    for c in range(m):
+        pivot = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            return _basis_generators(parts, seeds)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        p = rows[c]
+        for r, row in enumerate(rows):
+            x = row[c]
+            if r != c and x:
+                row = [p[c] * y - x * z for y, z in zip(row, p)]
+                g = math.gcd(*row)
+                rows[r] = [y // g for y in row]
+    # row operations applied to each seed: the solution of B d = a_j - a_i
+    # and P d = 0 is read off the difference of the images of a_j and a_i
+    images = [[sum(map(operator.mul, row[m:], a)) for row in rows] for a in seeds]
+    pivots = [rows[c][c] for c in range(m)]
+    own = []
+    for j, wj in enumerate(images):
+        words = []
+        for i, wi in enumerate(images):
+            diff = list(map(operator.sub, wj, wi))
+            if i == j or any(diff[m:]) or any(map(operator.mod, diff, pivots)):
+                continue
+            d = list(map(operator.floordiv, diff, pivots))
+            last = next((x for x in reversed(d) if x), 0)
+            if last < 0 or (last == 0 and i < j):
+                words.append(tuple(max(-x, 0) for x in d))
+        own.append(_minimal(words))
+    return own
+
+
+def _basis_generators(
+    parts: Sequence[Sequence[Tuple[int, ...]]], seeds: Sequence[Tuple[int, ...]]
+) -> List[List[MultiIndex]]:
+    """``shadow_generators`` from the truncated toric basis, for any columns."""
     k, r = len(parts), len(seeds)
     vectors = [v for vecs in parts for v in vecs]
     m, dim = len(vectors), len(vectors[0])

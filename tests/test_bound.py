@@ -1,6 +1,8 @@
 """Proven stabilization bounds: the box they give and the answers it proves."""
 
 import itertools
+import json
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -16,20 +18,23 @@ from rankgrowth import (
     default_box,
     phi_closure_member,
 )
+from rankgrowth import toric
 from rankgrowth.backends import (
     GraphicBackend,
     make_ideal_system,
     make_monomial_module_system,
     make_polynomial_ring_system,
     make_sumset_system,
+    make_translation_system,
     vertex_map_edge_operator,
 )
-from rankgrowth.cli import EXIT_CERTIFIED, EXIT_TRUNCATED, execute
+from rankgrowth.cli import EXIT_CERTIFIED, EXIT_TRUNCATED, execute, run
 from rankgrowth.engine import _choose_box
 from rankgrowth.errors import BasisBudgetExceeded, InputError
 from rankgrowth.toric import shadow_generators
 from oracles import (
     ideal_points_of_degree,
+    matrix_rank,
     quotient_orbit_rank,
     shadowed_generators,
     sumset_count,
@@ -500,6 +505,127 @@ def test_cumulative_sumset_bound_keeps_the_translation_vectors():
     for t1, t2 in itertools.product(range(6), range(4)):
         s = (P.threshold[0] + t1, P.threshold[1] + t2)
         assert P.evaluate(s) == sumset_count(A, [[(0,), (0,), (2,)], [(0,), (1,)]], s)
+
+
+# ---------------------------------------------------------------------------
+# the closed form for independent columns, with the basis as its reference
+# ---------------------------------------------------------------------------
+
+
+def _columns(translations):
+    """Each map's translation vector stacked over its part's indicator."""
+    k = len(translations)
+    return [
+        tuple(v) + tuple(int(p == i) for p in range(k))
+        for i, vecs in enumerate(translations)
+        for v in vecs
+    ]
+
+
+def _independent(translations):
+    columns = _columns(translations)
+    return matrix_rank(columns) == len(columns)
+
+
+@st.composite
+def injective_problems(draw):
+    """Translation vectors with independent columns and 1-5 seed points in
+    feeding order: unit-vector ideal and module systems or 1-D and 2-D
+    sumsets, graded or augmented; a seed may repeat an earlier one or lie
+    one translation vector from it."""
+    cumulative = draw(st.booleans(), "augmented")
+    if draw(st.booleans(), "unit vectors"):
+        parts = draw(st.sampled_from(PARTS))
+        sys, _ = make_ideal_system([(1,) * sum(parts)], parts)
+    else:
+        dim = draw(st.integers(1, 2), "dimension")
+        sizes = draw(st.sampled_from([[1], [2], [1, 1], [1, 2], [2, 1], [3], [2, 2]]))
+        vector = st.tuples(*[st.integers(-3, 6)] * dim)
+        parts = [
+            draw(st.lists(vector, min_size=d, max_size=d, unique=True)) for d in sizes
+        ]
+        sys = make_sumset_system(*parts)
+    translations = (augment(sys) if cumulative else sys).translations
+    assume(_independent(translations))
+    vectors = [v for vecs in translations for v in vecs]
+    dim = len(vectors[0])
+    point = st.tuples(*[st.integers(0, 4)] * dim)
+    seeds = [draw(point)]
+    for _ in range(draw(st.integers(0, 4), "more seeds")):
+        how = draw(st.sampled_from(["fresh", "repeated", "parallel"]))
+        if how == "fresh":
+            seeds.append(draw(point))
+        else:
+            seed = draw(st.sampled_from(seeds))
+            if how == "parallel":
+                step = draw(st.sampled_from(vectors))
+                seed = tuple(a + b for a, b in zip(seed, step))
+            seeds.append(seed)
+    return translations, sorted(seeds)
+
+
+@settings(max_examples=150, deadline=None)
+@given(injective_problems())
+def test_closed_form_shadows_equal_the_basis_and_brute_force(problem):
+    translations, seeds = problem
+    with mock.patch.object(toric, "_basis_generators", side_effect=AssertionError):
+        generators = shadow_generators(translations, seeds)
+    try:
+        assert generators == toric._basis_generators(translations, seeds)
+    except BasisBudgetExceeded:
+        pass
+    m = sum(map(len, translations))
+    words = [w for ws in generators for w in ws]
+    join = tuple(max((w[c] for w in words), default=0) for c in range(m))
+    p = Partition([len(vecs) for vecs in translations])
+    if p.word_count((0,) * p.k, p.part_degree(join)) * len(seeds) <= TABLE_LIMIT:
+        assert generators == shadowed_generators(translations, seeds, join)
+
+
+def test_dependent_columns_take_the_basis():
+    three = make_sumset_system([0, 1, 3]).translations
+    # a zero vector joins the part that already holds one
+    cumulative = augment(make_sumset_system([0, 2])).translations
+    for translations in [three, cumulative]:
+        assert not _independent(translations)
+        seeds = [(0,), (2,)]
+        with mock.patch.object(
+            toric, "_basis_generators", wraps=toric._basis_generators
+        ) as basis:
+            generators = shadow_generators(translations, seeds)
+        assert basis.call_count == 1
+        join = tuple(map(max, zip(*(w for ws in generators for w in ws))))
+        assert generators == shadowed_generators(translations, seeds, join)
+
+
+FAR_CONFIG = {
+    "mode": "dimension",
+    "backend": "trivial",
+    "backend_data": {"dimension": 2},
+    "operators": [[1, 0], [0, 1]],
+    "partition": [2],
+}
+
+
+@pytest.mark.parametrize("k", [30, 40])
+def test_far_seeds_prove_the_brute_force_polynomial(k, tmp_path):
+    # the two orbits meet from degree k - 1 on, far outside the default box;
+    # the basis for these seeds is over its budget from k = 25
+    sys = make_translation_system([[(1, 0), (0, 1)]])
+    A = [(k, 0), (0, k)]
+    result = analyze_graded(sys, A, [])
+    assert (result.status, result.evidence, result.warnings) == (CERTIFIED, "bound", [])
+    assert result.table.box == (2, k + 2)
+    assert result.polynomial.pretty() == f"Y + {k + 1}"
+    for t in range(result.polynomial.threshold[0], k + 10):
+        truth = len({(a + i, b + t - i) for a, b in A for i in range(t + 1)})
+        assert result.polynomial.evaluate((t,)) == truth
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(dict(FAR_CONFIG, A=[list(a) for a in A])))
+    code, doc = run(str(path))
+    assert (code, doc["status"], doc["warnings"]) == (EXIT_CERTIFIED, CERTIFIED, [])
+    assert doc["staircase"]["evidence"] == "bound"
+    assert doc["polynomial"]["pretty"] == f"Y + {k + 1}"
 
 
 # ---------------------------------------------------------------------------
