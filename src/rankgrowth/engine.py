@@ -24,7 +24,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import compress, repeat
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     BasisBudgetExceeded,
@@ -41,7 +41,6 @@ from .operators import (
     augment,
     check_budget,
     degrees_below,
-    graded_orbit,
     is_int,
     join_blocks,
     lex_key,
@@ -312,7 +311,7 @@ def _images(
             try:
                 img[n] = phi(img[prev])
             except Exception as exc:  # noqa: BLE001 - rewrapped as apply_word does
-                raise map_failure(i, words[n], exc) from exc
+                raise map_failure(i, f"applying word {words[n]}", exc) from exc
     return lattice, images
 
 
@@ -516,13 +515,16 @@ class GrowthPolynomial:
         s = tuple(s)
         if len(s) != self.k:
             raise InputError(f"point {s} has {len(s)} coordinates, not {self.k}")
-        total = Fraction(0)
+        # integer terms over the coefficients' common denominator, one
+        # Fraction at the end
+        den = math.lcm(*(c.denominator for c in self.coeffs.values()))
+        total = 0
         for e, c in self.coeffs.items():
-            term = c
+            term = c.numerator * (den // c.denominator)
             for base, exp in zip(s, e):
-                term *= Fraction(base) ** exp
+                term *= base**exp
             total += term
-        return total
+        return Fraction(total, den)
 
     def leading_coefficient(self) -> Fraction:
         """Coefficient of the maximal monomial allowed by the degree bound."""
@@ -586,18 +588,18 @@ class GrowthPolynomial:
         return f"GrowthPolynomial({self.pretty()!r}, threshold={self.threshold})"
 
 
-def _binomial_basis_coeffs(r: int, d: int) -> List[Fraction]:
-    """Coefficients of the degree-(d-1) polynomial C(Y - r + d - 1, d - 1)."""
-    coeffs = [Fraction(1)]
+def _scaled_binomial_coeffs(r: int, d: int) -> List[int]:
+    """Coefficients of (d - 1)! C(Y - r + d - 1, d - 1), the product of
+    Y + d - 1 - r - j over j < d - 1: integers."""
+    coeffs = [1]
     for j in range(d - 1):
         shift = d - 1 - r - j
-        nxt = [Fraction(0)] * (len(coeffs) + 1)
+        nxt = [0] * (len(coeffs) + 1)
         for i, c in enumerate(coeffs):
             nxt[i + 1] += c
             nxt[i] += c * shift
         coeffs = nxt
-    denom = math.factorial(d - 1)
-    return [c / denom for c in coeffs]
+    return coeffs
 
 
 def interpolate(numerator: GeneratingNumerator) -> GrowthPolynomial:
@@ -607,28 +609,25 @@ def interpolate(numerator: GeneratingNumerator) -> GrowthPolynomial:
     product of binomial-basis polynomials C(Y_i - r_i + d_i - 1, d_i - 1);
     the sum agrees with the growth function at every point above the
     numerator's exponent cap, and its top coefficient is the numerator
-    evaluated at (1, ..., 1) divided by the product of (d_i - 1)!.
+    evaluated at (1, ..., 1) divided by the product of (d_i - 1)!.  The
+    sum is accumulated in integers scaled by that product, and divided
+    once per coefficient at the end.
     """
     d = tuple(int(x) for x in numerator.part_sizes)
     if any(x < 1 for x in d):
         raise InputError("denominator exponents must be >= 1")
-    k = len(d)
-    total: Dict[MultiIndex, Fraction] = {}
+    total: Dict[MultiIndex, int] = {}
     for r, a in numerator.coeffs.items():
-        term: Dict[MultiIndex, Fraction] = {(): Fraction(a)}
-        for i in range(k):
-            basis = _binomial_basis_coeffs(r[i], d[i])
-            nxt: Dict[MultiIndex, Fraction] = {}
-            for e, c in term.items():
-                for j, bc in enumerate(basis):
-                    if bc:
-                        key = e + (j,)
-                        nxt[key] = nxt.get(key, Fraction(0)) + c * bc
-            term = nxt
+        term: Dict[MultiIndex, int] = {(): a}
+        for ri, di in zip(r, d):
+            basis = list(enumerate(_scaled_binomial_coeffs(ri, di)))
+            term = {e + (j,): c * bc for e, c in term.items() for j, bc in basis if bc}
         for e, c in term.items():
-            total[e] = total.get(e, Fraction(0)) + c
+            total[e] = total.get(e, 0) + c
+    scale = math.prod(math.factorial(x - 1) for x in d)
     bound = tuple(x - 1 for x in d)
-    return GrowthPolynomial(total, bound, numerator.cap)
+    coeffs = {e: Fraction(c, scale) for e, c in total.items() if c}
+    return GrowthPolynomial(coeffs, bound, numerator.cap)
 
 
 def dominant_terms(P: GrowthPolynomial):
@@ -715,6 +714,61 @@ class VerifyReport:
         return not self.mismatches
 
 
+def _stepped_orbits(
+    sys: OperatorSystem, seeds: List, lo: MultiIndex, hi: MultiIndex
+) -> Iterator[Tuple[MultiIndex, List]]:
+    """Yield ``(s, orbit)`` for every part degree ``s`` of the box ``[lo, hi]``,
+    in product order, from the distinct ``seeds``.
+
+    The orbit steps one part degree at a time: the orbit at ``s + e_i`` is
+    the union of the images of the orbit at ``s`` under the maps of part
+    ``i``, deduplicated by ``backend.key``.  For commuting maps that is the
+    set of images of the words of part degree ``s + e_i``, whatever the
+    order of their maps.  A chain from 0 reaches ``lo``, raising one
+    coordinate after another; every other point of the box steps from its
+    predecessor in its last coordinate above ``lo``.  No word is built and
+    no image is read from ``_images`` or a table.
+
+    Commuting maps give at most ``len(seeds)`` times the words of part
+    degree ``s`` points at ``s``: a larger orbit is a ``HypothesisError``
+    with witness ``s``, so each step runs the maps of its part on at most
+    that many points.  A map that raises is an
+    ``OperatorError`` naming the map and the part degree being reached,
+    with the original exception as its cause.
+    """
+    key, p = sys.backend.key, sys.partition
+
+    def step(orbit: List, i: int, t: MultiIndex) -> List:
+        """The orbit at ``t`` from the orbit at ``t - e_i``."""
+        found: Dict = {}
+        for slot, phi in enumerate(sys.part_maps(i), p.breakpoints[i]):
+            try:
+                images = list(map(phi, orbit))
+            except Exception as exc:  # noqa: BLE001 - rewrapped as apply_word does
+                raise map_failure(slot, f"reaching part degree {t}", exc) from exc
+            found.update(zip(map(key, images), images))
+        limit = len(seeds) * p.word_count(t, t)
+        if len(found) > limit:
+            raise HypothesisError(
+                f"the orbit at part degree {t} has {len(found):,} points, but "
+                f"commuting maps give at most {limit:,} (seeds times words); "
+                "the system's maps do not commute",
+                witness=t,
+            )
+        return list(found.values())
+
+    orbit = seeds
+    for i in range(p.k):
+        for c in range(lo[i]):
+            orbit = step(orbit, i, lo[:i] + (c + 1,) + (0,) * (p.k - i - 1))
+    orbits = {lo: orbit}
+    for t in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+        if t != lo:
+            i = max(j for j in range(p.k) if t[j] > lo[j])
+            orbits[t] = step(orbits[t[:i] + (t[i] - 1,) + t[i + 1 :]], i, t)
+        yield t, orbits[t]
+
+
 def verify_fit(
     P: GrowthPolynomial,
     sys: OperatorSystem,
@@ -725,10 +779,14 @@ def verify_fit(
 ) -> VerifyReport:
     """Exact comparison of P with directly computed ranks on a window.
 
-    Each point's rank comes from ``graded_orbit`` (B's in the context
-    system), sharing no image code with ``tabulate_f``.  A window of more
-    than ``MAX_WORDS`` words, counted in closed form in the B system too
-    when B is nonempty, is an ``InputError`` before any point is verified.
+    Each point's rank is recomputed from the orbits of A (in ``sys``) and
+    of B (in the context system when one is given, else ``sys``), which
+    ``_stepped_orbits`` steps one part degree at a time, sharing no image
+    code with ``tabulate_f`` and reading nothing from its table.  A window
+    of more than ``MAX_WORDS`` words, counted in closed form in the B
+    system too when B is nonempty, is an ``InputError`` before any point is
+    verified; an orbit larger than commuting maps allow is a
+    ``HypothesisError``.  ``P`` is evaluated at every point in integers.
     """
     lo, hi = (tuple(window[0]), tuple(window[1]))
     if len(lo) != P.k or len(hi) != P.k:
@@ -745,12 +803,14 @@ def verify_fit(
         words = max(words, base_sys.partition.word_count(lo, hi))
     doing = f"verifying part degrees {lo} to {hi}"
     check_budget(words, MAX_WORDS, doing, "use a smaller window (--window)")
-    cache_a, cache_b = {}, {}
+    backend = sys.backend
+    orbits_b = _stepped_orbits(base_sys, backend.sorted_elems(B), lo, hi)
+    orbits_a = _stepped_orbits(sys, backend.sorted_elems(A), lo, hi)
     points, mismatches = [], []
-    for s in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        builder = sys.backend.basis_builder()
-        builder.add_all(graded_orbit(base_sys, B, s, cache_b))
-        direct = builder.add_all(graded_orbit(sys, A, s, cache_a))
+    for (s, orbit_b), (_, orbit_a) in zip(orbits_b, orbits_a):
+        builder = backend.basis_builder()
+        builder.add_all(orbit_b)
+        direct = builder.add_all(orbit_a)
         val = P.evaluate(s)
         points.append((s, direct, val))
         if val != direct:

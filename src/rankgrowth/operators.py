@@ -272,9 +272,10 @@ class OperatorSystem:
 _MISSING = object()
 
 
-def map_failure(i: int, word: MultiIndex, exc: Exception) -> OperatorError:
-    """The error for map ``i`` (0-based) raising while it applies ``word``."""
-    return OperatorError(f"map {i + 1} failed while applying word {word}: {exc}")
+def map_failure(i: int, doing: str, exc: Exception) -> OperatorError:
+    """The error for map ``i`` (0-based) raising while ``doing``, such as
+    ``"applying word (0, 4)"``."""
+    return OperatorError(f"map {i + 1} failed while {doing}: {exc}")
 
 
 def apply_word(sys: OperatorSystem, a, r: MultiIndex, cache: dict | None = None):
@@ -287,9 +288,10 @@ def apply_word(sys: OperatorSystem, a, r: MultiIndex, cache: dict | None = None)
     applied to the value at r, so a populated cache witnesses path
     independence.  A map that raises becomes an ``OperatorError`` naming
     the map and the word it was applying, and a word outside N^m an
-    ``InputError``, before any map runs.  ``graded_orbit`` (so
-    ``verify_fit``) and ``check_system`` come through here; tabulation
-    takes the same steps over its word lattice in ``engine._images``.
+    ``InputError``, before any map runs.  ``graded_orbit`` and
+    ``check_system`` come through here; tabulation takes the same steps
+    over its word lattice in ``engine._images``, and verification steps
+    whole orbits one part degree at a time in ``engine._stepped_orbits``.
     """
     if len(r) != sys.m:
         raise InputError(f"word length {len(r)} != m = {sys.m}")
@@ -320,7 +322,7 @@ def apply_word(sys: OperatorSystem, a, r: MultiIndex, cache: dict | None = None)
         try:
             val = sys.maps[i](val)
         except Exception as exc:  # noqa: BLE001 - rewrap with the word for context
-            raise map_failure(i, word, exc) from exc
+            raise map_failure(i, f"applying word {word}", exc) from exc
         cache[(seed, word)] = val
     return val
 

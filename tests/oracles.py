@@ -10,14 +10,19 @@ and the level frontiers of a table, the word lattice built from recursive
 compositions with a tuple-keyed index, and the greedy basis extension by
 plain rank calls.
 Tests freeze values computed here and compare the package's answers
-against them.  The one exception is ``reference_tabulate``, the
-per-slice tabulation kernel built from the package's ``apply_word`` and
-basis builders, which pins the word-lattice kernel to it.
-``FractionEchelonBuilder`` and ``fraction_linear_operator`` are the
-linear backend's elimination and linear maps in plain ``Fraction``
-arithmetic, which pin its integer kernel.
+against them.  The exceptions are ``reference_tabulate`` and
+``reference_verify``, the per-slice tabulation kernel and the per-point
+verification built from the package's ``apply_word``, ``graded_orbit`` and
+basis builders, which pin the word-lattice kernel and the stepped orbits
+to them.  ``FractionEchelonBuilder`` and ``fraction_linear_operator`` are
+the linear backend's elimination and linear maps in plain ``Fraction``
+arithmetic, which pin its integer kernel; ``reference_interpolate`` and
+``reference_evaluate`` are the binomial-basis interpolation and the
+polynomial evaluation in ``Fraction`` arithmetic, which pin the integer
+ones.
 """
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -469,3 +474,73 @@ def extend_basis(rank, basis, candidates):
         if rank(out + [x]) > rank(out):
             out.append(x)
     return out
+
+
+def reference_verify(P, sys, A, B, window, context_sys=None):
+    """(points, mismatches) of ``P`` on a window, word by word: each
+    point's rank over the graded orbit of B (in the context system when
+    one is given) from ``graded_orbit``, with one word cache per seed set,
+    and each value from ``reference_evaluate``."""
+    from rankgrowth.operators import graded_orbit
+
+    lo, hi = tuple(window[0]), tuple(window[1])
+    base = context_sys if context_sys is not None else sys
+    cache_a, cache_b = {}, {}
+    points, mismatches = [], []
+    for s in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+        builder = sys.backend.basis_builder()
+        builder.add_all(graded_orbit(base, B, s, cache_b))
+        direct = builder.add_all(graded_orbit(sys, A, s, cache_a))
+        val = reference_evaluate(P.coeffs, s)
+        points.append((s, direct, val))
+        if val != direct:
+            mismatches.append((s, direct, val))
+    return points, mismatches
+
+
+def reference_binomial_basis_coeffs(r, d):
+    """Coefficients of the degree-(d-1) polynomial C(Y - r + d - 1, d - 1),
+    as Fractions."""
+    coeffs = [Fraction(1)]
+    for j in range(d - 1):
+        shift = d - 1 - r - j
+        nxt = [Fraction(0)] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            nxt[i + 1] += c
+            nxt[i] += c * shift
+        coeffs = nxt
+    denom = math.factorial(d - 1)
+    return [c / denom for c in coeffs]
+
+
+def reference_interpolate(numerator):
+    """The nonzero coefficients of the eventual polynomial of a numerator:
+    each term a * Y^r times the product of the binomial-basis polynomials
+    of its exponents, summed in Fractions."""
+    d = numerator.part_sizes
+    total = {}
+    for r, a in numerator.coeffs.items():
+        term = {(): Fraction(a)}
+        for i in range(len(d)):
+            basis = reference_binomial_basis_coeffs(r[i], d[i])
+            nxt = {}
+            for e, c in term.items():
+                for j, bc in enumerate(basis):
+                    if bc:
+                        nxt[e + (j,)] = nxt.get(e + (j,), Fraction(0)) + c * bc
+            term = nxt
+        for e, c in term.items():
+            total[e] = total.get(e, Fraction(0)) + c
+    return {e: c for e, c in total.items() if c}
+
+
+def reference_evaluate(coeffs, s):
+    """The polynomial with ``coeffs`` at the point ``s``, term by term in
+    Fractions."""
+    total = Fraction(0)
+    for e, c in coeffs.items():
+        term = Fraction(c)
+        for base, exp in zip(s, e):
+            term *= Fraction(base) ** exp
+        total += term
+    return total

@@ -412,6 +412,29 @@ def test_map_failure_exits_input_error_naming_map_and_word(tmp_path):
     )
 
 
+def test_map_failure_in_verification_exits_input_error(tmp_path):
+    # depth 4 with box 2 tabulates and certifies with the default window; a
+    # window of 5 makes verification reach part degree 5, which needs the
+    # shift of edge index 4
+    path = tmp_path / "cfg.json"
+    config = {
+        "mode": "cumulative",
+        "backend": "graphic",
+        "backend_data": "counterexample",
+        "depth": 4,
+        "box": 2,
+    }
+    path.write_text(json.dumps(config))
+    assert run(str(path))[0] == EXIT_CERTIFIED
+    code, doc = run(str(path), {"window": 5})
+    assert code == EXIT_INPUT_ERROR
+    assert doc["status"] == "input-error"
+    assert doc["error"] == (
+        "OperatorError: map 2 failed while reaching part degree (5,): shift past "
+        "generated range at index 4; rebuild the graph with a larger depth"
+    )
+
+
 def test_work_budget_exits_input_error(tmp_path):
     path = tmp_path / "cfg.json"
     six_shifts = {"mode": "sumset", "backend_data": {"summands": [[0, 1, 2, 3, 4, 5]]}}

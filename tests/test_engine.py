@@ -50,9 +50,12 @@ from rankgrowth.operators import apply_word, check_system, graded_orbit, product
 from oracles import (
     greedy_frontier,
     greedy_staircase,
+    reference_evaluate,
+    reference_interpolate,
     reference_lattice,
     reference_scan,
     reference_tabulate,
+    reference_verify,
     successor_violations,
 )
 
@@ -211,7 +214,7 @@ def test_tabulation_orbits_b_only_when_b_is_nonempty(monkeypatch):
         raise AssertionError("tabulation takes no image from graded_orbit or apply_word")
 
     monkeypatch.setattr(engine, "_images", counting)
-    monkeypatch.setattr(engine, "graded_orbit", unused)
+    monkeypatch.setattr(operators, "graded_orbit", unused)
     monkeypatch.setattr(operators, "apply_word", unused)
     sys = make_sumset_system([0, 1])
     tabulate_f(sys, [(0,)], [], box=(2, 2))
@@ -1094,6 +1097,174 @@ def test_verification_budget_counts_the_window_in_the_b_system(monkeypatch):
         verify_fit(P, sys, [(0,)], [(1,)], window, context)
     monkeypatch.setattr(engine, "MAX_WORDS", 35)
     verify_fit(P, sys, [(0,)], [(1,)], window, context)
+
+
+@st.composite
+def orbit_problems(draw):
+    """(system, A, B, window, context system or None) over sumsets, ideals
+    with killed points, monomial modules and context systems."""
+    kind = draw(st.sampled_from(["sumset", "ideal", "module", "context"]))
+    context_sys = None
+    if kind in ("sumset", "context"):
+        dim = draw(st.integers(1, 2)) if kind == "sumset" else 1
+        vector = st.tuples(*[st.integers(-2, 4)] * dim)
+        summand = st.lists(vector, min_size=1, max_size=3, unique=True)
+        sys = make_sumset_system(*draw(st.lists(summand, min_size=1, max_size=2)))
+        point = st.tuples(*[st.integers(0, 5)] * dim)
+        if kind == "context":
+            extra = draw(st.lists(st.integers(-3, 3), min_size=sys.k, max_size=sys.k))
+            context_sys = _with_extra_translations(sys, extra)
+        A = draw(st.lists(point, max_size=3))
+        B = draw(st.lists(point, min_size=kind == "context", max_size=2))
+    else:
+        sizes = draw(st.sampled_from([[1], [2], [1, 1], [1, 2], [3]]))
+        point = st.tuples(*[st.integers(0, 3)] * sum(sizes))
+        pts = set(draw(st.lists(point, max_size=3)))
+        killed = [p for p in pts if not any(q != p and product_leq(q, p) for q in pts)]
+        if kind == "ideal":
+            sys, origin = make_ideal_system(killed, sizes)
+            A = draw(st.lists(point, max_size=3)) or origin
+            B = draw(st.lists(point, max_size=2))
+        else:
+            gens = draw(st.lists(point, min_size=1, max_size=4))
+            sys, elems = make_monomial_module_system(sum(sizes), sizes, gens, killed)
+            lb = sys.backend
+            # a seed's terms joined with a multiple of the next seed's, so
+            # that orbits hold vectors of several terms, not only monomials
+            mix = [
+                lb.vector(dict(x) | {k: c * draw(st.integers(-2, 2)) for k, c in y})
+                for x, y in zip(elems, elems[1:])
+            ]
+            A = draw(st.lists(st.sampled_from(elems + mix), min_size=1, max_size=3))
+            B = draw(st.lists(st.sampled_from(elems + mix), max_size=2))
+    lo = tuple(draw(st.integers(0, 3)) for _ in range(sys.k))
+    hi = tuple(a + draw(st.integers(0, 2)) for a in lo)
+    return sys, A, B, (lo, hi), context_sys
+
+
+def _context_window_example():
+    sys, A, B, _, context_sys = _context_example()
+    return sys, A, B, ((0,), (4,)), context_sys
+
+
+@given(orbit_problems())
+@example(_context_window_example())
+@settings(max_examples=80, deadline=None)
+def test_stepped_orbits_are_the_graded_orbits(problem):
+    sys, A, B, (lo, hi), context_sys = problem
+    key = sys.backend.key
+    points = list(itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))))
+    for system, seeds in ((sys, A), (context_sys or sys, B)):
+        sorted_seeds = system.backend.sorted_elems(seeds)
+        stepped = list(engine._stepped_orbits(system, sorted_seeds, lo, hi))
+        assert [s for s, _ in stepped] == points
+        for s, orbit in stepped:
+            keys = [key(x) for x in orbit]
+            assert len(keys) == len(set(keys)), s
+            assert set(keys) == {key(x) for x in graded_orbit(system, seeds, s)}, s
+    # the report is the word-by-word one, for the pipeline's polynomial on
+    # its window and for a guess on the drawn window
+    zero = (0,) * sys.k
+    fits = analyze_graded(sys, A, B, StabilizationConfig(box=(2,) * sys.m), context_sys)
+    window = fits.verification.window
+    assert (fits.verification.points, fits.verification.mismatches) == reference_verify(
+        fits.polynomial, sys, A, B, window, context_sys
+    )
+    terms = {zero: Fraction(3, 2), (1,) + zero[1:]: 1}
+    guess = GrowthPolynomial(terms, (1,) * sys.k, zero)
+    report = verify_fit(guess, sys, A, B, (lo, hi), context_sys)
+    assert report.window == (lo, hi)
+    assert (report.points, report.mismatches) == reference_verify(
+        guess, sys, A, B, (lo, hi), context_sys
+    )
+
+
+def test_verification_map_failure_names_map_and_part_degree():
+    # the table stops at degree 3; the window reaches degree 5, whose
+    # orbit needs the image of 4
+    def shift(x):
+        if x[0] >= 4:
+            raise ValueError(f"no image of {x[0]}")
+        return (x[0] + 1,)
+
+    sys = OperatorSystem([shift], Partition([1]), TrivialBackend(1))
+    cfg = StabilizationConfig(box=(3,), window=5)
+    with pytest.raises(OperatorError) as failed:
+        analyze_graded(sys, [(0,)], [], cfg)
+    assert str(failed.value) == (
+        "map 1 failed while reaching part degree (5,): no image of 4"
+    )
+    assert isinstance(failed.value.__cause__, ValueError)
+    # B's orbit steps the same way, in the context system
+    context = OperatorSystem(
+        [translation((1,)), shift], Partition([2]), TrivialBackend(1)
+    )
+    P = GrowthPolynomial({}, (0,), (0,))
+    with pytest.raises(OperatorError, match=r"^map 2 failed while reaching part "
+                       r"degree \(4,\): no image of 4$"):
+        verify_fit(P, make_sumset_system([1]), [(0,)], [(1,)], ((0,), (5,)), context)
+
+
+def test_verification_refuses_an_orbit_only_noncommuting_maps_reach():
+    # x -> 2x and x -> 2x + 1 write every binary string after the leading
+    # 1: 2^t points at degree t, where commuting maps would give t + 1.
+    # Tabulation applies the maps in one order and finds t + 1
+    def double(x):
+        return (2 * x[0],)
+
+    def double_plus_one(x):
+        return (2 * x[0] + 1,)
+
+    sys = OperatorSystem([double, double_plus_one], Partition([2]), TrivialBackend(1))
+    assert tabulate_f(sys, [(1,)], [], box=(8, 8)).graded_sum((5,)) == 6
+    with pytest.raises(HypothesisError, match=r"part degree \(2,\) has 4 points, "
+                       r"but commuting maps give at most 3") as refused:
+        analyze_graded(sys, [(1,)], [])
+    assert refused.value.witness == (2,)
+    # the orbit is counted at every step, also below the window
+    P = GrowthPolynomial({}, (1,), (0,))
+    with pytest.raises(HypothesisError) as below:
+        verify_fit(P, sys, [(1,)], [], ((5,), (6,)))
+    assert below.value.witness == (2,)
+
+
+@st.composite
+def numerators(draw):
+    sizes = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    cap = tuple(draw(st.integers(0, 3)) for _ in sizes)
+    exponent = st.tuples(*(st.integers(0, c) for c in cap))
+    coeffs = draw(st.dictionaries(exponent, st.integers(-30, 30), max_size=6))
+    return GeneratingNumerator(coeffs, cap, sizes)
+
+
+def _points(k):
+    return st.lists(st.tuples(*[st.integers(-12, 12)] * k), min_size=1, max_size=5)
+
+
+@given(st.data(), numerators())
+@settings(max_examples=150, deadline=None)
+def test_integer_interpolation_is_the_fraction_one(data, num):
+    P = interpolate(num)
+    assert P.coeffs == reference_interpolate(num)
+    assert all(type(c) is Fraction for c in P.coeffs.values())
+    assert P.degree_bound == tuple(d - 1 for d in num.part_sizes)
+    assert P.threshold == num.cap
+    for s in data.draw(_points(P.k)):
+        value = P.evaluate(s)
+        assert type(value) is Fraction
+        assert value == reference_evaluate(P.coeffs, s)
+
+
+@given(st.data(), st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_integer_evaluation_is_the_fraction_one(data, k):
+    bound = tuple(data.draw(st.integers(0, 3)) for _ in range(k))
+    exponent = st.tuples(*(st.integers(0, b) for b in bound))
+    coefficient = st.fractions(max_denominator=12).filter(lambda c: abs(c) < 50)
+    coeffs = data.draw(st.dictionaries(exponent, coefficient, max_size=6))
+    P = GrowthPolynomial(coeffs, bound, (0,) * k)
+    for s in data.draw(_points(k)):
+        assert P.evaluate(s) == reference_evaluate(coeffs, s)
 
 
 def _flat_table():
