@@ -33,7 +33,6 @@ from .errors import (
     InputError,
 )
 from .operators import (
-    MAX_WORDS,
     MultiIndex,
     OperatorSystem,
     Partition,
@@ -45,8 +44,10 @@ from .operators import (
     join_blocks,
     lex_key,
     map_failure,
+    natural_index,
     part_blocks,
     product_leq,
+    validate_all,
 )
 
 WINDOW_CERTIFIED = "window-certified"
@@ -76,7 +77,7 @@ class StabilizationConfig:
         if self.window < 1:
             raise InputError("window width must be >= 1")
         if self.box is not None:
-            self.box = _natural_box(self.box)
+            self.box = natural_index(self.box, None, "box")
 
     def resolved_box(self, m: int) -> Tuple[int, ...]:
         if self.box is None:
@@ -101,32 +102,30 @@ class _WordLattice(NamedTuple):
     holds each slice's ``(s, start, stop)`` index range.  A slice joins one
     block per part, each part's blocks built once by ``part_blocks``: the
     one enumeration, which ``words_of_part_degree`` and ``check_system``
-    read too.  Word ``n`` is map ``top[n]`` (its highest nonzero
-    coordinate) applied to word ``up[n]``, the step ``apply_word`` takes;
-    the zero word has top -1 and up 0, the identity on itself.
-    ``down[i][n]`` is the index of word ``n`` minus ``e_i``, or -1 when
-    coordinate ``i`` is zero.  Every predecessor comes before its word.
-    Shared by every caller, so read-only.
+    read too.  ``down[i][n]`` is the index of word ``n`` minus ``e_i``, or
+    -1 when coordinate ``i`` is zero.  Word ``n`` is map ``top[n]`` (its
+    highest nonzero coordinate, -1 for the zero word) applied to word
+    ``down[top[n]][n]``, the step ``apply_word`` takes.  Every predecessor
+    comes before its word.  Shared by every caller, so read-only.
     """
 
     words: List[MultiIndex]
     slices: List[Tuple[MultiIndex, int, int]]
     top: array
-    up: array
     down: Tuple[array, ...]
 
 
 def _build_word_lattice(
     part_sizes: Tuple[int, ...], cap: MultiIndex, then: str
 ) -> _WordLattice:
-    """The lattice of words under ``cap``; beyond ``MAX_WORDS`` an ``InputError``.
+    """The lattice of words under ``cap``; over the work budget an ``InputError``.
 
     The size has a closed form, so the budget is checked, with the advice
     ``then``, before any word is built.
     """
     partition = Partition(part_sizes)
     size = partition.word_count((0,) * partition.k, cap)
-    check_budget(size, MAX_WORDS, f"tabulating part degrees up to {cap}", then)
+    check_budget(size, f"tabulating part degrees up to {cap}", then)
     blocks = [part_blocks(d, 0, c) for d, c in zip(part_sizes, cap)]
     words: List[MultiIndex] = []
     slices = []
@@ -142,14 +141,11 @@ def _build_word_lattice(
     index = dict(zip(keys, range(len(keys))))
     sub = operator.sub
     top = array("i", map(sub, map(bisect_right, repeat(powers), keys), repeat(1)))
-    up = array(
-        "i", map(index.get, map(sub, keys, map(powers.__getitem__, top)), repeat(0))
-    )
     down = tuple(
         array("i", map(index.get, map(sub, keys, repeat(p)), repeat(-1)))
         for p in powers
     )
-    return _WordLattice(words, slices, top, up, down)
+    return _WordLattice(words, slices, top, down)
 
 
 class _LatticeCache:
@@ -185,14 +181,6 @@ class _LatticeCache:
 _word_lattice = _LatticeCache(LATTICE_CACHE_WORDS)
 
 
-def _natural_box(box) -> Tuple[int, ...]:
-    """``box`` as a tuple; an ``InputError`` unless it is a list or tuple of
-    natural numbers."""
-    if isinstance(box, (list, tuple)) and all(is_int(b) and b >= 0 for b in box):
-        return tuple(box)
-    raise InputError(f"box must be natural numbers (integers >= 0), got {box!r}")
-
-
 @dataclass
 class DecreasingTable:
     """Tabulated marginal ranks on a finite box, with staircase metadata.
@@ -226,7 +214,7 @@ class DecreasingTable:
 
     def __post_init__(self):
         p = self.partition
-        self.box = _natural_box(self.box)
+        self.box = natural_index(self.box, None, "box")
         self.slice_cap = cap = p.part_degree(self.box)
         lattice = _word_lattice(p.part_sizes, cap)
         words = list(self.values)
@@ -269,7 +257,7 @@ class DecreasingTable:
     @classmethod
     def from_function(cls, f, box: Sequence[int], partition: Partition):
         """Synthetic table from an explicit function on multi-indices."""
-        box = _natural_box(box)  # before the lattice, which cannot take it
+        box = natural_index(box, None, "box")  # before the lattice reads it
         cap = partition.part_degree(box)
         values = {r: int(f(r)) for r in _word_lattice(partition.part_sizes, cap).words}
         return cls(box, partition, values)
@@ -284,29 +272,21 @@ class DecreasingTable:
         )
 
 
-def _validate_all(backend, *groups) -> None:
-    """Validate every element before any is keyed, sorted or deduplicated,
-    so a malformed one is an ``InputError``, not a ``TypeError``."""
-    for group in groups:
-        for x in group:
-            backend.validate(x)
-
-
 def _images(
-    sys: OperatorSystem, seeds: List, cap: MultiIndex
+    sys: OperatorSystem, seeds: List, cap: MultiIndex, then: str
 ) -> Tuple[_WordLattice, List[List]]:
     """The lattice of words under ``cap`` and each seed's image at every word.
 
-    ``images[j][n]`` is map ``top[n]`` applied to ``images[j][up[n]]``, as
-    ``apply_word`` steps, word by word.  The lattice is checked against
-    ``MAX_WORDS`` before any map runs; a failing map raises ``map_failure``.
+    ``images[j][n]`` is map ``i = top[n]`` applied to ``images[j][down[i][n]]``,
+    as ``apply_word`` steps.  A lattice over the work budget is refused with
+    the advice ``then`` before any map runs; a failing map raises ``map_failure``.
     """
-    lattice = _word_lattice(sys.partition.part_sizes, cap)
-    words, top, up = lattice.words, lattice.top, lattice.up
+    lattice = _word_lattice(sys.partition.part_sizes, cap, then)
+    words, top, down = lattice.words, lattice.top, lattice.down
     images = [[a] * len(words) for a in seeds]
     for n in range(1, len(words)):  # word 0 is the zero word: the seed itself
-        i, prev = top[n], up[n]
-        phi = sys.maps[i]
+        i = top[n]
+        phi, prev = sys.maps[i], down[i][n]
         for img in images:
             try:
                 img[n] = phi(img[prev])
@@ -340,16 +320,21 @@ def tabulate_f(
     if context_sys is not None:
         _check_context(sys, context_sys)
     backend = sys.backend
-    _validate_all(backend, A, B)
+    validate_all(backend, A, B)
     cap = sys.partition.part_degree(box)
-    lattice, images = _images(sys, backend.sorted_elems(A), cap)
-    if B and context_sys is not None:  # fetched first, to be refused naming it
-        sizes = context_sys.partition.part_sizes
-        then = f"B's orbits run in the context system with parts of sizes {list(sizes)}"
-        _word_lattice(sizes, cap, f"{then}; use a smaller box (--box)")
+    then = "use a smaller box (--box)"
+    lattice, images = _images(sys, backend.sorted_elems(A), cap, then)
     lattice_b, images_b = lattice, []
     if B:
-        lattice_b, images_b = _images(context_sys or sys, backend.sorted_elems(B), cap)
+        if context_sys is not None:  # a refusal of its lattice names it
+            sizes = list(context_sys.partition.part_sizes)
+            then = (
+                f"B's orbits run in the context system with parts of sizes "
+                f"{sizes}; {then}"
+            )
+        lattice_b, images_b = _images(
+            context_sys or sys, backend.sorted_elems(B), cap, then
+        )
     marginals = []
     # both lattices list their slices in degrees_below(cap) order
     for (_, start, stop), (_, start_b, stop_b) in zip(lattice.slices, lattice_b.slices):
@@ -453,9 +438,7 @@ def numerator_from_table(
     part of the table's partition collapses exponents to part degrees.
     """
     p = table.partition
-    m_bar = tuple(int(x) for x in m_bar)
-    if len(m_bar) != p.m:
-        raise InputError("staircase bound has wrong length")
+    m_bar = natural_index(m_bar, p.m, "staircase bound")
     pts = list(itertools.product(*(range(c + 1) for c in m_bar)))
     h: Dict[MultiIndex, int] = {}
     for u in pts:
@@ -613,9 +596,7 @@ def interpolate(numerator: GeneratingNumerator) -> GrowthPolynomial:
     sum is accumulated in integers scaled by that product, and divided
     once per coefficient at the end.
     """
-    d = tuple(int(x) for x in numerator.part_sizes)
-    if any(x < 1 for x in d):
-        raise InputError("denominator exponents must be >= 1")
+    d = Partition(numerator.part_sizes).part_sizes
     total: Dict[MultiIndex, int] = {}
     for r, a in numerator.coeffs.items():
         term: Dict[MultiIndex, int] = {(): a}
@@ -783,16 +764,16 @@ def verify_fit(
     of B (in the context system when one is given, else ``sys``), which
     ``_stepped_orbits`` steps one part degree at a time, sharing no image
     code with ``tabulate_f`` and reading nothing from its table.  A window
-    of more than ``MAX_WORDS`` words, counted in closed form in the B
-    system too when B is nonempty, is an ``InputError`` before any point is
-    verified; an orbit larger than commuting maps allow is a
-    ``HypothesisError``.  ``P`` is evaluated at every point in integers.
+    whose corners are not points of N^k, the end nowhere below the start,
+    or over the work budget (counted in closed form in the B system too when
+    B is nonempty) is an ``InputError`` before any point is verified; an
+    orbit larger than commuting maps allow is a ``HypothesisError``.
+    ``P`` is evaluated at every point in integers.
     """
-    lo, hi = (tuple(window[0]), tuple(window[1]))
-    if len(lo) != P.k or len(hi) != P.k:
-        raise InputError("window arity mismatch")
-    if any(a < 0 for a in lo):
-        raise InputError(f"window start {lo} has a negative part degree")
+    lo = natural_index(window[0], P.k, "window start")
+    hi = natural_index(window[1], P.k, "window end")
+    if not product_leq(lo, hi):
+        raise InputError(f"window end {hi} is below its start {lo}")
     if not product_leq(P.threshold, lo):
         raise ContractError(
             f"window start {lo} is below the stabilization threshold {P.threshold}"
@@ -802,7 +783,7 @@ def verify_fit(
     if B:
         words = max(words, base_sys.partition.word_count(lo, hi))
     doing = f"verifying part degrees {lo} to {hi}"
-    check_budget(words, MAX_WORDS, doing, "use a smaller window (--window)")
+    check_budget(words, doing, "use a smaller window (--window)")
     backend = sys.backend
     orbits_b = _stepped_orbits(base_sys, backend.sorted_elems(B), lo, hi)
     orbits_a = _stepped_orbits(sys, backend.sorted_elems(A), lo, hi)
@@ -921,14 +902,14 @@ def _choose_box(
     and B empty, the box is the system's proven graded bound for A plus
     the window (``OperatorSystem.graded_bound`` says whether the system
     knows one), with ``"bound"`` evidence.  A bound box over
-    ``MAX_WORDS``, or a bound whose basis is over its budget, is never
+    the work budget, or a bound whose basis is over its budget, is never
     clipped: the default box is used instead, with a warning.  Every box
     but the bound box has ``"window"`` evidence.
     """
     box = cfg.resolved_box(sys.m)
     if cfg.box is not None or context_sys is not None or B:
         return box, WINDOW_EVIDENCE, []
-    _validate_all(sys.backend, A)
+    validate_all(sys.backend, A)
     try:
         bound = sys.graded_bound(A)
     except BasisBudgetExceeded as exc:
@@ -940,7 +921,7 @@ def _choose_box(
     size = p.word_count((0,) * p.k, p.part_degree(bound_box))
     doing = f"stabilization bound box {bound_box}"
     try:
-        check_budget(size, MAX_WORDS, doing, "tabulated the default box instead")
+        check_budget(size, doing, "tabulated the default box instead")
     except InputError as exc:
         return box, WINDOW_EVIDENCE, [str(exc)]
     return bound_box, BOUND_EVIDENCE, []

@@ -29,16 +29,35 @@ MAX_WORDS = 2_000_000
 """Work budget: the most words a table, verification or system check may walk."""
 
 
-def check_budget(words: int, limit: int, doing: str, then: str) -> None:
-    """Refuse work of more than ``limit`` words with the one ``InputError`` text."""
-    if words > limit:
-        message = f"{doing} needs {words:,} words, over the limit of {limit:,}; {then}"
-        raise InputError(message)
+def check_budget(words: int, doing: str, then: str) -> None:
+    """Refuse work of more than ``MAX_WORDS`` words with the one ``InputError`` text."""
+    if words > MAX_WORDS:
+        limit = f"over the limit of {MAX_WORDS:,}"
+        raise InputError(f"{doing} needs {words:,} words, {limit}; {then}")
 
 
 def is_int(x) -> bool:
     """Whether ``x`` is an integer proper: ``bool`` and floats are not."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def natural_index(x, n: Optional[int], what: str) -> MultiIndex:
+    """``x`` as a tuple if it is a list or tuple of ``n`` integers >= 0, of any
+    length when ``n`` is None, else an ``InputError``: the one check for a
+    point of N^n, but for the hot paths' own in ``apply_word`` and ``part_degree``."""
+    sized = isinstance(x, (list, tuple)) and (n is None or len(x) == n)
+    if sized and all(is_int(c) and c >= 0 for c in x):
+        return tuple(x)
+    where = "natural numbers" if n is None else f"a point of N^{n}"
+    raise InputError(f"{what} must be {where} (integers >= 0), got {x!r}")
+
+
+def validate_all(backend: RankOracle, *groups) -> None:
+    """Validate every element before any is keyed, sorted or deduplicated,
+    so a malformed one is an ``InputError``, not a ``TypeError``."""
+    for group in groups:
+        for x in group:
+            backend.validate(x)
 
 
 def lex_key(r: MultiIndex) -> MultiIndex:
@@ -80,10 +99,7 @@ class Partition:
     def words_of_part_degree(self, s: MultiIndex) -> List[MultiIndex]:
         """All words r with part degree s, ascending in the lex order, from the
         one enumeration: ``part_blocks``, joined by ``join_blocks``."""
-        if len(s) != self.k:
-            raise InputError(f"part-degree length {len(s)} != k = {self.k}")
-        if not all(is_int(t) and t >= 0 for t in s):
-            raise InputError(f"part degree {tuple(s)} is not in N^{self.k}")
+        s = natural_index(s, self.k, "part degree")
         return join_blocks(part_blocks(d, t, t)[0] for d, t in zip(self.part_sizes, s))
 
     def word_count(self, lo: MultiIndex, hi: MultiIndex) -> int:
@@ -192,16 +208,13 @@ class OperatorSystem:
                     f"of one dimension in parts of sizes {list(partition.part_sizes)}"
                 )
         self.translations = translations
-        self.killed = tuple(killed)
-        for r in self.killed:
-            if translations is None or any(
-                set(v) - {0, 1} or sum(v) > 1 for v in vectors
-            ):
-                raise InputError("killed points need zero or unit translation vectors")
-            if not isinstance(r, tuple) or len(r) != len(vectors[0]) or not all(
-                is_int(c) and c >= 0 for c in r
-            ):
-                raise InputError(f"killed point {r!r} is not in N^{len(vectors[0])}")
+        if killed and (
+            translations is None or any(set(v) - {0, 1} or sum(v) > 1 for v in vectors)
+        ):
+            raise InputError("killed points need zero or unit translation vectors")
+        self.killed = tuple(
+            natural_index(r, len(vectors[0]), "killed point") for r in killed
+        )
 
     @property
     def m(self) -> int:
@@ -444,16 +457,20 @@ def check_system(
     words, or a ``pair_count`` whose map calls, exceed ``MAX_WORDS`` is an
     ``InputError`` before any map runs, and the commutation calls, 2 m (m - 1)
     at each distinct orbit point, are once the walk has found the points.
+    A malformed sample element, or a count that is no integer, is one first.
     """
-    if depth < 1:
-        raise InputError("depth must be >= 1")
-    if pair_count < 0:
-        raise InputError("pair_count must be >= 0")
+    for name, value, least in (("depth", depth, 1), ("pair_count", pair_count, 0)):
+        if not is_int(value):
+            raise InputError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise InputError(f"{name} must be >= {least}")
     backend = sys.backend
+    sample = list(sample)  # read twice
+    validate_all(backend, sample)
     seeds = backend.sorted_elems(sample)
     degrees = max(1, depth - 1)  # word degrees 0 .. degrees - 1
     words = len(seeds) * Partition((sys.m,)).word_count((0,), (degrees - 1,))
-    check_budget(words, MAX_WORDS, f"checking to depth {depth}", "use a smaller depth")
+    check_budget(words, f"checking to depth {depth}", "use a smaller depth")
     # a pair holds at most 3 + 3 elements; testing map j of a part (from 0)
     # runs it and the j maps before it on them: at most 6 (j + 1) calls, so
     # 3 L (L + 1) for a part tested with L maps (L = d_i, then d_i + 1)
@@ -461,7 +478,7 @@ def check_system(
         3 * L * (L + 1) for d in sys.partition.part_sizes for L in (d, d + 1)
     )
     check_budget(
-        calls, MAX_WORDS, f"testing {pair_count:,} sampled pairs",
+        calls, f"testing {pair_count:,} sampled pairs",
         "a map call counts as a word; use a smaller seed_sample (--seed-sample)",
     )
     rng = random.Random(0)
@@ -480,7 +497,7 @@ def check_system(
 
     pts = backend.dedupe(images())
     check_budget(
-        len(pts) * 2 * sys.m * (sys.m - 1), MAX_WORDS,
+        len(pts) * 2 * sys.m * (sys.m - 1),
         f"checking commutation at {len(pts):,} orbit points to depth {depth}",
         "a map call counts as a word; use a smaller depth",
     )

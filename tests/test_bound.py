@@ -293,12 +293,18 @@ def test_cumulative_bound_gives_the_identity_coordinates_zero():
 
 def test_a_malformed_bound_is_input_error():
     sys, A = make_ideal_system([(3, 1)], [2])
-    for bad in [[(1,)], [(1, -1)], [(1.5, 1)], [(True, 1)], [[3, 1]]]:
-        with pytest.raises(InputError, match="killed point"):
+    for bad in [[(1,)], [(1, -1)], [(1.5, 1)], [(True, 1)], ["31"], [3]]:
+        with pytest.raises(InputError, match="killed point must be a point of N"):
             OperatorSystem(
                 sys.maps, sys.partition, sys.backend,
                 translations=sys.translations, killed=bad,
             )
+    # a list is a point too, kept as a tuple
+    listed = OperatorSystem(
+        sys.maps, sys.partition, sys.backend,
+        translations=sys.translations, killed=[[3, 1]],
+    )
+    assert listed.killed == ((3, 1),)
     # killed points need every translation vector zero or a unit vector
     for summands in [[[0, 1], [0, 2]], [[0, -1]]]:
         sumset = make_sumset_system(*summands)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -206,9 +207,9 @@ def test_tabulation_orbits_b_only_when_b_is_nonempty(monkeypatch):
     walks = []
     honest = engine._images
 
-    def counting(sys, seeds, cap):
-        walks.append((sys, list(seeds), cap))
-        return honest(sys, seeds, cap)
+    def counting(sys, seeds, cap, then):
+        walks.append((sys, list(seeds), cap, then))
+        return honest(sys, seeds, cap, then)
 
     def unused(*args, **kwargs):
         raise AssertionError("tabulation takes no image from graded_orbit or apply_word")
@@ -218,12 +219,15 @@ def test_tabulation_orbits_b_only_when_b_is_nonempty(monkeypatch):
     monkeypatch.setattr(operators, "apply_word", unused)
     sys = make_sumset_system([0, 1])
     tabulate_f(sys, [(0,)], [], box=(2, 2))
-    assert walks == [(sys, [(0,)], (4,))]
+    box = "use a smaller box (--box)"
+    assert walks == [(sys, [(0,)], (4,), box)]
     context = _with_extra_translations(sys, [3])
-    for base in (None, context):
+    # a refusal of B's lattice names the context it walks in
+    in_context = "B's orbits run in the context system with parts of sizes [3]; " + box
+    for base, then in [(None, box), (context, in_context)]:
         walks.clear()
         tabulate_f(sys, [(0,)], [(5,)], box=(2, 2), context_sys=base)
-        assert walks == [(sys, [(0,)], (4,)), (base or sys, [(5,)], (4,))]
+        assert walks == [(sys, [(0,)], (4,), box), (base or sys, [(5,)], (4,), then)]
 
 
 def test_a_context_over_the_work_budget_runs_no_map_of_b():
@@ -342,7 +346,7 @@ def test_work_budget_rejects_a_huge_box_before_any_word():
     sys = OperatorSystem([never] * 6, Partition([6]), TrivialBackend(1))
     words = math.comb(126, 6)  # part degrees up to 120 over 6 slots
     assert words > 4_000_000_000
-    budget = rf"{words:,} words.*{engine.MAX_WORDS:,}.*--box"
+    budget = rf"{words:,} words.*{operators.MAX_WORDS:,}.*--box"
     with pytest.raises(InputError, match=budget):
         tabulate_f(sys, [(0,)], [], box=(20,) * 6)
     with pytest.raises(InputError, match=rf"{words:,} words"):
@@ -396,8 +400,10 @@ def test_word_lattice_matches_the_recursive_reference(shape):
     words, slices, top, up, down = reference_lattice(sizes, cap)
     assert lattice.words == words
     assert lattice.slices == slices
-    assert (list(lattice.top), list(lattice.up)) == (top, up)
+    assert list(lattice.top) == top
     assert [list(d) for d in lattice.down] == down
+    # each word steps from the predecessor in its top coordinate
+    assert all(lattice.down[top[n]][n] == up[n] for n in range(1, len(words)))
 
 
 def test_lattice_cache_evicts_least_recent_within_its_word_budget():
@@ -1073,15 +1079,82 @@ def test_verification_over_the_work_budget_is_an_input_error(monkeypatch):
         words = sum(
             sys.partition.word_count(s, s) for s in itertools.product(*ranges)
         )
-        monkeypatch.setattr(engine, "MAX_WORDS", words)
+        monkeypatch.setattr(operators, "MAX_WORDS", words)
         verify_fit(P, sys, [(0,)], [], (lo, hi))
-        monkeypatch.setattr(engine, "MAX_WORDS", words - 1)
+        monkeypatch.setattr(operators, "MAX_WORDS", words - 1)
         with pytest.raises(InputError, match=f"needs {words:,} words"):
             verify_fit(P, sys, [(0,)], [], (lo, hi))
     # a negative window start used to walk a word down without end
     P = GrowthPolynomial({(0,): Fraction(1)}, (0,), (-1,))
-    with pytest.raises(InputError, match="negative part degree"):
+    with pytest.raises(InputError, match=r"window start must be a point of N\^1"):
         verify_fit(P, make_sumset_system([1]), [(0,)], [], ((-1,), (0,)))
+
+
+_TWO = Partition([1, 1])
+
+
+def _killing(x):
+    sys, _ = make_ideal_system([(3, 1)], [2])
+    return OperatorSystem(
+        sys.maps, sys.partition, sys.backend, translations=sys.translations,
+        killed=[x],
+    )
+
+
+def _verify_two(window):
+    P = GrowthPolynomial({}, (1, 1), (0, 0))
+    return verify_fit(P, make_sumset_system([0, 1], [0, 1]), [(0,)], [], window)
+
+
+_POINT_ENTRIES = {
+    "config box": lambda x: StabilizationConfig(box=x).resolved_box(2),
+    "table box": lambda x: DecreasingTable(x, _TWO, {}),
+    "function box": lambda x: DecreasingTable.from_function(lambda u: 1, x, _TWO),
+    "window start": lambda x: _verify_two((x, (3, 3))),
+    "window end": lambda x: _verify_two(((0, 0), x)),
+    "staircase bound": lambda x: numerator_from_table(
+        DecreasingTable.from_function(lambda u: 1, (2, 2), _TWO), x
+    ),
+    "part degree": lambda x: _TWO.words_of_part_degree(x),
+    "killed point": _killing,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_POINT_ENTRIES))
+@pytest.mark.parametrize(
+    "point", [(1.5, 0), ("1", 0), (True, 0), (-1, 0), (1,), (1, 0, 0), 1]
+)
+def test_every_entry_refuses_a_point_outside_n2(entry, point):
+    # verify_fit took (True, 0) and raised a TypeError on (1.5, 0) and
+    # ("1", 0); numerator_from_table's int() read (1.7, 0), ("1", 0) and
+    # (True, 0) as (1, 0) and gave (-1, 0) an empty numerator
+    with pytest.raises(InputError):
+        _POINT_ENTRIES[entry](point)
+
+
+def test_a_list_is_a_point_of_n2_at_every_entry():
+    assert StabilizationConfig(box=[2, 2]).resolved_box(2) == (2, 2)
+    assert DecreasingTable.from_function(lambda u: 1, [2, 2], _TWO).box == (2, 2)
+    table = DecreasingTable.from_function(lambda u: 1, (2, 2), _TWO)
+    assert numerator_from_table(table, [0, 0]).coeffs == {(0, 0): 1}
+    assert _TWO.words_of_part_degree([1, 0]) == [(1, 0)]
+    assert _killing([3, 1]).killed == ((3, 1),)
+    assert _verify_two(([0, 0], [1, 1])).window == ((0, 0), (1, 1))
+
+
+def test_verify_fit_refuses_a_reversed_window():
+    # the window (5,) to (3,) used to verify no point and report ok, even
+    # for the wrong polynomial 7*Y
+    P = GrowthPolynomial({(1,): Fraction(7)}, (1,), (0,))
+    sys = make_sumset_system([0, 1])
+    with pytest.raises(InputError) as refused:
+        verify_fit(P, sys, [(0,)], [], ((5,), (3,)))
+    assert str(refused.value) == "window end (3,) is below its start (5,)"
+    report = verify_fit(P, sys, [(0,)], [], ((5,), (5,)))  # one point
+    assert report.mismatches == [((5,), 6, 35)]
+    # one coordinate below is enough
+    with pytest.raises(InputError, match=re.escape("(2, 2) is below its start (1, 3)")):
+        _verify_two(((1, 3), (2, 2)))
 
 
 def test_verification_budget_counts_the_window_in_the_b_system(monkeypatch):
@@ -1091,11 +1164,11 @@ def test_verification_budget_counts_the_window_in_the_b_system(monkeypatch):
     context = _with_extra_translations(sys, [2])
     P = GrowthPolynomial({}, (0,), (0,))
     window = ((0,), (4,))
-    monkeypatch.setattr(engine, "MAX_WORDS", 34)
+    monkeypatch.setattr(operators, "MAX_WORDS", 34)
     verify_fit(P, sys, [(0,)], [], window, context)
     with pytest.raises(InputError, match="needs 35 words.*--window"):
         verify_fit(P, sys, [(0,)], [(1,)], window, context)
-    monkeypatch.setattr(engine, "MAX_WORDS", 35)
+    monkeypatch.setattr(operators, "MAX_WORDS", 35)
     verify_fit(P, sys, [(0,)], [(1,)], window, context)
 
 
@@ -1294,13 +1367,21 @@ def _flat_table():
         (lambda: StabilizationConfig(window=0), "window width must be >= 1"),
         (
             lambda: numerator_from_table(_flat_table(), (1, 1)),
-            "staircase bound has wrong length",
+            "staircase bound must be a point of N^1 (integers >= 0), got (1, 1)",
         ),
         (
             lambda: numerator_from_table(_flat_table(), (3,)),
             "table does not cover (3,) required by the numerator",
         ),
         (lambda: GrowthPolynomial({(1, 0): 1}, (1,), (0,)), "exponent arity mismatch"),
+        (
+            lambda: interpolate(GeneratingNumerator({(0,): 1}, (0,), (0,))),
+            "part sizes must be positive integers, got (0,)",
+        ),
+        (  # int() used to read the size 1.5 as 1
+            lambda: interpolate(GeneratingNumerator({(0,): 1}, (0,), (1.5,))),
+            "part sizes must be positive integers, got (1.5,)",
+        ),
         (
             lambda: GrowthPolynomial({(2,): 1}, (1,), (0,)),
             "exponent (2,) exceeds degree bound (1,)",
@@ -1316,11 +1397,11 @@ def _flat_table():
                 GrowthPolynomial({}, (0,), (0,)), make_sumset_system([0, 1]),
                 [(0,)], [], ((0, 0), (1, 1)),
             ),
-            "window arity mismatch",
+            "window start must be a point of N^1 (integers >= 0), got (0, 0)",
         ),
         (
             lambda: Partition([1]).words_of_part_degree((1, 1)),
-            "part-degree length 2 != k = 1",
+            "part degree must be a point of N^1 (integers >= 0), got (1, 1)",
         ),
         (
             lambda: apply_word(make_sumset_system([1]), (0,), (1, 1)),

@@ -142,9 +142,10 @@ def test_apply_word_refuses_a_word_outside_the_naturals():
 def test_words_of_a_part_degree_outside_the_naturals_are_refused():
     # a part of size 1 used to give the word (-1,), whose walk never ended
     for sizes, s in [([1], (-1,)), ([2], (-1,)), ([1, 1], (2, 0.5))]:
-        with pytest.raises(InputError, match=re.escape(f"part degree {s} is not in N")):
+        message = f"part degree must be a point of N^{len(s)} (integers >= 0), got {s}"
+        with pytest.raises(InputError, match=re.escape(message)):
             Partition(sizes).words_of_part_degree(s)
-    with pytest.raises(InputError, match=re.escape("part degree (-1,) is not in N^1")):
+    with pytest.raises(InputError, match=re.escape("N^1 (integers >= 0), got (-1,)")):
         graded_orbit(make_sumset_system([1]), [(0,)], (-1,))
 
 
@@ -296,6 +297,40 @@ def test_check_system_rejects_a_negative_pair_count():
     with pytest.raises(InputError, match="pair_count"):
         check_system(sys, [(0,)], depth=3, pair_count=-1)
     assert check_system(sys, [(0,)], depth=3, pair_count=0).supports_declaration(sys)
+
+
+def test_check_system_validates_its_sample_before_keying_it():
+    # the plane's translations cut the one-coordinate seed (0,) to a wrong
+    # point, and the check reported the declaration supported
+    sys = make_translation_system([[(1, 0), (0, 1)]])
+    message = "expected an integer vector of dimension 2, got (0,)"
+    for pair_count in (0, 40):  # with pairs it failed later, in relative_rank
+        with pytest.raises(InputError, match=re.escape(message)):
+            check_system(sys, [(0,)], depth=3, pair_count=pair_count)
+    assert check_system(sys, [(0, 0)], depth=3, pair_count=0).supports_declaration(sys)
+    # a one-pass sample is read once for validation and once for the walk
+    swap = OperatorSystem(
+        [translation((1, 0)), lambda x: (x[1], x[0])], Partition([2]), TrivialBackend(2)
+    )
+    report = check_system(swap, iter([(0, 1)]), depth=3, pair_count=0)
+    assert report.commutation_failures
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [
+        ("depth", 2.5),  # used to end in a TypeError
+        ("depth", True),  # used to run as depth 1
+        ("depth", "3"),
+        ("pair_count", 1.5),
+        ("pair_count", False),  # used to run as 0 pairs
+        ("pair_count", None),
+    ],
+)
+def test_check_system_takes_only_integer_counts(name, value):
+    with pytest.raises(InputError) as refused:
+        check_system(make_sumset_system([1]), [(0,)], **{name: value})
+    assert str(refused.value) == f"{name} must be an integer, got {value!r}"
 
 
 def test_check_system_depth_is_within_the_work_budget(monkeypatch):
