@@ -147,17 +147,15 @@ def make_translation_system(
     """Translation maps x -> x + v over ``TrivialBackend(dimension, killed)``.
 
     ``parts`` lists each part's integer vectors in map order, all of one
-    dimension.  The system declares them and the backend's killed points,
-    from which it proves a stabilization bound for any seed set
+    dimension.  The system declares them and takes the backend's killed
+    points, from which it proves a stabilization bound for any seed set
     (``OperatorSystem.graded_bound``).  Translations are endomorphisms, so
     every part is triangular.
     """
     partition = Partition([len(vecs) for vecs in parts])
     backend = TrivialBackend(len(parts[0][0]), killed)
     maps = [translation(v) for vecs in parts for v in vecs]
-    return OperatorSystem(
-        maps, partition, backend, translations=parts, killed=backend.killed or ()
-    )
+    return OperatorSystem(maps, partition, backend, translations=parts)
 
 
 def make_sumset_system(*summands) -> OperatorSystem:

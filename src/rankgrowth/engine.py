@@ -26,12 +26,7 @@ from fractions import Fraction
 from itertools import compress, repeat
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import (
-    BasisBudgetExceeded,
-    ContractError,
-    HypothesisError,
-    InputError,
-)
+from .errors import ContractError, HypothesisError, InputError
 from .operators import (
     MultiIndex,
     OperatorSystem,
@@ -47,7 +42,6 @@ from .operators import (
     natural_index,
     part_blocks,
     product_leq,
-    validate_all,
 )
 
 WINDOW_CERTIFIED = "window-certified"
@@ -320,21 +314,20 @@ def tabulate_f(
     if context_sys is not None:
         _check_context(sys, context_sys)
     backend = sys.backend
-    validate_all(backend, A, B)
+    # both seed sets are validated before any map runs
+    seeds, seeds_b = backend.sorted_elems(A), backend.sorted_elems(B)
     cap = sys.partition.part_degree(box)
     then = "use a smaller box (--box)"
-    lattice, images = _images(sys, backend.sorted_elems(A), cap, then)
+    lattice, images = _images(sys, seeds, cap, then)
     lattice_b, images_b = lattice, []
-    if B:
+    if seeds_b:
         if context_sys is not None:  # a refusal of its lattice names it
             sizes = list(context_sys.partition.part_sizes)
             then = (
                 f"B's orbits run in the context system with parts of sizes "
                 f"{sizes}; {then}"
             )
-        lattice_b, images_b = _images(
-            context_sys or sys, backend.sorted_elems(B), cap, then
-        )
+        lattice_b, images_b = _images(context_sys or sys, seeds_b, cap, then)
     marginals = []
     # both lattices list their slices in degrees_below(cap) order
     for (_, start, stop), (_, start_b, stop_b) in zip(lattice.slices, lattice_b.slices):
@@ -473,14 +466,14 @@ class GrowthPolynomial:
         degree_bound: Tuple[int, ...],
         threshold: Tuple[int, ...],
     ):
-        self.coeffs = {
-            tuple(e): Fraction(c) for e, c in coeffs.items() if c != 0
-        }
         self.degree_bound = tuple(degree_bound)
         self.threshold = tuple(threshold)
+        self.coeffs = {
+            natural_index(e, self.k, "exponent"): Fraction(c)
+            for e, c in coeffs.items()
+            if c != 0
+        }
         for e in self.coeffs:
-            if len(e) != len(self.degree_bound):
-                raise InputError("exponent arity mismatch")
             if not product_leq(e, self.degree_bound):
                 raise InputError(
                     f"exponent {e} exceeds degree bound {self.degree_bound}"
@@ -766,7 +759,8 @@ def verify_fit(
     code with ``tabulate_f`` and reading nothing from its table.  A window
     whose corners are not points of N^k, the end nowhere below the start,
     or over the work budget (counted in closed form in the B system too when
-    B is nonempty) is an ``InputError`` before any point is verified; an
+    B is nonempty) is an ``InputError`` before any point is verified, as is
+    a malformed element of A or B (``RankOracle.sorted_elems``); an
     orbit larger than commuting maps allow is a ``HypothesisError``.
     ``P`` is evaluated at every point in integers.
     """
@@ -785,8 +779,8 @@ def verify_fit(
     doing = f"verifying part degrees {lo} to {hi}"
     check_budget(words, doing, "use a smaller window (--window)")
     backend = sys.backend
-    orbits_b = _stepped_orbits(base_sys, backend.sorted_elems(B), lo, hi)
     orbits_a = _stepped_orbits(sys, backend.sorted_elems(A), lo, hi)
+    orbits_b = _stepped_orbits(base_sys, backend.sorted_elems(B), lo, hi)
     points, mismatches = [], []
     for (s, orbit_b), (_, orbit_a) in zip(orbits_b, orbits_a):
         builder = backend.basis_builder()
@@ -909,20 +903,18 @@ def _choose_box(
     box = cfg.resolved_box(sys.m)
     if cfg.box is not None or context_sys is not None or B:
         return box, WINDOW_EVIDENCE, []
-    validate_all(sys.backend, A)
+    # a malformed seed is refused here, never read as a budget fallback
+    A = sys.backend.validated(A)
+    p = sys.partition
     try:
         bound = sys.graded_bound(A)
-    except BasisBudgetExceeded as exc:
-        return box, WINDOW_EVIDENCE, [f"{exc}; tabulated the default box instead"]
-    if bound is None:
-        return box, WINDOW_EVIDENCE, []
-    bound_box = tuple(c + cfg.window for c in bound)
-    p = sys.partition
-    size = p.word_count((0,) * p.k, p.part_degree(bound_box))
-    doing = f"stabilization bound box {bound_box}"
-    try:
+        if bound is None:
+            return box, WINDOW_EVIDENCE, []
+        bound_box = tuple(c + cfg.window for c in bound)
+        size = p.word_count((0,) * p.k, p.part_degree(bound_box))
+        doing = f"stabilization bound box {bound_box}"
         check_budget(size, doing, "tabulated the default box instead")
-    except InputError as exc:
+    except InputError as exc:  # the basis or the bound box is over the budget
         return box, WINDOW_EVIDENCE, [str(exc)]
     return bound_box, BOUND_EVIDENCE, []
 

@@ -35,9 +35,3 @@ class InvalidMatroidError(RankGrowthError):
 
 class OutOfBoxError(RankGrowthError):
     """A lazily generated structure was queried beyond its generated range."""
-
-
-class BasisBudgetExceeded(RankGrowthError):
-    """The truncated Gröbner basis of a translation system with dependent
-    columns (such as a sumset with three vectors of a line in one part)
-    outgrew ``toric.BASIS_BUDGET``."""

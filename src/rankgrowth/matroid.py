@@ -58,15 +58,21 @@ class RankOracle(ABC):
     def validate(self, elem) -> None:
         """Raise InputError if the element is not interpretable. Default: accept."""
 
-    def rank(self, elems: Iterable) -> int:
-        """Rank of a finite set; every element is validated first."""
+    def validated(self, elems: Iterable) -> List:
+        """``elems`` as a list, each checked by ``validate``: the one element
+        check, run before any element is keyed, sorted or fed to a builder."""
         elems = list(elems)
         for x in elems:
             self.validate(x)
-        return self.basis_builder().add_all(elems)
+        return elems
+
+    def rank(self, elems: Iterable) -> int:
+        """Rank of a finite set; every element is validated first."""
+        return self.basis_builder().add_all(self.validated(elems))
 
     def dedupe(self, elems) -> List:
-        """Distinct elements of ``elems`` in first-seen order (by canonical key)."""
+        """Distinct elements of ``elems`` in first-seen order (by canonical key),
+        unvalidated: it dedupes orbit images, which the maps made."""
         seen = set()
         out = []
         for x in elems:
@@ -77,15 +83,13 @@ class RankOracle(ABC):
         return out
 
     def sorted_elems(self, elems) -> List:
-        """Distinct elements sorted by canonical key."""
-        return sorted(self.dedupe(elems), key=self.key)
+        """Distinct elements sorted by canonical key, each validated first."""
+        return sorted(self.dedupe(self.validated(elems)), key=self.key)
 
     def relative_rank(self, A: Iterable, B: Iterable) -> int:
         """rank(A over B) = rank(A | B) - rank(B); every element is
         validated first, as in ``rank``."""
-        A, B = list(A), list(B)
-        for x in A + B:
-            self.validate(x)
+        A, B = self.validated(A), self.validated(B)
         builder = self.basis_builder()
         builder.add_all(B)
         return builder.add_all(A)

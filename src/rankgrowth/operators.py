@@ -52,14 +52,6 @@ def natural_index(x, n: Optional[int], what: str) -> MultiIndex:
     raise InputError(f"{what} must be {where} (integers >= 0), got {x!r}")
 
 
-def validate_all(backend: RankOracle, *groups) -> None:
-    """Validate every element before any is keyed, sorted or deduplicated,
-    so a malformed one is an ``InputError``, not a ``TypeError``."""
-    for group in groups:
-        for x in group:
-            backend.validate(x)
-
-
 def lex_key(r: MultiIndex) -> MultiIndex:
     """Sort key realizing the last-coordinate-emphasis lexicographic order."""
     return tuple(reversed(r))
@@ -168,7 +160,10 @@ class OperatorSystem:
     for any seed set (see ``graded_bound``).  ``killed`` lists points of
     N^n that an image of rank 0 lies above, such as an ideal's complement
     antichain or a module's relations; it needs every translation to be
-    zero or a unit vector.  Both are declarations the engine trusts.
+    zero or a unit vector.  A translation system also takes its backend's
+    ``killed`` points, when the backend has any, so a declaration cannot
+    leave out what the backend's rank kills.  Both are declarations the
+    engine trusts.
     """
 
     def __init__(
@@ -207,14 +202,14 @@ class OperatorSystem:
                     f"translation vectors {translations} are not integer vectors "
                     f"of one dimension in parts of sizes {list(partition.part_sizes)}"
                 )
+            killed = (*killed, *(getattr(backend, "killed", None) or ()))
         self.translations = translations
         if killed and (
             translations is None or any(set(v) - {0, 1} or sum(v) > 1 for v in vectors)
         ):
             raise InputError("killed points need zero or unit translation vectors")
-        self.killed = tuple(
-            natural_index(r, len(vectors[0]), "killed point") for r in killed
-        )
+        points = (natural_index(r, len(vectors[0]), "killed point") for r in killed)
+        self.killed = tuple(dict.fromkeys(points))
 
     @property
     def m(self) -> int:
@@ -258,7 +253,9 @@ class OperatorSystem:
         come in closed form when the columns ``(b_c, e_part(c))`` are
         linearly independent, as for every ideal-count and monomial
         system, and from a truncated toric basis otherwise; only that
-        basis raises ``BasisBudgetExceeded``, when it is over its budget.
+        basis spends the work budget, whose ``InputError`` it raises when
+        its divisor tests are over ``MAX_WORDS``.  A malformed seed is an
+        ``InputError`` too, raised before any work.
         """
         if self.translations is None or not hasattr(self.backend, "points") or not A:
             return None
@@ -465,8 +462,6 @@ def check_system(
         if value < least:
             raise InputError(f"{name} must be >= {least}")
     backend = sys.backend
-    sample = list(sample)  # read twice
-    validate_all(backend, sample)
     seeds = backend.sorted_elems(sample)
     degrees = max(1, depth - 1)  # word degrees 0 .. degrees - 1
     words = len(seeds) * Partition((sys.m,)).word_count((0,), (degrees - 1,))

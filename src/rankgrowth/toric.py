@@ -83,7 +83,10 @@ has a representation in degree ``d``, whose S-pairs have lcms dividing
 monomials of degree ``d``), so skipping every S-pair whose lcm has degree
 above 1 leaves a basis that is complete up to degree 1, which is all the
 generators need.  Dividing a binomial by the gcd of its terms keeps it in
-``J``, which is prime and holds no monomial.
+``J``, which is prime and holds no monomial.  The basis spends the one
+work budget: each divisor test counts as a word against
+``operators.check_budget``, whose ``InputError`` the engine turns into a
+fallback to the default box.
 """
 
 from __future__ import annotations
@@ -93,14 +96,9 @@ import math
 import operator
 from typing import List, Sequence, Tuple
 
-from .errors import BasisBudgetExceeded
+from .operators import check_budget
 
 MultiIndex = Tuple[int, ...]
-
-BASIS_BUDGET = 300_000
-"""Work budget: the most divisor tests (basis elements scanned while
-reducing) one truncated basis may take, about 0.1 s of work.  Only a
-system with dependent columns runs the basis."""
 
 
 def _support(e: tuple) -> int:
@@ -117,6 +115,9 @@ def _truncated_basis(gens: List[tuple], graded: List[int]) -> List[tuple]:
     Every binomial has degree 0 or 1, so a lead of degree 1 holds one
     graded variable, to the power 1, and an lcm has degree at most 1 iff
     the two leads hold at most one graded variable between them.
+
+    A divisor test (a basis element scanned while reducing) counts as a
+    word against the one work budget, ``operators.check_budget``.
     """
     graded_mask = _support([i in graded for i in range(len(gens[0][0]))])
     basis: List[tuple] = []
@@ -132,11 +133,10 @@ def _truncated_basis(gens: List[tuple], graded: List[int]) -> List[tuple]:
                 p, q = q, p
             outside = ~_support(p)
             work += len(basis)
-            if work > BASIS_BUDGET:
-                raise BasisBudgetExceeded(
-                    "the toric Gröbner basis for the stabilization bound took "
-                    f"over {BASIS_BUDGET:,} divisor tests"
-                )
+            check_budget(
+                work, "the toric Gröbner basis for the stabilization bound",
+                "its divisor tests count as words; tabulated the default box instead",
+            )
             for mask, lead, trail in basis:
                 if not mask & outside and all(map(operator.le, lead, p)):
                     break
@@ -188,8 +188,8 @@ def shadow_generators(
     ``seeds`` the seeds' points in the engine's feeding order; a point
     repeated from an earlier seed gets the zero word.  Independent
     columns take the closed form; dependent ones the truncated basis,
-    which raises ``BasisBudgetExceeded`` when it takes over
-    ``BASIS_BUDGET`` divisor tests.
+    which raises the work budget's ``InputError`` (``check_budget``) when
+    its divisor tests are over it.
     """
     vectors = [v for vecs in parts for v in vecs]
     m, dim = len(vectors), len(vectors[0])

@@ -18,19 +18,21 @@ from rankgrowth import (
     default_box,
     phi_closure_member,
 )
-from rankgrowth import toric
+from rankgrowth import operators, toric
 from rankgrowth.backends import (
     GraphicBackend,
+    TrivialBackend,
     make_ideal_system,
     make_monomial_module_system,
     make_polynomial_ring_system,
     make_sumset_system,
     make_translation_system,
+    translation,
     vertex_map_edge_operator,
 )
 from rankgrowth.cli import EXIT_CERTIFIED, EXIT_TRUNCATED, execute, run
 from rankgrowth.engine import _choose_box
-from rankgrowth.errors import BasisBudgetExceeded, InputError
+from rankgrowth.errors import InputError
 from rankgrowth.toric import shadow_generators
 from oracles import (
     ideal_points_of_degree,
@@ -412,7 +414,7 @@ def test_sumset_bound_matches_brute_force(problem):
     seeds = sys.backend.sorted_elems(A)
     try:
         generators = shadow_generators(graded.translations, seeds)
-    except BasisBudgetExceeded:
+    except InputError:
         box, evidence, warnings = _choose_box(
             graded, A, [], StabilizationConfig(), None
         )
@@ -487,7 +489,7 @@ def test_sumset_bound_cases_that_stay_on_the_window():
 def test_sumset_bound_over_the_basis_budget_falls_back_to_the_default_box():
     sys = make_sumset_system([0, 1, 17, 40, 99])
     A = [(0,), (3,), (50,)]
-    with pytest.raises(BasisBudgetExceeded):
+    with pytest.raises(InputError, match="toric Gröbner basis"):
         sys.graded_bound(A)
     result = analyze_graded(sys, A, [])
     assert result.evidence == "window"
@@ -495,6 +497,58 @@ def test_sumset_bound_over_the_basis_budget_falls_back_to_the_default_box():
     assert len(result.table.values) == _words(sys, default_box(5))
     assert "toric Gröbner basis" in result.warnings[0]
     assert "tabulated the default box instead" in result.warnings[0]
+
+
+@pytest.mark.parametrize("far", [25, 30])
+def test_a_basis_within_the_work_budget_proves_the_brute_force_polynomial(far):
+    # the basis had a budget of its own, 300,000 divisor tests, which left
+    # these box-truncated; it now spends the one work budget
+    sys = make_sumset_system([0, 1, 2])
+    A = [(0,), (far,)]
+    result = analyze_graded(sys, A, [])
+    assert (result.status, result.evidence, result.warnings) == (CERTIFIED, "bound", [])
+    P = result.polynomial
+    assert P.pretty() == f"2*Y + {far + 1}"
+    for s in _beyond(P.threshold):
+        assert P.evaluate(s) == sumset_count(A, [[(0,), (1,), (2,)]], s)
+
+
+def test_the_basis_reads_the_one_work_budget(monkeypatch):
+    monkeypatch.setattr(operators, "MAX_WORDS", 300_000)
+    sys = make_sumset_system([0, 1, 2])
+    result = analyze_graded(sys, [(0,), (25,)], [])
+    assert (result.evidence, result.table.box) == ("window", default_box(3))
+    warning = result.warnings[0]
+    assert warning.startswith("the toric Gröbner basis for the stabilization bound needs ")
+    assert "words, over the limit of 300,000; its divisor tests" in warning
+    assert warning.endswith("tabulated the default box instead")
+    # a malformed seed is refused as one, never read as a budget fallback
+    with pytest.raises(InputError, match=r"expected an integer vector.*\(0\.5,\)"):
+        _choose_box(sys, [(0,), (0.5,)], [], StabilizationConfig(), None)
+
+
+def test_a_translation_system_takes_its_backends_killed_points():
+    # declared without killed, the system used to prove a bound for the
+    # plane and certify 1, though the point (5, 0) counts nothing
+    unit = [[(1, 0)], [(0, 1)]]
+    backend = TrivialBackend(2, killed=[(5, 0)])
+    sys = OperatorSystem(
+        [translation(v) for vecs in unit for v in vecs], Partition([1, 1]), backend,
+        translations=unit,
+    )
+    assert sys.killed == ((5, 0),)
+    result = analyze_graded(sys, [(0, 0)], [])
+    ideal, A = make_ideal_system([(5, 0)], [1, 1])
+    expected = analyze_graded(ideal, A, [])
+    for got in (result, expected):
+        assert (got.status, got.evidence) == (CERTIFIED, "bound")
+        assert (got.polynomial.pretty(), got.polynomial.threshold) == ("0", (5, 0))
+        assert got.table.box == (7, 2)
+    # a declared point the backend also kills is listed once
+    both = OperatorSystem(
+        sys.maps, sys.partition, backend, translations=unit, killed=[(5, 0), (1, 1)]
+    )
+    assert both.killed == ((5, 0), (1, 1))
 
 
 def test_cumulative_sumset_bound_keeps_the_translation_vectors():
@@ -578,7 +632,7 @@ def test_closed_form_shadows_equal_the_basis_and_brute_force(problem):
         generators = shadow_generators(translations, seeds)
     try:
         assert generators == toric._basis_generators(translations, seeds)
-    except BasisBudgetExceeded:
+    except InputError:
         pass
     m = sum(map(len, translations))
     words = [w for ws in generators for w in ws]
@@ -616,7 +670,7 @@ FAR_CONFIG = {
 @pytest.mark.parametrize("k", [30, 40])
 def test_far_seeds_prove_the_brute_force_polynomial(k, tmp_path):
     # the two orbits meet from degree k - 1 on, far outside the default box;
-    # the basis for these seeds is over its budget from k = 25
+    # the basis for these seeds is over the work budget from k = 37
     sys = make_translation_system([[(1, 0), (0, 1)]])
     A = [(k, 0), (0, k)]
     result = analyze_graded(sys, A, [])

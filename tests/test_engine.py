@@ -1373,7 +1373,18 @@ def _flat_table():
             lambda: numerator_from_table(_flat_table(), (3,)),
             "table does not cover (3,) required by the numerator",
         ),
-        (lambda: GrowthPolynomial({(1, 0): 1}, (1,), (0,)), "exponent arity mismatch"),
+        (
+            lambda: GrowthPolynomial({(1, 0): 1}, (1,), (0,)),
+            "exponent must be a point of N^1 (integers >= 0), got (1, 0)",
+        ),
+        (  # printed as "" and raised a TypeError in evaluate
+            lambda: GrowthPolynomial({(-1,): 1}, (1,), (0,)),
+            "exponent must be a point of N^1 (integers >= 0), got (-1,)",
+        ),
+        (
+            lambda: GrowthPolynomial({(0.5,): 1}, (1,), (0,)),
+            "exponent must be a point of N^1 (integers >= 0), got (0.5,)",
+        ),
         (
             lambda: interpolate(GeneratingNumerator({(0,): 1}, (0,), (0,))),
             "part sizes must be positive integers, got (0,)",
@@ -1417,6 +1428,28 @@ def test_each_malformed_argument_is_an_input_error_naming_it(call, message):
     with pytest.raises(InputError) as refused:
         call()
     assert str(refused.value) == message
+
+
+_LINE = make_sumset_system([0, 1])
+_SEED_ENTRIES = {
+    "verify_fit": lambda x: verify_fit(
+        GrowthPolynomial({}, (1,), (0,)), _LINE, [x], [], ((0,), (1,))
+    ),
+    "graded_orbit": lambda x: graded_orbit(_LINE, [x], (1,)),
+    "tabulate_f": lambda x: tabulate_f(_LINE, [x], []),
+    "check_system": lambda x: check_system(_LINE, [x]),
+    "rank": lambda x: _LINE.backend.rank([x]),
+    "relative_rank": lambda x: _LINE.backend.relative_rank([(0,)], [x]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_SEED_ENTRIES))
+@pytest.mark.parametrize("seed", [(0.5,), (0, 0), ("a",), None])
+def test_every_entry_refuses_a_malformed_seed(entry, seed):
+    # verify_fit and graded_orbit ran the maps on them unchecked: a report or
+    # an orbit for (0.5,) and (0, 0), an OperatorError for ("a",) and None
+    with pytest.raises(InputError, match="expected an integer vector of dimension 1"):
+        _SEED_ENTRIES[entry](seed)
 
 
 def test_polynomial_pretty_formats():
