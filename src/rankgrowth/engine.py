@@ -95,12 +95,14 @@ class _WordLattice(NamedTuple):
     ``degrees_below`` order, ascending lex order inside each; ``slices``
     holds each slice's ``(s, start, stop)`` index range.  A slice joins one
     block per part, each part's blocks built once by ``part_blocks``: the
-    one enumeration, which ``words_of_part_degree`` and ``check_system``
-    read too.  ``down[i][n]`` is the index of word ``n`` minus ``e_i``, or
-    -1 when coordinate ``i`` is zero.  Word ``n`` is map ``top[n]`` (its
-    highest nonzero coordinate, -1 for the zero word) applied to word
-    ``down[top[n]][n]``, the step ``apply_word`` takes.  Every predecessor
-    comes before its word.  Shared by every caller, so read-only.
+    one enumeration, which ``words_of_part_degree`` reads too.
+    ``down[i][n]`` is the index of word ``n`` minus ``e_i``, or -1 when
+    coordinate ``i`` is zero.  Word ``n`` is map ``top[n]`` (its highest
+    nonzero coordinate, -1 for the zero word) applied to word
+    ``down[top[n]][n]``, so its maps run in ``apply_word``'s order, the
+    highest last.  Every predecessor comes before its word.  The one
+    incremental word walk: tabulation (``_images``) and ``check_system``
+    step it.  Shared by every caller, so read-only.
     """
 
     words: List[MultiIndex]
@@ -250,10 +252,14 @@ class DecreasingTable:
 
     @classmethod
     def from_function(cls, f, box: Sequence[int], partition: Partition):
-        """Synthetic table from an explicit function on multi-indices."""
+        """Synthetic table from an explicit function on multi-indices; a
+        value that is not an integer is an ``InputError`` naming its word."""
         box = natural_index(box, None, "box")  # before the lattice reads it
         cap = partition.part_degree(box)
-        values = {r: int(f(r)) for r in _word_lattice(partition.part_sizes, cap).words}
+        values = {r: f(r) for r in _word_lattice(partition.part_sizes, cap).words}
+        for r, v in values.items():
+            if not is_int(v):
+                raise InputError(f"marginal rank at {r} must be an integer, got {v!r}")
         return cls(box, partition, values)
 
     @property
@@ -760,6 +766,7 @@ def verify_fit(
     whose corners are not points of N^k, the end nowhere below the start,
     or over the work budget (counted in closed form in the B system too when
     B is nonempty) is an ``InputError`` before any point is verified, as is
+    a context system that does not extend ``sys`` (``_check_context``) or
     a malformed element of A or B (``RankOracle.sorted_elems``); an
     orbit larger than commuting maps allow is a ``HypothesisError``.
     ``P`` is evaluated at every point in integers.
@@ -772,6 +779,8 @@ def verify_fit(
         raise ContractError(
             f"window start {lo} is below the stabilization threshold {P.threshold}"
         )
+    if context_sys is not None:
+        _check_context(sys, context_sys)
     base_sys = context_sys or sys
     words = sys.partition.word_count(lo, hi)
     if B:
@@ -905,16 +914,19 @@ def _choose_box(
         return box, WINDOW_EVIDENCE, []
     # a malformed seed is refused here, never read as a budget fallback
     A = sys.backend.validated(A)
-    p = sys.partition
+    fallback = "tabulated the default box instead"
     try:
         bound = sys.graded_bound(A)
-        if bound is None:
-            return box, WINDOW_EVIDENCE, []
-        bound_box = tuple(c + cfg.window for c in bound)
-        size = p.word_count((0,) * p.k, p.part_degree(bound_box))
-        doing = f"stabilization bound box {bound_box}"
-        check_budget(size, doing, "tabulated the default box instead")
-    except InputError as exc:  # the basis or the bound box is over the budget
+    except InputError as exc:  # its toric basis is over the budget
+        return box, WINDOW_EVIDENCE, [f"{exc}; {fallback}"]
+    if bound is None:
+        return box, WINDOW_EVIDENCE, []
+    p = sys.partition
+    bound_box = tuple(c + cfg.window for c in bound)
+    size = p.word_count((0,) * p.k, p.part_degree(bound_box))
+    try:
+        check_budget(size, f"stabilization bound box {bound_box}", fallback)
+    except InputError as exc:
         return box, WINDOW_EVIDENCE, [str(exc)]
     return bound_box, BOUND_EVIDENCE, []
 

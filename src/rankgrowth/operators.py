@@ -2,8 +2,8 @@
 
 An operator system is a tuple of m commuting self-maps of a matroid
 ground set together with a partition of the maps into k consecutive
-blocks.  Words are multi-indices in N^m applied through a per-run orbit
-cache; graded orbits, augmentation by the identity map (whose graded
+blocks.  Words are multi-indices in N^m; a word's image by its plain
+definition, graded orbits, augmentation by the identity map (whose graded
 orbits are the cumulative ones) and the sampled hypothesis checks all
 live here.
 """
@@ -44,7 +44,7 @@ def is_int(x) -> bool:
 def natural_index(x, n: Optional[int], what: str) -> MultiIndex:
     """``x`` as a tuple if it is a list or tuple of ``n`` integers >= 0, of any
     length when ``n`` is None, else an ``InputError``: the one check for a
-    point of N^n, but for the hot paths' own in ``apply_word`` and ``part_degree``."""
+    point of N^n."""
     sized = isinstance(x, (list, tuple)) and (n is None or len(x) == n)
     if sized and all(is_int(c) and c >= 0 for c in x):
         return tuple(x)
@@ -279,67 +279,36 @@ class OperatorSystem:
         return tuple(map(max, zip((0,) * self.m, *words)))
 
 
-_MISSING = object()
-
-
 def map_failure(i: int, doing: str, exc: Exception) -> OperatorError:
     """The error for map ``i`` (0-based) raising while ``doing``, such as
     ``"applying word (0, 4)"``."""
     return OperatorError(f"map {i + 1} failed while {doing}: {exc}")
 
 
-def apply_word(sys: OperatorSystem, a, r: MultiIndex, cache: dict | None = None):
-    """Apply the word with multiplicities ``r`` to ``a``, memoized.
+def apply_word(sys: OperatorSystem, a, r: MultiIndex):
+    """The image of ``a`` under the word with multiplicities ``r``: map 0
+    applied ``r_0`` times, then map 1 ``r_1`` times, and so on.
 
-    ``cache`` maps (seed key, word) to element.  Descends one coordinate
-    at a time from the nearest cached ancestor, always decrementing the
-    highest nonzero coordinate, so identical prefixes are shared across
-    the whole run.  The cached value at r + e_i is always the i-th map
-    applied to the value at r, so a populated cache witnesses path
-    independence.  A map that raises becomes an ``OperatorError`` naming
-    the map and the word it was applying, and a word outside N^m an
-    ``InputError``, before any map runs.  ``graded_orbit`` and
-    ``check_system`` come through here; tabulation takes the same steps
-    over its word lattice in ``engine._images``, and verification steps
-    whole orbits one part degree at a time in ``engine._stepped_orbits``.
+    The plain definition, which the tests take as the reference: it
+    shares no image with any other call.  A word outside N^m is an
+    ``InputError`` before any map runs, and a map that raises an
+    ``OperatorError`` naming the map and the word it was reaching.
+    Tabulation and check mode step the same words over the word lattice
+    (``engine._images``, ``check_system``); verification steps whole
+    orbits one part degree at a time in ``engine._stepped_orbits``.
     """
-    if len(r) != sys.m:
-        raise InputError(f"word length {len(r)} != m = {sys.m}")
-    if cache is None:
-        cache = {}
-    seed = sys.backend.key(a)
-    pending = []
-    cur = tuple(r)
-    # decrementing the highest nonzero coordinate never raises a higher
-    # one, so the index only walks down
-    i = len(cur) - 1
-    while True:
-        while i >= 0 and not cur[i]:
-            i -= 1
-        if i < 0:
-            val = a
-            break
-        val = cache.get((seed, cur), _MISSING)
-        if val is not _MISSING:
-            break
-        # a word outside N^m misses the cache until its highest bad
-        # coordinate leads, so checking misses leaves cache hits as cheap
-        if type(cur[i]) is not int or cur[i] < 1:
-            raise InputError(f"word {tuple(r)} is not in N^{sys.m}")
-        pending.append((cur, i))
-        cur = cur[:i] + (cur[i] - 1,) + cur[i + 1 :]
-    for word, i in reversed(pending):
-        try:
-            val = sys.maps[i](val)
-        except Exception as exc:  # noqa: BLE001 - rewrap with the word for context
-            raise map_failure(i, f"applying word {word}", exc) from exc
-        cache[(seed, word)] = val
-    return val
+    r = natural_index(r, sys.m, "word")
+    for i, c in enumerate(r):
+        for t in range(1, c + 1):
+            try:
+                a = sys.maps[i](a)
+            except Exception as exc:  # noqa: BLE001 - rewrap with the word for context
+                word = r[:i] + (t,) + (0,) * (sys.m - i - 1)
+                raise map_failure(i, f"applying word {word}", exc) from exc
+    return a
 
 
-def graded_orbit(
-    sys: OperatorSystem, A, s: MultiIndex, cache: dict | None = None
-) -> List:
+def graded_orbit(sys: OperatorSystem, A, s: MultiIndex) -> List:
     """Deduplicated set of all word images of A at part degree exactly s.
 
     Enumeration order is deterministic: seeds sorted by canonical key,
@@ -348,12 +317,8 @@ def graded_orbit(
     seeds = sys.backend.sorted_elems(A)
     if not seeds:
         return []
-    if cache is None:
-        cache = {}
     words = sys.partition.words_of_part_degree(s)
-    return sys.backend.dedupe(
-        apply_word(sys, a, r, cache) for a in seeds for r in words
-    )
+    return sys.backend.dedupe(apply_word(sys, a, r) for a in seeds for r in words)
 
 
 def augment(sys: OperatorSystem) -> OperatorSystem:
@@ -450,7 +415,9 @@ def check_system(
     quasi-triangular variant via the same test with the identity map
     prepended; the pairs are drawn from a fixed seed, so the report is
     deterministic.  This is evidence, not proof: the properties quantify over
-    the whole (typically infinite) ground set.  A depth whose seeds times
+    the whole (typically infinite) ground set.  The orbit is each seed's
+    images over the word lattice (``engine._word_lattice``), one map call
+    per seed and word.  A depth whose seeds times
     words, or a ``pair_count`` whose map calls, exceed ``MAX_WORDS`` is an
     ``InputError`` before any map runs, and the commutation calls, 2 m (m - 1)
     at each distinct orbit point, are once the walk has found the points.
@@ -479,18 +446,30 @@ def check_system(
     rng = random.Random(0)
     report = SystemCheckReport()
 
-    cache = {}
-    walk = [r for block in part_blocks(sys.m, 0, degrees - 1) for r in block]
-
     def images():
-        for a in seeds:
-            for r in walk:
-                try:
-                    yield apply_word(sys, a, r, cache)
-                except OperatorError:
-                    pass
+        """Each seed's images at the words of degree below ``degrees``, in
+        lattice order; a word whose map raised, or whose predecessor was
+        skipped, is skipped."""
+        # imported on first use, as graded_bound imports toric: the engine
+        # imports this module
+        from .engine import _word_lattice
 
-    pts = backend.dedupe(images())
+        lattice = _word_lattice((sys.m,), (degrees - 1,), "use a smaller depth")
+        top, down = lattice.top, lattice.down
+        for a in seeds:
+            img, reached = [a] * len(top), [True] * len(top)
+            for n in range(1, len(top)):  # word 0 is the zero word: the seed
+                i = top[n]
+                prev = down[i][n]
+                reached[n] = reached[prev]
+                if reached[n]:
+                    try:
+                        img[n] = sys.maps[i](img[prev])
+                    except Exception:  # noqa: BLE001 - unmappable points are skipped
+                        reached[n] = False
+            yield from itertools.compress(img, reached)
+
+    pts = backend.dedupe(images()) if seeds else []  # no seeds build no lattice
     check_budget(
         len(pts) * 2 * sys.m * (sys.m - 1),
         f"checking commutation at {len(pts):,} orbit points to depth {depth}",

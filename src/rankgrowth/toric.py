@@ -135,7 +135,7 @@ def _truncated_basis(gens: List[tuple], graded: List[int]) -> List[tuple]:
             work += len(basis)
             check_budget(
                 work, "the toric Gröbner basis for the stabilization bound",
-                "its divisor tests count as words; tabulated the default box instead",
+                "its divisor tests count as words",
             )
             for mask, lead, trail in basis:
                 if not mask & outside and all(map(operator.le, lead, p)):

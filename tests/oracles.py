@@ -14,7 +14,8 @@ against them.  The exceptions are ``reference_tabulate`` and
 ``reference_verify``, the per-slice tabulation kernel and the per-point
 verification built from the package's ``apply_word``, ``graded_orbit`` and
 basis builders, which pin the word-lattice kernel and the stepped orbits
-to them.  ``FractionEchelonBuilder`` and ``fraction_linear_operator`` are
+to them: ``apply_word`` applies each word map by map from its seed, so it
+shares no image with the lattice walk it checks.  ``FractionEchelonBuilder`` and ``fraction_linear_operator`` are
 the linear backend's elimination and linear maps in plain ``Fraction``
 arithmetic, which pin its integer kernel; ``reference_interpolate`` and
 ``reference_evaluate`` are the binomial-basis interpolation and the
@@ -381,8 +382,8 @@ def reference_tabulate(sys, A, B, box, context_sys=None):
 
     Every slice gets a fresh builder seeded with the graded orbit of B
     (in the context system when one is given), then each word's images
-    of A through ``apply_word`` with one (seed key, word) cache for the
-    run; ``reference_scan`` gives the rest.
+    of A through ``apply_word``, each image applied map by map from its
+    seed; ``reference_scan`` gives the rest.
     """
     from rankgrowth.operators import apply_word, degrees_below, graded_orbit
 
@@ -390,14 +391,13 @@ def reference_tabulate(sys, A, B, box, context_sys=None):
     A_sorted = backend.sorted_elems(A)
     B_list = backend.dedupe(B)
     base = context_sys if context_sys is not None else sys
-    cache, cache_b = {}, {}
     values = {}
     for s in degrees_below(p.part_degree(tuple(box))):
         builder = backend.basis_builder()
-        builder.add_all(graded_orbit(base, B_list, s, cache_b))
+        builder.add_all(graded_orbit(base, B_list, s))
         for r in p.words_of_part_degree(s):
             values[r] = sum(
-                1 for a in A_sorted if builder.add(apply_word(sys, a, r, cache))
+                1 for a in A_sorted if builder.add(apply_word(sys, a, r))
             )
     return (values, *reference_scan(values))
 
@@ -479,18 +479,17 @@ def extend_basis(rank, basis, candidates):
 def reference_verify(P, sys, A, B, window, context_sys=None):
     """(points, mismatches) of ``P`` on a window, word by word: each
     point's rank over the graded orbit of B (in the context system when
-    one is given) from ``graded_orbit``, with one word cache per seed set,
-    and each value from ``reference_evaluate``."""
+    one is given) from ``graded_orbit``, and each value from
+    ``reference_evaluate``."""
     from rankgrowth.operators import graded_orbit
 
     lo, hi = tuple(window[0]), tuple(window[1])
     base = context_sys if context_sys is not None else sys
-    cache_a, cache_b = {}, {}
     points, mismatches = [], []
     for s in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
         builder = sys.backend.basis_builder()
-        builder.add_all(graded_orbit(base, B, s, cache_b))
-        direct = builder.add_all(graded_orbit(sys, A, s, cache_a))
+        builder.add_all(graded_orbit(base, B, s))
+        direct = builder.add_all(graded_orbit(sys, A, s))
         val = reference_evaluate(P.coeffs, s)
         points.append((s, direct, val))
         if val != direct:

@@ -230,6 +230,17 @@ def test_tabulation_orbits_b_only_when_b_is_nonempty(monkeypatch):
         assert walks == [(sys, [(0,)], (4,), box), (base or sys, [(5,)], (4,), then)]
 
 
+def test_check_mode_takes_no_image_from_graded_orbit_or_apply_word(monkeypatch):
+    # check mode steps the word lattice, as tabulation does
+    def unused(*args, **kwargs):
+        raise AssertionError("check mode takes no image from graded_orbit or apply_word")
+
+    monkeypatch.setattr(operators, "graded_orbit", unused)
+    monkeypatch.setattr(operators, "apply_word", unused)
+    report = check_system(make_sumset_system([0, 1], [2]), [(0,), (3,)], depth=5)
+    assert report.commutation_ok and report.triangular_ok
+
+
 def test_a_context_over_the_work_budget_runs_no_map_of_b():
     # a 3,321-word table whose B orbit in a six-shift context needs 470
     # million words: it used to walk them slice by slice for minutes
@@ -288,6 +299,10 @@ def test_a_context_system_must_extend_the_primary(case):
         tabulate_f(sys, [(0,)], [(1,)], box=(2, 2), context_sys=context)
     with pytest.raises(InputError, match=f"^{message}$"):
         analyze_graded(sys, [(0,)], [(1,)], context_sys=context)
+    # verification used to step B's orbits in such a context and report
+    P = GrowthPolynomial({}, (0,), (0,))
+    with pytest.raises(InputError, match=f"^{message}$"):
+        verify_fit(P, sys, [(0,)], [(1,)], ((0,), (2,)), context)
 
 
 def test_map_failure_during_tabulation_names_map_and_word():
@@ -359,6 +374,19 @@ def test_from_function_box_must_be_natural_numbers():
         with pytest.raises(InputError, match="box must be natural numbers"):
             DecreasingTable.from_function(lambda u: 1, box, Partition([1]))
     assert DecreasingTable.from_function(lambda u: 1, (2,), Partition([1])).box == (2,)
+
+
+def test_from_function_refuses_a_value_that_is_not_an_integer():
+    # int() used to turn 1.7 into 1 at every word
+    for value in [1.7, Fraction(3, 2), True, "2"]:
+        message = f"marginal rank at (0,) must be an integer, got {value!r}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            DecreasingTable.from_function(lambda u: value, (2,), Partition([1]))
+    # the refusal names the word
+    with pytest.raises(InputError, match=re.escape("at (1, 1) must be an integer")):
+        DecreasingTable.from_function(
+            lambda u: 1.0 if u == (1, 1) else 1, (2, 2), Partition([2])
+        )
 
 
 def test_a_table_refuses_a_box_outside_the_naturals():
@@ -1269,13 +1297,13 @@ def test_verification_map_failure_names_map_and_part_degree():
     )
     assert isinstance(failed.value.__cause__, ValueError)
     # B's orbit steps the same way, in the context system
-    context = OperatorSystem(
-        [translation((1,)), shift], Partition([2]), TrivialBackend(1)
-    )
+    unit = translation((1,))
+    primary = OperatorSystem([unit], Partition([1]), sys.backend)
+    context = OperatorSystem([unit, shift], Partition([2]), sys.backend)
     P = GrowthPolynomial({}, (0,), (0,))
     with pytest.raises(OperatorError, match=r"^map 2 failed while reaching part "
                        r"degree \(4,\): no image of 4$"):
-        verify_fit(P, make_sumset_system([1]), [(0,)], [(1,)], ((0,), (5,)), context)
+        verify_fit(P, primary, [(0,)], [(1,)], ((0,), (5,)), context)
 
 
 def test_verification_refuses_an_orbit_only_noncommuting_maps_reach():
@@ -1416,7 +1444,7 @@ def _flat_table():
         ),
         (
             lambda: apply_word(make_sumset_system([1]), (0,), (1, 1)),
-            "word length 2 != m = 1",
+            "word must be a point of N^1 (integers >= 0), got (1, 1)",
         ),
         (
             lambda: check_system(make_sumset_system([1]), [(0,)], depth=0),

@@ -91,23 +91,6 @@ def test_apply_word_multiplication_map():
     assert apply_word(sys, seeds[0], (3,)) == lb.monomial((3,))
 
 
-def test_apply_word_cache_path_independence():
-    # the cached value at r + e_i is map i applied to the value at r
-    sys = make_sumset_system([1, 3, 5])
-    cache = {}
-    rng = random.Random(2)
-    for _ in range(40):
-        r = tuple(rng.randint(0, 3) for _ in range(3))
-        expect = (sum(c * v for c, v in zip(r, (1, 3, 5))),)
-        assert apply_word(sys, (0,), r, cache) == expect
-    for (seed, word), val in cache.items():
-        for i in range(3):
-            if word[i]:
-                prev = word[:i] + (word[i] - 1,) + word[i + 1 :]
-                if (seed, prev) in cache:
-                    assert sys.maps[i](cache[(seed, prev)]) == val
-
-
 def test_apply_word_random_descent_orders_agree():
     sys = make_sumset_system([(1, 0), (0, 1)], [(2, 2)])
     rng = random.Random(9)
@@ -133,8 +116,9 @@ def test_apply_word_refuses_a_word_outside_the_naturals():
 
     sys = OperatorSystem([shift, shift], Partition([2]), TrivialBackend(1))
     for word in [(0, -1), (0, 1.5), (-1, 3), (0.5, 0), (2, float("inf"))]:
-        with pytest.raises(InputError, match=re.escape(f"word {word} is not in N^2")):
-            apply_word(sys, (0,), word, {})
+        message = f"word must be a point of N^2 (integers >= 0), got {word}"
+        with pytest.raises(InputError, match=re.escape(message)):
+            apply_word(sys, (0,), word)
     assert ran == []
     assert apply_word(sys, (0,), (2, 1)) == (3,)
 
@@ -451,6 +435,85 @@ def test_check_system_skips_words_and_commutations_a_map_cannot_take():
     ]
 
 
+def _fragile(calls, limit):
+    """The map x -> 2x + 1, which raises from x = limit on; each call is
+    recorded."""
+
+    def fragile(x):
+        calls.append(("fragile", x[0]))
+        if x[0] >= limit:
+            raise ValueError(f"no image of {x[0]}")
+        return (2 * x[0] + 1,)
+
+    return fragile
+
+
+def test_check_system_walks_each_seed_and_word_once(monkeypatch):
+    calls, walked = [], []
+
+    def shift(x):
+        calls.append(("shift", x[0]))
+        return (x[0] + 1,)
+
+    sys = OperatorSystem(
+        [shift, _fragile(calls, 2)], Partition([1, 1]), TrivialBackend(1)
+    )
+    honest = sys.backend.dedupe
+
+    def counting(elems):  # the calls made by the time each dedupe is done
+        out = honest(elems)
+        walked.append(list(calls))
+        return out
+
+    monkeypatch.setattr(sys.backend, "dedupe", counting)
+    check_system(sys, [(2,), (0,)], depth=4)
+    # the seeds are deduped before any map runs, then the walk's images as
+    # they are made: the words (1, 0), (0, 1), (2, 0), (1, 1), (0, 2) in
+    # lattice order, each from its predecessor; from the seed 2, (0, 1) and
+    # (1, 1) raise, and (0, 2) steps from the skipped (0, 1), so no map runs
+    assert walked == [[], [
+        ("shift", 0), ("fragile", 0), ("shift", 1), ("fragile", 1), ("fragile", 1),
+        ("shift", 2), ("fragile", 2), ("shift", 3), ("fragile", 3),
+    ]]
+    # commuting shifts: one call per seed and nonzero word
+    counted = []
+
+    def unit(v):
+        step = translation(v)
+        return lambda x: counted.append(x) or step(x)
+
+    sys = OperatorSystem(
+        [unit((1,)), unit((10,)), unit((100,))], Partition([3]), TrivialBackend(1)
+    )
+    check_system(sys, [(0,), (1000,)], depth=5, pair_count=0)
+    words = Partition([3]).word_count((0,), (3,))  # degrees 0..3 in 3 slots
+    points = 2 * words  # every image is distinct
+    assert len(counted) == 2 * (words - 1) + points * 2 * 3 * 2
+
+
+def test_check_system_skips_a_map_that_raises_on_part_of_the_orbit():
+    # the report of the walk that retried each failing chain through
+    # apply_word's memo, hard-coded
+    sys = OperatorSystem(
+        [translation((1,)), _fragile([], 5), translation((3,))],
+        Partition([2, 1]),
+        TrivialBackend(1),
+    )
+    report = check_system(sys, [(0,), (1,)], depth=6, pair_count=6)
+    assert report == SystemCheckReport(
+        commutation_failures=[
+            "maps 1 and 2 disagree at (0,): (2,) vs (3,)",
+            "maps 2 and 3 disagree at (0,): (7,) vs (4,)",
+            "maps 1 and 2 disagree at (1,): (4,) vs (5,)",
+            "maps 2 and 3 disagree at (1,): (9,) vs (6,)",
+            "maps 1 and 2 disagree at (3,): (8,) vs (9,)",
+            "maps 1 and 2 disagree at (2,): (6,) vs (7,)",
+        ],
+        parts_triangular=(True, True),
+        parts_quasi_triangular=(True, True),
+    )
+
+
 def test_check_system_of_an_empty_sample_draws_no_pair(monkeypatch):
     def never(x):
         raise AssertionError("no map may run")
@@ -463,6 +526,10 @@ def test_check_system_of_an_empty_sample_draws_no_pair(monkeypatch):
         parts_triangular=(True, True), parts_quasi_triangular=(True, True)
     )
     assert ranked == []
+    # no seeds walk no word, so no lattice is built, even one over the budget
+    words = Partition([2]).word_count((0,), (2_000,))
+    assert words > operators.MAX_WORDS
+    assert check_system(sys, [], depth=2_002) == report
 
 
 def test_check_system_noncommuting():
