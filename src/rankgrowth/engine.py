@@ -101,8 +101,9 @@ class _WordLattice(NamedTuple):
     nonzero coordinate, -1 for the zero word) applied to word
     ``down[top[n]][n]``, so its maps run in ``apply_word``'s order, the
     highest last.  Every predecessor comes before its word.  The one
-    incremental word walk: tabulation (``_images``) and ``check_system``
-    step it.  Shared by every caller, so read-only.
+    incremental word walk: tabulation steps it for A's words (``_images``),
+    and ``check_system`` for its orbit.  Shared by every caller, so
+    read-only.
     """
 
     words: List[MultiIndex]
@@ -188,7 +189,9 @@ class DecreasingTable:
     lattice's, in lattice order: slices in ``degrees_below(slice_cap)``
     order, ascending lex order inside each, as ``tabulate_f`` and
     ``from_function`` build them.  Its values are marginal ranks, so
-    natural numbers.  Any other table is an ``InputError``.
+    natural numbers of type exactly ``int`` (no bool, float or
+    ``Fraction``); the first other value in lattice order is named.  Any
+    other table is an ``InputError``.
 
     One scan over the lattice's unit steps fills the metadata.
     ``violations`` lists the pairs ``(u - e_i, u)`` where the value
@@ -220,6 +223,11 @@ class DecreasingTable:
                 f"slice cap {cap} in lattice order"
             )
         f = list(self.values.values())
+        if not set(map(type, f)) <= {int}:  # one pass over the values' types
+            n = next(n for n, v in enumerate(f) if type(v) is not int)
+            raise InputError(
+                f"marginal rank at {words[n]} must be an integer, got {f[n]!r}"
+            )
         low = min(f)  # the zero word is in every lattice
         if low < 0:
             raise InputError(
@@ -252,14 +260,11 @@ class DecreasingTable:
 
     @classmethod
     def from_function(cls, f, box: Sequence[int], partition: Partition):
-        """Synthetic table from an explicit function on multi-indices; a
-        value that is not an integer is an ``InputError`` naming its word."""
+        """Synthetic table from an explicit function on multi-indices,
+        checked as every table is."""
         box = natural_index(box, None, "box")  # before the lattice reads it
         cap = partition.part_degree(box)
         values = {r: f(r) for r in _word_lattice(partition.part_sizes, cap).words}
-        for r, v in values.items():
-            if not is_int(v):
-                raise InputError(f"marginal rank at {r} must be an integer, got {v!r}")
         return cls(box, partition, values)
 
     @property
@@ -272,16 +277,12 @@ class DecreasingTable:
         )
 
 
-def _images(
-    sys: OperatorSystem, seeds: List, cap: MultiIndex, then: str
-) -> Tuple[_WordLattice, List[List]]:
-    """The lattice of words under ``cap`` and each seed's image at every word.
+def _images(sys: OperatorSystem, seeds: List, lattice: _WordLattice) -> List[List]:
+    """Each seed's image at every word of ``lattice``, in ``sys``.
 
     ``images[j][n]`` is map ``i = top[n]`` applied to ``images[j][down[i][n]]``,
-    as ``apply_word`` steps.  A lattice over the work budget is refused with
-    the advice ``then`` before any map runs; a failing map raises ``map_failure``.
+    as ``apply_word`` steps; a failing map raises ``map_failure``.
     """
-    lattice = _word_lattice(sys.partition.part_sizes, cap, then)
     words, top, down = lattice.words, lattice.top, lattice.down
     images = [[a] * len(words) for a in seeds]
     for n in range(1, len(words)):  # word 0 is the zero word: the seed itself
@@ -292,7 +293,7 @@ def _images(
                 img[n] = phi(img[prev])
             except Exception as exc:  # noqa: BLE001 - rewrapped as apply_word does
                 raise map_failure(i, f"applying word {words[n]}", exc) from exc
-    return lattice, images
+    return images
 
 
 def tabulate_f(
@@ -305,16 +306,19 @@ def tabulate_f(
     """Tabulate the marginal rank function over every slice under the box.
 
     ``box`` is validated as a ``StabilizationConfig`` box; ``None`` means
-    the default box.  Every image comes from ``_images``: A's in ``sys``,
-    and B's, when B is nonempty, at the same part degrees in the context
-    system (vetted by ``_check_context``) or else in ``sys``.
+    the default box.  A's images come from ``_images`` over the word
+    lattice under the box's part degree.  B's orbits, when B is nonempty,
+    come from ``_stepped_orbits`` at the same part degrees, in the context
+    system (vetted by ``_check_context``) or else in ``sys``; a context's
+    words are counted in closed form against the work budget before any
+    map runs, and no lattice is built for it.  So B's maps are held to
+    commute, as in ``verify_fit``: a larger orbit is a ``HypothesisError``.
 
     Each slice (part-degree class) gets a fresh basis builder, fed B's
-    images there (a duplicate never raises the rank, so none is dropped);
-    A's words then arrive in ascending lex order, and each one's marginal
-    is the number of its images of A that raise the rank over everything
-    fed before.  Summing over a slice telescopes to the relative rank of
-    the graded orbits.
+    orbit there; A's words then arrive in ascending lex order, and each
+    one's marginal is the number of its images of A that raise the rank
+    over everything fed before.  Summing over a slice telescopes to the
+    relative rank of the graded orbits.
     """
     box = StabilizationConfig(box=box).resolved_box(sys.m)
     if context_sys is not None:
@@ -323,23 +327,24 @@ def tabulate_f(
     # both seed sets are validated before any map runs
     seeds, seeds_b = backend.sorted_elems(A), backend.sorted_elems(B)
     cap = sys.partition.part_degree(box)
-    then = "use a smaller box (--box)"
-    lattice, images = _images(sys, seeds, cap, then)
-    lattice_b, images_b = lattice, []
+    lattice = _word_lattice(sys.partition.part_sizes, cap)
+    orbits_b = repeat((None, ()))  # an empty B steps nothing and feeds nothing
     if seeds_b:
-        if context_sys is not None:  # a refusal of its lattice names it
+        if context_sys is not None:  # else A's lattice bounds B's words
             sizes = list(context_sys.partition.part_sizes)
-            then = (
+            check_budget(
+                context_sys.partition.word_count((0,) * sys.k, cap),
+                f"tabulating part degrees up to {cap}",
                 f"B's orbits run in the context system with parts of sizes "
-                f"{sizes}; {then}"
+                f"{sizes}; use a smaller box (--box)",
             )
-        lattice_b, images_b = _images(context_sys or sys, seeds_b, cap, then)
+        orbits_b = _stepped_orbits(context_sys or sys, seeds_b, (0,) * sys.k, cap)
+    images = _images(sys, seeds, lattice)
     marginals = []
-    # both lattices list their slices in degrees_below(cap) order
-    for (_, start, stop), (_, start_b, stop_b) in zip(lattice.slices, lattice_b.slices):
+    # the lattice's slices and B's orbits both come in degrees_below(cap) order
+    for (_, start, stop), (_, orbit_b) in zip(lattice.slices, orbits_b):
         builder = backend.basis_builder()
-        for img in images_b:
-            builder.add_all(img[start_b:stop_b])
+        builder.add_all(orbit_b)
         # zip adds word by word, seeds in order; the zeros cover an empty A
         columns = (map(builder.add, img[start:stop]) for img in images)
         marginals.extend(map(sum, zip(repeat(0, stop - start), *columns)))
@@ -707,7 +712,9 @@ def _stepped_orbits(
     order of their maps.  A chain from 0 reaches ``lo``, raising one
     coordinate after another; every other point of the box steps from its
     predecessor in its last coordinate above ``lo``.  No word is built and
-    no image is read from ``_images`` or a table.
+    no image is read from ``_images`` or a table.  ``verify_fit`` steps
+    both orbits of its window here, and ``tabulate_f`` B's orbits from 0
+    to its slice cap.
 
     Commuting maps give at most ``len(seeds)`` times the words of part
     degree ``s`` points at ``s``: a larger orbit is a ``HypothesisError``
@@ -762,13 +769,14 @@ def verify_fit(
     Each point's rank is recomputed from the orbits of A (in ``sys``) and
     of B (in the context system when one is given, else ``sys``), which
     ``_stepped_orbits`` steps one part degree at a time, sharing no image
-    code with ``tabulate_f`` and reading nothing from its table.  A window
-    whose corners are not points of N^k, the end nowhere below the start,
-    or over the work budget (counted in closed form in the B system too when
-    B is nonempty) is an ``InputError`` before any point is verified, as is
-    a context system that does not extend ``sys`` (``_check_context``) or
-    a malformed element of A or B (``RankOracle.sorted_elems``); an
-    orbit larger than commuting maps allow is a ``HypothesisError``.
+    code with A's walk in ``tabulate_f`` and reading nothing from its
+    table.  A window whose corners are not points of N^k, the end nowhere
+    below the start, or over the work budget (counted in closed form in
+    the B system too when B's validated seeds are nonempty) is an
+    ``InputError`` before any point is verified, as is a context system
+    that does not extend ``sys`` (``_check_context``) or a malformed
+    element of A or B (``RankOracle.sorted_elems``); an orbit larger than
+    commuting maps allow is a ``HypothesisError``.
     ``P`` is evaluated at every point in integers.
     """
     lo = natural_index(window[0], P.k, "window start")
@@ -782,14 +790,15 @@ def verify_fit(
     if context_sys is not None:
         _check_context(sys, context_sys)
     base_sys = context_sys or sys
+    backend = sys.backend
+    seeds, seeds_b = backend.sorted_elems(A), backend.sorted_elems(B)
     words = sys.partition.word_count(lo, hi)
-    if B:
+    if seeds_b:
         words = max(words, base_sys.partition.word_count(lo, hi))
     doing = f"verifying part degrees {lo} to {hi}"
     check_budget(words, doing, "use a smaller window (--window)")
-    backend = sys.backend
-    orbits_a = _stepped_orbits(sys, backend.sorted_elems(A), lo, hi)
-    orbits_b = _stepped_orbits(base_sys, backend.sorted_elems(B), lo, hi)
+    orbits_a = _stepped_orbits(sys, seeds, lo, hi)
+    orbits_b = _stepped_orbits(base_sys, seeds_b, lo, hi)
     points, mismatches = [], []
     for (s, orbit_b), (_, orbit_a) in zip(orbits_b, orbits_a):
         builder = backend.basis_builder()

@@ -293,9 +293,10 @@ def apply_word(sys: OperatorSystem, a, r: MultiIndex):
     shares no image with any other call.  A word outside N^m is an
     ``InputError`` before any map runs, and a map that raises an
     ``OperatorError`` naming the map and the word it was reaching.
-    Tabulation and check mode step the same words over the word lattice
-    (``engine._images``, ``check_system``); verification steps whole
-    orbits one part degree at a time in ``engine._stepped_orbits``.
+    Tabulation's A and check mode step the same words over the word
+    lattice (``engine._images``, ``check_system``); tabulation's B and
+    verification step whole orbits one part degree at a time in
+    ``engine._stepped_orbits``.
     """
     r = natural_index(r, sys.m, "word")
     for i, c in enumerate(r):

@@ -172,13 +172,15 @@ def test_graded_sum_identity(problem):
 
 
 def _noncommuting_example():
-    # +1 and doubling do not commute, so every image depends on the path
-    # apply_word takes: it always decrements the highest nonzero coordinate
+    # +1 and doubling do not commute, so every image of A depends on the
+    # path apply_word takes: it always decrements the highest nonzero
+    # coordinate.  B is empty: B's orbits step by part degree and refuse
+    # such maps (test_noncommuting_maps_with_b_are_refused_by_tabulation)
     def double(x):
         return (2 * x[0],)
 
     sys = OperatorSystem([translation((1,)), double], Partition([2]), TrivialBackend(1))
-    return sys, [(1,), (3,)], [(4,)], (3, 3), None
+    return sys, [(1,), (3,)], [], (3, 3), None
 
 
 def _forced_counterexample():
@@ -201,33 +203,48 @@ def test_tabulation_matches_reference_kernel(problem):
     assert table.corners == corners
 
 
-def test_tabulation_orbits_b_only_when_b_is_nonempty(monkeypatch):
-    # every image comes from the lattice kernel: A's walk, then B's when B
-    # is nonempty, in the context system when one is given
-    walks = []
-    honest = engine._images
+def test_noncommuting_maps_with_b_are_refused_by_tabulation():
+    # B's orbits step one part degree at a time, as verification's do:
+    # {4} reaches {5, 8}, then {6, 10, 9, 16}, four points where commuting
+    # maps give at most three; B's word walk used to apply one fixed order
+    sys, A, _, box, _ = _noncommuting_example()
+    with pytest.raises(HypothesisError, match="maps do not commute") as refused:
+        tabulate_f(sys, A, [(4,)], box=box)
+    assert refused.value.witness == (2,)
 
-    def counting(sys, seeds, cap, then):
-        walks.append((sys, list(seeds), cap, then))
-        return honest(sys, seeds, cap, then)
+
+def test_tabulation_orbits_b_only_when_b_is_nonempty(monkeypatch):
+    # A's images come from one lattice walk; B's orbits, when B is
+    # nonempty, from one stepped orbit over the slices, in the context
+    # system when one is given
+    walks, steps = [], []
+    honest_images, honest_steps = engine._images, engine._stepped_orbits
+
+    def counting_images(sys, seeds, lattice):
+        walks.append((sys, list(seeds), lattice.slices[-1][0]))
+        return honest_images(sys, seeds, lattice)
+
+    def counting_steps(sys, seeds, lo, hi):
+        steps.append((sys, list(seeds), lo, hi))
+        return honest_steps(sys, seeds, lo, hi)
 
     def unused(*args, **kwargs):
         raise AssertionError("tabulation takes no image from graded_orbit or apply_word")
 
-    monkeypatch.setattr(engine, "_images", counting)
+    monkeypatch.setattr(engine, "_images", counting_images)
+    monkeypatch.setattr(engine, "_stepped_orbits", counting_steps)
     monkeypatch.setattr(operators, "graded_orbit", unused)
     monkeypatch.setattr(operators, "apply_word", unused)
     sys = make_sumset_system([0, 1])
     tabulate_f(sys, [(0,)], [], box=(2, 2))
-    box = "use a smaller box (--box)"
-    assert walks == [(sys, [(0,)], (4,), box)]
+    assert (walks, steps) == ([(sys, [(0,)], (4,))], [])
     context = _with_extra_translations(sys, [3])
-    # a refusal of B's lattice names the context it walks in
-    in_context = "B's orbits run in the context system with parts of sizes [3]; " + box
-    for base, then in [(None, box), (context, in_context)]:
+    for base in [None, context]:
         walks.clear()
+        steps.clear()
         tabulate_f(sys, [(0,)], [(5,)], box=(2, 2), context_sys=base)
-        assert walks == [(sys, [(0,)], (4,), box), (base or sys, [(5,)], (4,), then)]
+        assert walks == [(sys, [(0,)], (4,))]
+        assert steps == [(base or sys, [(5,)], (0,), (4,))]
 
 
 def test_check_mode_takes_no_image_from_graded_orbit_or_apply_word(monkeypatch):
@@ -256,6 +273,76 @@ def test_a_context_over_the_work_budget_runs_no_map_of_b():
     # an empty B walks no context word at all
     table = tabulate_f(sys, [(0,)], [], box=(40, 40), context_sys=context)
     assert len(table.values) == 3321
+
+
+def _counted_translation(v, calls):
+    """The shift by ``v``, appending ``v`` to ``calls`` at each call."""
+    shift = translation((v,))
+
+    def phi(x):
+        calls.append(v)
+        return shift(x)
+
+    return phi
+
+
+def _six_shift_context(sys, shifts=None):
+    """A context of the two-shift system ``sys``: one part of six maps, the
+    last four the shifts by 2..5 unless ``shifts`` are given."""
+    shifts = shifts or [translation((v,)) for v in range(2, 6)]
+    return OperatorSystem(list(sys.maps) + shifts, Partition([6]), sys.backend)
+
+
+def test_a_context_over_the_work_budget_is_refused_before_a_walks():
+    # the context's words are counted before any map runs, A's included;
+    # A's 3,321-word walk used to run first
+    calls = []
+    sys = OperatorSystem(
+        [_counted_translation(v, calls) for v in (0, 1)],
+        Partition([2]),
+        TrivialBackend(1),
+    )
+    context = _six_shift_context(sys)
+    with pytest.raises(InputError, match="470,155,077 words"):
+        tabulate_f(sys, [(0,)], [(1,)], box=(40, 40), context_sys=context)
+    assert calls == []
+
+
+def test_a_context_solve_builds_only_the_lattice_of_a(monkeypatch):
+    builds = []
+    honest = engine._build_word_lattice
+
+    def counting(part_sizes, cap, then):
+        builds.append((part_sizes, cap))
+        return honest(part_sizes, cap, then)
+
+    monkeypatch.setattr(engine, "_build_word_lattice", counting)
+    monkeypatch.setattr(engine, "_word_lattice", engine._LatticeCache(1000))
+    sys = make_sumset_system([0, 1])
+    context = _six_shift_context(sys)
+    cfg = StabilizationConfig(box=(8, 8))
+    result = analyze_graded(sys, [(0,)], [(1,)], cfg, context)
+    assert (result.status, result.polynomial.pretty()) == ("certified", "1")
+    # the context's (6,) under (16,) would be 74,613 words
+    assert builds == [((2,), (16,))]
+
+
+def test_a_six_shift_context_at_box_14_steps_b_by_part_degree():
+    # B's word walk built and walked the context's 1,344,904 words under
+    # part degree 28; stepping runs each extra shift once on each point of
+    # each orbit it steps from, 5t + 1 points at degree t
+    calls = []
+    sys = make_sumset_system([0, 1])
+    extra = [_counted_translation(v, calls) for v in range(2, 6)]
+    context = _six_shift_context(sys, extra)
+    cfg = StabilizationConfig(box=(14, 14))
+    result = analyze_graded(sys, [(0,)], [(1,)], cfg, context)
+    assert (result.status, result.polynomial.pretty()) == ("certified", "1")
+    assert result.table.slice_cap == (28,)
+    assert result.verification.window == ((1,), (3,))
+    tabulated = sum(5 * t + 1 for t in range(28))  # degrees 0..27 step to 1..28
+    verified = 1 + 6 + 11  # degrees 0..2 step to the window's 1..3
+    assert len(calls) == 4 * (tabulated + verified)
 
 
 def test_the_work_budget_refusal_of_a_context_names_it():
@@ -319,6 +406,25 @@ def test_map_failure_during_tabulation_names_map_and_word():
     assert str(tabulated.value) == str(direct.value)
     assert "map 2 failed while applying word (0, 4)" in str(tabulated.value)
     assert isinstance(tabulated.value.__cause__, ValueError)
+
+
+def test_b_map_failure_during_tabulation_names_map_and_part_degree():
+    # B's orbit steps by part degree, so its failure reads as verification's;
+    # it used to name the context word B's walk was applying
+    def shift(x):
+        if x[0] >= 4:
+            raise ValueError(f"no image of {x[0]}")
+        return (x[0] + 1,)
+
+    unit = translation((1,))
+    primary = OperatorSystem([unit], Partition([1]), TrivialBackend(1))
+    context = OperatorSystem([unit, shift], Partition([2]), primary.backend)
+    with pytest.raises(OperatorError) as failed:
+        tabulate_f(primary, [(0,)], [(1,)], box=(4,), context_sys=context)
+    assert str(failed.value) == (
+        "map 2 failed while reaching part degree (4,): no image of 4"
+    )
+    assert isinstance(failed.value.__cause__, ValueError)
 
 
 def test_builder_failure_during_tabulation_is_not_rewrapped():
@@ -387,6 +493,23 @@ def test_from_function_refuses_a_value_that_is_not_an_integer():
         DecreasingTable.from_function(
             lambda u: 1.0 if u == (1, 1) else 1, (2, 2), Partition([2])
         )
+
+
+def test_a_table_refuses_values_that_are_not_exactly_int():
+    # the constructor took 1.7 and gave corners ((0,), 1.7, 2.7)
+    p = Partition([1])
+    for values, word, value in [
+        ({(0,): 1.7, (1,): 1.5, (2,): 1}, (0,), 1.7),
+        ({(0,): 2, (1,): True, (2,): 1.5}, (1,), True),
+        ({(0,): 2, (1,): 1, (2,): Fraction(1)}, (2,), Fraction(1)),
+    ]:
+        message = f"marginal rank at {word} must be an integer, got {value!r}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            DecreasingTable((2,), p, values)
+    assert DecreasingTable((2,), p, {(0,): 2, (1,): 1, (2,): 1}).corners == [
+        ((0,), 2, 3),
+        ((1,), 1, 2),
+    ]
 
 
 def test_a_table_refuses_a_box_outside_the_naturals():
@@ -488,13 +611,13 @@ def test_a_table_over_the_cache_budget_builds_its_lattice_once(monkeypatch):
         assert builds == built
         assert (result.status, result.polynomial.pretty()) == ("certified", "3*Y")
         assert len(result.table.values) == 302_621
-    # a context lattice over the budget evicts A's, which the table then
-    # rebuilds, evicting it in turn: B's 35 words are built once
+    # a context builds no lattice, so A's is built once even when the
+    # cache holds fewer words than the context's 35
     monkeypatch.setattr(engine, "_word_lattice", engine._LatticeCache(20))
     sys = make_sumset_system([0, 1])
     builds.clear()
     tabulate_f(sys, [(0,)], [(1,)], (2, 2), _with_extra_translations(sys, [2]))
-    assert builds == [((2,), (4,)), ((3,), (4,)), ((2,), (4,))]
+    assert builds == [((2,), (4,))]
 
 
 def test_tabulate_sumset_is_decreasing_all_ones():
@@ -1198,6 +1321,20 @@ def test_verification_budget_counts_the_window_in_the_b_system(monkeypatch):
         verify_fit(P, sys, [(0,)], [(1,)], window, context)
     monkeypatch.setattr(operators, "MAX_WORDS", 35)
     verify_fit(P, sys, [(0,)], [(1,)], window, context)
+
+
+def test_verification_counts_the_b_system_only_for_nonempty_seeds_of_b():
+    # an empty iterator is truthy: it used to count the context's
+    # 26,854,464 words and refuse a window of 3 points
+    sys = make_sumset_system([0, 1])
+    context = _six_shift_context(sys)
+    P = GrowthPolynomial({}, (0,), (0,))
+    window = ((60,), (62,))
+    for B in ([], (), iter([])):
+        report = verify_fit(P, sys, [(0,)], B, window, context)
+        assert [s for s, _, _ in report.points] == [(60,), (61,), (62,)]
+    with pytest.raises(InputError, match="needs 26,854,464 words"):
+        verify_fit(P, sys, [(0,)], iter([(1,)]), window, context)
 
 
 @st.composite
