@@ -653,16 +653,15 @@ def make_counterexample_graph(depth: int = 64) -> Tuple[OperatorSystem, List]:
 def make_graphic_system(
     vertex_maps: Sequence,
     part_sizes: Sequence[int],
-    part_flags: Sequence[str] | None = None,
 ) -> OperatorSystem:
     """Vertex-map-induced edge operators over the graphic backend.
 
     Vertex maps induce matroid endomorphisms (images of paths are walks),
-    so parts default to triangular.  A graphic rank depends only on the
+    so every part is declared triangular.  A graphic rank depends only on the
     edges it is given, so the system needs no ambient graph.
     """
     maps = [vertex_map_edge_operator(vm) for vm in vertex_maps]
-    return OperatorSystem(maps, Partition(part_sizes), GraphicBackend(), part_flags)
+    return OperatorSystem(maps, Partition(part_sizes), GraphicBackend())
 
 
 # ---------------------------------------------------------------------------
@@ -911,7 +910,6 @@ def make_circuit_backend(
     circuits: Dict[Tuple[int, ...], Iterable],
     maps: Sequence[Callable],
     sample_elements: Sequence = (),
-    part_flags: Sequence[str] | None = None,
 ) -> OperatorSystem:
     """Operator system over an explicitly given circuit matroid.
 
@@ -922,7 +920,7 @@ def make_circuit_backend(
     """
     partition = Partition(part_sizes)
     backend = CircuitBackend(circuits)
-    sys = OperatorSystem(maps, partition, backend, part_flags)
+    sys = OperatorSystem(maps, partition, backend)
     sample = backend.dedupe(sample_elements)
     if sample:
         rng = random.Random(1729)

@@ -18,13 +18,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from array import array
-from bisect import bisect_right
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import compress, repeat
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ContractError, HypothesisError, InputError
 from .operators import (
@@ -32,15 +29,15 @@ from .operators import (
     OperatorSystem,
     Partition,
     TRIANGULAR,
+    _WordLattice,
+    _word_lattice,
     augment,
     check_budget,
     degrees_below,
     is_int,
-    join_blocks,
     lex_key,
     map_failure,
     natural_index,
-    part_blocks,
     product_leq,
 )
 
@@ -81,101 +78,8 @@ class StabilizationConfig:
         return self.box
 
 
-LATTICE_CACHE_WORDS = 250_000
-"""The most words the lattice cache keeps, unless its newest lattice alone has more."""
-
 BOUND_EVIDENCE = "bound"
 WINDOW_EVIDENCE = "window"
-
-
-class _WordLattice(NamedTuple):
-    """Every word of N^m whose part degree is at most a cap, indexed once.
-
-    ``words`` lists them in table order: slices (part-degree classes) in
-    ``degrees_below`` order, ascending lex order inside each; ``slices``
-    holds each slice's ``(s, start, stop)`` index range.  A slice joins one
-    block per part, each part's blocks built once by ``part_blocks``: the
-    one enumeration, which ``words_of_part_degree`` reads too.
-    ``down[i][n]`` is the index of word ``n`` minus ``e_i``, or -1 when
-    coordinate ``i`` is zero.  Word ``n`` is map ``top[n]`` (its highest
-    nonzero coordinate, -1 for the zero word) applied to word
-    ``down[top[n]][n]``, so its maps run in ``apply_word``'s order, the
-    highest last.  Every predecessor comes before its word.  The one
-    incremental word walk: tabulation steps it for A's words (``_images``),
-    and ``check_system`` for its orbit.  Shared by every caller, so
-    read-only.
-    """
-
-    words: List[MultiIndex]
-    slices: List[Tuple[MultiIndex, int, int]]
-    top: array
-    down: Tuple[array, ...]
-
-
-def _build_word_lattice(
-    part_sizes: Tuple[int, ...], cap: MultiIndex, then: str
-) -> _WordLattice:
-    """The lattice of words under ``cap``; over the work budget an ``InputError``.
-
-    The size has a closed form, so the budget is checked, with the advice
-    ``then``, before any word is built.
-    """
-    partition = Partition(part_sizes)
-    size = partition.word_count((0,) * partition.k, cap)
-    check_budget(size, f"tabulating part degrees up to {cap}", then)
-    blocks = [part_blocks(d, 0, c) for d, c in zip(part_sizes, cap)]
-    words: List[MultiIndex] = []
-    slices = []
-    for s in degrees_below(cap):
-        start = len(words)
-        words.extend(join_blocks(b[t] for b, t in zip(blocks, s)))
-        slices.append((s, start, len(words)))
-    # word w has key sum(w_i * radix**i), so w - e_i has key(w) - radix**i;
-    # when w_i = 0 the borrow leaves a digit radix - 1, which no word has
-    radix = max(cap) + 2
-    powers = [radix**i for i in range(partition.m)]
-    keys = [sum(map(operator.mul, w, powers)) for w in words]
-    index = dict(zip(keys, range(len(keys))))
-    sub = operator.sub
-    top = array("i", map(sub, map(bisect_right, repeat(powers), keys), repeat(1)))
-    down = tuple(
-        array("i", map(index.get, map(sub, keys, repeat(p)), repeat(-1)))
-        for p in powers
-    )
-    return _WordLattice(words, slices, top, down)
-
-
-class _LatticeCache:
-    """Least-recently-used word lattices, bounded by their total words.
-
-    Every lattice built is kept, so a table that fetches the lattice its
-    tabulation walked never builds it twice; then the least recently used
-    others go while the total is over ``budget``.
-    """
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.lattices: OrderedDict = OrderedDict()
-        self.words = 0
-
-    def __call__(
-        self, part_sizes: Tuple[int, ...], cap: MultiIndex,
-        then: str = "use a smaller box (--box)",
-    ) -> _WordLattice:
-        key = (part_sizes, cap)
-        lattice = self.lattices.get(key)
-        if lattice is not None:
-            self.lattices.move_to_end(key)
-            return lattice
-        lattice = self.lattices[key] = _build_word_lattice(part_sizes, cap, then)
-        self.words += len(lattice.words)
-        while self.words > self.budget and len(self.lattices) > 1:
-            _, old = self.lattices.popitem(last=False)
-            self.words -= len(old.words)
-        return lattice
-
-
-_word_lattice = _LatticeCache(LATTICE_CACHE_WORDS)
 
 
 @dataclass
@@ -272,9 +176,12 @@ class DecreasingTable:
         return not self.violations
 
     def graded_sum(self, s: MultiIndex) -> int:
-        return sum(
-            self.values[r] for r in self.partition.words_of_part_degree(tuple(s))
-        )
+        """The sum of the values at part degree ``s``, which must be a point of
+        N^k under the slice cap, else an ``InputError``."""
+        s = natural_index(s, self.partition.k, "part degree")
+        if not product_leq(s, self.slice_cap):
+            raise InputError(f"part degree {s} is outside slice cap {self.slice_cap}")
+        return sum(self.values[r] for r in self.partition.words_of_part_degree(s))
 
 
 def _images(sys: OperatorSystem, seeds: List, lattice: _WordLattice) -> List[List]:
@@ -421,12 +328,28 @@ class GeneratingNumerator:
 
     Integer coefficients indexed by part-degree exponents, all bounded by
     ``cap`` (the part degree of the staircase bound).  The denominator is
-    implicitly the product of (1 - Y_i)^{d_i}.
+    implicitly the product of (1 - Y_i)^{d_i}.  Part sizes that are not
+    positive integers, a cap or an exponent that is not a point of N^k,
+    an exponent above the cap or a coefficient that is no integer is an
+    ``InputError``.
     """
 
     coeffs: Dict[MultiIndex, int]
     cap: MultiIndex
     part_sizes: Tuple[int, ...]
+
+    def __post_init__(self):
+        partition = Partition(self.part_sizes)
+        self.part_sizes, k = partition.part_sizes, partition.k
+        self.cap = natural_index(self.cap, k, "numerator cap")
+        for e, c in self.coeffs.items():
+            natural_index(e, k, "numerator exponent")
+            if not product_leq(e, self.cap):
+                raise InputError(f"numerator exponent {e} exceeds cap {self.cap}")
+            if not is_int(c):
+                raise InputError(
+                    f"numerator coefficient at {e} must be an integer, got {c!r}"
+                )
 
     def at_ones(self) -> int:
         return sum(self.coeffs.values())
@@ -600,7 +523,7 @@ def interpolate(numerator: GeneratingNumerator) -> GrowthPolynomial:
     sum is accumulated in integers scaled by that product, and divided
     once per coefficient at the end.
     """
-    d = Partition(numerator.part_sizes).part_sizes
+    d = numerator.part_sizes
     total: Dict[MultiIndex, int] = {}
     for r, a in numerator.coeffs.items():
         term: Dict[MultiIndex, int] = {(): a}
@@ -770,7 +693,8 @@ def verify_fit(
     of B (in the context system when one is given, else ``sys``), which
     ``_stepped_orbits`` steps one part degree at a time, sharing no image
     code with A's walk in ``tabulate_f`` and reading nothing from its
-    table.  A window whose corners are not points of N^k, the end nowhere
+    table.  A ``P`` whose variables are not one per part of ``sys``, a
+    window whose corners are not points of N^k, the end nowhere
     below the start, or over the work budget (counted in closed form in
     the B system too when B's validated seeds are nonempty) is an
     ``InputError`` before any point is verified, as is a context system
@@ -779,6 +703,10 @@ def verify_fit(
     commuting maps allow is a ``HypothesisError``.
     ``P`` is evaluated at every point in integers.
     """
+    if P.k != sys.k:
+        raise InputError(
+            f"polynomial has k = {P.k} variables, system has k = {sys.k} parts"
+        )
     lo = natural_index(window[0], P.k, "window start")
     hi = natural_index(window[1], P.k, "window end")
     if not product_leq(lo, hi):

@@ -2,10 +2,11 @@
 
 An operator system is a tuple of m commuting self-maps of a matroid
 ground set together with a partition of the maps into k consecutive
-blocks.  Words are multi-indices in N^m; a word's image by its plain
-definition, graded orbits, augmentation by the identity map (whose graded
-orbits are the cumulative ones) and the sampled hypothesis checks all
-live here.
+blocks.  Words are multi-indices in N^m; their one enumeration
+(``part_blocks``), the word lattice that indexes it for incremental walks
+(``_word_lattice``), a word's image by its plain definition, graded
+orbits, augmentation by the identity map (whose graded orbits are the
+cumulative ones) and the sampled hypothesis checks all live here.
 """
 
 from __future__ import annotations
@@ -13,9 +14,12 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 import random
+from array import array
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InputError, OperatorError
 from .matroid import RankOracle
@@ -141,6 +145,97 @@ def join_blocks(blocks: Iterable[List[MultiIndex]]) -> List[MultiIndex]:
 def degrees_below(cap: MultiIndex):
     """All part-degree tuples s with s <= cap in the product order."""
     return itertools.product(*(range(c + 1) for c in cap))
+
+
+LATTICE_CACHE_WORDS = 250_000
+"""The most words the lattice cache keeps, unless its newest lattice alone has more."""
+
+
+class _WordLattice(NamedTuple):
+    """Every word of N^m whose part degree is at most a cap, indexed once.
+
+    ``words`` lists them in table order: slices (part-degree classes) in
+    ``degrees_below`` order, ascending lex order inside each; ``slices``
+    holds each slice's ``(s, start, stop)`` index range.  A slice joins one
+    block per part, each part's blocks built once by ``part_blocks``: the
+    one enumeration, which ``words_of_part_degree`` reads too.
+    ``down[i][n]`` is the index of word ``n`` minus ``e_i``, or -1 when
+    coordinate ``i`` is zero.  Word ``n`` is map ``top[n]`` (its highest
+    nonzero coordinate, -1 for the zero word) applied to word
+    ``down[top[n]][n]``, so its maps run in ``apply_word``'s order, the
+    highest last.  Every predecessor comes before its word.  The one
+    incremental word walk: tabulation steps it for A's words (``_images``),
+    and ``check_system`` for its orbit.  Shared by every caller, so
+    read-only.
+    """
+
+    words: List[MultiIndex]
+    slices: List[Tuple[MultiIndex, int, int]]
+    top: array
+    down: Tuple[array, ...]
+
+
+def _build_word_lattice(part_sizes: Tuple[int, ...], cap: MultiIndex) -> _WordLattice:
+    """The lattice of words under ``cap``; over the work budget an ``InputError``.
+
+    The size has a closed form, so the budget is checked before any word is
+    built.
+    """
+    partition = Partition(part_sizes)
+    size = partition.word_count((0,) * partition.k, cap)
+    doing = f"tabulating part degrees up to {cap}"
+    check_budget(size, doing, "use a smaller box (--box)")
+    blocks = [part_blocks(d, 0, c) for d, c in zip(part_sizes, cap)]
+    words: List[MultiIndex] = []
+    slices = []
+    for s in degrees_below(cap):
+        start = len(words)
+        words.extend(join_blocks(b[t] for b, t in zip(blocks, s)))
+        slices.append((s, start, len(words)))
+    # word w has key sum(w_i * radix**i), so w - e_i has key(w) - radix**i;
+    # when w_i = 0 the borrow leaves a digit radix - 1, which no word has
+    radix = max(cap) + 2
+    powers = [radix**i for i in range(partition.m)]
+    keys = [sum(map(operator.mul, w, powers)) for w in words]
+    index = dict(zip(keys, range(len(keys))))
+    sub, repeat = operator.sub, itertools.repeat
+    tops = map(bisect.bisect_right, repeat(powers), keys)
+    top = array("i", map(sub, tops, repeat(1)))
+    down = tuple(
+        array("i", map(index.get, map(sub, keys, repeat(p)), repeat(-1)))
+        for p in powers
+    )
+    return _WordLattice(words, slices, top, down)
+
+
+class _LatticeCache:
+    """Least-recently-used word lattices, bounded by their total words.
+
+    Every lattice built is kept, so a table that fetches the lattice its
+    tabulation walked never builds it twice; then the least recently used
+    others go while the total is over ``budget``.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.lattices: OrderedDict = OrderedDict()
+        self.words = 0
+
+    def __call__(self, part_sizes: Tuple[int, ...], cap: MultiIndex) -> _WordLattice:
+        key = (part_sizes, cap)
+        lattice = self.lattices.get(key)
+        if lattice is not None:
+            self.lattices.move_to_end(key)
+            return lattice
+        lattice = self.lattices[key] = _build_word_lattice(part_sizes, cap)
+        self.words += len(lattice.words)
+        while self.words > self.budget and len(self.lattices) > 1:
+            _, old = self.lattices.popitem(last=False)
+            self.words -= len(old.words)
+        return lattice
+
+
+_word_lattice = _LatticeCache(LATTICE_CACHE_WORDS)
 
 
 def identity_map(x):
@@ -417,7 +512,7 @@ def check_system(
     prepended; the pairs are drawn from a fixed seed, so the report is
     deterministic.  This is evidence, not proof: the properties quantify over
     the whole (typically infinite) ground set.  The orbit is each seed's
-    images over the word lattice (``engine._word_lattice``), one map call
+    images over the word lattice (``_word_lattice``), one map call
     per seed and word.  A depth whose seeds times
     words, or a ``pair_count`` whose map calls, exceed ``MAX_WORDS`` is an
     ``InputError`` before any map runs, and the commutation calls, 2 m (m - 1)
@@ -451,11 +546,7 @@ def check_system(
         """Each seed's images at the words of degree below ``degrees``, in
         lattice order; a word whose map raised, or whose predecessor was
         skipped, is skipped."""
-        # imported on first use, as graded_bound imports toric: the engine
-        # imports this module
-        from .engine import _word_lattice
-
-        lattice = _word_lattice((sys.m,), (degrees - 1,), "use a smaller depth")
+        lattice = _word_lattice((sys.m,), (degrees - 1,))
         top, down = lattice.top, lattice.down
         for a in seeds:
             img, reached = [a] * len(top), [True] * len(top)

@@ -310,14 +310,14 @@ def test_a_context_over_the_work_budget_is_refused_before_a_walks():
 
 def test_a_context_solve_builds_only_the_lattice_of_a(monkeypatch):
     builds = []
-    honest = engine._build_word_lattice
+    honest = operators._build_word_lattice
 
-    def counting(part_sizes, cap, then):
+    def counting(part_sizes, cap):
         builds.append((part_sizes, cap))
-        return honest(part_sizes, cap, then)
+        return honest(part_sizes, cap)
 
-    monkeypatch.setattr(engine, "_build_word_lattice", counting)
-    monkeypatch.setattr(engine, "_word_lattice", engine._LatticeCache(1000))
+    monkeypatch.setattr(operators, "_build_word_lattice", counting)
+    monkeypatch.setattr(engine, "_word_lattice", operators._LatticeCache(1000))
     sys = make_sumset_system([0, 1])
     context = _six_shift_context(sys)
     cfg = StabilizationConfig(box=(8, 8))
@@ -547,7 +547,7 @@ def lattice_shapes(draw):
 @settings(max_examples=60, deadline=None)
 def test_word_lattice_matches_the_recursive_reference(shape):
     sizes, cap = shape
-    lattice = engine._build_word_lattice(sizes, cap, "use a smaller box")
+    lattice = operators._build_word_lattice(sizes, cap)
     words, slices, top, up, down = reference_lattice(sizes, cap)
     assert lattice.words == words
     assert lattice.slices == slices
@@ -558,7 +558,7 @@ def test_word_lattice_matches_the_recursive_reference(shape):
 
 
 def test_lattice_cache_evicts_least_recent_within_its_word_budget():
-    cache = engine._LatticeCache(budget=30)
+    cache = operators._LatticeCache(budget=30)
     line = (1,)  # the lattice of cap (c,) over one slot holds c + 1 words
     first = cache(line, (9,))
     assert cache(line, (9,)) is first
@@ -580,7 +580,7 @@ def test_lattice_cache_evicts_least_recent_within_its_word_budget():
 def test_lattice_cache_keeps_its_newest_lattice_alone_over_its_budget():
     # a lattice over the budget used to be returned but not kept, so the
     # table that tabulated it built it again for its own checks
-    cache = engine._LatticeCache(budget=30)
+    cache = operators._LatticeCache(budget=30)
     cache((1,), (9,))
     big = cache((1,), (30,))  # 31 words: the others go, the newest stays
     assert big.words == [(c,) for c in range(31)]
@@ -588,19 +588,19 @@ def test_lattice_cache_keeps_its_newest_lattice_alone_over_its_budget():
     assert cache((1,), (30,)) is big
     cache((1,), (4,))  # the next build evicts it
     assert (list(cache.lattices), cache.words) == ([((1,), (4,))], 5)
-    assert engine._word_lattice.budget == engine.LATTICE_CACHE_WORDS
+    assert operators._word_lattice.budget == operators.LATTICE_CACHE_WORDS
 
 
 def test_a_table_over_the_cache_budget_builds_its_lattice_once(monkeypatch):
     builds = []
-    honest = engine._build_word_lattice
+    honest = operators._build_word_lattice
 
-    def counting(part_sizes, cap, then):
+    def counting(part_sizes, cap):
         builds.append((part_sizes, cap))
-        return honest(part_sizes, cap, then)
+        return honest(part_sizes, cap)
 
-    monkeypatch.setattr(engine, "_build_word_lattice", counting)
-    fresh = engine._LatticeCache(engine.LATTICE_CACHE_WORDS)
+    monkeypatch.setattr(operators, "_build_word_lattice", counting)
+    fresh = operators._LatticeCache(operators.LATTICE_CACHE_WORDS)
     monkeypatch.setattr(engine, "_word_lattice", fresh)
     # the 302,621 words under part degree 120 were built twice a solve
     sys = make_sumset_system([0, 1, 3])
@@ -613,7 +613,7 @@ def test_a_table_over_the_cache_budget_builds_its_lattice_once(monkeypatch):
         assert len(result.table.values) == 302_621
     # a context builds no lattice, so A's is built once even when the
     # cache holds fewer words than the context's 35
-    monkeypatch.setattr(engine, "_word_lattice", engine._LatticeCache(20))
+    monkeypatch.setattr(engine, "_word_lattice", operators._LatticeCache(20))
     sys = make_sumset_system([0, 1])
     builds.clear()
     tabulate_f(sys, [(0,)], [(1,)], (2, 2), _with_extra_translations(sys, [2]))
@@ -1558,6 +1558,22 @@ def _flat_table():
             lambda: interpolate(GeneratingNumerator({(0,): 1}, (0,), (1.5,))),
             "part sizes must be positive integers, got (1.5,)",
         ),
+        (  # Y^5/(1 - Y) is 0 below degree 5, yet gave 1 from threshold (0,)
+            lambda: interpolate(GeneratingNumerator({(5,): 1}, (0,), (1,))),
+            "numerator exponent (5,) exceeds cap (0,)",
+        ),
+        (  # zip dropped the second coordinate and gave Y + 1
+            lambda: interpolate(GeneratingNumerator({(0, 0): 1}, (0,), (2,))),
+            "numerator exponent must be a point of N^1 (integers >= 0), got (0, 0)",
+        ),
+        (  # became the threshold (0, 0) of a one-part polynomial
+            lambda: interpolate(GeneratingNumerator({(0,): 1}, (0, 0), (1,))),
+            "numerator cap must be a point of N^1 (integers >= 0), got (0, 0)",
+        ),
+        (  # raised a TypeError
+            lambda: interpolate(GeneratingNumerator({(0,): 0.5}, (0,), (1,))),
+            "numerator coefficient at (0,) must be an integer, got 0.5",
+        ),
         (
             lambda: GrowthPolynomial({(2,): 1}, (1,), (0,)),
             "exponent (2,) exceeds degree bound (1,)",
@@ -1574,6 +1590,26 @@ def _flat_table():
                 [(0,)], [], ((0, 0), (1, 1)),
             ),
             "window start must be a point of N^1 (integers >= 0), got (0, 0)",
+        ),
+        (  # raised an IndexError
+            lambda: verify_fit(
+                GrowthPolynomial({(0,): 1}, (1,), (0,)),
+                make_sumset_system([0, 1], [0, 2]), [(0,)], [], ((2,), (3,)),
+            ),
+            "polynomial has k = 1 variables, system has k = 2 parts",
+        ),
+        (  # raised a ValueError
+            lambda: verify_fit(
+                GrowthPolynomial({}, (0, 0), (0, 0)), make_sumset_system([0, 1]),
+                [(0,)], [], ((2, 2), (3, 3)),
+            ),
+            "polynomial has k = 2 variables, system has k = 1 parts",
+        ),
+        (  # raised a KeyError
+            lambda: tabulate_f(
+                make_sumset_system([0, 1]), [(0,)], [], box=(2, 2)
+            ).graded_sum((9,)),
+            "part degree (9,) is outside slice cap (4,)",
         ),
         (
             lambda: Partition([1]).words_of_part_degree((1, 1)),

@@ -1,10 +1,12 @@
 """Multi-index orders, orbits, augmentation, and the sampled system checks."""
 
+import ast
 import itertools
 import math
 import random
 import re
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -552,3 +554,16 @@ def test_flags_validation():
     )
     assert not sys.declared("triangular")
     assert sys.declared(QUASI_TRIANGULAR)
+
+
+def test_operators_imports_nothing_from_the_engine():
+    # check mode reached the word lattice through a lazy import of the engine
+    tree = ast.parse(Path(operators.__file__).read_text(encoding="utf-8"))
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.extend(alias.name for alias in node.names)
+        if isinstance(node, ast.ImportFrom):
+            names.append(node.module or "")
+    assert "InputError" in names  # the walk sees the module's own imports
+    assert [n for n in names if "engine" in n.split(".")] == []
