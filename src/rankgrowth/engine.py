@@ -29,7 +29,7 @@ from .operators import (
     OperatorSystem,
     Partition,
     TRIANGULAR,
-    _WordLattice,
+    _images,
     _word_lattice,
     augment,
     check_budget,
@@ -184,25 +184,6 @@ class DecreasingTable:
         return sum(self.values[r] for r in self.partition.words_of_part_degree(s))
 
 
-def _images(sys: OperatorSystem, seeds: List, lattice: _WordLattice) -> List[List]:
-    """Each seed's image at every word of ``lattice``, in ``sys``.
-
-    ``images[j][n]`` is map ``i = top[n]`` applied to ``images[j][down[i][n]]``,
-    as ``apply_word`` steps; a failing map raises ``map_failure``.
-    """
-    words, top, down = lattice.words, lattice.top, lattice.down
-    images = [[a] * len(words) for a in seeds]
-    for n in range(1, len(words)):  # word 0 is the zero word: the seed itself
-        i = top[n]
-        phi, prev = sys.maps[i], down[i][n]
-        for img in images:
-            try:
-                img[n] = phi(img[prev])
-            except Exception as exc:  # noqa: BLE001 - rewrapped as apply_word does
-                raise map_failure(i, f"applying word {words[n]}", exc) from exc
-    return images
-
-
 def tabulate_f(
     sys: OperatorSystem,
     A,
@@ -213,8 +194,9 @@ def tabulate_f(
     """Tabulate the marginal rank function over every slice under the box.
 
     ``box`` is validated as a ``StabilizationConfig`` box; ``None`` means
-    the default box.  A's images come from ``_images`` over the word
-    lattice under the box's part degree.  B's orbits, when B is nonempty,
+    the default box.  A's images come from ``operators._images``, the one
+    walk of the word lattice, which check mode steps too, over the lattice
+    under the box's part degree.  B's orbits, when B is nonempty,
     come from ``_stepped_orbits`` at the same part degrees, in the context
     system (vetted by ``_check_context``) or else in ``sys``; a context's
     words are counted in closed form against the work budget before any
@@ -246,7 +228,7 @@ def tabulate_f(
                 f"{sizes}; use a smaller box (--box)",
             )
         orbits_b = _stepped_orbits(context_sys or sys, seeds_b, (0,) * sys.k, cap)
-    images = _images(sys, seeds, lattice)
+    images = _images(sys.maps, seeds, lattice)
     marginals = []
     # the lattice's slices and B's orbits both come in degrees_below(cap) order
     for (_, start, stop), (_, orbit_b) in zip(lattice.slices, orbits_b):
@@ -391,7 +373,11 @@ class GrowthPolynomial:
 
     ``threshold`` is a sound stabilization bound: the polynomial agrees
     with the tabulated growth function at every point coordinatewise
-    above it (not necessarily the least such bound).
+    above it (not necessarily the least such bound).  The degree bound
+    and the threshold must be points of N^k, each exponent a point of N^k,
+    under the degree bound where its coefficient is nonzero, and each
+    coefficient an ``int`` or a ``Fraction``; anything else is an
+    ``InputError``.
     """
 
     def __init__(
@@ -400,18 +386,21 @@ class GrowthPolynomial:
         degree_bound: Tuple[int, ...],
         threshold: Tuple[int, ...],
     ):
-        self.degree_bound = tuple(degree_bound)
-        self.threshold = tuple(threshold)
-        self.coeffs = {
-            natural_index(e, self.k, "exponent"): Fraction(c)
-            for e, c in coeffs.items()
-            if c != 0
-        }
-        for e in self.coeffs:
-            if not product_leq(e, self.degree_bound):
+        self.degree_bound = natural_index(degree_bound, None, "degree bound")
+        self.threshold = natural_index(threshold, self.k, "threshold")
+        self.coeffs = {}
+        for e, c in coeffs.items():
+            e = natural_index(e, self.k, "exponent")
+            if not (is_int(c) or isinstance(c, Fraction)):
                 raise InputError(
-                    f"exponent {e} exceeds degree bound {self.degree_bound}"
+                    f"coefficient at {e} must be an int or a Fraction, got {c!r}"
                 )
+            if c:
+                if not product_leq(e, self.degree_bound):
+                    raise InputError(
+                        f"exponent {e} exceeds degree bound {self.degree_bound}"
+                    )
+                self.coeffs[e] = Fraction(c)
 
     @property
     def k(self) -> int:
@@ -422,9 +411,13 @@ class GrowthPolynomial:
         return not self.coeffs
 
     def evaluate(self, s: Sequence[int]) -> Fraction:
+        """The value at ``s``, k integers (negative ones too); any other point
+        is an ``InputError``."""
         s = tuple(s)
         if len(s) != self.k:
             raise InputError(f"point {s} has {len(s)} coordinates, not {self.k}")
+        if not all(map(is_int, s)):
+            raise InputError(f"point {s} must have integer coordinates")
         # integer terms over the coefficients' common denominator, one
         # Fraction at the end
         den = math.lcm(*(c.denominator for c in self.coeffs.values()))
@@ -635,9 +628,9 @@ def _stepped_orbits(
     order of their maps.  A chain from 0 reaches ``lo``, raising one
     coordinate after another; every other point of the box steps from its
     predecessor in its last coordinate above ``lo``.  No word is built and
-    no image is read from ``_images`` or a table.  ``verify_fit`` steps
-    both orbits of its window here, and ``tabulate_f`` B's orbits from 0
-    to its slice cap.
+    no image is read from ``operators._images`` or a table.  ``verify_fit``
+    steps both orbits of its window here, and ``tabulate_f`` B's orbits
+    from 0 to its slice cap.
 
     Commuting maps give at most ``len(seeds)`` times the words of part
     degree ``s`` points at ``s``: a larger orbit is a ``HypothesisError``

@@ -3,10 +3,12 @@
 An operator system is a tuple of m commuting self-maps of a matroid
 ground set together with a partition of the maps into k consecutive
 blocks.  Words are multi-indices in N^m; their one enumeration
-(``part_blocks``), the word lattice that indexes it for incremental walks
-(``_word_lattice``), a word's image by its plain definition, graded
-orbits, augmentation by the identity map (whose graded orbits are the
-cumulative ones) and the sampled hypothesis checks all live here.
+(``part_blocks``), the word lattice that indexes it (``_word_lattice``)
+and the one walk of that lattice (``_images``), a word's image by its
+plain definition, graded orbits, augmentation by the identity map (whose
+graded orbits are the cumulative ones) and the sampled hypothesis checks
+all live here.  Tabulation and the checks step the same walk; the checks
+wrap each map with ``_skipping``, so a point a map cannot take is skipped.
 """
 
 from __future__ import annotations
@@ -163,9 +165,10 @@ class _WordLattice(NamedTuple):
     coordinate ``i`` is zero.  Word ``n`` is map ``top[n]`` (its highest
     nonzero coordinate, -1 for the zero word) applied to word
     ``down[top[n]][n]``, so its maps run in ``apply_word``'s order, the
-    highest last.  Every predecessor comes before its word.  The one
-    incremental word walk: tabulation steps it for A's words (``_images``),
-    and ``check_system`` for its orbit.  Shared by every caller, so
+    highest last.  Every predecessor comes before its word.  One function
+    reads these steps, ``_images``: the one incremental word walk, which
+    tabulation steps for A's words and ``check_system`` for its orbit,
+    with maps wrapped by ``_skipping``.  Shared by every caller, so
     read-only.
     """
 
@@ -236,6 +239,28 @@ class _LatticeCache:
 
 
 _word_lattice = _LatticeCache(LATTICE_CACHE_WORDS)
+
+
+def _images(maps: Sequence[Callable], seeds: List, lattice: _WordLattice) -> List[List]:
+    """Each seed's image at every word of ``lattice`` under ``maps``.
+
+    ``images[j][n]`` is map ``i = top[n]`` applied to ``images[j][down[i][n]]``,
+    as ``apply_word`` steps; a failing map raises ``map_failure``.  The one
+    walk of the lattice: ``tabulate_f`` passes every seed at once,
+    ``check_system`` one seed at a time with maps that skip instead of
+    failing (``_skipping``).
+    """
+    words, top, down = lattice.words, lattice.top, lattice.down
+    images = [[a] * len(words) for a in seeds]
+    for n in range(1, len(words)):  # word 0 is the zero word: the seed itself
+        i = top[n]
+        phi, prev = maps[i], down[i][n]
+        for img in images:
+            try:
+                img[n] = phi(img[prev])
+            except Exception as exc:  # noqa: BLE001 - rewrapped as apply_word does
+                raise map_failure(i, f"applying word {words[n]}", exc) from exc
+    return images
 
 
 def identity_map(x):
@@ -389,7 +414,7 @@ def apply_word(sys: OperatorSystem, a, r: MultiIndex):
     ``InputError`` before any map runs, and a map that raises an
     ``OperatorError`` naming the map and the word it was reaching.
     Tabulation's A and check mode step the same words over the word
-    lattice (``engine._images``, ``check_system``); tabulation's B and
+    lattice through one walk, ``operators._images``; tabulation's B and
     verification step whole orbits one part degree at a time in
     ``engine._stepped_orbits``.
     """
@@ -500,6 +525,22 @@ def _part_inequality_failures(
     return failures
 
 
+_SKIPPED = object()  # what a ``_skipping`` map gives for a point it cannot take
+
+
+def _skipping(phi: Callable) -> Callable:
+    """``phi``, but ``_SKIPPED`` where it raises or is given ``_SKIPPED``: how
+    check mode skips the points a map cannot take, and all that follow."""
+
+    def skipping(x):
+        try:
+            return _SKIPPED if x is _SKIPPED else phi(x)
+        except Exception:  # noqa: BLE001 - unmappable points are skipped
+            return _SKIPPED
+
+    return skipping
+
+
 def check_system(
     sys: OperatorSystem, sample, depth: int = 3, pair_count: int = 40
 ) -> SystemCheckReport:
@@ -512,8 +553,11 @@ def check_system(
     prepended; the pairs are drawn from a fixed seed, so the report is
     deterministic.  This is evidence, not proof: the properties quantify over
     the whole (typically infinite) ground set.  The orbit is each seed's
-    images over the word lattice (``_word_lattice``), one map call
-    per seed and word.  A depth whose seeds times
+    images over the word lattice from the one walk, ``_images``, run once
+    per seed in sorted order: one map call per seed and reached word.  Its
+    maps, here and in the commutation test, are wrapped by ``_skipping``,
+    so a point a map cannot take is skipped, with every word stepped from
+    it, and no call is made on it.  A depth whose seeds times
     words, or a ``pair_count`` whose map calls, exceed ``MAX_WORDS`` is an
     ``InputError`` before any map runs, and the commutation calls, 2 m (m - 1)
     at each distinct orbit point, are once the walk has found the points.
@@ -542,44 +586,28 @@ def check_system(
     rng = random.Random(0)
     report = SystemCheckReport()
 
-    def images():
-        """Each seed's images at the words of degree below ``degrees``, in
-        lattice order; a word whose map raised, or whose predecessor was
-        skipped, is skipped."""
+    maps = [_skipping(phi) for phi in sys.maps]
+    pts = []
+    if seeds:  # no seeds build no lattice
         lattice = _word_lattice((sys.m,), (degrees - 1,))
-        top, down = lattice.top, lattice.down
-        for a in seeds:
-            img, reached = [a] * len(top), [True] * len(top)
-            for n in range(1, len(top)):  # word 0 is the zero word: the seed
-                i = top[n]
-                prev = down[i][n]
-                reached[n] = reached[prev]
-                if reached[n]:
-                    try:
-                        img[n] = sys.maps[i](img[prev])
-                    except Exception:  # noqa: BLE001 - unmappable points are skipped
-                        reached[n] = False
-            yield from itertools.compress(img, reached)
-
-    pts = backend.dedupe(images()) if seeds else []  # no seeds build no lattice
+        orbit = (x for a in seeds for x in _images(maps, [a], lattice)[0])
+        pts = backend.dedupe(x for x in orbit if x is not _SKIPPED)
     check_budget(
         len(pts) * 2 * sys.m * (sys.m - 1),
         f"checking commutation at {len(pts):,} orbit points to depth {depth}",
         "a map call counts as a word; use a smaller depth",
     )
     for x in pts:
-        for i in range(sys.m):
-            for j in range(i + 1, sys.m):
-                try:
-                    lhs = sys.maps[i](sys.maps[j](x))
-                    rhs = sys.maps[j](sys.maps[i](x))
-                except Exception:  # noqa: BLE001 - out-of-range points are skipped
-                    continue
-                if backend.key(lhs) != backend.key(rhs):
-                    report.commutation_failures.append(
-                        f"maps {i + 1} and {j + 1} disagree at {x!r}: "
-                        f"{lhs!r} vs {rhs!r}"
-                    )
+        for i, j in itertools.combinations(range(sys.m), 2):
+            lhs = maps[i](maps[j](x))
+            if lhs is _SKIPPED:
+                continue
+            rhs = maps[j](maps[i](x))
+            if rhs is not _SKIPPED and backend.key(lhs) != backend.key(rhs):
+                report.commutation_failures.append(
+                    f"maps {i + 1} and {j + 1} disagree at {x!r}: "
+                    f"{lhs!r} vs {rhs!r}"
+                )
 
     pairs = []
     for _ in range(pair_count):

@@ -218,11 +218,11 @@ def test_tabulation_orbits_b_only_when_b_is_nonempty(monkeypatch):
     # nonempty, from one stepped orbit over the slices, in the context
     # system when one is given
     walks, steps = [], []
-    honest_images, honest_steps = engine._images, engine._stepped_orbits
+    honest_images, honest_steps = operators._images, engine._stepped_orbits
 
-    def counting_images(sys, seeds, lattice):
-        walks.append((sys, list(seeds), lattice.slices[-1][0]))
-        return honest_images(sys, seeds, lattice)
+    def counting_images(maps, seeds, lattice):
+        walks.append((maps, list(seeds), lattice.slices[-1][0]))
+        return honest_images(maps, seeds, lattice)
 
     def counting_steps(sys, seeds, lo, hi):
         steps.append((sys, list(seeds), lo, hi))
@@ -237,13 +237,13 @@ def test_tabulation_orbits_b_only_when_b_is_nonempty(monkeypatch):
     monkeypatch.setattr(operators, "apply_word", unused)
     sys = make_sumset_system([0, 1])
     tabulate_f(sys, [(0,)], [], box=(2, 2))
-    assert (walks, steps) == ([(sys, [(0,)], (4,))], [])
+    assert (walks, steps) == ([(sys.maps, [(0,)], (4,))], [])
     context = _with_extra_translations(sys, [3])
     for base in [None, context]:
         walks.clear()
         steps.clear()
         tabulate_f(sys, [(0,)], [(5,)], box=(2, 2), context_sys=base)
-        assert walks == [(sys, [(0,)], (4,))]
+        assert walks == [(sys.maps, [(0,)], (4,))]
         assert steps == [(base or sys, [(5,)], (0,), (4,))]
 
 
@@ -256,6 +256,27 @@ def test_check_mode_takes_no_image_from_graded_orbit_or_apply_word(monkeypatch):
     monkeypatch.setattr(operators, "apply_word", unused)
     report = check_system(make_sumset_system([0, 1], [2]), [(0,), (3,)], depth=5)
     assert report.commutation_ok and report.triangular_ok
+
+
+def test_tabulation_and_check_mode_share_one_lattice_walk(monkeypatch):
+    # tabulation walks every seed at once, check mode one seed at a time,
+    # both in sorted seed order through the same function
+    assert engine._images is operators._images
+    walks = []
+    honest = operators._images
+
+    def counting(maps, seeds, lattice):
+        walks.append(list(seeds))
+        return honest(maps, seeds, lattice)
+
+    monkeypatch.setattr(engine, "_images", counting)
+    monkeypatch.setattr(operators, "_images", counting)
+    sys = make_sumset_system([0, 1])
+    tabulate_f(sys, [(3,), (0,)], [], box=(2, 2))
+    assert walks == [[(0,), (3,)]]
+    walks.clear()
+    check_system(sys, [(3,), (0,)], depth=4)
+    assert walks == [[(0,)], [(3,)]]
 
 
 def test_a_context_over_the_work_budget_runs_no_map_of_b():
@@ -1236,7 +1257,7 @@ def test_verification_over_the_work_budget_is_an_input_error(monkeypatch):
         with pytest.raises(InputError, match=f"needs {words:,} words"):
             verify_fit(P, sys, [(0,)], [], (lo, hi))
     # a negative window start used to walk a word down without end
-    P = GrowthPolynomial({(0,): Fraction(1)}, (0,), (-1,))
+    P = GrowthPolynomial({(0,): Fraction(1)}, (0,), (0,))
     with pytest.raises(InputError, match=r"window start must be a point of N\^1"):
         verify_fit(P, make_sumset_system([1]), [(0,)], [], ((-1,), (0,)))
 
@@ -1578,6 +1599,42 @@ def _flat_table():
             lambda: GrowthPolynomial({(2,): 1}, (1,), (0,)),
             "exponent (2,) exceeds degree bound (1,)",
         ),
+        (  # became 3602879701896397/36028797018963968
+            lambda: GrowthPolynomial({(0,): 0.1}, (0,), (0,)),
+            "coefficient at (0,) must be an int or a Fraction, got 0.1",
+        ),
+        (  # was parsed as 1/3
+            lambda: GrowthPolynomial({(0,): "1/3"}, (0,), (0,)),
+            "coefficient at (0,) must be an int or a Fraction, got '1/3'",
+        ),
+        (  # became 1
+            lambda: GrowthPolynomial({(0,): True}, (0,), (0,)),
+            "coefficient at (0,) must be an int or a Fraction, got True",
+        ),
+        (
+            lambda: GrowthPolynomial({}, (-1,), (0,)),
+            "degree bound must be natural numbers (integers >= 0), got (-1,)",
+        ),
+        (  # made verify_fit's threshold check pass at every window
+            lambda: GrowthPolynomial({}, (1,), ()),
+            "threshold must be a point of N^1 (integers >= 0), got ()",
+        ),
+        (
+            lambda: GrowthPolynomial({}, (1,), (-3,)),
+            "threshold must be a point of N^1 (integers >= 0), got (-3,)",
+        ),
+        (
+            lambda: GrowthPolynomial({}, (1,), (1.5,)),
+            "threshold must be a point of N^1 (integers >= 0), got (1.5,)",
+        ),
+        (  # raised a TypeError
+            lambda: GrowthPolynomial({(1,): 1}, (1,), (0,)).evaluate((1.5,)),
+            "point (1.5,) must have integer coordinates",
+        ),
+        (  # read as 1
+            lambda: GrowthPolynomial({(1,): 1}, (1,), (0,)).evaluate((True,)),
+            "point (True,) must have integer coordinates",
+        ),
         (
             lambda: GrowthPolynomial({}, (1,), (0,)).subtract(
                 GrowthPolynomial({}, (1, 1), (0, 0))
@@ -1651,6 +1708,15 @@ def test_every_entry_refuses_a_malformed_seed(entry, seed):
     # an orbit for (0.5,) and (0, 0), an OperatorError for ("a",) and None
     with pytest.raises(InputError, match="expected an integer vector of dimension 1"):
         _SEED_ENTRIES[entry](seed)
+
+
+def test_polynomial_evaluates_at_negative_integers():
+    # only the threshold is a point of N^k: the polynomial itself is defined
+    # on all of Z^k
+    Q = GrowthPolynomial(
+        {(0,): Fraction(2), (1,): Fraction(-1), (2,): Fraction(-1)}, (2,), (0,)
+    )
+    assert [Q.evaluate((t,)) for t in (-3, -1)] == [-4, 2]
 
 
 def test_polynomial_pretty_formats():

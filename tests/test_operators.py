@@ -493,6 +493,58 @@ def test_check_system_walks_each_seed_and_word_once(monkeypatch):
     assert len(counted) == 2 * (words - 1) + points * 2 * 3 * 2
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    affine=st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 3)), min_size=1, max_size=3
+    ),
+    fragile=st.tuples(st.integers(0, 2), st.integers(2, 4), st.integers(0, 3)),
+    seeds=st.lists(st.integers(0, 6), min_size=1, max_size=3),
+    depth=st.integers(1, 5),
+)
+def test_check_system_orbit_is_apply_word_skipping_what_raises(
+    affine, fragile, seeds, depth
+):
+    # the orbit check mode dedupes is, in order, each sorted seed's images
+    # under apply_word at the words of degree below depth - 1 (at least the
+    # zero word), less those whose word raised
+    def step(a, b):
+        return lambda x: (a * x[0] + b,)
+
+    slot, modulus, residue = fragile
+    maps = [step(a, b) for a, b in affine]
+    slot %= len(maps)
+    plain = maps[slot]
+
+    def raising(x):
+        if x[0] % modulus == residue:
+            raise ValueError(f"no image of {x[0]}")
+        return plain(x)
+
+    maps[slot] = raising
+    m = len(maps)
+    sys = OperatorSystem(maps, Partition([m]), TrivialBackend(1))
+    honest = sys.backend.dedupe
+    deduped = []
+
+    def capturing(elems):
+        out = honest(elems)
+        deduped.append(out)
+        return out
+
+    sys.backend.dedupe = capturing
+    check_system(sys, [(a,) for a in seeds], depth=depth, pair_count=0)
+    expected = []
+    for a in sorted({(a,) for a in seeds}):
+        for t in range(max(1, depth - 1)):
+            for r in Partition((m,)).words_of_part_degree((t,)):
+                try:
+                    expected.append(apply_word(sys, a, r))
+                except OperatorError:
+                    continue
+    assert deduped[1:] == [honest(expected)]
+
+
 def test_check_system_skips_a_map_that_raises_on_part_of_the_orbit():
     # the report of the walk that retried each failing chain through
     # apply_word's memo, hard-coded
