@@ -35,6 +35,7 @@ from .operators import (
     Partition,
     QUASI_TRIANGULAR,
     is_int,
+    natural_index,
     product_leq,
 )
 
@@ -60,10 +61,9 @@ class TrivialBackend(RankOracle):
             raise InputError(f"dimension must be an integer >= 1, got {dimension!r}")
         self.dimension = dimension
         if killed is not None:
-            killed = sorted({as_vector(r, dimension) for r in killed})
-            for r in killed:
-                if any(x < 0 for x in r):
-                    raise InputError(f"antichain point {r} has a negative coordinate")
+            killed = sorted(
+                {natural_index(r, dimension, "antichain point") for r in killed}
+            )
             for r, q in itertools.combinations(killed, 2):
                 if product_leq(r, q) or product_leq(q, r):
                     raise InputError(f"antichain points {r} and {q} are comparable")
@@ -152,6 +152,7 @@ def make_translation_system(
     (``OperatorSystem.graded_bound``).  Translations are endomorphisms, so
     every part is triangular.
     """
+    parts = [list(vecs) for vecs in parts]
     partition = Partition([len(vecs) for vecs in parts])
     backend = TrivialBackend(len(parts[0][0]), killed)
     maps = [translation(v) for vecs in parts for v in vecs]
@@ -290,9 +291,6 @@ class LinearBackend(RankOracle):
             canonical = False
         if not canonical:
             raise InputError(f"not a canonical vector: {elem!r}")
-
-    def key(self, elem):
-        return tuple((k, (c.numerator, c.denominator)) for k, c in elem)
 
     def points(self, elem) -> Tuple:
         """The basis keys of the terms: a monomial's exponent vector, none
@@ -484,18 +482,7 @@ def make_monomial_module_system(
             f"partition covers {partition.m} maps but there are {num_vars} variables"
         )
 
-    def as_monomial(x, what: str) -> Tuple[int, ...]:
-        try:
-            mono = as_vector(x, num_vars)
-        except InputError as exc:
-            raise InputError(
-                f"unsupported {what}: {x!r} is not a monomial: {exc}"
-            ) from exc
-        if any(e < 0 for e in mono):
-            raise InputError(f"unsupported {what}: {x!r} has negative exponents")
-        return mono
-
-    rel = [as_monomial(r, "relation") for r in relations]
+    rel = [natural_index(r, num_vars, "relation") for r in relations]
 
     def killed(mono: Tuple[int, ...]) -> bool:
         return any(product_leq(r, mono) for r in rel)
@@ -513,7 +500,7 @@ def make_monomial_module_system(
     maps = [shift(e) for vecs in unit for e in vecs]
     seeds = []
     for g in generators:
-        mono = as_monomial(g, "generator")
+        mono = natural_index(g, num_vars, "generator")
         seeds.append(backend.zero if killed(mono) else backend.monomial(mono))
     sys = OperatorSystem(maps, partition, backend, translations=unit, killed=rel)
     return sys, seeds
@@ -819,6 +806,7 @@ def betti_polynomials(
     """
     if not is_int(n) or n < 0:
         raise InputError(f"homology dimension must be an integer >= 0, got {n!r}")
+    vertex_maps = list(vertex_maps)
     for vm in vertex_maps:
         validate_simplicial(complex_, vm)
     A_simplices = [tuple(sorted(set(s))) for s in A]
@@ -933,7 +921,7 @@ def make_circuit_backend(
             raise InvalidMatroidError(
                 f"circuit family failed a sampled matroid axiom: {failures[0]}"
             )
-        for idx, op in enumerate(maps):
+        for idx, op in enumerate(sys.maps):
             part = partition.part_of(idx)
             for e in sample:
                 img = op(e)

@@ -330,8 +330,8 @@ _BUILDERS = {
 def _build_context(config: dict, sys: OperatorSystem):
     """Context system from vector groups; primary map objects are re-used.
 
-    The subtuple requirement is object identity, so each part's primary
-    translation vectors must literally appear in the context group.
+    Containment is by object identity, so each part's primary translation
+    vectors must literally appear in the context group, in any order.
     """
     groups = _get_items(config, "context_operators", list)
     if not groups:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import compress, repeat
@@ -411,9 +412,10 @@ class GrowthPolynomial:
         return not self.coeffs
 
     def evaluate(self, s: Sequence[int]) -> Fraction:
-        """The value at ``s``, k integers (negative ones too); any other point
-        is an ``InputError``."""
-        s = tuple(s)
+        """The value at ``s``, a list or tuple of k integers (negative ones
+        too); any other point is an ``InputError``."""
+        if not isinstance(s, (list, tuple)):
+            raise InputError(f"point {s!r} must be a list or tuple of integers")
         if len(s) != self.k:
             raise InputError(f"point {s} has {len(s)} coordinates, not {self.k}")
         if not all(map(is_int, s)):
@@ -789,16 +791,20 @@ def _require_triangular(sys: OperatorSystem, what: str):
 
 
 def _check_context(sys: OperatorSystem, context_sys: OperatorSystem):
-    """An ``InputError`` unless ``context_sys`` extends ``sys`` part by part."""
+    """An ``InputError`` unless ``context_sys`` extends ``sys`` part by part:
+    each map of a primary part, by identity, appears in the context's part
+    at least as often, in any order (B's orbit is a set of points, which the
+    order of a part's maps cannot change)."""
     if context_sys.backend is not sys.backend:
         raise InputError("context system must share the backend")
     if context_sys.k != sys.k:
         raise InputError("context system must use the same number of parts")
     for i in range(sys.k):
-        it = iter(context_sys.part_maps(i))
-        if not all(any(phi is psi for psi in it) for phi in sys.part_maps(i)):
+        held = Counter(map(id, context_sys.part_maps(i)))
+        if Counter(map(id, sys.part_maps(i))) - held:
             raise InputError(
-                f"part {i + 1} of the primary system is not a subtuple of the context"
+                f"part {i + 1} of the context holds a map of the primary system "
+                "fewer times than the primary does"
             )
 
 
@@ -815,12 +821,15 @@ def analyze_graded(
     ``context_sys`` when one is given.  Raises HypothesisError when a part
     lacks the triangular declaration or when the tabulated values
     contradict it (an increase along the product order is an explicit
-    counterexample to the declared hypothesis).
+    counterexample to the declared hypothesis).  A and B are read once, by
+    ``RankOracle.sorted_elems`` after the triangularity checks, so they may
+    be any iterables; every stage after that reads those lists.
     """
     cfg = cfg or StabilizationConfig()
     _require_triangular(sys, "the graded pipeline")
     if context_sys is not None:
         _require_triangular(context_sys, "context mode")
+    A, B = sys.backend.sorted_elems(A), sys.backend.sorted_elems(B)
     box, evidence, warnings = _choose_box(sys, A, B, cfg, context_sys)
     table = tabulate_f(sys, A, B, box, context_sys)
     return _analyze_table(sys, A, B, table, cfg, context_sys, evidence, warnings)
@@ -960,7 +969,8 @@ def phi_closure_member(
 ) -> ClosureDecision:
     """Search for an orbit-rank deficit of a single element over B.
 
-    The box is the one ``analyze_graded`` would tabulate.  A zero
+    The box is the one ``analyze_graded`` would tabulate, and ``[a]`` and B
+    are read once, as there.  A zero
     marginal anywhere in it is a concrete witness of membership.  With
     triangular parts and a certified pipeline, the absence of zeros
     certifies non-membership; otherwise the box was simply too small and
@@ -968,8 +978,9 @@ def phi_closure_member(
     a table with a violation has a zero and has answered ``member`` already.
     """
     cfg = cfg or StabilizationConfig()
-    box, evidence, warnings = _choose_box(sys, [a], B, cfg, None)
-    table = tabulate_f(sys, [a], B, box)
+    A, B = sys.backend.sorted_elems([a]), sys.backend.sorted_elems(B)
+    box, evidence, warnings = _choose_box(sys, A, B, cfg, None)
+    table = tabulate_f(sys, A, B, box)
     zeros = sorted(
         (u for u, v in table.values.items() if v == 0),
         key=lambda u: (sum(u), lex_key(u)),
@@ -987,7 +998,7 @@ def phi_closure_member(
             detail="no witness in the box and the parts are not declared "
             "triangular, so the limit dichotomy does not apply",
         )
-    result = _analyze_table(sys, [a], B, table, cfg, None, evidence, warnings)
+    result = _analyze_table(sys, A, B, table, cfg, None, evidence, warnings)
     if result.status == CERTIFIED:
         return ClosureDecision(
             "non-member",

@@ -139,11 +139,11 @@ def test_ideal_backend_refuses_bool_coordinates():
 def test_ideal_backend_rejects_comparable_antichain():
     with pytest.raises(InputError, match="comparable"):
         TrivialBackend(2, [(1, 0), (2, 0)])
-    with pytest.raises(InputError, match="negative"):
+    with pytest.raises(InputError, match="antichain point must be a point of N"):
         TrivialBackend(2, [(1, -1)])
     # [[2.7, 0]] used to run as [[2, 0]]
     for point in [(2.7, 0), (True, 0), ("2", 0)]:
-        with pytest.raises(InputError, match="not an integer"):
+        with pytest.raises(InputError, match="antichain point must be a point of N"):
             TrivialBackend(2, [point])
 
 
@@ -176,6 +176,17 @@ def test_translation_systems_declare_their_vectors_and_killed_points_once():
     # mixed dimensions are refused by the operator system
     with pytest.raises(InputError, match="one dimension"):
         make_translation_system([[(0,), (1, 0)]])
+
+
+def test_a_translation_system_reads_its_parts_once():
+    # an iterator of parts was used up by the partition and then indexed,
+    # and an iterator part by its length: each raised a TypeError
+    parts = [[(0, 1)], [(0, 0), (1, 0)]]
+    listed = make_translation_system(parts, [(2, 2)])
+    read = make_translation_system(iter(map(iter, parts)), iter([(2, 2)]))
+    assert read.translations == listed.translations
+    assert read.killed == listed.killed
+    assert [f((3, 4)) for f in read.maps] == [(3, 5), (3, 4), (4, 4)]
 
 
 def test_ideal_counts_match_lattice_enumeration():
@@ -290,7 +301,7 @@ def test_linear_integral_fraction_equals_its_normal_form():
     old, new = ((0, Fraction(2)),), lb.monomial(0, 2)
     assert type(new[0][1]) is int
     assert old == new and hash(old) == hash(new) and lb.key(old) == lb.key(new)
-    assert lb.key(new) == ((0, (2, 1)),)
+    assert lb.key(new) == ((0, 2),)
     lb.validate(old)
     assert lb.rank([old]) == lb.rank([new]) == 1
     assert lb.rank([old, new]) == 1
@@ -863,6 +874,28 @@ def test_circuit_degree_respect_check():
 
     with pytest.raises(InputError):
         make_circuit_backend([1], circuits, [bad], sample)
+
+
+def test_circuit_degree_check_reads_an_iterator_of_maps_as_a_list():
+    # the check looped over the maps argument, which the system had used up
+    sample = [((0,), "x")]
+    for maps in ([lambda e: e], iter([lambda e: e])):
+        with pytest.raises(InputError, match="^map 1 does not shift degree"):
+            make_circuit_backend([1], {(1,): [{"x", "y"}]}, maps, sample)
+
+
+def test_betti_reads_an_iterator_of_vertex_maps_as_a_list():
+    # the system was built from a used-up iterator: "0 maps but partition
+    # expects m = 1"
+    K = SimplicialComplex([(i, i + 1) for i in range(29)])
+    shift = {i: min(i + 1, 29) for i in range(30)}
+    A = [(0,), (1,), (0, 1)]
+    for n in (0, 1):
+        listed = betti_polynomials(K, [shift], [1], A, n, cumulative=True)
+        read = betti_polynomials(K, iter([shift]), [1], iter(A), n, cumulative=True)
+        assert read.betti == listed.betti
+        assert read.betti.threshold == listed.betti.threshold
+        assert read.status == listed.status == "certified"
 
 
 def test_a_wrong_map_count_gets_the_operator_system_message():

@@ -160,6 +160,22 @@ def test_context_mode():
     assert doc["polynomial"]["pretty"] == "0"
 
 
+def test_a_context_may_list_the_primary_maps_in_any_order():
+    # a reordered context used to exit 1: "not a subtuple of the context"
+    config = {
+        "mode": "context",
+        "operators": [[0], [1]],
+        "context_operators": [[[0], [1], [2]]],
+        "A": [[0]],
+        "B": [[1]],
+    }
+    ordered = execute(config)
+    reordered = execute(dict(config, context_operators=[[[1], [0], [2]]]))
+    assert reordered[0] == ordered[0] == EXIT_CERTIFIED
+    assert reordered[1]["polynomial"] == ordered[1]["polynomial"]
+    assert reordered[1]["polynomial"]["pretty"] == "1"
+
+
 def test_cumulative_flag_is_honoured_in_every_analysis_mode():
     # dimension and sumset mode used to ignore the flag and print 1
     trivial = {

@@ -397,7 +397,10 @@ def _context_variant(case):
         return sys, context, "context system must use the same number of parts"
     maps = [translation((0,)), translation((1,))]  # equal maps, other objects
     context = OperatorSystem(maps, Partition([2]), sys.backend)
-    return sys, context, "part 1 of the primary system is not a subtuple of the context"
+    return sys, context, (
+        "part 1 of the context holds a map of the primary system "
+        "fewer times than the primary does"
+    )
 
 
 @pytest.mark.parametrize("case", ["backend", "parts", "subtuple"])
@@ -1052,6 +1055,56 @@ def test_context_with_strictly_larger_context():
     assert P.is_zero
 
 
+def _result_values(result):
+    """What a pipeline run concludes, for comparing two runs."""
+    P = result.polynomial
+    return (
+        result.status, result.evidence, result.table.box, P, P.threshold,
+        result.table.values, result.verification.points,
+    )
+
+
+def test_a_context_may_list_the_primary_maps_in_any_order():
+    # B's orbit is a set of points, so the order of a part's maps cannot
+    # change it; a reordered context used to be refused as no subtuple
+    backend = TrivialBackend(1)
+    f0, f1, f2 = translation((0,)), translation((1,)), translation((2,))
+    phi = OperatorSystem([f0, f1], Partition([2]), backend)
+    ordered = OperatorSystem([f0, f1, f2], Partition([3]), backend)
+    reordered = OperatorSystem([f2, f1, f0], Partition([3]), backend)
+    A, B = [(0,)], [(1,)]
+    tables = [tabulate_f(phi, A, B, (4, 4), psi) for psi in (ordered, reordered)]
+    assert tables[0].values == tables[1].values
+    runs = [analyze_graded(phi, A, B, context_sys=psi) for psi in (ordered, reordered)]
+    assert _result_values(runs[0]) == _result_values(runs[1])
+    assert runs[0].status == "certified" and runs[0].polynomial.pretty() == "1"
+    P, window = runs[0].polynomial, ((3,), (6,))
+    reports = [verify_fit(P, phi, A, B, window, psi) for psi in (ordered, reordered)]
+    assert reports[0].points == reports[1].points and reports[1].ok
+
+
+def test_a_context_must_hold_each_primary_map_as_often_as_the_primary():
+    backend = TrivialBackend(1)
+    f0, f1 = translation((0,)), translation((1,))
+    twice = OperatorSystem([f0, f0, f1], Partition([3]), backend)
+    message = (
+        "^part 1 of the context holds a map of the primary system "
+        "fewer times than the primary does$"
+    )
+    refused = [
+        OperatorSystem([f1, f0], Partition([2]), backend),  # f0 once
+        OperatorSystem([f1, f0, translation((0,))], Partition([3]), backend),
+    ]
+    for context in refused:
+        with pytest.raises(InputError, match=message):
+            tabulate_f(twice, [(0,)], [(1,)], (2, 2, 2), context)
+        with pytest.raises(InputError, match=message):
+            analyze_graded(twice, [(0,)], [(1,)], context_sys=context)
+    held = OperatorSystem([f1, f0, f0], Partition([3]), backend)
+    result = analyze_graded(twice, [(0,)], [(1,)], context_sys=held)
+    assert result.status == "certified"
+
+
 # ---------------------------------------------------------------------------
 # closure rank and membership
 # ---------------------------------------------------------------------------
@@ -1635,6 +1688,18 @@ def _flat_table():
             lambda: GrowthPolynomial({(1,): 1}, (1,), (0,)).evaluate((True,)),
             "point (True,) must have integer coordinates",
         ),
+        (  # raised a TypeError
+            lambda: GrowthPolynomial({(1,): 1}, (1,), (0,)).evaluate(5),
+            "point 5 must be a list or tuple of integers",
+        ),
+        (  # read as the point (3,)
+            lambda: GrowthPolynomial({(1,): 1}, (1,), (0,)).evaluate(range(3, 4)),
+            "point range(3, 4) must be a list or tuple of integers",
+        ),
+        (  # read its keys as the point (3,)
+            lambda: GrowthPolynomial({(1,): 1}, (1,), (0,)).evaluate({3: 1}),
+            "point {3: 1} must be a list or tuple of integers",
+        ),
         (
             lambda: GrowthPolynomial({}, (1,), (0,)).subtract(
                 GrowthPolynomial({}, (1, 1), (0, 0))
@@ -1708,6 +1773,63 @@ def test_every_entry_refuses_a_malformed_seed(entry, seed):
     # an orbit for (0.5,) and (0, 0), an OperatorError for ("a",) and None
     with pytest.raises(InputError, match="expected an integer vector of dimension 1"):
         _SEED_ENTRIES[entry](seed)
+
+
+def test_an_analysis_reads_each_seed_argument_once():
+    # the bound's reader used up an iterator A, so tabulation saw no seed
+    # and certified 0; tabulation used up an iterator B, so verification saw
+    # none and found 3 mismatches
+    line = make_sumset_system([0, 1])
+    result = analyze_graded(line, iter([(0,)]))
+    assert (result.status, result.evidence, result.polynomial.pretty()) == (
+        "certified", "bound", "Y + 1",
+    )
+    result = analyze_graded(line, [(0,)], iter([(0,)]))
+    assert (result.status, result.polynomial.pretty()) == ("certified", "0")
+
+
+_ITERABLE_FORMS = [
+    list,
+    tuple,
+    iter,
+    lambda seeds: (x for x in seeds),
+    set,
+    lambda seeds: dict.fromkeys(seeds).keys(),
+]
+
+
+@st.composite
+def seeded_translation_systems(draw):
+    """A small sumset or ideal-count system with seed lists A and B."""
+    if draw(st.booleans()):
+        summand = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True))
+        sys, point = make_sumset_system(summand), st.tuples(st.integers(-2, 2))
+    else:
+        m = draw(st.integers(1, 2))
+        drawn = set(draw(st.lists(st.tuples(*[st.integers(0, 3)] * m), max_size=2)))
+        antichain = [
+            r for r in drawn if not any(q != r and product_leq(q, r) for q in drawn)
+        ]
+        sys, _ = make_ideal_system(antichain, [m])
+        point = st.tuples(*[st.integers(0, 2)] * m)
+    A = draw(st.lists(point, min_size=1, max_size=3))
+    B = draw(st.lists(point, max_size=2))
+    return sys, A, B
+
+
+@given(seeded_translation_systems())
+@settings(max_examples=20, deadline=None)
+def test_every_iterable_of_seeds_gives_the_list_result(problem):
+    # each analysis reads A and B once, so a set, an iterator or a generator
+    # is read as the list of the same seeds
+    sys, A, B = problem
+    graded = _result_values(analyze_graded(sys, A, B))
+    cumulative = _result_values(analyze_cumulative(sys, A, B))
+    closure = phi_closure_member(sys, A[0], B)
+    for form in _ITERABLE_FORMS:
+        assert _result_values(analyze_graded(sys, form(A), form(B))) == graded
+        assert _result_values(analyze_cumulative(sys, form(A), form(B))) == cumulative
+        assert phi_closure_member(sys, A[0], form(B)) == closure
 
 
 def test_polynomial_evaluates_at_negative_integers():
