@@ -30,6 +30,7 @@ from .operators import (
     OperatorSystem,
     Partition,
     TRIANGULAR,
+    _SKIPPED,
     _images,
     _word_lattice,
     augment,
@@ -205,10 +206,36 @@ def tabulate_f(
     commute, as in ``verify_fit``: a larger orbit is a ``HypothesisError``.
 
     Each slice (part-degree class) gets a fresh basis builder, fed B's
-    orbit there; A's words then arrive in ascending lex order, and each
-    one's marginal is the number of its images of A that raise the rank
+    orbit there; A's images then arrive as the walk yields the slice, word
+    by word in ascending lex order with the seeds in sorted order, and each
+    word's marginal is the number of its images of A that raise the rank
     over everything fed before.  Summing over a slice telescopes to the
     relative rank of the graded orbits.
+
+    With no context, a system with ``translations`` over a backend with
+    ``points`` (the systems ``graded_bound`` reads) marks each pair the
+    builder rejects ``_SKIPPED``, so the walk steps nothing from it: every
+    pair stepped from a rejected pair is rejected too.  Let ``E`` be what
+    comes before a pair ``(a, w)`` of slice ``s``: B's orbit at ``s``, the
+    pairs at the words below ``w`` and those of the seeds before ``a`` at
+    ``w``.  By induction over the walk, each pair of ``E`` that was dropped
+    lies in the span of what was fed before it, so the span of ``E`` is
+    that of what was fed.  Let ``(a, w)`` lie in it, and let map ``c`` of
+    part ``p`` step it to ``(a, w + e_c)`` in slice ``s + e_p``.  The maps
+    commute, so ``c`` sends each pair ``(b, u)`` of ``E`` to
+    ``(b, u + e_c)``, whose word is below ``w + e_c`` when ``u`` is below
+    ``w`` (the lex order is translation-invariant) and whose seed keeps its
+    order; and B's orbit at ``s``, the images of its words, into B's orbit
+    at ``s + e_p``.  So ``c(E)`` comes before ``(a, w + e_c)``.  A
+    translation keeps spans: an equal point stays equal, a point above a
+    killed point stays above it (killed points need 0/1 vectors), and a
+    monomial shift is linear.  Hence ``(a, w + e_c)`` lies in the span of
+    ``c(E)``, so the builder would reject it, and dropping it changes no
+    marginal: the paper's triangularity inequality for one element.
+    Elsewhere every pair is stepped and fed: a context's B orbit holds the
+    translates of its earlier orbit only if the context's maps commute,
+    which nothing checks, and a part that is only declared triangular is
+    what the table's violation scan tests.
     """
     box = StabilizationConfig(box=box).resolved_box(sys.m)
     if context_sys is not None:
@@ -229,15 +256,30 @@ def tabulate_f(
                 f"{sizes}; use a smaller box (--box)",
             )
         orbits_b = _stepped_orbits(context_sys or sys, seeds_b, (0,) * sys.k, cap)
-    images = _images(sys.maps, seeds, lattice)
+    drop = (
+        context_sys is None
+        and sys.translations is not None
+        and hasattr(backend, "points")
+    )
     marginals = []
-    # the lattice's slices and B's orbits both come in degrees_below(cap) order
-    for (_, start, stop), (_, orbit_b) in zip(lattice.slices, orbits_b):
+    # the walk's slices and B's orbits both come in degrees_below(cap) order
+    for (start, stop, images), (_, orbit_b) in zip(
+        _images(sys.maps, seeds, lattice), orbits_b
+    ):
         builder = backend.basis_builder()
         builder.add_all(orbit_b)
-        # zip adds word by word, seeds in order; the zeros cover an empty A
-        columns = (map(builder.add, img[start:stop]) for img in images)
-        marginals.extend(map(sum, zip(repeat(0, stop - start), *columns)))
+        add = builder.add
+        for n in range(start, stop):  # word by word, seeds in order
+            count = 0
+            for img in images:
+                x = img[n]
+                if x is _SKIPPED:
+                    continue
+                if add(x):
+                    count += 1
+                elif drop:
+                    img[n] = _SKIPPED
+            marginals.append(count)
     values = dict(zip(lattice.words, marginals))
     return DecreasingTable(box, sys.partition, values)
 

@@ -7,8 +7,11 @@ blocks.  Words are multi-indices in N^m; their one enumeration
 and the one walk of that lattice (``_images``), a word's image by its
 plain definition, graded orbits, augmentation by the identity map (whose
 graded orbits are the cumulative ones) and the sampled hypothesis checks
-all live here.  Tabulation and the checks step the same walk; the checks
-wrap each map with ``_skipping``, so a point a map cannot take is skipped.
+all live here.  Tabulation and the checks step the same walk, slice by
+slice, and it steps nothing from a pair set to ``_SKIPPED``: tabulation
+sets the pairs a translation system's builder rejects, and the checks
+wrap each map with ``_skipping``, which gives ``_SKIPPED`` for a point the
+map cannot take.
 """
 
 from __future__ import annotations
@@ -165,10 +168,10 @@ class _WordLattice(NamedTuple):
     coordinate ``i`` is zero.  Word ``n`` is map ``top[n]`` (its highest
     nonzero coordinate, -1 for the zero word) applied to word
     ``down[top[n]][n]``, so its maps run in ``apply_word``'s order, the
-    highest last.  Every predecessor comes before its word.  One function
-    reads these steps, ``_images``: the one incremental word walk, which
-    tabulation steps for A's words and ``check_system`` for its orbit,
-    with maps wrapped by ``_skipping``.  Shared by every caller, so
+    highest last.  Every predecessor lies in an earlier slice.  One
+    function reads these steps, ``_images``: the one incremental word
+    walk, which tabulation steps for A's words and ``check_system`` for its
+    orbit, with maps wrapped by ``_skipping``.  Shared by every caller, so
     read-only.
     """
 
@@ -241,26 +244,46 @@ class _LatticeCache:
 _word_lattice = _LatticeCache(LATTICE_CACHE_WORDS)
 
 
-def _images(maps: Sequence[Callable], seeds: List, lattice: _WordLattice) -> List[List]:
-    """Each seed's image at every word of ``lattice`` under ``maps``.
+_SKIPPED = object()  # a pair the walk steps from no further: dropped or unmappable
 
-    ``images[j][n]`` is map ``i = top[n]`` applied to ``images[j][down[i][n]]``,
-    as ``apply_word`` steps; a failing map raises ``map_failure``.  The one
-    walk of the lattice: ``tabulate_f`` passes every seed at once,
-    ``check_system`` one seed at a time with maps that skip instead of
-    failing (``_skipping``).
+
+def _images(maps: Sequence[Callable], seeds: List, lattice: _WordLattice):
+    """Each seed's images at the words of ``lattice`` under ``maps``, slice
+    by slice.
+
+    Yields ``(start, stop, images)`` once the slice of words ``start`` to
+    ``stop`` is stepped, in ``degrees_below`` order.  ``images[j][n]`` is
+    map ``i = top[n]`` applied to ``images[j][down[i][n]]``, as
+    ``apply_word`` steps; a failing map raises ``map_failure``.  No map
+    runs on a pair that is ``_SKIPPED``: its child is ``_SKIPPED`` too.
+    Every tree parent ``down[top[n]][n]`` lies in an earlier slice, so a
+    consumer that sets pairs of a yielded slice to ``_SKIPPED`` before it
+    resumes the walk drops every pair stepped from them.
+
+    The one walk of the lattice.  ``tabulate_f`` passes every seed at once.
+    In a translation system over a backend with ``points``, outside
+    context mode, it sets to ``_SKIPPED`` each pair its slice's builder
+    rejects: the paper's triangularity inequality for one element, whose
+    proof ``tabulate_f`` gives, makes every pair stepped from it dependent
+    too.  Every other system's pairs are all stepped, in the same order.
+    ``check_system`` passes one seed at a time, with maps that give
+    ``_SKIPPED`` instead of failing (``_skipping``).
     """
     words, top, down = lattice.words, lattice.top, lattice.down
-    images = [[a] * len(words) for a in seeds]
-    for n in range(1, len(words)):  # word 0 is the zero word: the seed itself
-        i = top[n]
-        phi, prev = maps[i], down[i][n]
-        for img in images:
-            try:
-                img[n] = phi(img[prev])
-            except Exception as exc:  # noqa: BLE001 - rewrapped as apply_word does
-                raise map_failure(i, f"applying word {words[n]}", exc) from exc
-    return images
+    images = [[a] + [_SKIPPED] * (len(words) - 1) for a in seeds]
+    for _, start, stop in lattice.slices:
+        # the first slice holds only the zero word, whose image is the seed
+        for n in range(start or 1, stop):
+            i = top[n]
+            phi, prev = maps[i], down[i][n]
+            for img in images:
+                x = img[prev]
+                if x is not _SKIPPED:
+                    try:
+                        img[n] = phi(x)
+                    except Exception as exc:  # noqa: BLE001 - as apply_word rewraps
+                        raise map_failure(i, f"applying word {words[n]}", exc) from exc
+        yield start, stop, images
 
 
 def identity_map(x):
@@ -377,7 +400,10 @@ class OperatorSystem:
         its divisor tests are over ``MAX_WORDS``.  A malformed seed is an
         ``InputError`` too, raised before any work.
         """
-        if self.translations is None or not hasattr(self.backend, "points") or not A:
+        if self.translations is None or not hasattr(self.backend, "points"):
+            return None
+        seeds = self.backend.sorted_elems(A)  # A is read once, here
+        if not seeds:
             return None
         # imported on first use: only translation systems need it, and a
         # process that caches no bytecode spends about 3 ms compiling it
@@ -386,7 +412,7 @@ class OperatorSystem:
         vectors = [v for vecs in self.translations for v in vecs]
         dim = len(vectors[0])
         points = []
-        for a in self.backend.sorted_elems(A):
+        for a in seeds:
             p = self.backend.points(a)
             if len(p) > 1 or any(not isinstance(x, tuple) or len(x) != dim for x in p):
                 return None
@@ -525,16 +551,13 @@ def _part_inequality_failures(
     return failures
 
 
-_SKIPPED = object()  # what a ``_skipping`` map gives for a point it cannot take
-
-
 def _skipping(phi: Callable) -> Callable:
-    """``phi``, but ``_SKIPPED`` where it raises or is given ``_SKIPPED``: how
-    check mode skips the points a map cannot take, and all that follow."""
+    """``phi``, but ``_SKIPPED`` where it raises: how check mode skips the
+    points a map cannot take; the walk skips all that follow."""
 
     def skipping(x):
         try:
-            return _SKIPPED if x is _SKIPPED else phi(x)
+            return phi(x)
         except Exception:  # noqa: BLE001 - unmappable points are skipped
             return _SKIPPED
 
@@ -556,8 +579,9 @@ def check_system(
     images over the word lattice from the one walk, ``_images``, run once
     per seed in sorted order: one map call per seed and reached word.  Its
     maps, here and in the commutation test, are wrapped by ``_skipping``,
-    so a point a map cannot take is skipped, with every word stepped from
-    it, and no call is made on it.  A depth whose seeds times
+    so a point a map cannot take is skipped; the walk skips every word
+    stepped from it, and the commutation test the second map after it, so
+    no call is made on it.  A depth whose seeds times
     words, or a ``pair_count`` whose map calls, exceed ``MAX_WORDS`` is an
     ``InputError`` before any map runs, and the commutation calls, 2 m (m - 1)
     at each distinct orbit point, are once the walk has found the points.
@@ -590,19 +614,28 @@ def check_system(
     pts = []
     if seeds:  # no seeds build no lattice
         lattice = _word_lattice((sys.m,), (degrees - 1,))
-        orbit = (x for a in seeds for x in _images(maps, [a], lattice)[0])
+        orbit = (
+            x
+            for a in seeds
+            for start, stop, (img,) in _images(maps, [a], lattice)
+            for x in img[start:stop]
+        )
         pts = backend.dedupe(x for x in orbit if x is not _SKIPPED)
     check_budget(
         len(pts) * 2 * sys.m * (sys.m - 1),
         f"checking commutation at {len(pts):,} orbit points to depth {depth}",
         "a map call counts as a word; use a smaller depth",
     )
+
+    def then(phi: Callable, y):  # phi after a map that gave y
+        return y if y is _SKIPPED else phi(y)
+
     for x in pts:
         for i, j in itertools.combinations(range(sys.m), 2):
-            lhs = maps[i](maps[j](x))
+            lhs = then(maps[i], maps[j](x))
             if lhs is _SKIPPED:
                 continue
-            rhs = maps[j](maps[i](x))
+            rhs = then(maps[j], maps[i](x))
             if rhs is not _SKIPPED and backend.key(lhs) != backend.key(rhs):
                 report.commutation_failures.append(
                     f"maps {i + 1} and {j + 1} disagree at {x!r}: "

@@ -486,6 +486,14 @@ def test_sumset_bound_cases_that_stay_on_the_window():
     assert analyze_graded(plain, [(0,)], []).evidence == "window"
 
 
+def test_graded_bound_reads_its_seeds_once():
+    # an iterator passed the test for no seeds before it was read, so an
+    # empty one proved a bound for no seed at all
+    sys = make_sumset_system([0, 1])
+    assert sys.graded_bound(iter([])) is None
+    assert sys.graded_bound(iter([(0,), (30,)])) == sys.graded_bound([(0,), (30,)])
+
+
 def test_sumset_bound_over_the_basis_budget_falls_back_to_the_default_box():
     sys = make_sumset_system([0, 1, 17, 40, 99])
     A = [(0,), (3,), (50,)]
