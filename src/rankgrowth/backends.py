@@ -29,7 +29,7 @@ from .engine import (
     analyze_graded,
 )
 from .errors import InputError, InvalidMatroidError, OutOfBoxError
-from .matroid import BasisBuilder, RankOracle, check_rank_axioms
+from .matroid import BasisBuilder, RankOracle, _check_sortable, check_rank_axioms
 from .operators import (
     OperatorSystem,
     Partition,
@@ -104,10 +104,7 @@ class TrivialBackend(RankOracle):
 
 
 class _SetBuilder(BasisBuilder):
-    """Rank of a set matroid: the number of distinct elements that count.
-
-    Serves every oracle whose canonical key is the element itself.
-    """
+    """Rank of a set matroid: the number of distinct elements that count."""
 
     def __init__(self, counts: Callable[[object], bool]):
         self.counts = counts
@@ -212,16 +209,6 @@ def _exact(c: int | Fraction) -> int | Fraction:
     return c.numerator if c.denominator == 1 else c
 
 
-def _check_orderable(keys) -> None:
-    """Raise an ``InputError`` naming two of ``keys`` that do not order."""
-    for a, b in itertools.combinations(keys, 2):
-        try:
-            sorted((a, b))
-            sorted((b, a))
-        except TypeError:
-            raise InputError(f"basis keys {a!r} and {b!r} do not order") from None
-
-
 class LinearBackend(RankOracle):
     """Finitely supported exact-rational vectors; rank is span dimension.
 
@@ -260,7 +247,7 @@ class LinearBackend(RankOracle):
         try:
             out.sort()
         except TypeError:
-            _check_orderable([k for k, _ in out])
+            _check_sortable([k for k, _ in out], "basis key")
             raise
         return tuple(out)
 
@@ -453,7 +440,7 @@ def linear_operator(backend: LinearBackend, image_fn: Callable) -> Callable:
         try:
             out.sort()
         except TypeError:
-            _check_orderable([k for k, _ in out])
+            _check_sortable([k for k, _ in out], "basis key")
             raise
         return tuple(out)
 
@@ -514,18 +501,15 @@ class GraphicBackend(RankOracle):
     """Undirected edges ranked by vertices-touched minus components.
 
     Elements are (u, v) or (u, v, tag) tuples; loops are legitimate
-    elements of rank zero, and tags distinguish parallel edges.
+    elements of rank zero, and tags distinguish parallel edges.  An edge is
+    the tuple it is: its reversed spelling, or an empty tag, is a parallel
+    edge, of the same effect on rank.
     """
 
     def endpoints(self, elem) -> Tuple[object, object]:
         if not isinstance(elem, tuple) or len(elem) not in (2, 3):
             raise InputError(f"not an edge: {elem!r}")
         return elem[0], elem[1]
-
-    def key(self, elem):
-        u, v = self.endpoints(elem)
-        tag = elem[2] if len(elem) > 2 else ""
-        return (min(u, v), max(u, v), tag)
 
     def validate(self, elem):
         self.endpoints(elem)
@@ -613,10 +597,6 @@ class CounterexampleGraphicBackend(GraphicBackend):
         if kind == "b":
             return (("p", j), ("q", j)) if odd else (("w", j), ("u", j))
         return (("q", j), ("u", j + 1)) if odd else (("u", j + 1), ("w", j))
-
-    def key(self, elem):
-        self.validate(elem)
-        return elem
 
     def shift(self, elem):
         kind, i = elem

@@ -667,7 +667,7 @@ def _stepped_orbits(
 
     The orbit steps one part degree at a time: the orbit at ``s + e_i`` is
     the union of the images of the orbit at ``s`` under the maps of part
-    ``i``, deduplicated by ``backend.key``.  For commuting maps that is the
+    ``i``, without duplicates.  For commuting maps that is the
     set of images of the words of part degree ``s + e_i``, whatever the
     order of their maps.  A chain from 0 reaches ``lo``, raising one
     coordinate after another; every other point of the box steps from its
@@ -683,7 +683,7 @@ def _stepped_orbits(
     ``OperatorError`` naming the map and the part degree being reached,
     with the original exception as its cause.
     """
-    key, p = sys.backend.key, sys.partition
+    p = sys.partition
 
     def step(orbit: List, i: int, t: MultiIndex) -> List:
         """The orbit at ``t`` from the orbit at ``t - e_i``."""
@@ -693,7 +693,7 @@ def _stepped_orbits(
                 images = list(map(phi, orbit))
             except Exception as exc:  # noqa: BLE001 - rewrapped as apply_word does
                 raise map_failure(slot, f"reaching part degree {t}", exc) from exc
-            found.update(zip(map(key, images), images))
+            found.update(dict.fromkeys(images))
         limit = len(seeds) * p.word_count(t, t)
         if len(found) > limit:
             raise HypothesisError(
@@ -702,7 +702,7 @@ def _stepped_orbits(
                 "the system's maps do not commute",
                 witness=t,
             )
-        return list(found.values())
+        return list(found)
 
     orbit = seeds
     for i in range(p.k):

@@ -3,16 +3,19 @@
 A backend exposes a single primitive, ``basis_builder``: a fresh
 incremental builder whose ``add`` says whether an element raises the rank
 of everything fed before it.  Everything else (rank and relative rank) is
-derived here, so backends stay minimal.  Elements are identified by a
-canonical key: two elements are the same point of the ground set iff
-their keys are equal, and keys are orderable so that every enumeration in
-the engine is deterministic.
+derived here, so backends stay minimal.  An element is its own identity:
+two elements are the same point of the ground set iff they are equal, and
+the seeds of an analysis hash and order, so that every enumeration in the
+engine is deterministic.
 """
 
 from __future__ import annotations
 
+import itertools
 from abc import ABC, abstractmethod
 from typing import Iterable, List
+
+from .errors import InputError
 
 
 class BasisBuilder(ABC):
@@ -38,8 +41,9 @@ class BasisBuilder(ABC):
 class RankOracle(ABC):
     """A deterministic rank function satisfying the matroid axioms.
 
-    A backend implements ``basis_builder``, and optionally ``key`` and
-    ``validate``; ``rank`` is the number of elements its builder accepts.
+    A backend implements ``basis_builder``, and optionally ``validate``;
+    ``rank`` is the number of elements its builder accepts.  Elements are
+    compared by ``==`` and ``hash``, and seeds sorted by ``<``.
     Required axioms, exact over the integers:
       rank({}) = 0
       rank(S + x) - rank(S) in {0, 1}
@@ -51,16 +55,12 @@ class RankOracle(ABC):
     def basis_builder(self) -> BasisBuilder:
         """Fresh incremental builder for an empty set."""
 
-    def key(self, elem):
-        """Canonical, orderable identity of an element. Default: the element."""
-        return elem
-
     def validate(self, elem) -> None:
         """Raise InputError if the element is not interpretable. Default: accept."""
 
     def validated(self, elems: Iterable) -> List:
         """``elems`` as a list, each checked by ``validate``: the one element
-        check, run before any element is keyed, sorted or fed to a builder."""
+        check, run before any element is hashed, sorted or fed to a builder."""
         elems = list(elems)
         for x in elems:
             self.validate(x)
@@ -71,20 +71,20 @@ class RankOracle(ABC):
         return self.basis_builder().add_all(self.validated(elems))
 
     def dedupe(self, elems) -> List:
-        """Distinct elements of ``elems`` in first-seen order (by canonical key),
-        unvalidated: it dedupes orbit images, which the maps made."""
-        seen = set()
-        out = []
-        for x in elems:
-            k = self.key(x)
-            if k not in seen:
-                seen.add(k)
-                out.append(x)
-        return out
+        """Distinct elements of ``elems`` in first-seen order, unvalidated:
+        it dedupes orbit images, which the maps made."""
+        return list(dict.fromkeys(elems))
 
     def sorted_elems(self, elems) -> List:
-        """Distinct elements sorted by canonical key, each validated first."""
-        return sorted(self.dedupe(self.validated(elems)), key=self.key)
+        """Distinct elements in sorted order, each validated first.  An
+        element that does not hash, or does not order with another, is an
+        ``InputError`` naming it."""
+        elems = self.validated(elems)
+        try:
+            return sorted(self.dedupe(elems))
+        except TypeError:
+            _check_sortable(elems, "element")
+            raise
 
     def relative_rank(self, A: Iterable, B: Iterable) -> int:
         """rank(A over B) = rank(A | B) - rank(B); every element is
@@ -93,6 +93,22 @@ class RankOracle(ABC):
         builder = self.basis_builder()
         builder.add_all(B)
         return builder.add_all(A)
+
+
+def _check_sortable(items: List, what: str) -> None:
+    """Raise an ``InputError`` naming one of ``items`` that does not hash, or
+    two that do not order; ``what`` names an item in the message."""
+    for x in items:
+        try:
+            hash(x)
+        except TypeError:
+            raise InputError(f"{what} {x!r} is not hashable") from None
+    for a, b in itertools.combinations(items, 2):
+        try:
+            sorted((a, b))
+            sorted((b, a))
+        except TypeError:
+            raise InputError(f"{what}s {a!r} and {b!r} do not order") from None
 
 
 def check_rank_axioms(oracle: RankOracle, sets: Iterable, rng) -> List[str]:
@@ -118,10 +134,8 @@ def check_rank_axioms(oracle: RankOracle, sets: Iterable, rng) -> List[str]:
             gain = oracle.rank(S + [x]) - rS
             if gain not in (0, 1):
                 failures.append(f"unit-increase failed adding {x!r} to {S!r}")
-        keys_S = {oracle.key(e) for e in S}
-        union = S + [e for e in T if oracle.key(e) not in keys_S]
-        keys_T = {oracle.key(e) for e in T}
-        inter = [e for e in S if oracle.key(e) in keys_T]
+        union = oracle.dedupe(S + T)
+        inter = [e for e in S if e in T]
         rU, rI = oracle.rank(union), oracle.rank(inter)
         if rU < max(rS, rT):
             failures.append(f"monotonicity failed on {S!r} vs union with {T!r}")

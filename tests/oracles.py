@@ -149,9 +149,8 @@ def cumulative_orbit(sys, A, s):
             for i, c in enumerate(r):
                 for _ in range(c):
                     x = sys.maps[i](x)
-            k = sys.backend.key(x)
-            if k not in seen:
-                seen.add(k)
+            if x not in seen:
+                seen.add(x)
                 out.append(x)
     return out
 

@@ -16,9 +16,12 @@ from rankgrowth import (
 from rankgrowth.backends import (
     ZERO_CHAIN,
     ChainFreeOracle,
+    CircuitBackend,
     GraphicBackend,
     SimplicialComplex,
+    make_graphic_system,
 )
+from rankgrowth.engine import analyze_graded
 
 from oracles import (
     distinct_count,
@@ -127,6 +130,28 @@ def test_relative_rank_validates_both_sets():
         backend.relative_rank([(1, 2)], [])
     with pytest.raises(InputError, match="dimension 1"):
         backend.relative_rank([(1,)], [[5]])
+
+
+def test_sorted_elems_refuses_an_element_that_does_not_hash_or_order():
+    # a valid element is sorted and deduplicated as itself, so one that does
+    # not hash or does not order is an input error naming it, not a raw
+    # TypeError from the sort
+    shift = make_graphic_system([{"0": "1", "1": "2", "2": "2"}], [1])
+    with pytest.raises(InputError, match=r"element \('0', \['1'\]\) is not hashable"):
+        analyze_graded(shift, [("0", ["1"])])
+    circuits = CircuitBackend({(0,): [["x", "y"]]})
+    with pytest.raises(InputError, match=r"element \(\[0\], 'x'\) is not hashable"):
+        circuits.sorted_elems([([0], "x")])
+    gb = GraphicBackend()
+    with pytest.raises(
+        InputError, match=r"elements \('0', '1', 2\) and \('0', '1', 'a'\) do not order"
+    ):
+        gb.sorted_elems([("0", "1", 2), ("0", "1"), ("0", "1", "a")])
+    # rank never hashes or sorts an edge, so a tag may be anything
+    assert gb.rank([("0", "1", ["t"]), ("1", "2", {})]) == 2
+    assert gb.sorted_elems([("1", "2", 0), ("0", "1"), ("1", "2", 0)]) == [
+        ("0", "1"), ("1", "2", 0)
+    ]
 
 
 def test_localize_identity_and_membership():
