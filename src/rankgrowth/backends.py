@@ -29,7 +29,7 @@ from .engine import (
     analyze_graded,
 )
 from .errors import InputError, InvalidMatroidError, OutOfBoxError
-from .matroid import BasisBuilder, RankOracle, _check_sortable, check_rank_axioms
+from .matroid import BasisBuilder, RankOracle, _sort_or_refuse, check_rank_axioms
 from .operators import (
     OperatorSystem,
     Partition,
@@ -209,6 +209,38 @@ def _exact(c: int | Fraction) -> int | Fraction:
     return c.numerator if c.denominator == 1 else c
 
 
+def _term(term, image_of: tuple = ()) -> Tuple[object, int | Fraction]:
+    """``term`` as a (basis key, coefficient) pair in normal form: the one
+    term check, shared by ``LinearBackend.vector`` and ``_image``.  A term
+    that is not a pair, a key that does not hash and a coefficient neither
+    an int nor a ``Fraction`` are ``InputError``s naming it, and name the
+    basis key in ``image_of`` when the term is part of that key's image."""
+    paired = False
+    try:
+        k, c = term
+        paired = True
+        hash(k)
+    except (TypeError, ValueError):
+        if paired and not image_of:
+            raise InputError(f"basis key {k!r} is not hashable") from None
+        what = f"term {term!r}"
+        if image_of:
+            what = f"image {what} of basis key {image_of[0]!r}"
+        raise InputError(
+            f"{what} does not pair a hashable basis key with a coefficient"
+        ) from None
+    if type(c) is int:
+        return k, c
+    if not isinstance(c, (int, Fraction)):
+        raise InputError(
+            f"coefficient {c!r} in the image of basis key {image_of[0]!r}: linear "
+            "map coefficients must be ints or Fractions"
+            if image_of
+            else f"coefficient {c!r} of basis key {k!r} is not an int or a Fraction"
+        )
+    return k, _exact(c)
+
+
 class LinearBackend(RankOracle):
     """Finitely supported exact-rational vectors; rank is span dimension.
 
@@ -225,30 +257,22 @@ class LinearBackend(RankOracle):
     """
 
     def vector(self, items) -> Vector:
-        """Canonical vector of (key, int or Fraction) pairs or a dict.
+        """Canonical vector of (key, int or Fraction) terms or a dict.
 
-        Coefficients of one key are summed and zero sums dropped.  A
-        coefficient of another type, and a key that does not hash or does
-        not order with the others, are ``InputError``s naming it.
+        Each term passes the one term check, ``_term``; coefficients of one
+        key are summed, zero sums dropped and the terms sorted by key.  Two
+        keys that do not order, as a partial order such as frozensets' may
+        leave them, are an ``InputError`` naming them.
         """
         acc: Dict[object, int | Fraction] = {}
-        pairs = items.items() if isinstance(items, dict) else items
-        for k, c in pairs:
-            if not isinstance(c, (int, Fraction)):
-                raise InputError(
-                    f"coefficient {c!r} of basis key {k!r} is not an int or a Fraction"
-                )
-            try:
-                hash(k)
-            except TypeError:
-                raise InputError(f"basis key {k!r} is not hashable") from None
+        for term in items.items() if isinstance(items, dict) else items:
+            k, c = _term(term)
             acc[k] = acc.get(k, 0) + c
         out = [(k, _exact(c)) for k, c in acc.items() if c]
-        try:
-            out.sort()
-        except TypeError:
-            _check_sortable([k for k, _ in out], "basis key")
-            raise
+        out = _sort_or_refuse(out, "basis key", _basis_key)
+        for (a, _), (b, _) in zip(out, out[1:]):
+            if not a < b:
+                raise InputError(f"basis keys {a!r} and {b!r} do not order")
         return tuple(out)
 
     def monomial(self, key, coeff=1) -> Vector:
@@ -257,24 +281,15 @@ class LinearBackend(RankOracle):
     zero: Vector = ()
 
     def validate(self, elem):
+        """A canonical vector is a tuple that ``vector`` rebuilds unchanged
+        and that holds no bool coefficient."""
         try:
             canonical = (
                 isinstance(elem, tuple)
-                and all(
-                    isinstance(p, tuple)
-                    and len(p) == 2
-                    and isinstance(p[1], (int, Fraction))
-                    and not isinstance(p[1], bool)
-                    and p[1] != 0
-                    for p in elem
-                )
-                and all(p[0] < q[0] for p, q in zip(elem, elem[1:]))
+                and self.vector(elem) == elem
+                and bool not in map(type, map(_coefficient, elem))
             )
-            if canonical:
-                # keys index dicts and the image cache of ``linear_operator``
-                for p in elem:
-                    hash(p[0])
-        except TypeError:  # keys that do not order or do not hash
+        except InputError:
             canonical = False
         if not canonical:
             raise InputError(f"not a canonical vector: {elem!r}")
@@ -353,6 +368,7 @@ class _EchelonBuilder(BasisBuilder):
 IMAGE_CACHE_SIZE = 1024
 """The most (``image_fn``, basis key) images ``linear_operator`` keeps."""
 
+_basis_key = operator.itemgetter(0)
 _coefficient = operator.itemgetter(1)
 
 
@@ -360,30 +376,14 @@ _coefficient = operator.itemgetter(1)
 def _image(image_fn: Callable, key) -> Tuple[tuple, bool]:
     """``image_fn(key)`` as a tuple of checked terms, and whether all are ints.
 
-    Each term must pair a hashable basis key with an int or a ``Fraction``;
-    its coefficient is put in normal form, so a bool becomes an int.  The
-    check runs once per cached image, and the tuple keeps a generator from
-    being shared half-used.
+    Each term passes the one term check, ``_term``, which names ``key`` in
+    its refusals and puts the coefficient in normal form, so a bool becomes
+    an int; ``linear_operator`` sums and sorts.  The check runs once per
+    cached image, and the tuple keeps a generator from being shared half-used.
     """
-    terms = []
-    for term in image_fn(key):
-        try:
-            k, c = term
-            hash(k)
-        except (TypeError, ValueError):
-            raise InputError(
-                f"image term {term!r} of basis key {key!r} does not pair a "
-                "hashable basis key with a coefficient"
-            ) from None
-        if type(c) is not int:
-            if not isinstance(c, (int, Fraction)):
-                raise InputError(
-                    f"coefficient {c!r} in the image of basis key {key!r}: linear "
-                    "map coefficients must be ints or Fractions"
-                )
-            c = _exact(c)
-        terms.append((k, c))
-    return tuple(terms), all(type(c) is int for _, c in terms)
+    of = (key,)
+    terms = tuple([_term(term, of) for term in image_fn(key)])
+    return terms, all(type(c) is int for _, c in terms)
 
 
 def linear_operator(backend: LinearBackend, image_fn: Callable) -> Callable:
@@ -437,12 +437,7 @@ def linear_operator(backend: LinearBackend, image_fn: Callable) -> Callable:
             out = list(filter(_coefficient, acc.items()))
         else:
             out = [(k, _exact(Fraction(c, den))) for k, c in acc.items() if c]
-        try:
-            out.sort()
-        except TypeError:
-            _check_sortable([k for k, _ in out], "basis key")
-            raise
-        return tuple(out)
+        return tuple(_sort_or_refuse(out, "basis key", _basis_key))
 
     return op
 

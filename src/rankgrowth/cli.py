@@ -331,7 +331,8 @@ def _build_context(config: dict, sys: OperatorSystem):
     """Context system from vector groups; primary map objects are re-used.
 
     Containment is by object identity, so each part's primary translation
-    vectors must literally appear in the context group, in any order.
+    vectors must literally appear in the context group, in any order, as
+    ``engine._check_context`` checks before any map runs.
     """
     groups = _get_items(config, "context_operators", list)
     if not groups:
@@ -347,10 +348,6 @@ def _build_context(config: dict, sys: OperatorSystem):
         for v in (as_vector(x, sys.backend.dimension) for x in group):
             j = next((j for j, (u, _) in enumerate(unused) if u == v), None)
             flat.append(translation(v) if j is None else unused.pop(j)[1])
-        if unused:
-            raise InputError(
-                f"part {i + 1}: context operators must contain the primary ones"
-            )
         sizes.append(len(group))
     return OperatorSystem(flat, Partition(sizes), sys.backend)
 

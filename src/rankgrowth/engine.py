@@ -845,8 +845,8 @@ def _check_context(sys: OperatorSystem, context_sys: OperatorSystem):
         held = Counter(map(id, context_sys.part_maps(i)))
         if Counter(map(id, sys.part_maps(i))) - held:
             raise InputError(
-                f"part {i + 1} of the context holds a map of the primary system "
-                "fewer times than the primary does"
+                f"part {i + 1}: context operators hold a map of the primary "
+                "system fewer times than the primary does"
             )
 
 

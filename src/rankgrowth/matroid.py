@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from abc import ABC, abstractmethod
-from typing import Iterable, List
+from typing import Callable, Iterable, List
 
 from .errors import InputError
 
@@ -79,12 +79,7 @@ class RankOracle(ABC):
         """Distinct elements in sorted order, each validated first.  An
         element that does not hash, or does not order with another, is an
         ``InputError`` naming it."""
-        elems = self.validated(elems)
-        try:
-            return sorted(self.dedupe(elems))
-        except TypeError:
-            _check_sortable(elems, "element")
-            raise
+        return _sort_or_refuse(self.validated(elems), "element", dedupe=self.dedupe)
 
     def relative_rank(self, A: Iterable, B: Iterable) -> int:
         """rank(A over B) = rank(A | B) - rank(B); every element is
@@ -95,20 +90,31 @@ class RankOracle(ABC):
         return builder.add_all(A)
 
 
-def _check_sortable(items: List, what: str) -> None:
-    """Raise an ``InputError`` naming one of ``items`` that does not hash, or
-    two that do not order; ``what`` names an item in the message."""
-    for x in items:
-        try:
-            hash(x)
-        except TypeError:
-            raise InputError(f"{what} {x!r} is not hashable") from None
-    for a, b in itertools.combinations(items, 2):
-        try:
-            sorted((a, b))
-            sorted((b, a))
-        except TypeError:
-            raise InputError(f"{what}s {a!r} and {b!r} do not order") from None
+def _sort_or_refuse(
+    items: List, what: str, name: Callable | None = None, dedupe: Callable | None = None
+) -> List:
+    """``items`` sorted, in place unless ``dedupe`` drops repeats first: the
+    one sort that refuses.  When they do not sort, the ``InputError`` names,
+    as a ``what``, the ``name`` (the item itself by default) of one item that
+    does not hash, or the names of two that do not order."""
+    try:
+        out = items if dedupe is None else dedupe(items)
+        out.sort()
+        return out
+    except TypeError:
+        names = items if name is None else list(map(name, items))
+        for x in names:
+            try:
+                hash(x)
+            except TypeError:
+                raise InputError(f"{what} {x!r} is not hashable") from None
+        for a, b in itertools.combinations(names, 2):
+            try:
+                sorted((a, b))
+                sorted((b, a))
+            except TypeError:
+                raise InputError(f"{what}s {a!r} and {b!r} do not order") from None
+        raise
 
 
 def check_rank_axioms(oracle: RankOracle, sets: Iterable, rng) -> List[str]:

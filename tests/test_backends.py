@@ -514,6 +514,42 @@ def test_linear_basis_keys_must_be_hashable():
         linear_operator(lb, _Unhashable())
 
 
+def test_linear_vector_names_a_term_that_is_not_a_pair():
+    # vector and the image check share one term check, so a term that is not
+    # a (key, coefficient) pair is an input error naming it, not a raw
+    # ValueError or TypeError from unpacking it
+    lb = LinearBackend()
+    for items, term in [
+        ([(0, 1, 2)], r"\(0, 1, 2\)"),
+        ([(0,)], r"\(0,\)"),
+        ([5], "5"),
+        ("ab", "'a'"),
+    ]:
+        with pytest.raises(InputError, match=rf"^term {term} does not pair"):
+            lb.vector(items)
+        with pytest.raises(InputError, match="not a canonical vector"):
+            lb.validate(tuple(items))
+    # a term with a bad key and a bad coefficient is refused for its key
+    with pytest.raises(InputError, match=r"^basis key \[1\] is not hashable$"):
+        lb.vector([([1], 0.5)])
+
+
+def test_linear_keys_under_a_partial_order_are_refused():
+    # frozensets sort without a TypeError, but {1} and {2} are not ordered
+    # either way, so the sorted terms would depend on the input order and one
+    # vector would have two spellings, which rank would count twice
+    lb = LinearBackend()
+    one, two = frozenset({1}), frozenset({2})
+    for terms in [[(one, 1), (two, 1)], [(two, 1), (one, 1)]]:
+        with pytest.raises(InputError, match=r"basis keys frozenset.* do not order"):
+            lb.vector(terms)
+        with pytest.raises(InputError, match="not a canonical vector"):
+            lb.validate(tuple(terms))
+    assert lb.vector([(one, 1), (frozenset({1, 2}), 1)]) == (
+        (one, 1), (frozenset({1, 2}), 1)
+    )
+
+
 def test_linear_vector_names_a_key_that_does_not_hash_or_order():
     lb = LinearBackend()
     for make in [lb.vector, lambda items: lb.monomial(*items[0])]:

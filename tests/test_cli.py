@@ -640,7 +640,8 @@ CONTEXT = {
         ),
         (
             dict(CONTEXT, context_operators=[[[0], [2]]]),
-            "part 1: context operators must contain the primary ones",
+            "part 1: context operators hold a map of the primary system fewer "
+            "times than the primary does",
         ),
         (dict(TRIVIAL, backend="nope"), "unknown backend 'nope'"),
         # B's orbit in a six-shift context used to run for minutes uncounted

@@ -398,7 +398,7 @@ def _context_variant(case):
     maps = [translation((0,)), translation((1,))]  # equal maps, other objects
     context = OperatorSystem(maps, Partition([2]), sys.backend)
     return sys, context, (
-        "part 1 of the context holds a map of the primary system "
+        "part 1: context operators hold a map of the primary system "
         "fewer times than the primary does"
     )
 
@@ -1088,7 +1088,7 @@ def test_a_context_must_hold_each_primary_map_as_often_as_the_primary():
     f0, f1 = translation((0,)), translation((1,))
     twice = OperatorSystem([f0, f0, f1], Partition([3]), backend)
     message = (
-        "^part 1 of the context holds a map of the primary system "
+        "^part 1: context operators hold a map of the primary system "
         "fewer times than the primary does$"
     )
     refused = [
