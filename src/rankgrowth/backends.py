@@ -400,8 +400,10 @@ def linear_operator(backend: LinearBackend, image_fn: Callable) -> Callable:
     is scaled to integers over one common denominator, and a ``Fraction``
     is built only for an output coefficient that is not integral.  A
     malformed term, a coefficient of another type, an unhashable basis
-    key, or output keys that do not order are ``InputError``s; an
-    exception raised inside ``image_fn`` passes through unchanged.
+    key, or output keys that cannot be compared at all are
+    ``InputError``s; an exception raised inside ``image_fn`` passes
+    through unchanged.  Keys must be totally ordered: a partial order,
+    such as frozensets', passes here and leaves the terms out of order.
     """
     try:
         hash(image_fn)

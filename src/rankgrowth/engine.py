@@ -780,10 +780,11 @@ def verify_fit(
 class PipelineResult:
     """Everything the pipeline produced for one system and seed pair.
 
-    ``evidence`` says where the table's box came from: ``"bound"`` when
-    it is the system's proven stabilization bound plus the window, so a
-    certified result is proved, and ``"window"`` otherwise (an explicit
-    or default box, whose window check is evidence only).
+    ``evidence`` says what judged the table's box: ``"bound"`` when it
+    covers the system's proven stabilization bound plus the window, so a
+    certified result is proved, and ``"window"`` otherwise (a box no
+    known bound judges, whose window check is evidence only; a box that
+    misses a known bound is never certified).
     """
 
     system: OperatorSystem
@@ -872,44 +873,58 @@ def analyze_graded(
     if context_sys is not None:
         _require_triangular(context_sys, "context mode")
     A, B = sys.backend.sorted_elems(A), sys.backend.sorted_elems(B)
-    box, evidence, warnings = _choose_box(sys, A, B, cfg, context_sys)
+    box, evidence, warnings, missed = _choose_box(sys, A, B, cfg, context_sys)
     table = tabulate_f(sys, A, B, box, context_sys)
-    return _analyze_table(sys, A, B, table, cfg, context_sys, evidence, warnings)
+    return _analyze_table(
+        sys, A, B, table, cfg, context_sys, evidence, warnings, missed
+    )
 
 
 def _choose_box(
     sys: OperatorSystem, A, B, cfg: StabilizationConfig, context_sys
-) -> Tuple[Tuple[int, ...], str, List[str]]:
-    """The box to tabulate, its evidence and the warnings of that choice.
+) -> Tuple[Tuple[int, ...], str, List[str], Optional[str]]:
+    """The box to tabulate, its evidence, the warnings of that choice and the
+    failure that keeps it from certifying, if any.
 
-    An explicit box is used as given.  Otherwise, with no context system
-    and B empty, the box is the system's proven graded bound for A plus
-    the window (``OperatorSystem.graded_bound`` says whether the system
-    knows one), with ``"bound"`` evidence.  A bound box over
-    the work budget, or a bound whose basis is over its budget, is never
-    clipped: the default box is used instead, with a warning.  Every box
-    but the bound box has ``"window"`` evidence.
+    With no context system and B empty, the system's proven graded bound
+    for A (``OperatorSystem.graded_bound`` says whether the system knows
+    one) judges the box.  With no explicit box, the box is that bound plus
+    the window; a bound box over the work budget is never clipped: the
+    default box is used instead, with a warning.  A box whose slice cap
+    covers the bound box's has ``"bound"`` evidence.  One that does not
+    cannot certify: its failure names the bound and the box it needs.  A
+    bound whose basis is over its budget is no bound known, so the default
+    box gets a warning and an explicit box none.  Every box but a covering
+    one has ``"window"`` evidence.
     """
     box = cfg.resolved_box(sys.m)
-    if cfg.box is not None or context_sys is not None or B:
-        return box, WINDOW_EVIDENCE, []
+    if context_sys is not None or B:
+        return box, WINDOW_EVIDENCE, [], None
     # a malformed seed is refused here, never read as a budget fallback
     A = sys.backend.validated(A)
     fallback = "tabulated the default box instead"
     try:
         bound = sys.graded_bound(A)
     except InputError as exc:  # its toric basis is over the budget
-        return box, WINDOW_EVIDENCE, [f"{exc}; {fallback}"]
+        warnings = [] if cfg.box is not None else [f"{exc}; {fallback}"]
+        return box, WINDOW_EVIDENCE, warnings, None
     if bound is None:
-        return box, WINDOW_EVIDENCE, []
+        return box, WINDOW_EVIDENCE, [], None
     p = sys.partition
     bound_box = tuple(c + cfg.window for c in bound)
-    size = p.word_count((0,) * p.k, p.part_degree(bound_box))
-    try:
-        check_budget(size, f"stabilization bound box {bound_box}", fallback)
-    except InputError as exc:
-        return box, WINDOW_EVIDENCE, [str(exc)]
-    return bound_box, BOUND_EVIDENCE, []
+    needs = p.part_degree(bound_box)
+    warnings = []
+    if cfg.box is None:
+        size = p.word_count((0,) * p.k, needs)
+        try:
+            check_budget(size, f"stabilization bound box {bound_box}", fallback)
+            box = bound_box
+        except InputError as exc:
+            warnings.append(str(exc))
+    if product_leq(needs, p.part_degree(box)):
+        return box, BOUND_EVIDENCE, warnings, None
+    failure = f"the proven stabilization bound {bound} needs box {bound_box}"
+    return box, WINDOW_EVIDENCE, warnings, f"{failure}, which box {box} misses"
 
 
 def _analyze_table(
@@ -921,8 +936,11 @@ def _analyze_table(
     context_sys: OperatorSystem | None,
     evidence: str,
     warnings: List[str],
+    missed: Optional[str],
 ) -> PipelineResult:
-    """The graded pipeline after tabulation: stabilize, interpolate, verify."""
+    """The graded pipeline after tabulation: stabilize, interpolate, verify.
+    ``missed``, when given, says how the box misses a proven bound: the
+    staircase is then box-truncated with that failure."""
     if table.violations:
         u, up = table.violations[0]
         raise HypothesisError(
@@ -933,6 +951,8 @@ def _analyze_table(
             witness=(u, up),
         )
     certificate = detect_stabilization(table, cfg)
+    if missed is not None:
+        certificate = replace(certificate, status=BOX_TRUNCATED, failure=missed)
     m_bar = certificate.m_bar
     if not product_leq(sys.partition.part_degree(m_bar), table.slice_cap):
         # the joint bound outgrew the tabulated slices (certificate is
@@ -1021,7 +1041,7 @@ def phi_closure_member(
     """
     cfg = cfg or StabilizationConfig()
     A, B = sys.backend.sorted_elems([a]), sys.backend.sorted_elems(B)
-    box, evidence, warnings = _choose_box(sys, A, B, cfg, None)
+    box, evidence, warnings, missed = _choose_box(sys, A, B, cfg, None)
     table = tabulate_f(sys, A, B, box)
     zeros = sorted(
         (u for u, v in table.values.items() if v == 0),
@@ -1040,7 +1060,7 @@ def phi_closure_member(
             detail="no witness in the box and the parts are not declared "
             "triangular, so the limit dichotomy does not apply",
         )
-    result = _analyze_table(sys, A, B, table, cfg, None, evidence, warnings)
+    result = _analyze_table(sys, A, B, table, cfg, None, evidence, warnings, missed)
     if result.status == CERTIFIED:
         return ClosureDecision(
             "non-member",

@@ -268,10 +268,17 @@ def _images(maps: Sequence[Callable], seeds: List, lattice: _WordLattice):
     too.  Every other system's pairs are all stepped, in the same order.
     ``check_system`` passes one seed at a time, with maps that give
     ``_SKIPPED`` instead of failing (``_skipping``).
+
+    ``degrees_below`` varies the first part slowest, so slice ``s`` is last
+    read by the walk into ``s + e_0``, ``stride`` slices later; once that
+    one is stepped, slice ``s`` is set to ``_SKIPPED`` before the yield,
+    so only the images of the last ``stride`` slices are held.  A consumer
+    reads the slice just yielded, never an earlier one.
     """
-    words, top, down = lattice.words, lattice.top, lattice.down
+    words, top, down, slices = lattice.words, lattice.top, lattice.down, lattice.slices
+    stride = len(slices) // (slices[-1][0][0] + 1)  # the slices per first degree
     images = [[a] + [_SKIPPED] * (len(words) - 1) for a in seeds]
-    for _, start, stop in lattice.slices:
+    for q, (_, start, stop) in enumerate(slices):
         # the first slice holds only the zero word, whose image is the seed
         for n in range(start or 1, stop):
             i = top[n]
@@ -283,6 +290,11 @@ def _images(maps: Sequence[Callable], seeds: List, lattice: _WordLattice):
                         img[n] = phi(x)
                     except Exception as exc:  # noqa: BLE001 - as apply_word rewraps
                         raise map_failure(i, f"applying word {words[n]}", exc) from exc
+        if q >= stride:  # no later slice reads slice q - stride
+            _, lo, hi = slices[q - stride]
+            released = [_SKIPPED] * (hi - lo)
+            for img in images:
+                img[lo:hi] = released
         yield start, stop, images
 
 
@@ -522,33 +534,43 @@ class SystemCheckReport:
 
 def _part_inequality_failures(
     backend: RankOracle, maps: Sequence[Callable], pairs, label: str
-) -> List[str]:
-    """Sampled rank inequality characterizing a triangular block.
+) -> Tuple[List[str], List[str]]:
+    """Sampled rank inequalities of a triangular part and, with the identity
+    map prepended (its images are B and A), of a quasi-triangular one.
 
-    For each i, the rank of the i-th map's image of A over the images of
-    A+B under the earlier maps (and of B under the i-th) must not exceed
-    the rank of A over B.
+    For each map, the rank of its images of A over the images of A+B under
+    the earlier maps and of B under it must not exceed the rank of A over B.
+    Each test feeds its own builder map by map, B's images first, so each
+    map runs once on each element; a test stops at its first failing map,
+    and a call, validation or add that raises ends the pair for both.
     """
-    failures = []
+    triangular, quasi = [], []
     for A, B in pairs:
-        AB = list(A) + list(B)
-        rhs = backend.relative_rank(A, B)
-        for i, phi in enumerate(maps):
-            try:
-                base: List = []
-                for psi in maps[:i]:
-                    base.extend(psi(x) for x in AB)
-                base.extend(phi(x) for x in B)
-                lhs = backend.relative_rank([phi(x) for x in A], base)
-            except Exception:  # noqa: BLE001 - unmappable sample points are skipped
-                continue
-            if lhs > rhs:
-                failures.append(
-                    f"{label}: map {i + 1} gives rank {lhs} > {rhs} "
-                    f"on A={A!r}, B={B!r}"
-                )
-                break
-    return failures
+        A, B = backend.validated(A), backend.validated(B)  # an invalid point raises
+        augmented = backend.basis_builder()  # fed the identity's images, B then A
+        augmented.add_all(B)
+        rhs = augmented.add_all(A)  # the rank of A over B
+        tests = [(backend.basis_builder(), triangular, label, 1)]
+        tests.append((augmented, quasi, f"{label} (augmented)", 2))
+        try:
+            for j, phi in enumerate(maps):
+                images_b = backend.validated(map(phi, B))
+                images_a = backend.validated(map(phi, A))
+                for test in tests[:]:
+                    builder, failures, name, first = test
+                    builder.add_all(images_b)
+                    lhs = builder.add_all(images_a)
+                    if lhs > rhs:
+                        failures.append(
+                            f"{name}: map {j + first} gives rank {lhs} > {rhs} "
+                            f"on A={A!r}, B={B!r}"
+                        )
+                        tests.remove(test)
+                if not tests:
+                    break
+        except Exception:  # noqa: BLE001 - unmappable sample points end the pair
+            pass
+    return triangular, quasi
 
 
 def _skipping(phi: Callable) -> Callable:
@@ -581,8 +603,8 @@ def check_system(
     maps, here and in the commutation test, are wrapped by ``_skipping``,
     so a point a map cannot take is skipped; the walk skips every word
     stepped from it, and the commutation test the second map after it, so
-    no call is made on it.  A depth whose seeds times
-    words, or a ``pair_count`` whose map calls, exceed ``MAX_WORDS`` is an
+    no call is made on it.  A depth whose seeds times words, or a
+    ``pair_count`` whose map calls (6 m a pair), exceed ``MAX_WORDS`` is an
     ``InputError`` before any map runs, and the commutation calls, 2 m (m - 1)
     at each distinct orbit point, are once the walk has found the points.
     A malformed sample element, or a count that is no integer, is one first.
@@ -597,14 +619,9 @@ def check_system(
     degrees = max(1, depth - 1)  # word degrees 0 .. degrees - 1
     words = len(seeds) * Partition((sys.m,)).word_count((0,), (degrees - 1,))
     check_budget(words, f"checking to depth {depth}", "use a smaller depth")
-    # a pair holds at most 3 + 3 elements; testing map j of a part (from 0)
-    # runs it and the j maps before it on them: at most 6 (j + 1) calls, so
-    # 3 L (L + 1) for a part tested with L maps (L = d_i, then d_i + 1)
-    calls = pair_count * sum(
-        3 * L * (L + 1) for d in sys.partition.part_sizes for L in (d, d + 1)
-    )
+    # a pair holds at most 3 + 3 elements, and each map runs once on each
     check_budget(
-        calls, f"testing {pair_count:,} sampled pairs",
+        pair_count * 6 * sys.m, f"testing {pair_count:,} sampled pairs",
         "a map call counts as a word; use a smaller seed_sample (--seed-sample)",
     )
     rng = random.Random(0)
@@ -650,17 +667,12 @@ def check_system(
         B = rng.sample(pts, k=min(len(pts), rng.randint(0, 3)))
         pairs.append((A, B))
 
-    tri, quasi = [], []
     for i in range(sys.k):
-        maps = sys.part_maps(i)
-        fails = _part_inequality_failures(backend, maps, pairs, f"part {i + 1}")
-        report.triangular_failures.extend(fails)
-        tri.append(not fails)
-        fails_q = _part_inequality_failures(
-            backend, (identity_map,) + maps, pairs, f"part {i + 1} (augmented)"
+        tri, quasi = _part_inequality_failures(
+            backend, sys.part_maps(i), pairs, f"part {i + 1}"
         )
-        report.quasi_failures.extend(fails_q)
-        quasi.append(not fails_q)
-    report.parts_triangular = tuple(tri)
-    report.parts_quasi_triangular = tuple(quasi)
+        report.triangular_failures.extend(tri)
+        report.quasi_failures.extend(quasi)
+        report.parts_triangular += (not tri,)
+        report.parts_quasi_triangular += (not quasi,)
     return report

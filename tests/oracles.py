@@ -7,8 +7,10 @@ cumulative orbits applied map by map, direct sumset iteration and the
 shadowed words of a sumset's slices, lattice point and monomial-quotient
 counting, quadratic greedy sweeps for the staircase, the violations
 and the level frontiers of a table, the word lattice built from recursive
-compositions with a tuple-keyed index, and the greedy basis extension by
-plain rank calls.
+compositions with a tuple-keyed index, the greedy basis extension by
+plain rank calls, and check mode's sampled triangularity test map by map,
+each map's rank recomputed from scratch by the backend's
+``relative_rank`` over the orbit ``apply_word`` gives.
 Tests freeze values computed here and compare the package's answers
 against them.  The exceptions are ``reference_tabulate`` and
 ``reference_verify``, the per-slice tabulation kernel and the per-point
@@ -542,3 +544,82 @@ def reference_evaluate(coeffs, s):
             term *= Fraction(base) ** exp
         total += term
     return total
+
+
+def reference_check_pairs(sys, sample, depth=3, pair_count=40):
+    """(orbit, pairs) of ``check_system`` by their plain definitions.
+
+    The orbit is each sorted seed's images under ``apply_word`` at the
+    words of m slots and degree below ``depth - 1`` (at least the zero
+    word), in ascending lex order, less those whose word raised, without
+    repeats.  The pairs are ``pair_count`` draws from ``random.Random(0)``:
+    A of one to three orbit points, then B of none to three.
+    """
+    import random
+
+    from rankgrowth.errors import OperatorError
+    from rankgrowth.operators import Partition, apply_word
+
+    one_part = Partition((sys.m,))
+    images = []
+    for a in sys.backend.sorted_elems(sample):
+        for t in range(max(1, depth - 1)):
+            for r in one_part.words_of_part_degree((t,)):
+                try:
+                    images.append(apply_word(sys, a, r))
+                except OperatorError:
+                    continue
+    orbit = sys.backend.dedupe(images)
+    rng = random.Random(0)
+    pairs = []
+    for _ in range(pair_count if orbit else 0):
+        A = rng.sample(orbit, k=min(len(orbit), rng.randint(1, 3)))
+        B = rng.sample(orbit, k=min(len(orbit), rng.randint(0, 3)))
+        pairs.append((A, B))
+    return orbit, pairs
+
+
+def reference_part_failures(backend, maps, pairs, label):
+    """The sampled triangular rank inequality of one part, map by map.
+
+    For each pair and each map, the rank of the map's images of A over the
+    earlier maps' images of A+B and the map's images of B, recomputed from
+    scratch by ``relative_rank``, must not exceed the rank of A over B.  A
+    pair's test stops at its first failing map, and skips a map whose
+    images raise.
+    """
+    failures = []
+    for A, B in pairs:
+        rhs = backend.relative_rank(A, B)
+        for j, phi in enumerate(maps):
+            try:
+                base = [psi(x) for psi in maps[:j] for x in A + B]
+                base += [phi(x) for x in B]
+                lhs = backend.relative_rank([phi(x) for x in A], base)
+            except Exception:  # noqa: BLE001 - an unmappable point is skipped
+                continue
+            if lhs > rhs:
+                failures.append(
+                    f"{label}: map {j + 1} gives rank {lhs} > {rhs} "
+                    f"on A={A!r}, B={B!r}"
+                )
+                break
+    return failures
+
+
+def reference_check_failures(sys, sample, depth=3, pair_count=40):
+    """(triangular failures, quasi-triangular failures, parts triangular,
+    parts quasi-triangular) of ``check_system``: each part tested by
+    ``reference_part_failures`` on ``reference_check_pairs``' pairs, then
+    again with the identity map prepended."""
+    _, pairs = reference_check_pairs(sys, sample, depth, pair_count)
+    tri, quasi, tri_ok, quasi_ok = [], [], (), ()
+    for i in range(sys.k):
+        maps = tuple(sys.part_maps(i))
+        fails = reference_part_failures(sys.backend, maps, pairs, f"part {i + 1}")
+        fails_q = reference_part_failures(
+            sys.backend, (lambda x: x,) + maps, pairs, f"part {i + 1} (augmented)"
+        )
+        tri, quasi = tri + fails, quasi + fails_q
+        tri_ok, quasi_ok = tri_ok + (not fails,), quasi_ok + (not fails_q,)
+    return tri, quasi, tri_ok, quasi_ok

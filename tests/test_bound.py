@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from rankgrowth import (
+    BOX_TRUNCATED,
     CERTIFIED,
     OperatorSystem,
     Partition,
@@ -33,6 +34,7 @@ from rankgrowth.backends import (
 from rankgrowth.cli import EXIT_CERTIFIED, EXIT_TRUNCATED, execute, run
 from rankgrowth.engine import _choose_box
 from rankgrowth.errors import InputError
+from rankgrowth.operators import product_leq
 from rankgrowth.toric import shadow_generators
 from oracles import (
     ideal_points_of_degree,
@@ -167,7 +169,13 @@ def test_bound_box_agrees_with_the_default_box_where_that_certifies(problem):
     sys, A = make_ideal_system(antichain, parts)
     bound = _analyze(sys, A, cumulative)
     default = _default_box_result(sys, A, cumulative)
-    assert default.evidence == "window"
+    # the bound judges the default box too: it proves what it covers, and
+    # a box that misses the bound cannot certify
+    graded = augment(sys) if cumulative else sys
+    needs = graded.partition.part_degree(tuple(c + 2 for c in graded.graded_bound(A)))
+    covers = product_leq(needs, default.table.slice_cap)
+    assert default.evidence == ("bound" if covers else "window")
+    assert covers or default.status != CERTIFIED
     if default.status == CERTIFIED:
         assert bound.polynomial == default.polynomial
         assert bound.polynomial.threshold == default.polynomial.threshold
@@ -208,14 +216,31 @@ def test_bound_over_the_work_budget_falls_back_to_the_default_box():
     assert result.table.box == default_box(2)
     assert "stabilization bound box (2, 3002)" in result.warnings[0]
     assert result.warnings[0].count("tabulated the default box instead") == 1
+    # the default box misses the bound it fell back from, so it cannot
+    # certify; it used to, with exit 0
+    assert result.status == BOX_TRUNCATED
+    assert result.warnings[1] == (
+        "staircase not certified: the proven stabilization bound (0, 3000) "
+        "needs box (2, 3002), which box (8, 8) misses"
+    )
 
 
 def test_an_explicit_box_wins_over_the_bound():
     sys, A = make_ideal_system([(6, 9)], [2])
     result = analyze_graded(sys, A, [], StabilizationConfig(box=(4, 4)))
     assert (result.evidence, result.table.box) == ("window", (4, 4))
-    # the window check at this box certifies t + 1, which fails from t = 15
+    # the window check at this box passes t + 1, which fails from t = 15, so
+    # the bound it misses keeps it from certifying
     assert result.polynomial != analyze_graded(sys, A, []).polynomial
+    assert result.status == BOX_TRUNCATED
+    assert result.certificate.failure == (
+        "the proven stabilization bound (6, 9) needs box (8, 11), which box "
+        "(4, 4) misses"
+    )
+    # a box that covers the bound proves what the bound box proves
+    wide = analyze_graded(sys, A, [], StabilizationConfig(box=(2, 20)))
+    assert (wide.evidence, wide.status) == ("bound", CERTIFIED)
+    assert wide.polynomial == analyze_graded(sys, A, []).polynomial
     config = {
         "mode": "ideal-count",
         "backend": "ideal-count",
@@ -230,6 +255,107 @@ def test_an_explicit_box_wins_over_the_bound():
     assert code == EXIT_CERTIFIED
     assert doc["staircase"]["evidence"] == "bound"
     assert doc["staircase"]["box"] == [5, 7]
+    code, doc = execute(dict(config, box=7))
+    assert (code, doc["staircase"]["evidence"]) == (EXIT_CERTIFIED, "bound")
+
+
+def test_a_box_that_misses_the_known_bound_is_never_certified():
+    # both certified 2*Y + 2 with exit 0; brute force gives Y + 31 from
+    # degree 29 and Y + 2001 from degree 1999
+    sys = make_translation_system([[(1, 0), (0, 1)]])
+    near = [(30, 0), (0, 30)]
+    result = analyze_graded(sys, near, [], StabilizationConfig(box=(8, 8)))
+    assert (result.status, result.evidence) == (BOX_TRUNCATED, "window")
+    assert result.certificate.failure == (
+        "the proven stabilization bound (0, 30) needs box (2, 32), which box "
+        "(8, 8) misses"
+    )
+    far = [(2000, 0), (0, 2000)]
+    result = analyze_graded(sys, far, [])
+    assert (result.status, result.evidence) == (BOX_TRUNCATED, "window")
+    assert result.table.box == default_box(2)
+    assert result.warnings[0].startswith(
+        "stabilization bound box (2, 2002) needs 2,011,015 words"
+    )
+    assert "bound (0, 2000) needs box (2, 2002)" in result.certificate.failure
+    covered = analyze_graded(sys, near, [], StabilizationConfig(box=(0, 40)))
+    assert (covered.status, covered.evidence) == (CERTIFIED, "bound")
+    assert covered.polynomial.pretty() == "Y + 31"
+    # through the CLI: exit 2 where both exited 0
+    config = {
+        "mode": "dimension",
+        "backend": "trivial",
+        "backend_data": {"dimension": 2},
+        "operators": [[1, 0], [0, 1]],
+        "partition": [2],
+    }
+    for seeds, box in [(near, {"box": 8}), (far, {})]:
+        code, doc = execute(dict(config, A=[list(a) for a in seeds], **box))
+        assert (code, doc["status"]) == (EXIT_TRUNCATED, "box-truncated")
+    # a closure query whose box misses the bound finds no witness, and can
+    # no longer call that non-membership: the seed is killed at degree 20
+    ideal, A = make_ideal_system([(20,)], [1])
+    decision = phi_closure_member(ideal, A[0], [], StabilizationConfig(box=(4,)))
+    assert decision.decision == "inconclusive"
+    assert phi_closure_member(ideal, A[0], []).decision == "member"
+
+
+@st.composite
+def boxed_problems(draw):
+    """A sumset or an ideal count, graded or cumulative, offsets of an explicit
+    box in the graded system's coordinates, and its brute-force count."""
+    if draw(st.booleans()):
+        parts, A, cumulative = draw(sumset_problems())
+        sys = make_sumset_system(*parts)
+        graded = augment(sys) if cumulative else sys
+        vectors = [list(v) for v in graded.translations]
+
+        def brute(s):
+            return sumset_count(A, vectors, s)
+
+    else:
+        antichain, parts, cumulative = draw(ideal_problems())
+        sys, A = make_ideal_system(antichain, parts)
+        graded = augment(sys) if cumulative else sys
+
+        def brute(s):
+            return ideal_points_of_degree(antichain, sys.m, parts, s, cumulative)
+
+    # a box near the bound box: offsets from it, or from 2 without a bound
+    offsets = draw(st.tuples(*[st.integers(-3, 3)] * graded.m))
+    return sys, A, cumulative, graded, offsets, brute
+
+
+@settings(max_examples=60, deadline=None)
+@given(boxed_problems())
+def test_a_known_bound_judges_every_explicit_box(problem):
+    sys, A, cumulative, graded, offsets, brute = problem
+    try:
+        bound = graded.graded_bound(A)
+    except InputError:  # no bound known: the box keeps window evidence
+        bound = None
+    base = bound or (0,) * graded.m
+    box = tuple(max(c + 2 + o, 0) for c, o in zip(base, offsets))
+    assume(_words(graded, box) * len(A) <= TABLE_LIMIT)
+    result = _analyze(sys, A, cumulative, StabilizationConfig(box=box))
+    if bound is None:
+        assert result.evidence == "window"
+        assert not any("default box" in w for w in result.warnings)
+        return
+    p = graded.partition
+    needs = p.part_degree(tuple(c + 2 for c in bound))
+    if not product_leq(needs, p.part_degree(box)):
+        assert (result.evidence, result.status) == ("window", BOX_TRUNCATED)
+        assert result.certificate.failure.startswith(
+            f"the proven stabilization bound {bound} needs box "
+        )
+        return
+    assert (result.evidence, result.status) == ("bound", CERTIFIED)
+    assert _corners_under(result.table, bound)
+    P = result.polynomial
+    for offsets in PAST:
+        s = tuple(t + o for t, o in zip(P.threshold, offsets))
+        assert P.evaluate(s) == brute(s)
 
 
 def test_bound_applies_to_any_seed_with_b_empty_and_no_context():
@@ -415,7 +541,7 @@ def test_sumset_bound_matches_brute_force(problem):
     try:
         generators = shadow_generators(graded.translations, seeds)
     except InputError:
-        box, evidence, warnings = _choose_box(
+        box, evidence, warnings, _ = _choose_box(
             graded, A, [], StabilizationConfig(), None
         )
         assert (box, evidence) == (default_box(graded.m), "window")
@@ -738,7 +864,7 @@ def test_closure_membership_tabulates_the_bound_box():
 @example((make_ideal_system([(0, 20)], [1, 1])[0], (0, 0)))
 def test_closure_membership_agrees_with_the_phi_rank(problem):
     sys, a = problem
-    box, _, _ = _choose_box(sys, [a], [], StabilizationConfig(), None)
+    box, *_ = _choose_box(sys, [a], [], StabilizationConfig(), None)
     assume(_words(sys, box) <= CLOSURE_LIMIT)
     decision = phi_closure_member(sys, a, [])
     result = analyze_graded(sys, [a], [])

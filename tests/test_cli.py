@@ -662,7 +662,7 @@ CONTEXT = {
         # 100 million sampled pairs over four shifts used to run for hours
         (
             dict(CHECK, operators=[[1], [2], [3], [4]], seed_sample=100_000_000),
-            "testing 100,000,000 sampled pairs needs 15,000,000,000 words, over the "
+            "testing 100,000,000 sampled pairs needs 2,400,000,000 words, over the "
             "limit of 2,000,000; a map call counts as a word; use a smaller "
             "seed_sample (--seed-sample)",
         ),

@@ -6,6 +6,7 @@ import math
 import random
 import re
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,8 @@ from rankgrowth import operators
 from rankgrowth.errors import OperatorError, OutOfBoxError
 from rankgrowth.operators import SystemCheckReport, lex_key
 from rankgrowth.backends import (
+    GraphicBackend,
+    LinearBackend,
     TrivialBackend,
     make_counterexample_graph,
     make_sumset_system,
@@ -32,7 +35,11 @@ from rankgrowth.backends import (
     translation,
 )
 
-from oracles import cumulative_orbit
+from oracles import (
+    cumulative_orbit,
+    reference_check_failures,
+    reference_check_pairs,
+)
 
 
 def test_part_degree_examples():
@@ -347,13 +354,12 @@ def test_check_system_seed_sample_is_within_the_work_budget(monkeypatch):
     with pytest.raises(InputError) as refused:
         check_system(sys, [(0,)], pair_count=100_000_000)
     assert str(refused.value) == (
-        "testing 100,000,000 sampled pairs needs 15,000,000,000 words, over the "
+        "testing 100,000,000 sampled pairs needs 2,400,000,000 words, over the "
         "limit of 2,000,000; a map call counts as a word; use a smaller "
         "seed_sample (--seed-sample)"
     )
-    # a part tested with L maps makes at most 3 L (L + 1) calls a pair: here
-    # L = 4, then 5 with the identity prepended
-    bound = 40 * (3 * 4 * 5 + 3 * 5 * 6)
+    # each of the m = 4 maps runs once on each of a pair's 3 + 3 elements
+    bound = 40 * 6 * 4
     calls = []
 
     def counted(step):
@@ -369,7 +375,7 @@ def test_check_system_seed_sample_is_within_the_work_budget(monkeypatch):
         TrivialBackend(1),
     )
     monkeypatch.setattr(operators, "MAX_WORDS", bound - 1)
-    with pytest.raises(InputError, match="^testing 40 sampled pairs needs 6,000 words"):
+    with pytest.raises(InputError, match="^testing 40 sampled pairs needs 960 words"):
         check_system(shifts, [(0,)])
     assert calls == []
     monkeypatch.setattr(operators, "MAX_WORDS", bound)
@@ -566,6 +572,136 @@ def test_check_system_skips_a_map_that_raises_on_part_of_the_orbit():
         parts_triangular=(True, True),
         parts_quasi_triangular=(True, True),
     )
+
+
+@st.composite
+def checked_systems(draw):
+    """A system for check mode and its sample: sumsets; lookup tables on a
+    graph's edges or on a linear space's basis keys, partial, so that some
+    parts fail and some points have no image; the counterexample gadget;
+    or a map that raises on part of the orbit (``_fragile``)."""
+    kind = draw(st.sampled_from(["sumset", "graphic", "linear", "gadget", "fragile"]))
+    sizes = draw(st.sampled_from([[1], [2], [1, 1], [3], [1, 2]]))
+    m = sum(sizes)
+    if kind == "sumset":
+        sys = make_translation_system(
+            [[(draw(st.integers(0, 4)),) for _ in range(d)] for d in sizes]
+        )
+        sample = [(a,) for a in draw(st.lists(st.integers(0, 6), max_size=3))]
+    elif kind == "graphic":
+        edges = list(itertools.combinations(range(4), 2))
+        image = st.sampled_from(edges)
+        table = st.dictionaries(image, image, min_size=len(edges) - 1)
+        maps = [draw(table).__getitem__ for _ in range(m)]
+        sys = OperatorSystem(maps, Partition(sizes), GraphicBackend())
+        sample = draw(st.lists(image, max_size=4))
+    elif kind == "linear":  # a table on vectors, so not a linear map
+        backend = LinearBackend()
+        vectors = [
+            backend.vector(enumerate(c))
+            for c in itertools.product((0, 1), repeat=3)
+        ]
+        image = st.sampled_from(vectors)
+        table = st.dictionaries(image, image, min_size=len(vectors) - 1)
+        maps = [draw(table).__getitem__ for _ in range(m)]
+        sys = OperatorSystem(maps, Partition(sizes), backend)
+        sample = draw(st.lists(image, max_size=4))
+    elif kind == "gadget":
+        sys, sample = make_counterexample_graph(draw(st.integers(1, 4)))
+    else:
+        limit = draw(st.integers(0, 6))
+        sys = OperatorSystem(
+            [translation((1,)), _fragile([], limit), translation((3,))],
+            Partition(draw(st.sampled_from([[3], [2, 1], [1, 2]]))),
+            TrivialBackend(1),
+        )
+        sample = [(a,) for a in draw(st.lists(st.integers(0, 6), max_size=3))]
+    return sys, sample, draw(st.integers(1, 5)), draw(st.integers(0, 30))
+
+
+@settings(max_examples=150, deadline=None)
+@given(checked_systems())
+@example((make_counterexample_graph(3)[0], [("a", 0), ("b", 0), ("c", 0)], 4, 40))
+def test_check_system_reports_what_each_map_tested_alone_reports(problem):
+    # one pass per pair and part gives the failures that testing each map
+    # from scratch, with and without the identity, gives
+    sys, sample, depth, pair_count = problem
+    report = check_system(sys, sample, depth, pair_count)
+    assert (
+        report.triangular_failures,
+        report.quasi_failures,
+        report.parts_triangular,
+        report.parts_quasi_triangular,
+    ) == reference_check_failures(sys, sample, depth, pair_count)
+
+
+def test_check_system_runs_each_map_once_on_each_element_of_a_pair():
+    # a part of L maps used to run them L (L + 1) / 2 + (L + 1) (L + 2) / 2
+    # times on each element: 16 with three maps
+    calls = Counter()
+
+    def counted(i, v):
+        step = translation((v,))
+
+        def shift(x):
+            calls[i, x] += 1
+            return step(x)
+
+        return shift
+
+    sizes = [3, 1]
+    maps = [counted(i, v) for i, v in enumerate((1, 2, 5, 7))]
+    sys = OperatorSystem(maps, Partition(sizes), TrivialBackend(1))
+    seeds = [(0,), (4,)]
+    check_system(sys, seeds, depth=4, pair_count=0)
+    unpaired = Counter(calls)
+    calls.clear()
+    assert check_system(sys, seeds, depth=4).supports_declaration(sys)
+    paired = calls - unpaired
+    _, pairs = reference_check_pairs(sys, seeds, depth=4)
+    held = Counter(x for A, B in pairs for x in A + B)
+    # every map runs once on each element of each pair, and no more
+    assert paired == Counter({(i, x): n for i in range(4) for x, n in held.items()})
+    assert sum(paired.values()) <= 40 * 6 * sys.m
+
+
+def test_the_walk_releases_each_slice_once_no_later_slice_reads_it():
+    # degrees_below varies the first part slowest, so slice s is last read by
+    # s + e_0, stride slices on; the walk used to hold every slice's images
+    calls = []
+
+    def counted(i, v):
+        step = translation((v,))
+        return lambda x: calls.append((i, x)) or step(x)
+
+    sys = OperatorSystem(
+        [counted(i, v) for i, v in enumerate((1, 10, 100))],
+        Partition([1, 2]),
+        TrivialBackend(1),
+    )
+    lattice = operators._word_lattice((1, 2), (3, 2))
+    stride = 3  # the second part's degrees 0..2
+    seeds = [(0,), (1000,)]
+    yielded = operators._images(sys.maps, seeds, lattice)
+    for q, (start, stop, images) in enumerate(yielded):
+        assert (start, stop) == lattice.slices[q][1:]
+        for p, (_, lo, hi) in enumerate(lattice.slices[: q + 1]):
+            for a, img in zip(seeds, images):
+                if p <= q - stride:
+                    assert img[lo:hi] == [operators._SKIPPED] * (hi - lo)
+                else:
+                    words = lattice.words[lo:hi]
+                    assert img[lo:hi] == [apply_word(sys, a, w) for w in words]
+    # the same map calls in the same order: word by word, seeds in order, each
+    # word's map on its tree parent's image
+    expected = []
+    for n in range(1, len(lattice.words)):
+        i = lattice.top[n]
+        parent = lattice.words[lattice.down[i][n]]
+        expected += [(i, apply_word(sys, a, parent)) for a in seeds]
+    calls.clear()
+    list(operators._images(sys.maps, seeds, lattice))
+    assert calls == expected
 
 
 def test_check_system_of_an_empty_sample_draws_no_pair(monkeypatch):
