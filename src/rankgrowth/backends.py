@@ -260,20 +260,17 @@ class LinearBackend(RankOracle):
         """Canonical vector of (key, int or Fraction) terms or a dict.
 
         Each term passes the one term check, ``_term``; coefficients of one
-        key are summed, zero sums dropped and the terms sorted by key.  Two
-        keys that do not order, as a partial order such as frozensets' may
-        leave them, are an ``InputError`` naming them.
+        key are summed, zero sums dropped and the terms sorted by key with
+        the one sort that refuses, ``matroid._sort_or_refuse``: two keys
+        that do not order, as a partial order such as frozensets' may leave
+        them, are an ``InputError`` naming them.
         """
         acc: Dict[object, int | Fraction] = {}
         for term in items.items() if isinstance(items, dict) else items:
             k, c = _term(term)
             acc[k] = acc.get(k, 0) + c
         out = [(k, _exact(c)) for k, c in acc.items() if c]
-        out = _sort_or_refuse(out, "basis key", _basis_key)
-        for (a, _), (b, _) in zip(out, out[1:]):
-            if not a < b:
-                raise InputError(f"basis keys {a!r} and {b!r} do not order")
-        return tuple(out)
+        return tuple(_sort_or_refuse(out, "basis key", _basis_key))
 
     def monomial(self, key, coeff=1) -> Vector:
         return self.vector([(key, coeff)])
@@ -400,10 +397,12 @@ def linear_operator(backend: LinearBackend, image_fn: Callable) -> Callable:
     is scaled to integers over one common denominator, and a ``Fraction``
     is built only for an output coefficient that is not integral.  A
     malformed term, a coefficient of another type, an unhashable basis
-    key, or output keys that cannot be compared at all are
-    ``InputError``s; an exception raised inside ``image_fn`` passes
-    through unchanged.  Keys must be totally ordered: a partial order,
-    such as frozensets', passes here and leaves the terms out of order.
+    key, or two output keys that do not order are ``InputError``s; an
+    exception raised inside ``image_fn`` passes through unchanged.  Output
+    keys are sorted by ``matroid._sort_or_refuse``, as ``vector``'s are,
+    so keys must be totally ordered: two that a partial order such as
+    frozensets' leaves unordered are refused on every output that holds
+    both, whatever order the images list them in.
     """
     try:
         hash(image_fn)

@@ -21,7 +21,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import compress
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ContractError, HypothesisError, InputError
@@ -198,11 +198,12 @@ def tabulate_f(
     ``box`` is validated as a ``StabilizationConfig`` box; ``None`` means
     the default box.  A's images come from ``operators._images``, the one
     walk of the word lattice, which check mode steps too, over the lattice
-    under the box's part degree.  B's orbits, when B is nonempty,
-    come from ``_stepped_orbits`` at the same part degrees, in the context
-    system (vetted by ``_check_context``) or else in ``sys``; a context's
-    words are counted in closed form against the work budget before any
-    map runs, and no lattice is built for it.  So B's maps are held to
+    under the box's part degree.  B's orbits come from ``_stepped_orbits``
+    at the same part degrees, in the context system (vetted by
+    ``_check_context``) or else in ``sys``; an empty B gives an empty orbit
+    at each, at no map call.  A nonempty B's context words are counted in
+    closed form against the work budget before any map runs, and no
+    lattice is built for the context.  So B's maps are held to
     commute, as in ``verify_fit``: a larger orbit is a ``HypothesisError``.
 
     Each slice (part-degree class) gets a fresh basis builder, fed B's
@@ -245,17 +246,15 @@ def tabulate_f(
     seeds, seeds_b = backend.sorted_elems(A), backend.sorted_elems(B)
     cap = sys.partition.part_degree(box)
     lattice = _word_lattice(sys.partition.part_sizes, cap)
-    orbits_b = repeat((None, ()))  # an empty B steps nothing and feeds nothing
-    if seeds_b:
-        if context_sys is not None:  # else A's lattice bounds B's words
-            sizes = list(context_sys.partition.part_sizes)
-            check_budget(
-                context_sys.partition.word_count((0,) * sys.k, cap),
-                f"tabulating part degrees up to {cap}",
-                f"B's orbits run in the context system with parts of sizes "
-                f"{sizes}; use a smaller box (--box)",
-            )
-        orbits_b = _stepped_orbits(context_sys or sys, seeds_b, (0,) * sys.k, cap)
+    if seeds_b and context_sys is not None:  # else A's lattice bounds B's words
+        sizes = list(context_sys.partition.part_sizes)
+        check_budget(
+            context_sys.partition.word_count((0,) * sys.k, cap),
+            f"tabulating part degrees up to {cap}",
+            f"B's orbits run in the context system with parts of sizes "
+            f"{sizes}; use a smaller box (--box)",
+        )
+    orbits_b = _stepped_orbits(context_sys or sys, seeds_b, (0,) * sys.k, cap)
     drop = (
         context_sys is None
         and sys.translations is not None
@@ -576,15 +575,28 @@ def interpolate(numerator: GeneratingNumerator) -> GrowthPolynomial:
 
 
 def dominant_terms(P: GrowthPolynomial):
-    """Terms maximal under some coordinate-permutation lexicographic order."""
-    if P.is_zero:
-        return set()
-    exps = list(P.coeffs)
-    winners = set()
-    for sigma in itertools.permutations(range(P.k)):
-        best = max(exps, key=lambda e: lex_key(tuple(e[i] for i in sigma)))
-        winners.add(best)
-    return {(e, P.coeffs[e]) for e in winners}
+    """Terms maximal under some coordinate-permutation lexicographic order.
+
+    If an order makes a term maximal and the term's exponent is largest at
+    coordinate ``c``, moving ``c`` to the front of that order keeps it
+    maximal, since the terms that tie with it at ``c`` compare as before.
+    So no search over the ``k!`` orders is made: a term dominates exactly
+    when it can keep choosing an unused coordinate where it is largest
+    among the terms still tied with it, until no other term is tied.  Each
+    term takes at most ``k`` rounds, each scanning the terms still tied.
+    """
+    exps, winners = list(P.coeffs), set()
+    for e, coeff in P.coeffs.items():
+        tied, free = exps, list(range(P.k))
+        while len(tied) > 1:
+            c = next((c for c in free if e[c] == max(t[c] for t in tied)), None)
+            if c is None:
+                break
+            free.remove(c)
+            tied = [t for t in tied if t[c] == e[c]]
+        else:
+            winners.add((e, coeff))
+    return winners
 
 
 @dataclass
@@ -674,7 +686,9 @@ def _stepped_orbits(
     predecessor in its last coordinate above ``lo``.  No word is built and
     no image is read from ``operators._images`` or a table.  ``verify_fit``
     steps both orbits of its window here, and ``tabulate_f`` B's orbits
-    from 0 to its slice cap.
+    from 0 to its slice cap.  With no seeds every orbit is empty: the
+    chain to ``lo`` steps it at no cost and the box yields it as it is,
+    stored and stepped nowhere, so no map runs and no word is counted.
 
     Commuting maps give at most ``len(seeds)`` times the words of part
     degree ``s`` points at ``s``: a larger orbit is a ``HypothesisError``
@@ -687,6 +701,8 @@ def _stepped_orbits(
 
     def step(orbit: List, i: int, t: MultiIndex) -> List:
         """The orbit at ``t`` from the orbit at ``t - e_i``."""
+        if not orbit:  # no seeds
+            return orbit
         found: Dict = {}
         for slot, phi in enumerate(sys.part_maps(i), p.breakpoints[i]):
             try:
@@ -710,10 +726,10 @@ def _stepped_orbits(
             orbit = step(orbit, i, lo[:i] + (c + 1,) + (0,) * (p.k - i - 1))
     orbits = {lo: orbit}
     for t in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        if t != lo:
+        if t != lo and orbit:  # an empty orbit at lo is empty throughout
             i = max(j for j in range(p.k) if t[j] > lo[j])
             orbits[t] = step(orbits[t[:i] + (t[i] - 1,) + t[i + 1 :]], i, t)
-        yield t, orbits[t]
+        yield t, orbits.get(t, orbit)
 
 
 def verify_fit(
@@ -895,13 +911,13 @@ def _choose_box(
     cannot certify: its failure names the bound and the box it needs.  A
     bound whose basis is over its budget is no bound known, so the default
     box gets a warning and an explicit box none.  Every box but a covering
-    one has ``"window"`` evidence.
+    one has ``"window"`` evidence.  ``A`` and ``B`` are the lists that
+    ``RankOracle.sorted_elems`` made, so a malformed seed was refused there,
+    before any bound was asked for.
     """
     box = cfg.resolved_box(sys.m)
     if context_sys is not None or B:
         return box, WINDOW_EVIDENCE, [], None
-    # a malformed seed is refused here, never read as a budget fallback
-    A = sys.backend.validated(A)
     fallback = "tabulated the default box instead"
     try:
         bound = sys.graded_bound(A)

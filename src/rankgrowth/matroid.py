@@ -12,6 +12,7 @@ engine is deterministic.
 from __future__ import annotations
 
 import itertools
+import operator
 from abc import ABC, abstractmethod
 from typing import Callable, Iterable, List
 
@@ -77,8 +78,9 @@ class RankOracle(ABC):
 
     def sorted_elems(self, elems) -> List:
         """Distinct elements in sorted order, each validated first.  An
-        element that does not hash, or does not order with another, is an
-        ``InputError`` naming it."""
+        element that does not hash, or does not order with another (as two
+        that a partial order leaves unordered do not), is an ``InputError``
+        naming it, whatever order they come in."""
         return _sort_or_refuse(self.validated(elems), "element", dedupe=self.dedupe)
 
     def relative_rank(self, A: Iterable, B: Iterable) -> int:
@@ -93,14 +95,16 @@ class RankOracle(ABC):
 def _sort_or_refuse(
     items: List, what: str, name: Callable | None = None, dedupe: Callable | None = None
 ) -> List:
-    """``items`` sorted, in place unless ``dedupe`` drops repeats first: the
-    one sort that refuses.  When they do not sort, the ``InputError`` names,
-    as a ``what``, the ``name`` (the item itself by default) of one item that
-    does not hash, or the names of two that do not order."""
+    """``items`` sorted by their ``name`` (the item itself by default), in
+    place unless ``dedupe`` drops repeats first: the one sort that refuses.
+    The items are distinct, so sorted they must be strictly increasing.
+    When they are not, the ``InputError`` names, as a ``what``, the ``name``
+    of one item that does not hash, or the names of two that do not order:
+    two that cannot be compared, or two that neither is below, as a
+    partial order such as frozensets' leaves ``{1}`` and ``{2}``."""
     try:
         out = items if dedupe is None else dedupe(items)
-        out.sort()
-        return out
+        out.sort(key=name)
     except TypeError:
         names = items if name is None else list(map(name, items))
         for x in names:
@@ -115,6 +119,12 @@ def _sort_or_refuse(
             except TypeError:
                 raise InputError(f"{what}s {a!r} and {b!r} do not order") from None
         raise
+    # distinct items compare as their names do
+    if len(out) > 1 and not all(map(operator.lt, out, out[1:])):
+        names = out if name is None else list(map(name, out))
+        a, b = next((a, b) for a, b in zip(names, names[1:]) if not a < b)
+        raise InputError(f"{what}s {a!r} and {b!r} do not order")
+    return out
 
 
 def check_rank_axioms(oracle: RankOracle, sets: Iterable, rng) -> List[str]:

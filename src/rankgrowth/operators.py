@@ -574,10 +574,13 @@ def _part_inequality_failures(
 
 
 def _skipping(phi: Callable) -> Callable:
-    """``phi``, but ``_SKIPPED`` where it raises: how check mode skips the
-    points a map cannot take; the walk skips all that follow."""
+    """``phi``, but ``_SKIPPED`` where it raises or is given ``_SKIPPED``:
+    how check mode skips the points a map cannot take, and every point
+    after them, with no call on any; the walk skips all that follow too."""
 
     def skipping(x):
+        if x is _SKIPPED:
+            return x
         try:
             return phi(x)
         except Exception:  # noqa: BLE001 - unmappable points are skipped
@@ -602,11 +605,12 @@ def check_system(
     per seed in sorted order: one map call per seed and reached word.  Its
     maps, here and in the commutation test, are wrapped by ``_skipping``,
     so a point a map cannot take is skipped; the walk skips every word
-    stepped from it, and the commutation test the second map after it, so
-    no call is made on it.  A depth whose seeds times words, or a
-    ``pair_count`` whose map calls (6 m a pair), exceed ``MAX_WORDS`` is an
-    ``InputError`` before any map runs, and the commutation calls, 2 m (m - 1)
-    at each distinct orbit point, are once the walk has found the points.
+    stepped from it, and in the commutation test the wrapped second map
+    passes it on, so no call is made on it.  A depth whose seeds times
+    words, or a ``pair_count`` whose map calls (6 m a pair), exceed
+    ``MAX_WORDS`` is an ``InputError`` before any map runs, and the
+    commutation calls, 2 m (m - 1) at each distinct orbit point, are once
+    the walk has found the points.
     A malformed sample element, or a count that is no integer, is one first.
     """
     for name, value, least in (("depth", depth, 1), ("pair_count", pair_count, 0)):
@@ -644,15 +648,12 @@ def check_system(
         "a map call counts as a word; use a smaller depth",
     )
 
-    def then(phi: Callable, y):  # phi after a map that gave y
-        return y if y is _SKIPPED else phi(y)
-
     for x in pts:
         for i, j in itertools.combinations(range(sys.m), 2):
-            lhs = then(maps[i], maps[j](x))
+            lhs = maps[i](maps[j](x))
             if lhs is _SKIPPED:
                 continue
-            rhs = then(maps[j], maps[i](x))
+            rhs = maps[j](maps[i](x))
             if rhs is not _SKIPPED and lhs != rhs:
                 report.commutation_failures.append(
                     f"maps {i + 1} and {j + 1} disagree at {x!r}: "

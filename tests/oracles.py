@@ -22,12 +22,13 @@ the linear backend's elimination and linear maps in plain ``Fraction``
 arithmetic, which pin its integer kernel; ``reference_interpolate`` and
 ``reference_evaluate`` are the binomial-basis interpolation and the
 polynomial evaluation in ``Fraction`` arithmetic, which pin the integer
-ones.
+ones; ``permutation_dominant_terms`` is the definition of a dominant term,
+a search over every coordinate order, which pins the greedy test.
 """
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 
 def matrix_rank(rows):
@@ -623,3 +624,13 @@ def reference_check_failures(sys, sample, depth=3, pair_count=40):
         tri, quasi = tri + fails, quasi + fails_q
         tri_ok, quasi_ok = tri_ok + (not fails,), quasi_ok + (not fails_q,)
     return tri, quasi, tri_ok, quasi_ok
+
+
+def permutation_dominant_terms(coeffs, k):
+    """The terms of ``coeffs`` maximal under some lexicographic order of the
+    k coordinates, found by trying all k! orders."""
+    winners = set()
+    for sigma in permutations(range(k)):
+        if coeffs:
+            winners.add(max(coeffs, key=lambda e: [e[i] for i in sigma]))
+    return {(e, coeffs[e]) for e in winners}

@@ -550,6 +550,22 @@ def test_linear_keys_under_a_partial_order_are_refused():
     )
 
 
+def test_linear_map_outputs_under_a_partial_order_are_refused():
+    # the map returned ((b, 1), (a, 1)) for one key and the reversed spelling
+    # for the other, and one builder accepted both images, so a rank counted
+    # one vector twice
+    lb = LinearBackend()
+    a, b = frozenset({1}), frozenset({2})
+    op = linear_operator(lb, lambda k: [(b, 1), (a, 1)] if k == 0 else [(a, 1), (b, 1)])
+    for key, (x, y) in [(0, ("2", "1")), (1, ("1", "2"))]:
+        with pytest.raises(
+            InputError,
+            match=rf"^basis keys frozenset\(\{{{x}\}}\) and "
+            rf"frozenset\(\{{{y}\}}\) do not order$",
+        ):
+            op(lb.monomial(key))
+
+
 def test_linear_vector_names_a_key_that_does_not_hash_or_order():
     lb = LinearBackend()
     for make in [lb.vector, lambda items: lb.monomial(*items[0])]:

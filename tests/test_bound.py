@@ -657,9 +657,13 @@ def test_the_basis_reads_the_one_work_budget(monkeypatch):
     assert warning.startswith("the toric Gröbner basis for the stabilization bound needs ")
     assert "words, over the limit of 300,000; its divisor tests" in warning
     assert warning.endswith("tabulated the default box instead")
-    # a malformed seed is refused as one, never read as a budget fallback
-    with pytest.raises(InputError, match=r"expected an integer vector.*\(0\.5,\)"):
-        _choose_box(sys, [(0,), (0.5,)], [], StabilizationConfig(), None)
+    # a malformed seed is refused as one when the analysis first reads it,
+    # never read as a budget fallback
+    malformed = r"expected an integer vector.*\(0\.5,\)"
+    with pytest.raises(InputError, match=malformed):
+        analyze_graded(sys, [(0,), (0.5,)], [])
+    with pytest.raises(InputError, match=malformed):
+        phi_closure_member(sys, (0.5,))
 
 
 def test_a_translation_system_takes_its_backends_killed_points():

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,7 @@ from rankgrowth.operators import apply_word, check_system, graded_orbit, product
 from oracles import (
     greedy_frontier,
     greedy_staircase,
+    permutation_dominant_terms,
     reference_evaluate,
     reference_interpolate,
     reference_lattice,
@@ -214,9 +216,10 @@ def test_noncommuting_maps_with_b_are_refused_by_tabulation():
 
 
 def test_tabulation_orbits_b_only_when_b_is_nonempty(monkeypatch):
-    # A's images come from one lattice walk; B's orbits, when B is
-    # nonempty, from one stepped orbit over the slices, in the context
-    # system when one is given
+    # A's images come from one lattice walk; B's orbits from one stepped
+    # orbit over the slices, in the context system when one is given; an
+    # empty B's stepped orbit runs no map and counts no word, as
+    # test_stepped_orbits_of_no_seeds_run_nothing checks
     walks, steps = [], []
     honest_images, honest_steps = operators._images, engine._stepped_orbits
 
@@ -237,7 +240,7 @@ def test_tabulation_orbits_b_only_when_b_is_nonempty(monkeypatch):
     monkeypatch.setattr(operators, "apply_word", unused)
     sys = make_sumset_system([0, 1])
     tabulate_f(sys, [(0,)], [], box=(2, 2))
-    assert (walks, steps) == ([(sys.maps, [(0,)], (4,))], [])
+    assert (walks, steps) == ([(sys.maps, [(0,)], (4,))], [(sys, [], (0,), (4,))])
     context = _with_extra_translations(sys, [3])
     for base in [None, context]:
         walks.clear()
@@ -1236,6 +1239,43 @@ def test_dominant_terms_examples():
     assert dominant_terms(Z) == set()
 
 
+@given(
+    st.integers(1, 5).flatmap(
+        lambda k: st.tuples(
+            st.just(k),
+            st.dictionaries(
+                st.tuples(*[st.integers(0, 3)] * k),
+                st.integers(-3, 3).filter(bool),
+                max_size=10,
+            ),
+        )
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_dominant_terms_are_the_permutation_definition(problem):
+    k, coeffs = problem
+    P = GrowthPolynomial(coeffs, (3,) * k, (0,) * k)
+    assert dominant_terms(P) == permutation_dominant_terms(P.coeffs, k)
+
+
+def test_dominant_terms_of_twelve_coordinates_return_at_once():
+    # a search over the 12! = 479,001,600 coordinate orders takes minutes.
+    # Each unit vector is largest at its own coordinate, but Y1*Y2 beats the
+    # first two there and ties them everywhere else
+    k = 12
+    units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    coeffs = {e: i + 1 for i, e in enumerate(units)}
+    coeffs[(0,) * k] = 5
+    coeffs[(1, 1) + (0,) * (k - 2)] = -7
+    P = GrowthPolynomial(coeffs, (1,) * k, (0,) * k)
+    start = time.perf_counter()
+    got = dominant_terms(P)
+    assert time.perf_counter() - start < 1.0
+    assert got == {((1, 1) + (0,) * (k - 2), -7)} | {
+        (e, Fraction(i + 1)) for i, e in enumerate(units) if i >= 2
+    }
+
+
 def test_dominant_terms_invariance_same_closure():
     # seeds generating the same orbit closure share dominant terms
     sys, _ = make_polynomial_ring_system(2, [1, 1])
@@ -1487,6 +1527,27 @@ def test_stepped_orbits_are_the_graded_orbits(problem):
     assert (report.points, report.mismatches) == reference_verify(
         guess, sys, A, B, (lo, hi), context_sys
     )
+
+
+def test_stepped_orbits_of_no_seeds_run_nothing(monkeypatch):
+    # no seeds give an empty orbit at every part degree of the box, from a
+    # start off the origin, with no map call and no word counted
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return x
+
+    sys = OperatorSystem([counted] * 3, Partition([2, 1]), TrivialBackend(1))
+
+    def uncounted(self, lo, hi):
+        raise AssertionError("an empty orbit counts no word")
+
+    monkeypatch.setattr(Partition, "word_count", uncounted)
+    stepped = list(engine._stepped_orbits(sys, [], (2, 1), (3, 3)))
+    points = list(itertools.product(range(2, 4), range(1, 4)))
+    assert stepped == [(s, []) for s in points]
+    assert calls == []
 
 
 def test_verification_map_failure_names_map_and_part_degree():

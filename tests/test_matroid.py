@@ -154,6 +154,31 @@ def test_sorted_elems_refuses_an_element_that_does_not_hash_or_order():
     ]
 
 
+def test_sorted_elems_refuses_seeds_a_partial_order_leaves_unordered():
+    # frozensets sort without a TypeError, but neither {1} nor {2} is below
+    # the other, so the sort kept the input order and two inputs of one seed
+    # set gave two seed orders
+    class Sets(RankOracle):
+        """Distinct frozensets, each of rank one."""
+
+        def validate(self, elem):
+            if not isinstance(elem, frozenset):
+                raise InputError(f"{elem!r} is not a frozenset")
+
+        def basis_builder(self):
+            return TrivialBackend(1).basis_builder()
+
+    sets = Sets()
+    one, two = frozenset({1}), frozenset({2})
+    unordered = r"^elements frozenset\(\{[12]\}\) and frozenset\(\{[12]\}\) do not order$"
+    for seeds in [[one, two], [two, one], [two, frozenset(), one]]:
+        with pytest.raises(InputError, match=unordered):
+            sets.sorted_elems(seeds)
+    # a chain of the partial order is a total order, and sorts as one
+    chain = [frozenset({1, 2}), one, frozenset(), one]
+    assert sets.sorted_elems(chain) == [frozenset(), one, frozenset({1, 2})]
+
+
 def test_localize_identity_and_membership():
     # the rank localized at C is the relative rank over C
     backend = TrivialBackend(1)
