@@ -304,23 +304,31 @@ class _EchelonBuilder(BasisBuilder):
     """Sparse echelon rows of primitive integers, keyed by pivot basis key.
 
     Fraction-free (the integer-preserving elimination of Bareiss 1968): an
-    incoming vector of ints is taken as it is, any other is scaled to
-    integers by the lcm of its denominators, and each step replaces it by
-    ``b*v - a*row`` with ``a/b`` the ratio of the pivot entries in lowest
-    terms, then divides out its content.  The pivot is always the least
-    key, so every step is a nonzero multiple of the rational one and every
-    accept or reject the same.  Stored rows are primitive with a positive
-    pivot entry.
+    incoming vector is read as ``LinearBackend.vector`` reads its terms,
+    coefficients of a repeated key summed and zero sums dropped; a vector
+    of ints is then taken as it is, any other is scaled to integers by the
+    lcm of its denominators.  Each step replaces it by ``b*v - a*row``
+    with ``a/b`` the ratio of the pivot entries in lowest terms.  A step
+    with ``b == 1`` is the rational step itself and adds no factor; after
+    one that scaled ``v`` its content is divided out, and once more when
+    it is stored.  The pivot is always the least key, so every step is a
+    nonzero multiple of the rational one and every accept or reject the
+    same.  Stored rows are primitive with a positive pivot entry.
     """
 
     def __init__(self):
         self.pivots: Dict[object, Dict[object, int]] = {}
 
     def add(self, elem) -> bool:
-        # a zero entry (a map may return a non-canonical vector) must never
-        # become a pivot
-        v = {k: c for k, c in elem if c}
-        if not {int}.issuperset(map(type, v.values())):  # not all ints
+        v = dict(elem)
+        if len(v) != len(elem):  # a repeated key (maps are not validated)
+            v = {}
+            for k, c in elem:
+                v[k] = v.get(k, 0) + c
+        # a zero entry must never become a pivot
+        if 0 in v.values():
+            v = {k: c for k, c in v.items() if c}
+        if not _all_ints(v.items()):
             den = lcm(*[c.denominator for c in v.values()])
             v = {k: c.numerator * (den // c.denominator) for k, c in v.items()}
         return self._reduce(v)
@@ -336,29 +344,27 @@ class _EchelonBuilder(BasisBuilder):
                 if v[p] < 0:
                     g = -g
                 if g != 1:
-                    for k in v:
-                        v[k] //= g
+                    v = {k: c // g for k, c in v.items()}
                 pivots[p] = v
                 return True
-            a, b = v.pop(p), row[p]
+            a, b = v[p], row[p]
             g = gcd(a, b)
             if g != 1:
                 a //= g
                 b //= g
             if b != 1:
-                for k in v:
-                    v[k] *= b
-            for k, c in row.items():
-                if k != p:
-                    nc = v.get(k, 0) - a * c
-                    if nc:
-                        v[k] = nc
-                    else:
-                        del v[k]
-            g = gcd(*v.values())
-            if g > 1:
-                for k in v:
-                    v[k] //= g
+                v = {k: c * b for k, c in v.items()}
+            get = v.get
+            for k, c in row.items():  # the pivot entry cancels exactly
+                nc = get(k, 0) - a * c
+                if nc:
+                    v[k] = nc
+                else:
+                    del v[k]
+            if b != 1:
+                g = gcd(*v.values())
+                if g > 1:
+                    v = {k: c // g for k, c in v.items()}
         return False
 
 
@@ -367,6 +373,11 @@ IMAGE_CACHE_SIZE = 1024
 
 _basis_key = operator.itemgetter(0)
 _coefficient = operator.itemgetter(1)
+
+
+def _all_ints(terms) -> bool:
+    """Whether every coefficient of ``terms`` is an ``int``, by one type check."""
+    return {int}.issuperset(map(type, map(_coefficient, terms)))
 
 
 @functools.lru_cache(maxsize=IMAGE_CACHE_SIZE, typed=True)
@@ -380,7 +391,7 @@ def _image(image_fn: Callable, key) -> Tuple[tuple, bool]:
     """
     of = (key,)
     terms = tuple([_term(term, of) for term in image_fn(key)])
-    return terms, all(type(c) is int for _, c in terms)
+    return terms, _all_ints(terms)
 
 
 def linear_operator(backend: LinearBackend, image_fn: Callable) -> Callable:
@@ -410,13 +421,15 @@ def linear_operator(backend: LinearBackend, image_fn: Callable) -> Callable:
         raise InputError(f"image_fn {image_fn!r} is not hashable") from None
 
     def op(elem):
-        den = lcm(*[c.denominator for _, c in elem])
+        den = 1
+        if not _all_ints(elem):
+            den = lcm(*[c.denominator for _, c in elem])
+            elem = [(k, c.numerator * (den // c.denominator)) for k, c in elem]
         whole = den == 1
         acc: Dict[object, int | Fraction] = {}
         get = acc.get
         try:
-            for k, c in elem:
-                n = c * den if type(c) is int else c.numerator * (den // c.denominator)
+            for k, n in elem:
                 terms, integral = _image(image_fn, k)
                 if not integral:
                     whole = False

@@ -688,16 +688,22 @@ def _stepped_orbits(
     steps both orbits of its window here, and ``tabulate_f`` B's orbits
     from 0 to its slice cap.  With no seeds every orbit is empty: the
     chain to ``lo`` steps it at no cost and the box yields it as it is,
-    stored and stepped nowhere, so no map runs and no word is counted.
+    stored and stepped nowhere, so no map runs.
 
     Commuting maps give at most ``len(seeds)`` times the words of part
-    degree ``s`` points at ``s``: a larger orbit is a ``HypothesisError``
+    degree ``s`` points at ``s``, a product of one binomial per part read
+    from lists built once per call: a larger orbit is a ``HypothesisError``
     with witness ``s``, so each step runs the maps of its part on at most
     that many points.  A map that raises is an
     ``OperatorError`` naming the map and the part degree being reached,
     with the original exception as its cause.
     """
     p = sys.partition
+    # each part's words of degree 0..hi_i, for the bound at every step
+    words = [
+        [math.comb(t + d - 1, d - 1) for t in range(h + 1)]
+        for d, h in zip(p.part_sizes, hi)
+    ]
 
     def step(orbit: List, i: int, t: MultiIndex) -> List:
         """The orbit at ``t`` from the orbit at ``t - e_i``."""
@@ -710,7 +716,7 @@ def _stepped_orbits(
             except Exception as exc:  # noqa: BLE001 - rewrapped as apply_word does
                 raise map_failure(slot, f"reaching part degree {t}", exc) from exc
             found.update(dict.fromkeys(images))
-        limit = len(seeds) * p.word_count(t, t)
+        limit = len(seeds) * math.prod(map(list.__getitem__, words, t))
         if len(found) > limit:
             raise HypothesisError(
                 f"the orbit at part degree {t} has {len(found):,} points, but "

@@ -636,6 +636,24 @@ def test_echelon_builder_skips_zero_entries_of_a_map_image():
     assert builder.pivots == {1: {1: 1}, 2: {2: 1}}
 
 
+def test_echelon_builder_sums_the_terms_of_a_repeated_key():
+    # a map's output may repeat a key; the builder reads it as
+    # LinearBackend.vector reads the same terms, so a zero sum is no vector
+    assert not _EchelonBuilder().add(((0, 1), (0, -1)))
+    builder = _EchelonBuilder()
+    assert builder.add(((1, 2), (0, 1), (1, Fraction(1, 2)), (0, 1)))
+    assert builder.pivots == {0: {0: 4, 1: 5}}
+    # every orbit of this map from t = 1 on is the zero vector
+    lb = LinearBackend()
+
+    def bad(v):
+        return tuple(t for k, c in v for t in ((k + 1, c), (k + 1, -c)))
+
+    sys = OperatorSystem([bad], Partition([1]), lb)
+    result = analyze_graded(sys, [lb.monomial(0)], [])
+    assert (result.status, result.polynomial.pretty()) == ("certified", "0")
+
+
 def test_linear_coefficients_must_be_ints_or_fractions():
     lb = LinearBackend()
     half = Fraction(1, 2)
@@ -788,6 +806,37 @@ def test_chain_oracles_small():
     assert bnd.rank(edges) == 3  # one cycle
     assert free.rank([ZERO_CHAIN]) == 0
     assert bnd.rank([ZERO_CHAIN]) == 0
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_chain_boundary_ranks_match_matrix_rank(data):
+    # the boundary builder runs the linear builder's elimination on the
+    # boundary of each chain, so its ranks are those of the boundary rows
+    verts = st.sampled_from(range(data.draw(st.integers(1, 7))))
+    facets = st.lists(st.sets(verts, min_size=1, max_size=4), min_size=1, max_size=8)
+    K = SimplicialComplex(data.draw(facets))
+    n = data.draw(st.integers(0, 3))
+    simplices = [("s", s) for s in K.of_dimension(n)]
+    chains = st.lists(st.sampled_from(simplices + [ZERO_CHAIN]))
+    A, B = data.draw(chains), data.draw(chains)
+    column = {face: j for j, face in enumerate(K.of_dimension(n - 1))}
+
+    def boundary_rows(elems):
+        rows = []
+        for elem in elems:
+            row = [0] * len(column)
+            if elem != ZERO_CHAIN and n:
+                for j in range(n + 1):
+                    row[column[elem[1][:j] + elem[1][j + 1 :]]] += (-1) ** j
+            rows.append(row)
+        return rows
+
+    bnd = ChainBoundaryOracle(K, n)
+    assert bnd.rank(A) == matrix_rank(boundary_rows(A))
+    assert bnd.relative_rank(A, B) == (
+        matrix_rank(boundary_rows(A + B)) - matrix_rank(boundary_rows(B))
+    )
 
 
 def test_chain_boundary_of_triangle_face():
