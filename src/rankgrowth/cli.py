@@ -96,10 +96,7 @@ def _verify_doc(result: PipelineResult) -> dict:
     rep = result.verification
     return {
         "window": [list(rep.window[0]), list(rep.window[1])],
-        "points": [
-            {"degree": list(s), "rank": r, "value": _frac(v)}
-            for s, r, v in rep.points
-        ],
+        "points_checked": len(rep.points),
         "mismatches": [
             {"degree": list(s), "rank": r, "value": _frac(v)}
             for s, r, v in rep.mismatches
@@ -405,7 +402,13 @@ def _solve(config, doc: dict) -> int:
     if mode == "sumset":
         sys, A, B = _build_sumset(config)
     else:
-        backend = _get(config, "backend", str, "trivial" if mode == "context" else None)
+        # context and ideal-count mode imply their backend; others name it
+        implied = {"context": "trivial", "ideal-count": "ideal-count"}.get(mode)
+        backend = _get(config, "backend", str, implied)
+        if backend is None:
+            raise InputError(
+                f"{mode} mode requires 'backend'; expected one of {tuple(_BUILDERS)}"
+            )
         if backend not in _BUILDERS:
             raise InputError(f"unknown backend {backend!r}")
         sys, A, B = _BUILDERS[backend](config)

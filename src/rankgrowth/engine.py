@@ -213,8 +213,8 @@ def tabulate_f(
     over everything fed before.  Summing over a slice telescopes to the
     relative rank of the graded orbits.
 
-    With no context, a system with ``translations`` over a backend with
-    ``points`` (the systems ``graded_bound`` reads) marks each pair the
+    With no context, a system that ``translates_points`` (the systems
+    whose bound ``graded_bound`` proves) marks each pair the
     builder rejects ``_SKIPPED``, so the walk steps nothing from it: every
     pair stepped from a rejected pair is rejected too.  Let ``E`` be what
     comes before a pair ``(a, w)`` of slice ``s``: B's orbit at ``s``, the
@@ -255,11 +255,7 @@ def tabulate_f(
             f"{sizes}; use a smaller box (--box)",
         )
     orbits_b = _stepped_orbits(context_sys or sys, seeds_b, (0,) * sys.k, cap)
-    drop = (
-        context_sys is None
-        and sys.translations is not None
-        and hasattr(backend, "points")
-    )
+    drop = context_sys is None and sys.translates_points
     marginals = []
     # the walk's slices and B's orbits both come in degrees_below(cap) order
     for (start, stop, images), (_, orbit_b) in zip(

@@ -383,6 +383,14 @@ class OperatorSystem:
         builds it."""
         return all(self.part_maps(i)[0] is identity_map for i in range(self.k))
 
+    @property
+    def translates_points(self) -> bool:
+        """True for a system with ``translations`` over a backend with
+        ``points``: the one condition under which ``graded_bound`` proves a
+        bound (the ``toric`` docstring) and ``engine.tabulate_f`` steps
+        nothing from a rejected pair (its docstring)."""
+        return self.translations is not None and hasattr(self.backend, "points")
+
     def declared(self, flag: str) -> bool:
         """True when every part declares at least ``flag``."""
         if flag == QUASI_TRIANGULAR:
@@ -412,7 +420,7 @@ class OperatorSystem:
         its divisor tests are over ``MAX_WORDS``.  A malformed seed is an
         ``InputError`` too, raised before any work.
         """
-        if self.translations is None or not hasattr(self.backend, "points"):
+        if not self.translates_points:
             return None
         seeds = self.backend.sorted_elems(A)  # A is read once, here
         if not seeds:

@@ -1,5 +1,6 @@
 """CLI contract: config parsing, exit codes, result-document invariants."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -91,6 +92,11 @@ def test_ideal_count_mode():
     code2, doc2 = execute(cum)
     assert code2 == EXIT_CERTIFIED
     assert _doc_poly(doc2) == {(1,): Fraction(2), (0,): Fraction(1)}
+    # the mode implies its backend; with none it used to exit 1,
+    # "unknown backend None"
+    code3, doc3 = execute(_without(config, "backend"))
+    assert code3 == EXIT_CERTIFIED
+    assert doc3["polynomial"] == doc["polynomial"]
 
 
 def test_phi_rank_mode_reports_value():
@@ -369,21 +375,15 @@ def test_circuit_mode():
 
 
 def test_result_round_trip_reproduces_window_values():
+    # the document counts the points it verified; the polynomial it gives
+    # reproduces a brute-force count of the sumset at every window point
     code, doc = execute(dict(SUMSET))
     poly = _doc_poly(doc)
-
-    def evaluate(s):
-        return sum(
-            c * Fraction(
-                1 if not e else __import__("math").prod(x**y for x, y in zip(s, e))
-            )
-            for e, c in poly.items()
-        )
-
-    for pt in doc["verification"]["points"]:
-        s = tuple(pt["degree"])
-        assert evaluate(s) == Fraction(pt["value"])
-        assert evaluate(s) == pt["rank"]
+    (lo,), (hi,) = doc["verification"]["window"]
+    for s in range(lo, hi + 1):
+        value = sum(c * s ** e[0] for e, c in poly.items())
+        assert value == len({sum(x) for x in itertools.product([0, 1], repeat=s)})
+    assert doc["verification"]["points_checked"] == hi - lo + 1
     assert doc["verification"]["mismatches"] == []
 
 
@@ -458,15 +458,6 @@ def test_work_budget_exits_input_error(tmp_path):
     code, doc = run(str(path), {"box": 20})
     assert code == EXIT_INPUT_ERROR
     assert "4,925,156,775 words" in doc["error"] and "--box" in doc["error"]
-
-
-def test_verification_budget_exits_input_error(tmp_path):
-    # the window used to be verified point by point without a limit
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(SUMSET))
-    code, doc = run(str(path), {"window": 20000})
-    assert code == EXIT_INPUT_ERROR
-    assert "200,030,001 words" in doc["error"] and "--window" in doc["error"]
 
 
 @pytest.mark.parametrize(
@@ -653,18 +644,11 @@ CONTEXT = {
             dict(CHECK, operators=[[1], [2], [3], [4]], depth=100),
             "checking to depth 100 needs 4,249,575 words",
         ),
-        # its refusal used to read as an oversized primary table's
+        # a mode with no backend of its own used to read "unknown backend None"
         (
-            dict(CONTEXT, context_operators=[[[0], [1], [2], [3], [4], [5]]], box=40),
-            "words, over the limit of 2,000,000; B's orbits run in the context "
-            "system with parts of sizes [6]; use a smaller box (--box)",
-        ),
-        # 100 million sampled pairs over four shifts used to run for hours
-        (
-            dict(CHECK, operators=[[1], [2], [3], [4]], seed_sample=100_000_000),
-            "testing 100,000,000 sampled pairs needs 2,400,000,000 words, over the "
-            "limit of 2,000,000; a map call counts as a word; use a smaller "
-            "seed_sample (--seed-sample)",
+            _without(TRIVIAL, "backend"),
+            "dimension mode requires 'backend'; expected one of ('trivial', "
+            "'ideal-count', 'linear', 'graphic', 'circuit')",
         ),
     ],
 )
