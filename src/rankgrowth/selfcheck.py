@@ -427,6 +427,15 @@ def _check_sumset_bound():
     _expect(bound.polynomial.threshold == default.polynomial.threshold)
 
 
+@check("sumset {0,1,2} seeded at {0,25}: the toric basis proves 2*Y + 26")
+def _check_toric_basis():
+    sys = make_sumset_system([0, 1, 2])
+    _expect(sys.graded_bound([(0,), (25,)]) == (1, 25, 13))
+    result = analyze_graded(sys, [(0,), (25,)], [])
+    _expect((result.evidence, result.status) == ("bound", "certified"))
+    _expect(result.polynomial.pretty() == "2*Y + 26")
+
+
 @dataclass
 class SelfCheckReport:
     passed: List[str] = field(default_factory=list)

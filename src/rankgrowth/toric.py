@@ -87,6 +87,22 @@ generators need.  Dividing a binomial by the gcd of its terms keeps it in
 work budget: each divisor test counts as a word against
 ``operators.check_budget``, whose ``InputError`` the engine turns into a
 fallback to the default box.
+
+Packing.  Inside the basis each exponent vector is one int: one field of
+``w`` bits per variable, each under a guard bit held at zero, variable 0
+in the highest field.  Comparing the ints is then comparing the tuples
+in lex order, so the S-pairs pop in the same order.  With ``G`` the
+guard bits, ``((x | G) - y) & G`` holds the guard bit of each field
+where ``x >= y``: no field borrows from the next.  That one test gives
+the divisor test, the fieldwise max and min of an lcm and a gcd, and,
+with ``y`` the lowest bit of each field, the nonzero fields of a lead.
+Taking out a divisor or a gcd keeps every field below ``2^w``; only
+adding a trail can carry, and only into the field's own guard bit, as
+two fields below ``2^w`` sum below ``2^(w+1)``.  So no field ever wraps:
+a carry is read as the field's top bit, the width doubles, and the
+basis, the pending pairs and the sum are re-packed, which keeps their
+order.  The first width is that of the largest input exponent; Buchberger
+degrees can grow past it, so there is no fixed cap.
 """
 
 from __future__ import annotations
@@ -101,16 +117,26 @@ from .operators import check_budget
 MultiIndex = Tuple[int, ...]
 
 
-def _support(e: tuple) -> int:
-    """Bit 8i set when variable i occurs."""
-    return int.from_bytes(bytes(map(bool, e)), "little")
+def _pack(e: Sequence[int], stride: int) -> int:
+    """``e`` as one int, ``stride`` bits a field, its first entry highest."""
+    x = 0
+    for v in e:
+        x = x << stride | v
+    return x
+
+
+def _unpack(x: int, n: int, stride: int) -> tuple:
+    """The ``n`` fields of ``x``, each read whole, its guard bit included."""
+    field = (1 << stride) - 1
+    return tuple(x >> stride * i & field for i in reversed(range(n)))
 
 
 def _truncated_basis(gens: List[tuple], graded: List[int]) -> List[tuple]:
     """Buchberger over binomials ``(lead, trail)`` of exponent tuples in
     lex order, keeping only S-pairs whose lcm has degree at most 1 in the
     ``graded`` positions; normal selection, coprime leads skipped.  Each
-    basis element is held as ``(support of lead, lead, trail)``.
+    basis element is held as ``(nonzero fields of lead, lead, trail)``,
+    packed as in the module docstring.
 
     Every binomial has degree 0 or 1, so a lead of degree 1 holds one
     graded variable, to the power 1, and an lcm has degree at most 1 iff
@@ -119,56 +145,90 @@ def _truncated_basis(gens: List[tuple], graded: List[int]) -> List[tuple]:
     A divisor test (a basis element scanned while reducing) counts as a
     word against the one work budget, ``operators.check_budget``.
     """
-    graded_mask = _support([i in graded for i in range(len(gens[0][0]))])
+    n = len(gens[0][0])
     basis: List[tuple] = []
     pairs: List[tuple] = []
-    work = 0
+    work = width = stride = low = guard = graded_guard = 0
+
+    def layout(w):
+        nonlocal width, stride, low, guard, graded_guard
+        width, stride = w, w + 1
+        low = _pack([1] * n, stride)
+        guard = low << w
+        graded_guard = _pack([i in graded for i in range(n)], stride) << w
+
+    def nonzero(x):
+        """The guard bit of each nonzero field of ``x``."""
+        return ((x | guard) - low) & guard
+
+    def at_least(x, y):
+        """All the bits of each field where ``x`` is at least ``y``."""
+        ge = ((x | guard) - y) & guard
+        return ge - (ge >> width)
+
+    def widen(*xs):
+        """Double the width, re-packing the basis, the pending pairs (in
+        the same order, so still a heap) and ``xs``, which may hold a field
+        overflowed into its guard bit."""
+        old = stride
+        layout(2 * width)
+
+        def repack(x):
+            return _pack(_unpack(x, n, old), stride)
+
+        for k, (_, lead, trail) in enumerate(basis):
+            lead = repack(lead)
+            basis[k] = (nonzero(lead), lead, repack(trail))
+        pairs[:] = [(repack(lcm), i, j) for lcm, i, j in pairs]
+        return map(repack, xs)
 
     def reduce(p, q):
         """``p - q`` top-reduced and divided by the gcd of its terms, as
-        ``(lead, trail)``, or ``None`` when it reduces to zero."""
+        ``(lead, trail)``, or ``None`` when it reduces to zero.  ``p`` and
+        ``q`` may hold a field carried into its guard bit, which compares
+        as the field's top bit."""
         nonlocal work
         while p != q:
+            if (p | q) & guard:
+                p, q = widen(p, q)
             if p < q:
                 p, q = q, p
-            outside = ~_support(p)
             work += len(basis)
             check_budget(
                 work, "the toric Gröbner basis for the stabilization bound",
                 "its divisor tests count as words",
             )
-            for mask, lead, trail in basis:
-                if not mask & outside and all(map(operator.le, lead, p)):
+            top = p | guard
+            for _, lead, trail in basis:
+                if (top - lead) & guard == guard:
                     break
             else:
                 # J is prime and holds no monomial, so the quotient is in J
-                g = tuple(map(min, p, q))
-                return tuple(map(operator.sub, p, g)), tuple(map(operator.sub, q, g))
-            p = tuple(map(operator.add, map(operator.sub, p, lead), trail))
+                g = p ^ ((p ^ q) & at_least(p, q))
+                return p - g, q - g
+            p = p - lead + trail
         return None
 
-    def insert(b):
-        lead = b[0]
-        support = _support(lead)
+    def insert(lead, trail):
+        support = nonzero(lead)
         for i, (mask, other, _) in enumerate(basis):
-            both = (mask | support) & graded_mask
+            both = (mask | support) & graded_guard
             if mask & support and not both & (both - 1):
-                heapq.heappush(pairs, (tuple(map(max, lead, other)), i, len(basis)))
-        basis.append((support,) + b)
+                lcm = other ^ ((lead ^ other) & at_least(lead, other))
+                heapq.heappush(pairs, (lcm, i, len(basis)))
+        basis.append((support, lead, trail))
 
-    for b in gens:
-        insert(b)
+    layout(max(x for b in gens for e in b for x in e).bit_length() or 1)
+    for lead, trail in gens:
+        insert(_pack(lead, stride), _pack(trail, stride))
     while pairs:
         lcm, i, j = heapq.heappop(pairs)
         _, a1, b1 = basis[i]
         _, a2, b2 = basis[j]
-        b = reduce(
-            tuple(map(operator.add, map(operator.sub, lcm, a1), b1)),
-            tuple(map(operator.add, map(operator.sub, lcm, a2), b2)),
-        )
+        b = reduce(lcm - a1 + b1, lcm - a2 + b2)
         if b is not None:
-            insert(b)
-    return [b[1:] for b in basis]
+            insert(*b)
+    return [(_unpack(a, n, stride), _unpack(b, n, stride)) for _, a, b in basis]
 
 
 def _minimal(words: List[MultiIndex]) -> List[MultiIndex]:

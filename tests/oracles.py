@@ -23,12 +23,17 @@ arithmetic, which pin its integer kernel; ``reference_interpolate`` and
 ``reference_evaluate`` are the binomial-basis interpolation and the
 polynomial evaluation in ``Fraction`` arithmetic, which pin the integer
 ones; ``permutation_dominant_terms`` is the definition of a dominant term,
-a search over every coordinate order, which pins the greedy test.
+a search over every coordinate order, which pins the greedy test;
+``reference_truncated_basis`` is the truncated toric Buchberger on
+exponent tuples, which pins the packed-int kernel.
 """
 
+import heapq
 import math
+import operator
 from fractions import Fraction
 from itertools import permutations, product
+from typing import List
 
 
 def matrix_rank(rows):
@@ -634,3 +639,78 @@ def permutation_dominant_terms(coeffs, k):
         if coeffs:
             winners.add(max(coeffs, key=lambda e: [e[i] for i in sigma]))
     return {(e, coeffs[e]) for e in winners}
+
+
+def _support(e: tuple) -> int:
+    """Bit 8i set when variable i occurs."""
+    return int.from_bytes(bytes(map(bool, e)), "little")
+
+
+def reference_truncated_basis(gens: List[tuple], graded: List[int]) -> List[tuple]:
+    """The toric kernel on exponent tuples, as ``toric._truncated_basis``
+    held them before it packed each into one int.
+
+    Buchberger over binomials ``(lead, trail)`` of exponent tuples in
+    lex order, keeping only S-pairs whose lcm has degree at most 1 in the
+    ``graded`` positions; normal selection, coprime leads skipped.  Each
+    basis element is held as ``(support of lead, lead, trail)``.
+
+    Every binomial has degree 0 or 1, so a lead of degree 1 holds one
+    graded variable, to the power 1, and an lcm has degree at most 1 iff
+    the two leads hold at most one graded variable between them.
+
+    A divisor test (a basis element scanned while reducing) counts as a
+    word against the one work budget, ``operators.check_budget``.
+    """
+    from rankgrowth.operators import check_budget
+
+    graded_mask = _support([i in graded for i in range(len(gens[0][0]))])
+    basis: List[tuple] = []
+    pairs: List[tuple] = []
+    work = 0
+
+    def reduce(p, q):
+        """``p - q`` top-reduced and divided by the gcd of its terms, as
+        ``(lead, trail)``, or ``None`` when it reduces to zero."""
+        nonlocal work
+        while p != q:
+            if p < q:
+                p, q = q, p
+            outside = ~_support(p)
+            work += len(basis)
+            check_budget(
+                work, "the toric Gröbner basis for the stabilization bound",
+                "its divisor tests count as words",
+            )
+            for mask, lead, trail in basis:
+                if not mask & outside and all(map(operator.le, lead, p)):
+                    break
+            else:
+                # J is prime and holds no monomial, so the quotient is in J
+                g = tuple(map(min, p, q))
+                return tuple(map(operator.sub, p, g)), tuple(map(operator.sub, q, g))
+            p = tuple(map(operator.add, map(operator.sub, p, lead), trail))
+        return None
+
+    def insert(b):
+        lead = b[0]
+        support = _support(lead)
+        for i, (mask, other, _) in enumerate(basis):
+            both = (mask | support) & graded_mask
+            if mask & support and not both & (both - 1):
+                heapq.heappush(pairs, (tuple(map(max, lead, other)), i, len(basis)))
+        basis.append((support,) + b)
+
+    for b in gens:
+        insert(b)
+    while pairs:
+        lcm, i, j = heapq.heappop(pairs)
+        _, a1, b1 = basis[i]
+        _, a2, b2 = basis[j]
+        b = reduce(
+            tuple(map(operator.add, map(operator.sub, lcm, a1), b1)),
+            tuple(map(operator.add, map(operator.sub, lcm, a2), b2)),
+        )
+        if b is not None:
+            insert(b)
+    return [b[1:] for b in basis]

@@ -40,6 +40,7 @@ from oracles import (
     ideal_points_of_degree,
     matrix_rank,
     quotient_orbit_rank,
+    reference_truncated_basis,
     shadowed_generators,
     sumset_count,
 )
@@ -625,7 +626,9 @@ def test_sumset_bound_over_the_basis_budget_falls_back_to_the_default_box():
     A = [(0,), (3,), (50,)]
     with pytest.raises(InputError, match="toric Gröbner basis") as refused:
         sys.graded_bound(A)
-    # the basis says only what it refused: it tabulated no box
+    # the basis says only what it refused: it tabulated no box; the count
+    # pins the divisor tests the basis makes before it gives up
+    assert "needs 2,000,030 words" in str(refused.value)
     assert str(refused.value).endswith("; its divisor tests count as words")
     result = analyze_graded(sys, A, [])
     assert result.evidence == "window"
@@ -795,6 +798,48 @@ def test_dependent_columns_take_the_basis():
         assert basis.call_count == 1
         join = tuple(map(max, zip(*(w for ws in generators for w in ws))))
         assert generators == shadowed_generators(translations, seeds, join)
+
+
+@st.composite
+def dependent_bases(draw):
+    """Dependent translation columns and their seeds, with vectors up to 50
+    and seeds up to 10**4 apart, so exponents outgrow the packing's first
+    width."""
+    dim = draw(st.integers(1, 2), "dimension")
+    vector = st.tuples(*[st.integers(0, 50)] * dim)
+    parts = draw(
+        st.lists(st.lists(vector, min_size=1, max_size=3), min_size=1, max_size=2)
+    )
+    assume(not _independent(parts))
+    point = st.tuples(*[st.integers(0, 10**4)] * dim)
+    seeds = draw(st.lists(point, min_size=1, max_size=3))
+    return parts, sorted(set(seeds))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dependent_bases())
+# two that end within the budget and need the fields widened once the
+# basis is under way: at a reduction step, and at an S-pair
+@example(([[(34,), (7,)], [(31,), (17,), (8,)]], [(195,)]))
+@example(([[(33,), (15,), (8,)], [(31,), (0,)]], [(8849,)]))
+def test_packed_basis_equals_the_tuple_reference(problem):
+    parts, seeds = problem
+    calls = []
+    with mock.patch.object(
+        toric, "_truncated_basis", side_effect=lambda *args: calls.append(args) or []
+    ):
+        toric._basis_generators(parts, seeds)
+    [(gens, graded)] = calls
+    # a budget that some draws end within and the rest are refused at
+    with mock.patch.object(operators, "MAX_WORDS", 100_000):
+        try:
+            expected = reference_truncated_basis(gens, graded)
+        except InputError as refused:
+            with pytest.raises(InputError) as packed:
+                toric._truncated_basis(gens, graded)
+            assert str(packed.value) == str(refused)
+        else:
+            assert toric._truncated_basis(gens, graded) == expected
 
 
 FAR_CONFIG = {
