@@ -89,24 +89,59 @@ class TrivialBackend(RankOracle):
         return (elem,)
 
     def basis_builder(self) -> BasisBuilder:
+        """A set builder that counts each new point above no killed point.
+
+        The killed test is unrolled by dimension, with no option: up to
+        dimension 3 it compares unpacked coordinates, above it every
+        coordinate of each killed point through ``map``.  In dimension 1
+        an antichain has at most one point ``(r0,)``, so the test is
+        ``p[0] < r0``; with no killed point every new point counts.
+        """
         killed = self.killed
         if not killed:
-            return _SetBuilder(lambda elem: True)
-        le = operator.le
+            return _SetBuilder(None)
+        n = self.dimension
+        if n == 1:
+            ((r0,),) = killed
 
-        def counts(point) -> bool:
-            for r in killed:
-                if all(map(le, r, point)):
-                    return False
-            return True
+            def counts(p) -> bool:
+                return p[0] < r0
+
+        elif n == 2:
+
+            def counts(p) -> bool:
+                p0, p1 = p[0], p[1]
+                for r0, r1 in killed:
+                    if r0 <= p0 and r1 <= p1:
+                        return False
+                return True
+
+        elif n == 3:
+
+            def counts(p) -> bool:
+                p0, p1, p2 = p[0], p[1], p[2]
+                for r0, r1, r2 in killed:
+                    if r0 <= p0 and r1 <= p1 and r2 <= p2:
+                        return False
+                return True
+
+        else:
+            le = operator.le
+
+            def counts(p) -> bool:
+                for r in killed:
+                    if all(map(le, r, p)):
+                        return False
+                return True
 
         return _SetBuilder(counts)
 
 
 class _SetBuilder(BasisBuilder):
-    """Rank of a set matroid: the number of distinct elements that count."""
+    """Rank of a set matroid: the number of distinct elements that count,
+    every one of them when ``counts`` is ``None``."""
 
-    def __init__(self, counts: Callable[[object], bool]):
+    def __init__(self, counts: Callable[[object], bool] | None):
         self.counts = counts
         self.seen = set()
 
@@ -114,7 +149,7 @@ class _SetBuilder(BasisBuilder):
         if elem in self.seen:
             return False
         self.seen.add(elem)
-        return self.counts(elem)
+        return self.counts is None or self.counts(elem)
 
 
 def as_vector(x, dimension: int | None = None) -> Tuple[int, ...]:
@@ -132,8 +167,35 @@ def as_vector(x, dimension: int | None = None) -> Tuple[int, ...]:
 
 
 def translation(v: Tuple[int, ...]) -> Callable:
-    def op(x):
-        return tuple(map(operator.add, x, v))
+    """The map ``x -> x + v`` on integer vectors of ``v``'s dimension.
+
+    The kernel is unrolled by dimension, with no option: up to dimension 3
+    the closure builds the sum as a tuple display, ``(x[0] + a, x[1] + b)``
+    in dimension 2; above it, as ``tuple(map(operator.add, x, v))``.
+    """
+    if len(v) == 1:
+        (a,) = v
+
+        def op(x):
+            return (x[0] + a,)
+
+    elif len(v) == 2:
+        a, b = v
+
+        def op(x):
+            return (x[0] + a, x[1] + b)
+
+    elif len(v) == 3:
+        a, b, c = v
+
+        def op(x):
+            return (x[0] + a, x[1] + b, x[2] + c)
+
+    else:
+        add = operator.add
+
+        def op(x):
+            return tuple(map(add, x, v))
 
     return op
 

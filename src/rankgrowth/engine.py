@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import compress
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ContractError, HypothesisError, InputError
 from .operators import (
@@ -457,16 +457,35 @@ class GrowthPolynomial:
             raise InputError(f"point {s} has {len(s)} coordinates, not {self.k}")
         if not all(map(is_int, s)):
             raise InputError(f"point {s} must have integer coordinates")
-        # integer terms over the coefficients' common denominator, one
-        # Fraction at the end
+        return self._integer_values()(s)
+
+    def _integer_values(self) -> Callable[[Sequence[int]], Fraction]:
+        """The map from a point of k integers, unchecked, to the value there.
+
+        The coefficients' common denominator and each term's numerator
+        over it are computed once, here; each call sums the numerators
+        times their nonzero powers of the point and builds one
+        ``Fraction``.  ``verify_fit`` builds the map once and calls it at
+        every window point.
+        """
         den = math.lcm(*(c.denominator for c in self.coeffs.values()))
-        total = 0
-        for e, c in self.coeffs.items():
-            term = c.numerator * (den // c.denominator)
-            for base, exp in zip(s, e):
-                term *= base**exp
-            total += term
-        return Fraction(total, den)
+        terms = [
+            (
+                c.numerator * (den // c.denominator),
+                [(i, x) for i, x in enumerate(e) if x],
+            )
+            for e, c in self.coeffs.items()
+        ]
+
+        def value(s: Sequence[int]) -> Fraction:
+            total = 0
+            for term, powers in terms:
+                for i, x in powers:
+                    term *= s[i] ** x
+                total += term
+            return Fraction(total, den)
+
+        return value
 
     def leading_coefficient(self) -> Fraction:
         """Coefficient of the maximal monomial allowed by the degree bound."""
@@ -756,7 +775,8 @@ def verify_fit(
     that does not extend ``sys`` (``_check_context``) or a malformed
     element of A or B (``RankOracle.sorted_elems``); an orbit larger than
     commuting maps allow is a ``HypothesisError``.
-    ``P`` is evaluated at every point in integers.
+    ``P`` is evaluated at every point in integers, its common denominator
+    and numerators computed once per call.
     """
     if P.k != sys.k:
         raise InputError(
@@ -782,12 +802,13 @@ def verify_fit(
     check_budget(words, doing, "use a smaller window (--window)")
     orbits_a = _stepped_orbits(sys, seeds, lo, hi)
     orbits_b = _stepped_orbits(base_sys, seeds_b, lo, hi)
+    value = P._integer_values()
     points, mismatches = [], []
     for (s, orbit_b), (_, orbit_a) in zip(orbits_b, orbits_a):
         builder = backend.basis_builder()
         builder.add_all(orbit_b)
         direct = builder.add_all(orbit_a)
-        val = P.evaluate(s)
+        val = value(s)
         points.append((s, direct, val))
         if val != direct:
             mismatches.append((s, direct, val))

@@ -7,6 +7,8 @@ under ``python -O``.  Run via ``rankgrowth selfcheck``.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Tuple
@@ -434,6 +436,22 @@ def _check_toric_basis():
     result = analyze_graded(sys, [(0,), (25,)], [])
     _expect((result.evidence, result.status) == ("bound", "certified"))
     _expect(result.polynomial.pretty() == "2*Y + 26")
+
+
+@check("translations and killed tests of dimensions 2 and 3 match map's kernels")
+def _check_unrolled_kernels():
+    antichains = {
+        2: [(0, 2), (1, 1), (3, 0)],
+        3: [(0, 0, 2), (0, 2, 1), (1, 1, 0), (2, 0, 0)],
+    }
+    for v in [(3, -1), (2, 0, -3)]:
+        step, killed = translation(v), antichains[len(v)]
+        for x in itertools.product(range(-2, 3), repeat=len(v)):
+            _expect(step(x) == tuple(map(operator.add, x, v)))
+        builder = TrivialBackend(len(v), killed).basis_builder()
+        for p in itertools.product(range(4), repeat=len(v)):
+            above = any(all(map(operator.le, r, p)) for r in killed)
+            _expect(builder.add(p) == (not above))
 
 
 @dataclass

@@ -136,7 +136,8 @@ def _truncated_basis(gens: List[tuple], graded: List[int]) -> List[tuple]:
     lex order, keeping only S-pairs whose lcm has degree at most 1 in the
     ``graded`` positions; normal selection, coprime leads skipped.  Each
     basis element is held as ``(nonzero fields of lead, lead, trail)``,
-    packed as in the module docstring.
+    packed as in the module docstring; the basis's leads are returned, as
+    exponent tuples in basis order, since only they give words.
 
     Every binomial has degree 0 or 1, so a lead of degree 1 holds one
     graded variable, to the power 1, and an lcm has degree at most 1 iff
@@ -228,7 +229,7 @@ def _truncated_basis(gens: List[tuple], graded: List[int]) -> List[tuple]:
         b = reduce(lcm - a1 + b1, lcm - a2 + b2)
         if b is not None:
             insert(*b)
-    return [(_unpack(a, n, stride), _unpack(b, n, stride)) for _, a, b in basis]
+    return [_unpack(lead, n, stride) for _, lead, _ in basis]
 
 
 def _minimal(words: List[MultiIndex]) -> List[MultiIndex]:
@@ -319,10 +320,10 @@ def _basis_generators(
             gens.append((monomial(i, v), monomial(elim + m - 1 - len(gens))))
     for j, a in enumerate(shifted(seeds)):
         gens.append((monomial(k, a), monomial(n - 1 - j)))
-    basis = _truncated_basis(gens, [k] + list(range(elim + m, n)))
+    leads = _truncated_basis(gens, [k] + list(range(elim + m, n)))
     common: List[MultiIndex] = []
     own: List[List[MultiIndex]] = [[] for _ in seeds]
-    for lead, _ in basis:
+    for lead in leads:
         if any(lead[:elim]):
             continue
         word = tuple(reversed(lead[elim : elim + m]))

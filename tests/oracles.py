@@ -25,7 +25,10 @@ polynomial evaluation in ``Fraction`` arithmetic, which pin the integer
 ones; ``permutation_dominant_terms`` is the definition of a dominant term,
 a search over every coordinate order, which pins the greedy test;
 ``reference_truncated_basis`` is the truncated toric Buchberger on
-exponent tuples, which pins the packed-int kernel.
+exponent tuples, which pins the packed-int kernel; ``reference_translation``
+and ``reference_counts`` are the translation and the killed-point test
+through ``map`` in any dimension, which pin the kernels unrolled up to
+dimension 3.
 """
 
 import heapq
@@ -135,6 +138,26 @@ def distinct_count(elems):
 def ideal_count(elems, antichain):
     """Ideal-count rank: distinct points with no antichain point below them."""
     return len({p for p in elems if not any(_leq(q, p) for q in antichain)})
+
+
+def reference_translation(v):
+    """The map ``x -> x + v`` in any dimension, as ``tuple(map(add, x, v))``:
+    the generic kernel that ``backends.translation`` keeps above dimension 3."""
+
+    def op(x):
+        return tuple(map(operator.add, x, v))
+
+    return op
+
+
+def reference_counts(killed, point):
+    """Whether ``point`` lies above no point of ``killed``, each compared
+    through ``map``: the generic killed test that
+    ``TrivialBackend.basis_builder`` keeps above dimension 3."""
+    for r in killed:
+        if all(map(operator.le, r, point)):
+            return False
+    return True
 
 
 def nonzero_chain_count(elems, zero):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -47,6 +48,7 @@ from rankgrowth.backends import (
     make_sumset_system,
     make_translation_system,
     simplicial_operator,
+    translation,
     validate_simplicial,
     vertex_map_edge_operator,
 )
@@ -58,6 +60,8 @@ from oracles import (
     ideal_count,
     ideal_points_of_degree,
     matrix_rank,
+    reference_counts,
+    reference_translation,
     subcomplex_betti,
 )
 
@@ -127,6 +131,35 @@ def test_ideal_backend_membership():
         assert staircase.rank([point]) == ideal_count([point], antichain)
     points = list(itertools.product(range(4), repeat=3))
     assert staircase.rank(points) == ideal_count(points, antichain)
+
+
+@st.composite
+def _kernel_problems(draw):
+    """A dimension of 1 to 5, a translation vector with negative coordinates
+    and an antichain of 0 to 4 points: the minimal ones of those drawn."""
+    n = draw(st.integers(1, 5), "dimension")
+    v = draw(st.tuples(*[st.integers(-3, 3)] * n), "vector")
+    drawn = set(draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=4)))
+    antichain = [
+        r for r in drawn
+        if not any(q != r and all(map(operator.le, q, r)) for q in drawn)
+    ]
+    return n, v, antichain
+
+
+@settings(max_examples=100, deadline=None)
+@given(_kernel_problems())
+def test_unrolled_kernels_agree_with_the_map_kernels(problem):
+    # dimensions 1 to 3 take the unrolled kernels, 4 and 5 the map ones
+    n, v, antichain = problem
+    step, reference = translation(v), reference_translation(v)
+    for x in itertools.product(range(-2, 2), repeat=n):
+        assert step(x) == reference(x)
+    for killed in [None, antichain]:
+        builder = TrivialBackend(n, killed).basis_builder()
+        for p in itertools.product(range(4), repeat=n):
+            assert builder.add(p) == reference_counts(killed or (), p)
+            assert not builder.add(p)
 
 
 def test_ideal_backend_refuses_bool_coordinates():

@@ -839,7 +839,8 @@ def test_packed_basis_equals_the_tuple_reference(problem):
                 toric._truncated_basis(gens, graded)
             assert str(packed.value) == str(refused)
         else:
-            assert toric._truncated_basis(gens, graded) == expected
+            leads = [lead for lead, _ in expected]
+            assert toric._truncated_basis(gens, graded) == leads
 
 
 FAR_CONFIG = {
